@@ -28,6 +28,29 @@ def normalized_legendre_mp(m: int, ell: int, x, dps: int = 50):
         return cur
 
 
+def gauss_legendre_node_mp(n: int, x0: float, dps: int = 30):
+    """Gauss-Legendre node next to x0 and its weight, in mpmath arithmetic.
+
+    One Newton step on P_n from a double-precision x0 (already within
+    ~1e-16 of the node) lands within ~1e-30; the weight is then
+    2 (1 - x^2) / (n P_{n-1}(x))^2.  Returns (node, weight) as mpf.
+    """
+    import mpmath as mp
+
+    def recurrence(x):
+        prev, cur = mp.mpf(1), x
+        for k in range(1, n):
+            prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+        return prev, cur
+
+    with mp.workdps(dps):
+        x = mp.mpf(x0)
+        p_prev, p_n = recurrence(x)
+        x -= p_n * (x * x - 1) / (n * (x * p_n - p_prev))
+        p_prev, _ = recurrence(x)
+        return x, 2 * (1 - x * x) / (n * p_prev) ** 2
+
+
 def action_simpson(ell: int, m: int, theta: float, n: int = 1_000_001) -> float:
     """Composite Simpson value of int_0^theta sqrt(-Q) with ~1e6 points."""
     t = np.linspace(0.0, theta, n)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import lpmv, gammaln
+from scipy.special import lpmv, gammaln, roots_legendre
 
 from sclab import sphere_basis as sb
+from sclab.wkb_engine import band_radius, case_window, q_potential
 
-from _oracles import double_factorial, normalized_legendre_mp
+from _oracles import double_factorial, gauss_legendre_node_mp, normalized_legendre_mp
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +71,36 @@ def test_band_rejects_bad_orders_and_nodes():
         sb.legendre_row(2, 5, np.array([1.0]))
 
 
+@pytest.mark.parametrize("ell", [100, 405, 975, 2400])
+@pytest.mark.parametrize("case", ["2", "inf"])
+def test_order_band_matches_per_order_recurrence(ell, case):
+    thetas = math.pi / 2 - sb.build_grid(4 * ell).theta_nodes
+    window = case_window(ell, band_radius(ell), case)
+    table = sb.legendre_band(ell, int(window[0]), int(window[-1]), thetas)
+    x = np.sin(thetas)
+    oracle = np.stack([sb.legendre_row(int(m), ell, x) for m in window])
+    # g has zeros only where its order is classically allowed (Q < 0); there
+    # the error is measured against the row's maximum, elsewhere pointwise
+    allowed = np.stack([q_potential(ell, int(m), thetas) < 0 for m in window])
+    scale = np.where(allowed, np.abs(oracle).max(axis=1, keepdims=True),
+                     np.abs(oracle))
+    kept = np.abs(oracle) > 1e-250 * np.abs(oracle).max()
+    err = np.abs(table.values_g - oracle)[kept] / scale[kept]
+    assert err.max() <= 1e-10
+
+
+def test_full_band_near_pole_falls_back_instead_of_reading_zero():
+    ell = 400
+    theta = math.pi / 2 - sb.build_grid(4 * ell).theta_nodes[:1]
+    x = np.sin(theta)
+    assert sb.legendre_row(ell, ell, x)[0] == 0.0  # the top seed underflows
+    table = sb.legendre_band(ell, 0, ell, theta)
+    oracle = np.stack([sb.legendre_row(m, ell, x) for m in range(ell + 1)])
+    assert table.fallback_nodes == 1
+    assert np.count_nonzero(oracle) > 50
+    assert np.array_equal(table.values_g, oracle)
+
+
 def test_degree_table_matches_single_rows():
     x = np.linspace(-0.9, 0.9, 5)
     table = sb.legendre_degree_table(4, 40, x)
@@ -93,6 +124,32 @@ def test_ode_residual_second_order_convergence():
     scale = (ell * (ell + 1.0)) ** 2 * np.max(np.abs(
         sb.legendre_band(ell, m, m, np.linspace(-1, 1, 801)).values_v[0]))
     assert sups[1] <= 1.0 * (2.0 / 800) ** 2 * scale
+
+
+# ---------------------------------------------------------------------------
+# Gauss rule
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 12, 65, 306, 999, 1000])
+def test_small_gauss_rules_are_scipy_bit_for_bit(n):
+    nodes, weights = sb._gauss_rule(n)
+    ref_nodes, ref_weights = roots_legendre(n)
+    assert np.array_equal(nodes, ref_nodes)
+    assert np.array_equal(weights, ref_weights)
+
+
+@pytest.mark.parametrize("n", [1001, 4096, 9600])
+def test_large_gauss_rule_against_mpmath(n):
+    nodes, weights = sb._gauss_rule(n)
+    assert np.all(np.diff(nodes) > 0)
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(weights, weights[::-1])
+    assert abs(math.fsum(weights) - 2.0) <= 1e-14
+    # the two outermost nodes, where 1 - x^2 cancels, then the interior
+    for i in (n - 1, n - 2, (4 * n) // 5, (2 * n) // 3, n // 2):
+        node, weight = gauss_legendre_node_mp(n, nodes[i])
+        assert float(abs(node - nodes[i])) <= 4e-16
+        assert float(abs(weights[i] / weight - 1)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
