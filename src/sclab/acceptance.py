@@ -25,7 +25,7 @@ RUNTIME_BUDGETS = {  # seconds; criteria without an entry are unbudgeted
     "c03-equator-anchors": 10.0,
     "c04-wkb-accuracy": 120.0,
     "c06-kuzmin-landau": 5.0,
-    "c08-optimality-slopes": 5.0,  # ~12x its 0.42 s median on 2 cores
+    "c08-optimality-slopes": 5.0,  # ~17x its 0.29 s median on 2 cores
     "c10-dual-schatten": 180.0,
     "c11-oscillatory-scaling": 300.0,
 }

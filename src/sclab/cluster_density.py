@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sphere_basis import SphereGrid, build_grid, cluster_rank, legendre_band, ylm_matrix
+from .sphere_basis import SphereGrid, _order_band, build_grid, cluster_rank, ylm_matrix
 from .wkb_engine import case_window, normalize_case
 
 SPHERE_AREA = 4.0 * math.pi
@@ -74,9 +74,9 @@ class DensityProfile:
     """Colatitude density samples plus cached L^{p/2} norms.
 
     theta_weights absorb sin(theta): the trace identity reads
-    2 pi * sum_i w_i rho_i = sum_j nu_j.  ``fallback_nodes`` counts the
-    nodes where the top recurrence seed underflowed and the window was
-    evaluated order by order (see :mod:`sclab.sphere_basis`).
+    2 pi * sum_i w_i rho_i = sum_j nu_j.  ``underflow_nodes`` counts the
+    nodes where the recurrence seed of the window's top order underflows
+    (see :mod:`sclab.sphere_basis`).
     """
 
     thetas: np.ndarray
@@ -84,7 +84,7 @@ class DensityProfile:
     rho: np.ndarray
     trace: float
     lp_norms: dict = field(default_factory=dict)
-    fallback_nodes: int = 0
+    underflow_nodes: int = 0
 
 
 def density(spec: ClusterSpec, grid: SphereGrid, check_convergence: bool = False,
@@ -118,12 +118,11 @@ def density(spec: ClusterSpec, grid: SphereGrid, check_convergence: bool = False
 
 def _density_on(spec: ClusterSpec, grid: SphereGrid) -> DensityProfile:
     window = spec.window
-    table = legendre_band(spec.ell, int(window[0]), int(window[-1]),
-                          math.pi / 2 - grid.theta_nodes)
-    rho = np.einsum("i,ij,ij->j", spec.weights, table.values_g, table.values_g)
+    values, n_under = _order_band(spec.ell, int(window[0]), int(window[-1]),
+                                  np.cos(grid.theta_nodes))
+    rho = np.einsum("i,ij,ij->j", spec.weights, values, values)
     return DensityProfile(grid.theta_nodes, grid.theta_weights, rho,
-                          float(np.sum(spec.weights)),
-                          fallback_nodes=table.fallback_nodes)
+                          float(np.sum(spec.weights)), underflow_nodes=n_under)
 
 
 def lp_norm(profile: DensityProfile, p: float) -> float:

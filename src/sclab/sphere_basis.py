@@ -20,12 +20,14 @@ engine, with int_{-pi/2}^{pi/2} |v|^2 dtheta = 1/(2 pi).
 Single orders go through the fully normalized three-term recurrence
 upward in degree at fixed order (:func:`legendre_row`).  Normalized values
 stay O(sqrt(l)), so there is no intermediate overflow for l <= 1e4.  Its
-seed g_m^m ~ sin(theta)^m underflows near the poles at high order, where
-the true values are far below the double range; those zeros are harmless
-at the tolerances used here.
+seed g_m^m ~ sin(theta)^m underflows near the poles at high order; the
+row then starts from a subnormal seed, with fewer bits, or from zero.
+Where that happens deep in the classically forbidden zone, the true values
+are far below the double range as well, and those zeros are harmless at
+the tolerances used here.
 
 A band of orders m_lo..m_hi at one degree (:func:`legendre_band`) recurs
-downward in order instead.  Two per-order seeds at m_hi + 1 and m_hi feed
+downward in order instead.  Two per-order seeds at m_hi and m_hi - 1 feed
 
     g^{m-1} = -(sqrt((l-m)(l+m+1)) g^{m+1} + 2m cot(theta) g^m)
               / sqrt((l+m)(l-m+1)),
@@ -37,12 +39,19 @@ grow as m decreases, so the recurrence follows the dominant solution, and
 inside the oscillatory zone both solutions have the same size, so
 rounding errors grow at most algebraically.  Measured against the
 per-order recurrence on n = 4l Gauss nodes up to l = 2400, the band agrees
-to ~1e-11 of each row's maximum.  The limit is the seed: where the
-sectoral value at the top seed order drops below the smallest normal
-double (sin(theta)^(m_hi+1) < ~1e-308), the seeds have lost precision or
-read zero, while lower orders may still be representable.  Those nodes
-fall back to the per-order recurrence for every order of the band, and
-the band reports how many took the fallback.
+to within 3e-11 of each row's maximum.
+
+Underflow.  Where the sectoral seed of m_hi falls below the smallest
+normal double (sin(theta)^m_hi < ~1e-308), both seeds of the band are
+lifted by the same factor 2^k, k <= 1000, added as k ln 2 to their
+logarithm before exp.  Both recurrences are linear, and the finished rows
+are scaled back by 2^-k, which rounds only where a value is itself
+subnormal or below the double range.  The band is then accurate at lower orders whose values are representable even
+though the top seed is not.  Past the largest lift (sin(theta)^m_hi below
+~1e-609) a node restarts at the highest order whose seed is within reach,
+and the orders above it read zero: their seeds are more than 300 orders
+of magnitude below the double range.  ``underflow_nodes`` on a band
+counts the nodes whose top seed underflows.
 
 Closed-form values at the equator are evaluated through log-gamma.
 """
@@ -52,15 +61,17 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, jn_zeros, roots_legendre
 
 FOUR_PI = 4.0 * math.pi
 _LN2 = math.log(2.0)
-# Doubles per work array of the order-band fallback (4 arrays of 256 KB).
-_LOCKSTEP_ELEMENTS = 1 << 15
+_LOG_TINY = math.log(np.finfo(float).tiny)
+# Largest lift of an order-band seed, in bits: 2^1000 times any |g_l^m|
+# <= sqrt((2l + 1) / (4 pi)) stays finite, so lifted bands never overflow.
+_MAX_LIFT = 1000
 
 
 class GridResolutionError(ValueError):
@@ -71,19 +82,29 @@ class GridResolutionError(ValueError):
 # Fully normalized associated Legendre recurrences
 # ---------------------------------------------------------------------------
 
-def _seed_values(m: int, x: np.ndarray) -> np.ndarray:
-    """g-value of degree m at order m on nodes x, via logs (no overflow)."""
+def _seed_log_magnitude(m: int, x: np.ndarray) -> np.ndarray:
+    """log |g_m^m| on nodes x, finite wherever |x| < 1."""
     if m == 0:
-        return np.full_like(x, 1.0 / math.sqrt(FOUR_PI))
-    log_mag = (
+        return np.full_like(x, -0.5 * math.log(FOUR_PI))
+    return (
         0.5 * (math.log(2 * m + 1) - math.log(FOUR_PI) + gammaln(2 * m + 1))
         - gammaln(m + 1)
         - m * _LN2
         + 0.5 * m * np.log1p(-x * x)
     )
+
+
+def _seed_values(m: int, x: np.ndarray, shift=0) -> np.ndarray:
+    """g-value of degree m at order m on nodes x, times 2**shift, via logs.
+
+    ``shift`` (one integer, or one per node) lifts seeds that would
+    underflow into the normal range; the default gives the plain seed.
+    """
+    if m == 0:
+        return np.ldexp(np.full_like(x, 1.0 / math.sqrt(FOUR_PI)), shift)
     sign = -1.0 if m % 2 else 1.0
     with np.errstate(under="ignore"):
-        return sign * np.exp(log_mag)
+        return sign * np.exp(_seed_log_magnitude(m, x) + shift * _LN2)
 
 
 def legendre_degree_table(m: int, ell_max: int, x) -> np.ndarray:
@@ -122,7 +143,12 @@ def legendre_row(m: int, ell: int, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(x) >= 1.0):
         raise ValueError("nodes must lie strictly inside (-1, 1)")
-    prev = _seed_values(m, x)
+    return _degree_recurrence(m, ell, x, _seed_values(m, x))
+
+
+def _degree_recurrence(m: int, ell: int, x: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Carry the order-m seed (degree m) up to degree ell; linear in the seed."""
+    prev = seed
     if ell == m:
         return prev
     cur = math.sqrt(2 * m + 3) * x * prev
@@ -133,70 +159,52 @@ def legendre_row(m: int, ell: int, x) -> np.ndarray:
     return cur
 
 
-def _lockstep_rows(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> np.ndarray:
-    """Rows g_ell^m, m = m_lo..m_hi, from per-order degree recurrences run side by side.
-
-    Row i recurs from its own seed at degree m_lo + i with the arithmetic of
-    :func:`legendre_row`, so each row equals that function's result bit for
-    bit; one Python loop over degree serves all orders.  Order m reaches
-    degree ell at step ell - m, so the active block of rows shrinks from
-    the bottom as the loop runs.
-    """
-    orders = np.arange(m_lo, m_hi + 1)
-    m = orders.astype(float)[:, None]
-    out = np.empty((orders.size, x.size))
-    prev = np.stack([_seed_values(int(order), x) for order in orders])
-    cur = np.sqrt(2 * m + 3) * x * prev
-    scratch = np.empty_like(cur)
-    if m_hi == ell:
-        out[-1] = prev[-1]
-    for k in range(1, ell - m_lo + 1):
-        active = min(orders.size, ell - m_lo - k + 1)
-        if k >= 2:  # cur, prev hold degrees m + k - 1, m + k - 2
-            deg, mk = m[:active] + k, m[:active]
-            a = np.sqrt((4 * deg * deg - 1.0) / (deg * deg - mk * mk))
-            b = np.sqrt(((deg - 1.0) ** 2 - mk * mk) / (4.0 * (deg - 1.0) ** 2 - 1.0))
-            np.multiply(cur[:active], x, out=scratch[:active])
-            prev[:active] *= b
-            np.subtract(scratch[:active], prev[:active], out=prev[:active])
-            prev[:active] *= a
-            prev, cur = cur, prev
-        if orders[active - 1] == ell - k:
-            out[active - 1] = cur[active - 1]
-    return out
-
-
 def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarray, int]:
     """g_ell^m for m = m_lo..m_hi (rows) on nodes x, by downward recurrence in m.
 
-    Returns (values, fallback_nodes).  A one-order band is the per-order
-    recurrence itself.  Wider bands seed at m_hi + 1 and m_hi and recur
-    down; nodes where the sectoral seed of the top order is subnormal take
-    :func:`_lockstep_rows` instead, in blocks of nodes that bound its
-    working set, and their count is returned.
+    Returns (values, underflow_nodes), the latter counting the nodes where
+    the sectoral seed of m_hi is below the smallest normal double.  The
+    band seeds at m_hi and m_hi - 1 and recurs down; wherever its seeds are
+    normal doubles, a one-order band is :func:`legendre_row` bit for bit.
+    Where a seed would underflow, both seeds are lifted by the same power
+    of two, and the finished rows are scaled back.  Nodes whose top seed
+    lies beyond the largest lift restart at the highest order within
+    reach, and the orders above it read zero.
     """
-    out = np.empty((m_hi - m_lo + 1, x.size))
-    out[-1] = legendre_row(m_hi, ell, x)
-    if m_lo == m_hi:
-        return out, 0
-    upper = legendre_row(m_hi + 1, ell, x) if m_hi < ell else np.zeros_like(x)
-    # 1 - x*x is the sin^2 the seeds were built from (_seed_values takes
-    # log1p(-x*x)), so the cotangent matches them where 1 - x^2 is tiny
-    cot = x / np.sqrt(1.0 - x * x)
-    lower = out[-1]
-    for m in range(m_hi, m_lo, -1):
-        row = math.sqrt((ell - m) * (ell + m + 1.0)) * upper
-        row += (2.0 * m) * cot * lower
-        row *= -1.0 / math.sqrt((ell + m) * (ell - m + 1.0))
-        out[m - 1 - m_lo] = row
-        upper, lower = lower, row
-    top_seed = _seed_values(min(m_hi + 1, ell), x)
-    fallback = np.flatnonzero(np.abs(top_seed) < np.finfo(float).tiny)
-    block = max(1, _LOCKSTEP_ELEMENTS // out.shape[0])
-    for start in range(0, fallback.size, block):
-        cols = fallback[start:start + block]
-        out[:, cols] = _lockstep_rows(ell, m_lo, m_hi, x[cols])
-    return out, int(fallback.size)
+    out = np.zeros((m_hi - m_lo + 1, x.size))
+    top_log = _seed_log_magnitude(m_hi, x)
+    reach = _LOG_TINY - _MAX_LIFT * _LN2
+    top = np.full(x.size, m_hi)
+    short = np.flatnonzero(top_log < reach)
+    if short.size:
+        top[short] = m_lo - 1  # no order within reach: the column reads zero
+        for m in range(m_lo, m_hi):
+            top[short[_seed_log_magnitude(m, x[short]) >= reach]] = m
+    for m_top in np.unique(top[top >= m_lo]).tolist():
+        cols = np.flatnonzero(top == m_top)
+        xs = x[cols]
+        lift = np.ceil((_LOG_TINY - _seed_log_magnitude(m_top, xs)) / _LN2)
+        lift = np.maximum(lift, 0.0).astype(int)
+        upper = _degree_recurrence(m_top, ell, xs, _seed_values(m_top, xs, lift))
+        out[m_top - m_lo, cols] = upper
+        if m_top > m_lo:
+            lower = _degree_recurrence(m_top - 1, ell, xs,
+                                       _seed_values(m_top - 1, xs, lift))
+            out[m_top - 1 - m_lo, cols] = lower
+            # 1 - x*x is the sin^2 the seeds were built from (log1p(-x*x)),
+            # so the cotangent matches them where 1 - x^2 is tiny
+            cot = xs / np.sqrt(1.0 - xs * xs)
+            for m in range(m_top - 1, m_lo, -1):
+                row = math.sqrt((ell - m) * (ell + m + 1.0)) * upper
+                row += (2.0 * m) * cot * lower
+                row *= -1.0 / math.sqrt((ell + m) * (ell - m + 1.0))
+                out[m - 1 - m_lo, cols] = row
+                upper, lower = lower, row
+        lifted = lift > 0
+        if lifted.any():
+            rows = out[:m_top - m_lo + 1, cols[lifted]]
+            out[:m_top - m_lo + 1, cols[lifted]] = np.ldexp(rows, -lift[lifted])
+    return out, int(np.count_nonzero(top_log < _LOG_TINY))
 
 
 # ---------------------------------------------------------------------------
@@ -210,26 +218,21 @@ class RadialTable:
     ``thetas`` live in the equatorial chart (-pi/2, pi/2); row i of
     ``values_v`` is v_ell^m(theta) for m = m_lo + i, and ``values_g`` holds
     the matching colatitude values g_ell^m(pi/2 - theta).
-    ``fallback_nodes`` counts the nodes whose top seed underflowed, where
-    the band was evaluated order by order instead of by the order
-    recurrence (always 0 for a one-order band).
+    ``underflow_nodes`` counts the nodes where the sectoral seed of m_hi
+    is below the smallest normal double (see the module notes).
     """
 
     ell: int
     m_lo: int
     m_hi: int
     thetas: np.ndarray
+    values_v: np.ndarray
     values_g: np.ndarray
-    fallback_nodes: int = 0
+    underflow_nodes: int = 0
 
     @property
     def orders(self) -> np.ndarray:
         return np.arange(self.m_lo, self.m_hi + 1)
-
-    @cached_property
-    def values_v(self) -> np.ndarray:
-        """sqrt(cos theta) g, built on first use: density callers never need it."""
-        return np.sqrt(np.cos(self.thetas)) * self.values_g
 
 
 def legendre_band(ell: int, m_lo: int, m_hi: int, thetas) -> RadialTable:
@@ -238,7 +241,7 @@ def legendre_band(ell: int, m_lo: int, m_hi: int, thetas) -> RadialTable:
     thetas must avoid +-pi/2 exactly: cos(theta) = 0 makes the normal-form
     potential singular downstream, and the sqrt(cos) factor degenerate.
     Costs O((ell - m_hi + number of orders) * nodes); see the module notes
-    for the order recurrence and its underflow fallback.
+    for the order recurrence and its seeds.
     """
     if not 0 <= m_lo <= m_hi <= ell:
         raise ValueError(
@@ -247,8 +250,9 @@ def legendre_band(ell: int, m_lo: int, m_hi: int, thetas) -> RadialTable:
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if np.any(np.abs(thetas) >= math.pi / 2):
         raise ValueError("band nodes must satisfy |theta| < pi/2")
-    values_g, n_fallback = _order_band(ell, m_lo, m_hi, np.sin(thetas))
-    return RadialTable(ell, m_lo, m_hi, thetas, values_g, n_fallback)
+    values_g, n_under = _order_band(ell, m_lo, m_hi, np.sin(thetas))
+    values_v = np.sqrt(np.cos(thetas)) * values_g
+    return RadialTable(ell, m_lo, m_hi, thetas, values_v, values_g, n_under)
 
 
 def radial_table_to_csv(table: RadialTable, path) -> None:

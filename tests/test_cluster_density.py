@@ -58,18 +58,18 @@ def test_coarse_grid_rejected_and_flagged():
     cd.density(spec, sb.build_grid(400), check_convergence=True)  # clean
 
 
-def test_density_matches_per_order_sum_and_reports_fallback():
+def test_density_matches_per_order_sum_and_reports_underflow():
     ell = 405
     spec = cd.ClusterSpec(ell, wkb.band_radius(ell), "2")
     grid = sb.build_grid(4 * ell)
     profile = cd.density(spec, grid)
-    x = np.sin(math.pi / 2 - grid.theta_nodes)
+    x = np.cos(grid.theta_nodes)
     exact = sum(sb.legendre_row(int(m), ell, x) ** 2 for m in spec.window)
     kept = exact > 1e-250 * exact.max()
     assert np.all(np.abs(profile.rho - exact)[kept] <= 1e-11 * exact[kept])
-    band = sb.legendre_band(ell, int(spec.window[0]), int(spec.window[-1]),
-                            math.pi / 2 - grid.theta_nodes)
-    assert profile.fallback_nodes == band.fallback_nodes > 0
+    top_seed = sb._seed_values(int(spec.window[-1]), x)
+    assert profile.underflow_nodes == np.count_nonzero(
+        np.abs(top_seed) < np.finfo(float).tiny) > 0
 
 
 # ---------------------------------------------------------------------------

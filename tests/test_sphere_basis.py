@@ -71,6 +71,11 @@ def test_band_rejects_bad_orders_and_nodes():
         sb.legendre_row(2, 5, np.array([1.0]))
 
 
+def _normal_seed(m, x):
+    """Where the per-order recurrence starts from a normal double."""
+    return np.abs(sb._seed_values(m, x)) >= np.finfo(float).tiny
+
+
 @pytest.mark.parametrize("ell", [100, 405, 975, 2400])
 @pytest.mark.parametrize("case", ["2", "inf"])
 def test_order_band_matches_per_order_recurrence(ell, case):
@@ -84,21 +89,52 @@ def test_order_band_matches_per_order_recurrence(ell, case):
     allowed = np.stack([q_potential(ell, int(m), thetas) < 0 for m in window])
     scale = np.where(allowed, np.abs(oracle).max(axis=1, keepdims=True),
                      np.abs(oracle))
-    kept = np.abs(oracle) > 1e-250 * np.abs(oracle).max()
+    # a subnormal seed leaves the oracle with fewer bits than the band, whose
+    # seeds are lifted; those entries are checked against mpmath below
+    seeded = np.stack([_normal_seed(int(m), x) for m in window])
+    kept = (np.abs(oracle) > 1e-250 * np.abs(oracle).max()) & seeded
     err = np.abs(table.values_g - oracle)[kept] / scale[kept]
     assert err.max() <= 1e-10
+    assert table.underflow_nodes == np.count_nonzero(~seeded[-1])
 
 
-def test_full_band_near_pole_falls_back_instead_of_reading_zero():
+def test_lifted_band_is_exact_where_per_order_seeds_underflow():
+    ell = 2400
+    thetas = math.pi / 2 - sb.build_grid(4 * ell).theta_nodes
+    window = case_window(ell, band_radius(ell), "2")
+    table = sb.legendre_band(ell, int(window[0]), int(window[-1]), thetas)
+    x = np.sin(thetas)
+    seeded = np.stack([_normal_seed(int(m), x) for m in window])
+    rows, cols = np.nonzero(~seeded & (np.abs(table.values_g) > 1e-300))
+    assert rows.size > 1000
+    for k in np.linspace(0, rows.size - 1, 8).astype(int):
+        i, j = rows[k], cols[k]
+        exact = float(normalized_legendre_mp(int(window[i]), ell, x[j]))
+        assert abs(table.values_g[i, j] / exact - 1) <= 1e-10
+
+
+def test_full_band_near_pole_restarts_instead_of_reading_zero():
     ell = 400
     theta = math.pi / 2 - sb.build_grid(4 * ell).theta_nodes[:1]
     x = np.sin(theta)
     assert sb.legendre_row(ell, ell, x)[0] == 0.0  # the top seed underflows
     table = sb.legendre_band(ell, 0, ell, theta)
-    oracle = np.stack([sb.legendre_row(m, ell, x) for m in range(ell + 1)])
-    assert table.fallback_nodes == 1
-    assert np.count_nonzero(oracle) > 50
-    assert np.array_equal(table.values_g, oracle)
+    g = table.values_g[:, 0]
+    oracle = np.array([sb.legendre_row(m, ell, x)[0] for m in range(ell + 1)])
+    seeded = np.array([_normal_seed(m, x)[0] for m in range(ell + 1)])
+    assert table.underflow_nodes == 1
+    assert seeded.sum() > 50
+    assert np.all(np.abs(g[seeded] / oracle[seeded] - 1) <= 1e-10)
+    # where the per-order seeds underflow, the lifted band keeps reading the
+    # true values until they leave the normal range themselves
+    last = int(np.flatnonzero(np.abs(g) >= np.finfo(float).tiny)[-1])
+    assert last > seeded.sum() + 20
+    for m in (int(seeded.sum()) + 5, last):
+        # the seeds' sin^2 = 1 - x*x cancels here, in both recurrences alike:
+        # a rounding of x*x moves sin^m by m/2 * 2^-53 / (1 - x^2) relative
+        tol = 1e-10 + m * 2.0**-53 / (1.0 - x[0] ** 2)
+        assert abs(g[m] / float(normalized_legendre_mp(m, ell, x[0])) - 1) <= tol
+    assert abs(normalized_legendre_mp(last + 1, ell, x[0])) < np.finfo(float).tiny
 
 
 def test_degree_table_matches_single_rows():
