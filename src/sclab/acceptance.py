@@ -26,8 +26,8 @@ RUNTIME_BUDGETS = {  # seconds; criteria without an entry are unbudgeted
     "c04-wkb-accuracy": 120.0,
     "c06-kuzmin-landau": 5.0,
     "c08-optimality-slopes": 5.0,  # ~17x its 0.29 s median on 2 cores
-    "c10-dual-schatten": 180.0,
-    "c11-oscillatory-scaling": 300.0,
+    "c10-dual-schatten": 2.0,  # ~18x its 0.11 s median alone in a fresh process
+    "c11-oscillatory-scaling": 1.5,  # ~15x its 0.10 s median, likewise
 }
 
 

@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+from time import perf_counter
 
 from . import acceptance
 from . import experiments as ex
@@ -16,12 +17,14 @@ from . import wkb_engine as wkb
 def _cmd_run(args) -> int:
     try:
         config = ex.load_config(args.config)
+        start = perf_counter()
+        report = ex.run(config)
     except (ex.ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    report = ex.run(config)
+    elapsed = perf_counter() - start
     for check in report.checks:
-        print(acceptance.format_line(config.experiment, check, 0.0))
+        print(acceptance.format_line(config.experiment, check, elapsed))
     return 0 if report.passed else 1
 
 

@@ -217,6 +217,32 @@ def fit_slope(points) -> tuple[float, float]:
     return slope, stderr
 
 
+def _fit_range(cfg: ExperimentConfig, name: str, default) -> list:
+    """The swept range in field ``name``, checked for a log-log slope fit.
+
+    fit_slope needs at least four strictly increasing positive abscissae;
+    a range that cannot give them is a ConfigError naming the field.
+    """
+    values = list(getattr(cfg, name) or default)
+    if len(values) < 4:
+        raise ConfigError(f"field '{name}': a slope fit needs at least 4 values, "
+                          f"got {len(values)}")
+    if values[0] <= 0 or any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"field '{name}': values must be positive and "
+                          f"strictly increasing, got {values}")
+    return values
+
+
+def _cluster_lambdas(values) -> list[float]:
+    """lambda_range values as floats, each with a nonempty spectral cluster."""
+    lams = [float(v) for v in values]
+    for lam in lams:
+        if lam < 1 or not sb.cluster_rank(lam)[0]:
+            raise ConfigError("field 'lambda_range': no degree l with "
+                              f"lam^2 <= l(l+1) < (lam+1)^2 at lam = {lam}")
+    return lams
+
+
 def _int_geomspace(lo: float, hi: float, n: int) -> list[int]:
     vals = sorted({int(round(v)) for v in np.geomspace(lo, hi, n)})
     return vals
@@ -253,7 +279,11 @@ def _lower_slope_prediction(case: str, p: float, zeta: float) -> float:
 # ---------------------------------------------------------------------------
 
 def run_weyl(cfg: ExperimentConfig):
-    lo, hi = (cfg.lambda_range or [10.0, 300.0])[:2]
+    bounds = cfg.lambda_range or [10.0, 300.0]
+    if len(bounds) != 2 or not 0 < bounds[0] < bounds[1]:
+        raise ConfigError("field 'lambda_range': weyl sweeps between two values "
+                          f"0 < lo < hi, got {bounds}")
+    lo, hi = bounds
     lams = np.geomspace(lo, hi, 25)
     counts = [sb.weyl_count(lam) for lam in lams]
     slope, _ = fit_slope(zip(lams, counts))
@@ -267,7 +297,7 @@ def run_weyl(cfg: ExperimentConfig):
 
 
 def run_sogge_single(cfg: ExperimentConfig):
-    ells = [int(e) for e in (cfg.ell_range or _int_geomspace(32, 512, 7))]
+    ells = [int(e) for e in _fit_range(cfg, "ell_range", _int_geomspace(32, 512, 7))]
     norms = []
     for ell in ells:
         grid = sb.build_grid(max(4 * ell, 64))
@@ -284,7 +314,7 @@ def run_sogge_single(cfg: ExperimentConfig):
 
 
 def run_cluster_lower(cfg: ExperimentConfig):
-    ells = [int(e) for e in (cfg.ell_range or _int_geomspace(100, 800, 7))]
+    ells = [int(e) for e in _fit_range(cfg, "ell_range", _int_geomspace(100, 800, 7))]
     zeta = cfg.zeta
     case_plists = {
         "2": cfg.p_list or [2.0, 4.0, 6.0],
@@ -351,7 +381,7 @@ CLUSTER_UPPER_RATIO_CAP = 2.5  # frozen after the calibration sweep
 
 
 def run_cluster_upper(cfg: ExperimentConfig):
-    lams = [float(v) for v in (cfg.lambda_range or [5, 10, 20, 35, 50])]
+    lams = _cluster_lambdas(cfg.lambda_range or [5, 10, 20, 35, 50])
     p_list = cfg.p_list or [2.0, 4.0, 6.0, 10.0, math.inf]
     rng = np.random.default_rng(cfg.seed)
     rows, worst = [], {p: 0.0 for p in p_list}
@@ -480,7 +510,7 @@ def _dump_spectra(cfg: ExperimentConfig, spectra: dict) -> None:
 
 
 def run_schatten_dual(cfg: ExperimentConfig):
-    lams = [float(v) for v in (cfg.lambda_range or [5, 10, 15, 20, 25, 30, 40])]
+    lams = _cluster_lambdas(cfg.lambda_range or [5, 10, 15, 20, 25, 30, 40])
     p_list = cfg.p_list or [4.0, 6.0, 10.0]
     checks, rows = [], []
     spectra = {
@@ -509,8 +539,7 @@ def run_oscillatory_scaling(cfg: ExperimentConfig):
     compensated = []
     spectra = {}
     for lam in lams:
-        model = sl.paraboloid_model(lam)
-        sv = sl.singular_values(model.matrix)
+        sv = sl.gram_singular_values(sl.paraboloid_model(lam).gram)
         spectra[lam] = sv[:40]
         norm = sl.schatten_norm(sv, 6.0)
         eta = norm * lam ** (1.0 / 3.0)
@@ -525,8 +554,13 @@ def run_oscillatory_scaling(cfg: ExperimentConfig):
 
 
 def run_kss_compare(cfg: ExperimentConfig):
-    lams = [float(v) for v in (cfg.lambda_range or [6, 9, 14, 20, 30, 44, 60])]
-    p = (cfg.p_list or [6.0])[0]
+    lams = _cluster_lambdas(_fit_range(cfg, "lambda_range",
+                                       [6, 9, 14, 20, 30, 44, 60]))
+    p_list = cfg.p_list or [6.0]
+    if len(p_list) != 1 or not 2.0 < p_list[0] < math.inf:
+        raise ConfigError("field 'p_list': kss_compare takes one exponent "
+                          f"2 < p < inf, got {p_list}")
+    p = float(p_list[0])
     s_p, _ = cd.exponents(p)
     q = 2.0 * p / (p - 2.0)
     measured, mains, ksss, rows = [], [], [], []

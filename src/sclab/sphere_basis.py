@@ -383,6 +383,15 @@ class SphereGrid:
         """Flattened weights for the (theta, phi) product mesh, dOmega."""
         return np.repeat(self.theta_weights, self.n_phi) * self.phi_weight
 
+    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(thetas, phis) of the flattened product mesh, theta-major.
+
+        Entry i * n_phi + j is (theta_i, phi_j): the row order of
+        :func:`ylm_matrix` and of :meth:`surface_weights`.
+        """
+        return (np.repeat(self.theta_nodes, self.n_phi),
+                np.tile(self.phi_nodes, self.n_theta))
+
 
 # Rules up to this size stay scipy's bit for bit; larger ones use Newton.
 _NEWTON_RULE_MIN = 1001

@@ -181,6 +181,26 @@ def test_unknown_experiment_rejected():
         ex.ExperimentConfig(experiment="nope").validate()
 
 
+@pytest.mark.parametrize("experiment, overrides, field_name", [
+    ("kss_compare", {"p_list": [4.0, 6.0]}, "p_list"),  # was: only p_list[0] ran
+    ("kss_compare", {"p_list": [2.0]}, "p_list"),
+    ("kss_compare", {"p_list": [math.inf]}, "p_list"),
+    ("kss_compare", {"lambda_range": [6, 9, 14]}, "lambda_range"),
+    ("kss_compare", {"lambda_range": [6, 14, 9, 20]}, "lambda_range"),
+    ("kss_compare", {"lambda_range": [6, 9, 10.4885, 20]}, "lambda_range"),
+    ("schatten_dual", {"lambda_range": [10.4885, 20, 30]}, "lambda_range"),
+    ("cluster_upper", {"lambda_range": [0.5, 20]}, "lambda_range"),
+    ("weyl", {"lambda_range": [10, 100, 300]}, "lambda_range"),  # was: 300 dropped
+    ("weyl", {"lambda_range": [100, 10]}, "lambda_range"),
+    ("sogge_single", {"ell_range": [32, 64, 128]}, "ell_range"),
+    ("cluster_lower", {"ell_range": [100, 200, 400]}, "ell_range"),
+])
+def test_runner_rejects_unusable_ranges(experiment, overrides, field_name):
+    cfg = ex.ExperimentConfig(experiment=experiment, **overrides)
+    with pytest.raises(ex.ConfigError, match=f"field '{field_name}'"):
+        ex.run(cfg)
+
+
 # ---------------------------------------------------------------------------
 # Coverage manifest
 # ---------------------------------------------------------------------------
@@ -220,6 +240,24 @@ def test_cli_run_bad_config(tmp_path, capsys):
     code = cli.main(["run", str(cfg_path)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_run_reports_runner_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "weyl.cfg"
+    cfg_path.write_text("experiment = weyl\nlambda_range = 10, 100, 300\n")
+    code = cli.main(["run", str(cfg_path)])
+    assert code == 2
+    assert "config error: field 'lambda_range'" in capsys.readouterr().err
+
+
+def test_cli_run_prints_elapsed_time(tmp_path, capsys, monkeypatch):
+    clock = iter([100.0, 102.5])
+    monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
+    cfg_path = tmp_path / "weyl.cfg"
+    cfg_path.write_text("experiment = weyl\n")
+    assert cli.main(["run", str(cfg_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.endswith("(2.50s)") for line in lines)
 
 
 def test_cli_run_missing_config(tmp_path, capsys):

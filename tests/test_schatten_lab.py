@@ -70,8 +70,7 @@ def test_unit_weight_gives_identity_gram():
 def test_gram_eigenvalues_bounded_by_sup_weight():
     grid = sb.build_grid(24, 40)
     sv = sl.projector_gram(10.0, reference_weight, grid)
-    thetas = np.repeat(grid.theta_nodes, grid.n_phi)
-    phis = np.tile(grid.phi_nodes, grid.n_theta)
+    thetas, phis = grid.mesh()
     cap = float(np.max(np.abs(reference_weight(thetas, phis)))) ** 2
     assert np.all(sv >= 0.0) and np.all(sv <= cap * (1 + 1e-12))
 
@@ -97,6 +96,44 @@ def test_gram_route_matches_kernel_route():
     n_gram = sl.schatten_norm(sv_gram, 3.0)
     n_kernel = sl.schatten_norm(sv_kernel[:sv_gram.size], 3.0)
     assert abs(n_gram - n_kernel) < 1e-6 * n_gram
+    # the addition theorem makes the kernel matrix (root B)(root B)^H, so
+    # its nonzero spectrum is the Gram spectrum up to roundoff
+    assert np.max(np.abs(sv_gram - sv_kernel[:sv_gram.size])) <= 1e-13
+    assert np.max(sv_kernel[sv_gram.size:]) <= 1e-13
+
+
+def mesh_cluster_gram(ells, w_samples, grid):
+    """The cluster Gram as a product of mesh matrices: the oracle route."""
+    basis, _, weights = sb.ylm_matrix(ells, grid)
+    thetas, phis = grid.mesh()
+    w_sq = np.asarray(w_samples(thetas, phis), dtype=float) ** 2
+    return basis.conj().T @ (basis * (weights * w_sq)[:, None])
+
+
+def rippled_weight(theta, phi):
+    # azimuthal modes up to |k| = 8 on top of the reference weight
+    return reference_weight(theta, phi) * (1.0 + 0.2 * np.cos(4.0 * phi + 0.3))
+
+
+@pytest.mark.parametrize("lam", [5.0, 12.0, 30.0, 60.0])
+def test_fft_cluster_gram_matches_mesh_product(lam):
+    grid = _cluster_grid(lam)
+    ells, dim = sb.cluster_rank(lam)
+    gram = sl.weighted_cluster_gram(ells, reference_weight, grid)
+    oracle = mesh_cluster_gram(ells, reference_weight, grid)
+    assert gram.shape == (dim, dim)
+    assert np.max(np.abs(gram - oracle)) <= 1e-13
+    eigs = np.clip(np.linalg.eigvalsh(oracle)[::-1], 0.0, None)
+    assert np.max(np.abs(sl.projector_gram(lam, reference_weight, grid) - eigs)) <= 1e-13
+
+
+def test_fft_cluster_gram_across_degrees():
+    # two degrees of different size and a weight with higher azimuthal modes
+    grid = sb.build_grid(36, 52)
+    gram = sl.weighted_cluster_gram([8, 9], rippled_weight, grid)
+    oracle = mesh_cluster_gram([8, 9], rippled_weight, grid)
+    assert gram.shape == (36, 36)
+    assert np.max(np.abs(gram - oracle)) <= 1e-13
 
 
 def test_dual_norm_growth_matches_primal_exponent():
@@ -154,7 +191,7 @@ def test_bump_support_and_smooth_peak():
 def test_paraboloid_scaling_compensated_by_cube_root():
     etas = []
     for lam in (4.0, 8.0, 16.0):
-        sv = sl.singular_values(sl.paraboloid_model(lam).matrix)
+        sv = sl.gram_singular_values(sl.paraboloid_model(lam).gram)
         etas.append(sl.schatten_norm(sv, 6.0) * lam ** (1.0 / 3.0))
     assert max(etas) / min(etas) < 2.0
 
@@ -175,9 +212,47 @@ def test_distance_resolution_flag_works_both_ways():
 def test_distance_scaling_compensated_by_cube_root():
     etas = []
     for lam, ppw in ((8.0, 25.0), (16.0, 15.0)):
-        sv = sl.singular_values(sl.distance_model(lam, ppw).matrix)
+        sv = sl.gram_singular_values(sl.distance_model(lam, ppw).gram)
         etas.append(sl.schatten_norm(sv, 6.0) * lam ** (1.0 / 3.0))
     assert 0.5 <= etas[1] / etas[0] <= 2.0
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("lam", [16.0, 32.0, 64.0])
+def test_separable_paraboloid_gram_matches_dense_oracle(lam, refine):
+    model = sl.paraboloid_model(lam, refine=refine)
+    assert model.matrix.shape == (model.n_x_axis**2, model.n_y_axis)
+    sv = sl.gram_singular_values(model.gram)[:20]
+    oracle = sl.singular_values(model.matrix)[:20]
+    top = oracle[0]
+    # both routes square the singular values, so below ~sqrt(eps) * top they
+    # sit at the Gram floor and agree only as squares
+    assert np.max(np.abs(sv**2 - oracle**2)) <= 1e-12 * top**2
+    resolved = oracle >= 1e-3 * top
+    assert resolved.sum() >= 5
+    assert np.max(np.abs(sv - oracle)[resolved]) <= 1e-12 * top
+
+
+@pytest.mark.parametrize("lam", [0.0, 4.0, 8.0, 8.12])
+def test_dense_rung_is_the_oracle_bit_for_bit(lam):
+    model = sl.paraboloid_model(lam)
+    assert model.matrix.size <= sl.DENSE_RUNG_ENTRIES
+    assert np.array_equal(sl.gram_singular_values(model.gram),
+                          sl.singular_values(model.matrix))
+
+
+@pytest.mark.parametrize("lam, ppw, block", [
+    (8.0, 10.0, sl.GRAM_BLOCK_ENTRIES),
+    (8.0, 25.0, sl.GRAM_BLOCK_ENTRIES),  # two blocks, the last one short
+    (16.0, 10.0, sl.GRAM_BLOCK_ENTRIES),
+    (16.0, 10.0, 256 * 97),  # 22 blocks of 97 columns, the last one short
+])
+def test_blocked_distance_gram_matches_dense_oracle(lam, ppw, block, monkeypatch):
+    monkeypatch.setattr(sl, "GRAM_BLOCK_ENTRIES", block)
+    model = sl.distance_model(lam, ppw)
+    sv = sl.gram_singular_values(model.gram)[:20]
+    oracle = sl.singular_values(model.matrix)[:20]
+    assert np.max(np.abs(sv - oracle)) <= 1e-12 * oracle[0]
 
 
 def test_oscillatory_operator_shape_and_weighting():
@@ -208,8 +283,7 @@ def test_kss_hilbert_schmidt_identity():
     lhs, rhs = sl.kss_bound(indicator(10.0), reference_weight, 2.0, grid, 14)
     ells, dim = sb.cluster_rank(10.0)
     basis, _, weights = sb.ylm_matrix(ells, grid)
-    thetas = np.repeat(grid.theta_nodes, grid.n_phi)
-    phis = np.tile(grid.phi_nodes, grid.n_theta)
+    thetas, phis = grid.mesh()
     w2 = reference_weight(thetas, phis) ** 2
     direct = sum(float(np.dot(weights, w2 * np.abs(basis[:, j]) ** 2))
                  for j in range(dim))
@@ -220,8 +294,7 @@ def test_kss_hilbert_schmidt_identity():
 def test_kss_operator_norm_capped_by_sup():
     grid = sb.build_grid(30, 44)
     lhs, rhs = sl.kss_bound(indicator(10.0), reference_weight, math.inf, grid, 14)
-    thetas = np.repeat(grid.theta_nodes, grid.n_phi)
-    phis = np.tile(grid.phi_nodes, grid.n_theta)
+    thetas, phis = grid.mesh()
     assert lhs <= float(np.max(np.abs(reference_weight(thetas, phis))))
     assert lhs <= rhs
 
@@ -238,6 +311,21 @@ def test_kss_empty_support():
     grid = sb.build_grid(16, 20)
     lhs, rhs = sl.kss_bound(lambda t: 0.0, reference_weight, 4.0, grid, 8)
     assert lhs == 0.0 and rhs == 0.0
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0, math.inf])
+def test_kss_bound_matches_dense_route(p):
+    grid = sb.build_grid(36, 52)
+
+    def beta(t):  # two clusters, unequal weights
+        return math.exp(-(t - 9.0) ** 2) if 8.0 <= t < 10.0 else 0.0
+
+    lhs, _ = sl.kss_bound(beta, rippled_weight, p, grid, 16)
+    betas = np.concatenate([np.full(2 * ell + 1, beta(math.sqrt(ell * (ell + 1.0))))
+                            for ell in (8, 9)])
+    gram = mesh_cluster_gram([8, 9], rippled_weight, grid) * np.outer(betas, betas)
+    sv = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
+    assert lhs == pytest.approx(sl.schatten_norm(sv, p), rel=1e-13)
 
 
 def test_kss_route_consistent_with_gram_route():

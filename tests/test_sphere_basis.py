@@ -322,6 +322,9 @@ def test_grid_metadata():
     assert grid.phi_nodes.size == 7
     assert grid.surface_weights().size == 70
     assert abs(np.sum(grid.surface_weights()) - 4.0 * math.pi) < 1e-12
+    thetas, phis = grid.mesh()
+    assert np.array_equal(thetas, np.repeat(grid.theta_nodes, 7))
+    assert np.array_equal(phis, np.tile(grid.phi_nodes, 10))
 
 
 # ---------------------------------------------------------------------------
