@@ -23,7 +23,7 @@ RUNTIME_BUDGETS = {  # seconds; criteria without an entry are unbudgeted
     "c01-weyl": 1.0,
     "c02-orthonormality": 30.0,
     "c03-equator-anchors": 10.0,
-    "c04-wkb-accuracy": 120.0,
+    "c04-wkb-accuracy": 0.8,  # ~18x its 0.045 s median alone in a fresh process
     "c06-kuzmin-landau": 5.0,
     "c08-optimality-slopes": 5.0,  # ~17x its 0.29 s median on 2 cores
     "c10-dual-schatten": 2.0,  # ~18x its 0.11 s median alone in a fresh process

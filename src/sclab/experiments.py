@@ -27,13 +27,6 @@ from . import wkb_engine as wkb
 
 SCHEMA_VERSION = 1
 
-EXPERIMENT_NAMES = (
-    "sogge_single", "cluster_lower", "cluster_upper", "wkb_accuracy",
-    "phase_sums", "schatten_dual", "oscillatory_scaling", "kss_compare",
-    "heuristic_compare", "weyl",
-)
-
-
 class ConfigError(ValueError):
     """Malformed experiment configuration, with a line/field diagnostic."""
 
@@ -535,6 +528,9 @@ def run_schatten_dual(cfg: ExperimentConfig):
 
 def run_oscillatory_scaling(cfg: ExperimentConfig):
     lams = [float(v) for v in (cfg.lambda_range or [4, 8, 16, 32, 64])]
+    if not all(0.0 < lam < math.inf for lam in lams):
+        raise ConfigError("field 'lambda_range': frequencies must be positive "
+                          f"and finite, got {lams}")
     checks, rows = [], []
     compensated = []
     spectra = {}
@@ -623,7 +619,6 @@ def run_heuristic_compare(cfg: ExperimentConfig):
 
 
 RUNNERS = {
-    "weyl": run_weyl,
     "sogge_single": run_sogge_single,
     "cluster_lower": run_cluster_lower,
     "cluster_upper": run_cluster_upper,
@@ -633,7 +628,9 @@ RUNNERS = {
     "oscillatory_scaling": run_oscillatory_scaling,
     "kss_compare": run_kss_compare,
     "heuristic_compare": run_heuristic_compare,
+    "weyl": run_weyl,
 }
+EXPERIMENT_NAMES = tuple(RUNNERS)  # the order scripts/run_all_experiments.py runs
 
 
 def run(config: ExperimentConfig) -> AcceptanceReport:
@@ -651,51 +648,3 @@ def run(config: ExperimentConfig) -> AcceptanceReport:
             json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return report
-
-
-# ---------------------------------------------------------------------------
-# Coverage manifest: every public operation must be exercised by the suite
-# ---------------------------------------------------------------------------
-
-ALL_OPS = {
-    "sphere_basis.legendre_band", "sphere_basis.legendre_at_zero",
-    "sphere_basis.build_grid", "sphere_basis.weyl_count",
-    "sphere_basis.cluster_rank",
-    "wkb_engine.q_potential", "wkb_engine.action_integral",
-    "wkb_engine.wkb_approximant", "wkb_engine.wkb_error_functional",
-    "expsum.kuzmin_landau_bound", "expsum.exp_sum", "expsum.cluster_phase_sum",
-    "cluster_density.density", "cluster_density.lp_norm",
-    "cluster_density.exponents", "cluster_density.concentration_measure",
-    "cluster_density.heuristic_density",
-    "schatten_lab.projector_gram", "schatten_lab.schatten_norm",
-    "schatten_lab.oscillatory_operator", "schatten_lab.kss_bound",
-    "experiments_cli.run", "experiments_cli.fit_slope",
-}
-
-OP_COVERAGE = {
-    "weyl": {"sphere_basis.weyl_count", "experiments_cli.fit_slope",
-             "experiments_cli.run"},
-    "sogge_single": {"sphere_basis.legendre_band", "sphere_basis.build_grid",
-                     "cluster_density.exponents", "experiments_cli.fit_slope"},
-    "cluster_lower": {"cluster_density.density", "cluster_density.lp_norm",
-                      "cluster_density.exponents",
-                      "cluster_density.concentration_measure",
-                      "sphere_basis.build_grid", "experiments_cli.fit_slope"},
-    "cluster_upper": {"sphere_basis.cluster_rank", "cluster_density.exponents",
-                      "sphere_basis.build_grid"},
-    "wkb_accuracy": {"wkb_engine.q_potential", "wkb_engine.wkb_approximant",
-                     "wkb_engine.wkb_error_functional",
-                     "sphere_basis.legendre_band",
-                     "sphere_basis.legendre_at_zero"},
-    "phase_sums": {"expsum.cluster_phase_sum", "expsum.kuzmin_landau_bound",
-                   "expsum.exp_sum", "wkb_engine.action_integral"},
-    "schatten_dual": {"schatten_lab.projector_gram",
-                      "schatten_lab.schatten_norm", "sphere_basis.build_grid",
-                      "sphere_basis.cluster_rank", "cluster_density.exponents"},
-    "oscillatory_scaling": {"schatten_lab.oscillatory_operator",
-                            "schatten_lab.schatten_norm"},
-    "kss_compare": {"schatten_lab.kss_bound", "sphere_basis.build_grid",
-                    "sphere_basis.cluster_rank", "experiments_cli.fit_slope"},
-    "heuristic_compare": {"cluster_density.heuristic_density",
-                          "cluster_density.density", "sphere_basis.build_grid"},
-}

@@ -86,59 +86,91 @@ def case_interval(ell: int, r: int, case_tag, eta1: float = DEFAULT_ETA1,
 # Potential and derivatives
 # ---------------------------------------------------------------------------
 
+def _potential(ell: int, m, theta, derivatives: bool = False):
+    """Q, or (Q, Q', Q''), from one cos and one sin of theta; m broadcasts."""
+    if np.any(np.abs(theta) >= math.pi / 2):
+        raise ValueError("Q requires |theta| < pi/2")
+    c = np.cos(theta)
+    coef = m * m - 0.25
+    q = coef / c**2 - 0.25 - ell * (ell + 1.0)
+    if not derivatives:
+        return q
+    s = np.sin(theta)
+    return q, coef * 2.0 * s / c**3, coef * (2.0 / c**2 + 6.0 * s**2 / c**4)
+
+
 def q_potential(ell: int, m: int, theta):
     """(m^2 - 1/4)/cos^2(theta) - 1/4 - l(l+1); requires |theta| < pi/2."""
-    theta_arr = np.asarray(theta, dtype=float)
-    if np.any(np.abs(theta_arr) >= math.pi / 2):
-        raise ValueError("q_potential requires |theta| < pi/2")
-    c2 = np.cos(theta_arr) ** 2
-    out = (m * m - 0.25) / c2 - 0.25 - ell * (ell + 1.0)
+    out = _potential(ell, m, np.asarray(theta, dtype=float))
     return float(out) if np.isscalar(theta) else out
 
 
 def q_derivatives(ell: int, m: int, theta):
     """Closed-form Q' and Q'' (the l-term drops out)."""
-    theta_arr = np.asarray(theta, dtype=float)
-    if np.any(np.abs(theta_arr) >= math.pi / 2):
-        raise ValueError("q_derivatives requires |theta| < pi/2")
-    c = np.cos(theta_arr)
-    s = np.sin(theta_arr)
-    coef = m * m - 0.25
-    q1 = coef * 2.0 * s / c**3
-    q2 = coef * (2.0 / c**2 + 6.0 * s**2 / c**4)
+    _, q1, q2 = _potential(ell, m, np.asarray(theta, dtype=float), derivatives=True)
     if np.isscalar(theta):
         return float(q1), float(q2)
     return q1, q2
 
 
+def _error_density(q, q1, q2):
+    """The integrand |Q'' - 5 Q'^2 / (4Q)| / (8 |Q|^{3/2}) of E."""
+    return np.abs(q2 - 1.25 * q1 * q1 / q) / (8.0 * np.abs(q) ** 1.5)
+
+
 # ---------------------------------------------------------------------------
 # Quadrature of the action and of the error functional
 # ---------------------------------------------------------------------------
+#
+# One kernel: 16-point Gauss on panels.  A profile takes its grid intervals
+# as panels and accumulates the panel sums; the adaptive route splits
+# [0, |theta|] into 2^k equal panels and doubles k until the whole batch
+# (orders at one angle, or angles at one order) agrees with the previous k.
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_MAX_DOUBLINGS = 16
 
 
-def _panel_nodes(a: float, b: float, n_panels: int):
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * _GAUSS_NODES[None, :]).ravel()
-    weights = np.tile(half * _GAUSS_WEIGHTS, n_panels)
-    return nodes, weights
+def _panel_nodes(edges):
+    """Gauss nodes (..., panels, 16) and half-widths (..., panels) between edges."""
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    return mid[..., None] + half[..., None] * _GAUSS_NODES, half
 
 
-def _adaptive_integral(f, a: float, b: float, rtol: float) -> float:
-    """Composite 16-point Gauss with panel doubling to relative agreement."""
-    if a == b:
-        return 0.0
+def _panel_sums(values, half):
+    """Gauss sum on every panel of integrand values at ``_panel_nodes``."""
+    return half * (values @ _GAUSS_WEIGHTS)
+
+
+def _from_zero(ell: int, m, theta: np.ndarray, rtol: float,
+               error: bool = False) -> np.ndarray:
+    """S (odd in theta) or E (even) from 0 to every theta, panels doubling.
+
+    The batch runs along ``theta`` at one order, or along an array of orders
+    ``m`` at a one-element ``theta``; all its entries share the panel count.
+    """
+    m = np.asarray(m)[..., None, None]
+    upper = np.abs(theta)
+
+    def integrand(nodes):
+        terms = _potential(ell, m, nodes, derivatives=error)
+        q = terms[0] if error else terms
+        if np.any(q >= 0):
+            raise TurningPointError(f"Q_(l={ell}) is nonnegative inside "
+                                    f"[0, {float(upper.max())}]")
+        return _error_density(*terms) if error else np.sqrt(-q)
+
     prev = None
     n_panels = 1
-    for _ in range(16):
-        nodes, weights = _panel_nodes(a, b, n_panels)
-        val = float(np.dot(f(nodes), weights))
-        if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
-            return val
-        prev = val
+    for _ in range(_MAX_DOUBLINGS):
+        nodes, half = _panel_nodes(np.linspace(0.0, upper, n_panels + 1, axis=-1))
+        vals = _panel_sums(integrand(nodes), half).sum(axis=-1)
+        if prev is not None and np.all(
+            np.abs(vals - prev) <= rtol * np.maximum(np.abs(vals), 1e-300)
+        ):
+            return vals if error else np.sign(theta) * vals
+        prev = vals
         n_panels *= 2
     raise RuntimeError(f"adaptive quadrature failed to reach rtol={rtol}")
 
@@ -152,17 +184,7 @@ def action_integral(ell: int, m: int, theta: float, rtol: float = 1e-10) -> floa
     theta = float(theta)
     if theta == 0.0:
         return 0.0
-    sign = 1.0 if theta > 0 else -1.0
-
-    def integrand(t):
-        q = q_potential(ell, m, t)
-        if np.any(q >= 0):
-            raise TurningPointError(
-                f"Q_(l={ell}, m={m}) is nonnegative inside [0, {theta}]"
-            )
-        return np.sqrt(-q)
-
-    return sign * _adaptive_integral(integrand, 0.0, abs(theta), rtol)
+    return float(_from_zero(ell, m, np.array([theta]), rtol)[0])
 
 
 def action_values(ell: int, ms, theta: float, rtol: float = 1e-10) -> np.ndarray:
@@ -171,24 +193,7 @@ def action_values(ell: int, ms, theta: float, rtol: float = 1e-10) -> np.ndarray
     theta = float(theta)
     if theta == 0.0:
         return np.zeros(ms.size)
-    sign = 1.0 if theta > 0 else -1.0
-    a, b = 0.0, abs(theta)
-    prev = None
-    n_panels = 1
-    for _ in range(16):
-        nodes, weights = _panel_nodes(a, b, n_panels)
-        c2 = np.cos(nodes) ** 2
-        q = (ms[:, None] ** 2 - 0.25) / c2[None, :] - 0.25 - ell * (ell + 1.0)
-        if np.any(q >= 0):
-            raise TurningPointError(f"turning point inside [0, {theta}] at ell={ell}")
-        vals = np.sqrt(-q) @ weights
-        if prev is not None and np.all(
-            np.abs(vals - prev) <= rtol * np.maximum(np.abs(vals), 1e-300)
-        ):
-            return sign * vals
-        prev = vals
-        n_panels *= 2
-    raise RuntimeError("adaptive quadrature failed for action_values")
+    return _from_zero(ell, ms, np.array([theta]), rtol)
 
 
 def wkb_error_functional(ell: int, m: int, theta: float, rtol: float = 1e-10) -> float:
@@ -196,30 +201,7 @@ def wkb_error_functional(ell: int, m: int, theta: float, rtol: float = 1e-10) ->
     theta = float(theta)
     if theta == 0.0:
         return 0.0
-
-    def integrand(t):
-        q = q_potential(ell, m, t)
-        if np.any(q >= 0):
-            raise TurningPointError(
-                f"Q_(l={ell}, m={m}) is nonnegative inside [0, {abs(theta)}]"
-            )
-        q1, q2 = q_derivatives(ell, m, t)
-        return np.abs(q2 - 1.25 * q1 * q1 / q) / (8.0 * np.abs(q) ** 1.5)
-
-    return _adaptive_integral(integrand, 0.0, abs(theta), rtol)
-
-
-def _cumulative(f, positive_thetas: np.ndarray) -> np.ndarray:
-    """Cumulative integral of f from 0 along an ascending grid starting at 0."""
-    out = np.zeros(positive_thetas.size)
-    total = 0.0
-    for i in range(1, positive_thetas.size):
-        a, b = positive_thetas[i - 1], positive_thetas[i]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes = mid + half * _GAUSS_NODES
-        total += half * float(np.dot(f(nodes), _GAUSS_WEIGHTS))
-        out[i] = total
-    return out
+    return float(_from_zero(ell, m, np.array([theta]), rtol, error=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +252,12 @@ def wkb_approximant(ell: int, m: int, case_tag, r: int | None = None,
         raise TurningPointError(
             f"Q_(l={ell}, m={m}) not negative on the case-{case} interval"
         )
-    half = n_theta // 2
-    pos = thetas[half:]
-
-    s_pos = _cumulative(lambda t: np.sqrt(-q_potential(ell, m, t)), pos)
+    # one Gauss panel per grid interval of [0, hi]; S is odd, E even
+    nodes, widths = _panel_nodes(thetas[n_theta // 2:])
+    qn, q1, q2 = _potential(ell, m, nodes, derivatives=True)
+    sums = _panel_sums(np.stack([np.sqrt(-qn), _error_density(qn, q1, q2)]), widths)
+    s_pos, e_pos = np.concatenate([np.zeros((2, 1)), np.cumsum(sums, axis=1)], axis=1)
     action = np.concatenate([-s_pos[:0:-1], s_pos])
-
-    def err_integrand(t):
-        qq = q_potential(ell, m, t)
-        q1, q2 = q_derivatives(ell, m, t)
-        return np.abs(q2 - 1.25 * q1 * q1 / qq) / (8.0 * np.abs(qq) ** 1.5)
-
-    e_pos = _cumulative(err_integrand, pos)
     err = np.concatenate([e_pos[:0:-1], e_pos])
 
     amp = np.abs(q) ** -0.25
@@ -306,18 +282,18 @@ def wkb_defect(ell: int, m: int, theta, action=None) -> np.ndarray:
 
     Equals -A'' cos(S) (even parity) or -A'' sin(S) with A = |Q|^{-1/4};
     the S'-terms cancel identically, which is the construction.  ``action``
-    may be supplied to reuse precomputed phases.
+    may be supplied to reuse precomputed phases; otherwise one adaptive
+    doubling loop computes S at every theta at once.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    q = q_potential(ell, m, theta)
+    q, q1, q2 = _potential(ell, m, theta, derivatives=True)
     if np.any(q >= 0):
         raise TurningPointError("defect requested outside the oscillatory regime")
-    q1, q2 = q_derivatives(ell, m, theta)
     absq = -q
     # with |Q|' = -Q' and |Q|'' = -Q'', A = |Q|^(-1/4) has
     a2 = (5.0 / 16.0) * absq**-2.25 * q1**2 + 0.25 * absq**-1.25 * q2
     if action is None:
-        action = np.array([action_integral(ell, m, t) for t in theta])
+        action = _from_zero(ell, m, theta, 1e-10)
     osc = np.cos(action) if (ell + m) % 2 == 0 else np.sin(action)
     return -a2 * osc
 

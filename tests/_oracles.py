@@ -1,8 +1,9 @@
 """Independent reference computations used to freeze expected values.
 
 Everything here deliberately avoids the library's own code paths: the
-recurrence runs in 50-digit mpmath arithmetic, and the action integral is
-a brute-force composite Simpson rule.  Frozen literals in the tests were
+recurrence runs in 50-digit mpmath arithmetic, the action integral is a
+brute-force composite Simpson rule, and the profile integrals run one
+Gauss panel at a time in a Python loop.  Frozen literals in the tests were
 produced by these functions; rerun them to re-derive any of the constants.
 """
 
@@ -58,6 +59,36 @@ def action_simpson(ell: int, m: int, theta: float, n: int = 1_000_001) -> float:
     f = np.sqrt(-q)
     h = t[1] - t[0]
     return float(h / 3 * (f[0] + f[-1] + 4 * f[1:-1:2].sum() + 2 * f[2:-1:2].sum()))
+
+
+def profile_integrals_loop(ell: int, m: int, positive_thetas):
+    """S and E from 0 along an ascending grid that starts at 0.
+
+    One 16-point Gauss panel per grid interval, evaluated and accumulated
+    one interval at a time in a Python loop, with Q, Q' and Q'' written out
+    here in closed form.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    coef = m * m - 0.25
+
+    def integrands(t):
+        c, s = np.cos(t), np.sin(t)
+        q = coef / c**2 - 0.25 - ell * (ell + 1.0)
+        q1 = coef * 2.0 * s / c**3
+        q2 = coef * (2.0 / c**2 + 6.0 * s**2 / c**4)
+        return np.sqrt(-q), np.abs(q2 - 1.25 * q1 * q1 / q) / (8.0 * np.abs(q) ** 1.5)
+
+    s_out = np.zeros(len(positive_thetas))
+    e_out = np.zeros(len(positive_thetas))
+    s_total = e_total = 0.0
+    for i in range(1, len(positive_thetas)):
+        a, b = positive_thetas[i - 1], positive_thetas[i]
+        half = 0.5 * (b - a)
+        f_s, f_e = integrands(0.5 * (a + b) + half * nodes)
+        s_total += half * float(np.dot(f_s, weights))
+        e_total += half * float(np.dot(f_e, weights))
+        s_out[i], e_out[i] = s_total, e_total
+    return s_out, e_out
 
 
 def double_factorial(n: int) -> int:

@@ -194,6 +194,9 @@ def test_unknown_experiment_rejected():
     ("weyl", {"lambda_range": [100, 10]}, "lambda_range"),
     ("sogge_single", {"ell_range": [32, 64, 128]}, "ell_range"),
     ("cluster_lower", {"ell_range": [100, 200, 400]}, "ell_range"),
+    ("oscillatory_scaling", {"lambda_range": [0, 8]}, "lambda_range"),
+    ("oscillatory_scaling", {"lambda_range": [-3, 8]}, "lambda_range"),
+    ("oscillatory_scaling", {"lambda_range": [math.inf, 8]}, "lambda_range"),
 ])
 def test_runner_rejects_unusable_ranges(experiment, overrides, field_name):
     cfg = ex.ExperimentConfig(experiment=experiment, **overrides)
@@ -201,21 +204,8 @@ def test_runner_rejects_unusable_ranges(experiment, overrides, field_name):
         ex.run(cfg)
 
 
-# ---------------------------------------------------------------------------
-# Coverage manifest
-# ---------------------------------------------------------------------------
-
-def test_every_operation_is_covered_by_the_suite():
-    covered = set()
-    for name, ops in ex.OP_COVERAGE.items():
-        assert name in ex.RUNNERS
-        covered |= ops
-    assert covered == ex.ALL_OPS
-
-
 def test_experiment_names_match_runners():
     assert set(ex.EXPERIMENT_NAMES) == set(ex.RUNNERS)
-    assert set(ex.OP_COVERAGE) == set(ex.RUNNERS)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from sclab import sphere_basis as sb
 from sclab import wkb_engine as wkb
 
-from _oracles import action_simpson
+from _oracles import action_simpson, profile_integrals_loop
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +115,62 @@ def test_error_functional_window_scaling(case):
     assert max(scaled) / min(scaled) < 3.0
 
 
+def test_adaptive_route_detects_non_convergence():
+    # sqrt|Q_(0,0)| ~ 1/(2 cos theta) is nearly singular 1e-12 short of the
+    # pole; uniform panels cannot resolve it within 2^15 of them
+    near_pole = math.pi / 2 - 1e-12
+    with pytest.raises(RuntimeError, match="failed to reach"):
+        wkb.action_integral(0, 0, near_pole)
+    with pytest.raises(RuntimeError, match="failed to reach"):
+        wkb.action_values(0, np.array([0]), near_pole)
+    with pytest.raises(RuntimeError, match="failed to reach"):
+        wkb.wkb_error_functional(0, 0, near_pole)
+    with pytest.raises(RuntimeError, match="failed to reach"):  # 0.1 converges
+        wkb.wkb_defect(0, 0, np.array([0.1, near_pole]))
+
+
+def test_batched_adaptive_route_detects_turning_points():
+    with pytest.raises(wkb.TurningPointError):
+        wkb.wkb_error_functional(10, 8, 1.3)
+    # Q_(10,8)(0) < 0 at every requested angle, but the last integral
+    # crosses the turning point
+    with pytest.raises(wkb.TurningPointError):
+        wkb.wkb_defect(10, 8, np.array([0.1, -0.2, 1.3]))
+    with pytest.raises(ValueError):
+        wkb.action_integral(10, 2, 1.6)  # past the pole
+
+
 # ---------------------------------------------------------------------------
 # Approximants
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ell", [100, 400, 1600])
+@pytest.mark.parametrize("case", ["2", "inf"])
+def test_profile_panels_match_the_per_interval_loop(ell, case):
+    r = wkb.band_radius(ell)
+    window = wkb.case_window(ell, r, case)
+    for m in (int(window[0]), int(window[-1])):
+        prof = wkb.wkb_approximant(ell, m, case, r, n_theta=1001)
+        mid = prof.thetas.size // 2
+        s_ref, e_ref = profile_integrals_loop(ell, m, prof.thetas[mid:])
+        assert np.max(np.abs(prof.action[mid:] - s_ref)) <= 1e-14 * np.max(s_ref)
+        assert np.max(np.abs(prof.err[mid:] - e_ref)) <= 1e-14 * np.max(e_ref)
+
+
+@pytest.mark.parametrize("case", ["2", "inf"])
+def test_profile_integrals_match_the_adaptive_route(case):
+    ell = 400
+    r = wkb.band_radius(ell)
+    m = int(wkb.case_window(ell, r, case)[r // 2])
+    prof = wkb.wkb_approximant(ell, m, case, r, n_theta=1001)
+    for i in (0, 137, 480, 500, 501, 777, 1000):
+        theta = float(prof.thetas[i])
+        assert prof.action[i] == pytest.approx(
+            wkb.action_integral(ell, m, theta), rel=1e-9, abs=1e-300)
+        assert prof.err[i] == pytest.approx(
+            wkb.wkb_error_functional(ell, m, theta), rel=1e-9, abs=1e-300)
+
+
 
 def test_approximant_matching_point_values():
     prof = wkb.wkb_approximant(100, 80, "2")
@@ -215,6 +268,17 @@ def test_defect_matches_second_differences_where_conditioned():
     fd = -d2 + prof.q[1:-1] * prof.y[1:-1]
     cf = wkb.wkb_defect(ell, m, prof.thetas[1:-1], action=prof.action[1:-1])
     assert np.max(np.abs(fd - cf)) < 0.05 * np.max(np.abs(cf))
+
+
+@pytest.mark.parametrize("case", ["2", "inf"])
+def test_defect_computes_the_same_action_itself(case):
+    ell = 200
+    r = wkb.band_radius(ell)
+    m = int(wkb.case_window(ell, r, case)[-1])
+    prof = wkb.wkb_approximant(ell, m, case, r, n_theta=401)
+    own = wkb.wkb_defect(ell, m, prof.thetas)
+    given = wkb.wkb_defect(ell, m, prof.thetas, action=prof.action)
+    assert np.max(np.abs(own - given)) <= 1e-9 * np.max(np.abs(given))
 
 
 def test_defect_relative_size_decays_with_band_radius():
