@@ -5,9 +5,9 @@ Usage:
     python scripts/run_all_experiments.py [out_dir]
 
 Writes <out_dir>/<experiment>.csv and .json for each experiment (default
-out_dir: ./out), then prints a one-line summary per experiment.  Expect a
-few minutes end to end; the slowest sweeps are the cluster-density slopes
-and the oscillatory discretizations.
+out_dir: ./out), then prints a one-line summary per experiment.  The ten
+experiments take about 1.5 s together on a 2-core x86 box; kss_compare
+and cluster_lower are the slowest.
 """
 
 import sys

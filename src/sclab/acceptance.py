@@ -21,10 +21,10 @@ from .experiments import (AcceptanceReport, Check, ExperimentConfig, RUNNERS,
 
 RUNTIME_BUDGETS = {  # seconds; criteria without an entry are unbudgeted
     "c01-weyl": 1.0,
-    "c02-orthonormality": 30.0,
+    "c02-orthonormality": 6.0,  # ~15x its 0.40 s median alone in a fresh process
     "c03-equator-anchors": 10.0,
     "c04-wkb-accuracy": 0.8,  # ~18x its 0.045 s median alone in a fresh process
-    "c06-kuzmin-landau": 5.0,
+    "c06-kuzmin-landau": 1.0,  # ~16x its 0.064 s median, likewise
     "c08-optimality-slopes": 5.0,  # ~17x its 0.29 s median on 2 cores
     "c10-dual-schatten": 2.0,  # ~18x its 0.11 s median alone in a fresh process
     "c11-oscillatory-scaling": 1.5,  # ~15x its 0.10 s median, likewise

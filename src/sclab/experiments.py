@@ -226,6 +226,56 @@ def _fit_range(cfg: ExperimentConfig, name: str, default) -> list:
     return values
 
 
+def _degrees(values) -> list[int]:
+    """ell_range values as degrees: integers l >= 1, else a ConfigError."""
+    if not all(math.isfinite(v) and v >= 1 and v == int(v) for v in values):
+        raise ConfigError(f"field 'ell_range': degrees must be integers >= 1, "
+                          f"got {values}")
+    return [int(v) for v in values]
+
+
+def _band_radius(cfg: ExperimentConfig, ell: int) -> int:
+    """Window width r = ceil(l^zeta) at a degree of ell_range.
+
+    Both windows need 1 <= r <= l/2, else a ConfigError naming ell_range.
+    """
+    r = wkb.band_radius(ell, cfg.zeta)
+    if r > ell // 2:
+        raise ConfigError(f"field 'ell_range': no window fits at l = {ell}: "
+                          f"r = ceil(l^zeta) = {r} at zeta = {cfg.zeta} "
+                          f"exceeds l/2")
+    return r
+
+
+def _wkb_band_radius(cfg: ExperimentConfig, ell: int) -> int:
+    """:func:`_band_radius`, with both WKB intervals inside (0, pi/2).
+
+    The intervals are eta2 sqrt(r/l) for case "2" and pi/2 - eta1 r/l for
+    case "inf"; one outside is a ConfigError naming the field.
+    """
+    r = _band_radius(cfg, ell)
+    if not 0.0 < cfg.eta2 * math.sqrt(r / ell) < math.pi / 2:
+        raise ConfigError(f"field 'eta2': the case-2 interval eta2 sqrt(r/l) "
+                          f"must lie in (0, pi/2), got eta2 = {cfg.eta2} at "
+                          f"l = {ell}, r = {r}")
+    if cfg.eta1 <= 0:
+        raise ConfigError(f"field 'eta1': must be positive, got {cfg.eta1}")
+    if cfg.eta1 * r / ell >= math.pi / 2:
+        raise ConfigError(f"field 'ell_range': the case-inf interval "
+                          f"pi/2 - eta1 r/l is empty at l = {ell}, r = {r} "
+                          f"(eta1 = {cfg.eta1})")
+    return r
+
+
+def _exponent_list(cfg: ExperimentConfig, default) -> list:
+    """p_list (or ``default``): exponents p >= 2, inf allowed."""
+    p_list = list(cfg.p_list or default)
+    if not all(p >= 2 for p in p_list):
+        raise ConfigError(f"field 'p_list': exponents must satisfy p >= 2, "
+                          f"got {p_list}")
+    return p_list
+
+
 def _cluster_lambdas(values) -> list[float]:
     """lambda_range values as floats, each with a nonempty spectral cluster."""
     lams = [float(v) for v in values]
@@ -290,15 +340,13 @@ def run_weyl(cfg: ExperimentConfig):
 
 
 def run_sogge_single(cfg: ExperimentConfig):
-    ells = [int(e) for e in _fit_range(cfg, "ell_range", _int_geomspace(32, 512, 7))]
+    ells = _degrees(_fit_range(cfg, "ell_range", _int_geomspace(32, 512, 7)))
     norms = []
     for ell in ells:
         grid = sb.build_grid(max(4 * ell, 64))
         table = sb.legendre_band(ell, ell, ell, math.pi / 2 - grid.theta_nodes)
-        rho = table.values_g[0] ** 2
-        norm6 = (2.0 * math.pi * float(
-            np.dot(grid.theta_weights, rho**3))) ** (1.0 / 6.0)
-        norms.append(norm6)
+        norms.append(cd.lp_norm(np.abs(table.values_g[0]), 6.0,
+                                2.0 * math.pi * grid.theta_weights))
     slope, _ = fit_slope(zip(ells, norms))
     s6, _ = cd.exponents(6.0)
     checks = [slope_check("sogge-single-L6-slope", s6, slope, 0.03)]
@@ -307,23 +355,23 @@ def run_sogge_single(cfg: ExperimentConfig):
 
 
 def run_cluster_lower(cfg: ExperimentConfig):
-    ells = [int(e) for e in _fit_range(cfg, "ell_range", _int_geomspace(100, 800, 7))]
+    ells = _degrees(_fit_range(cfg, "ell_range", _int_geomspace(100, 800, 7)))
     zeta = cfg.zeta
     case_plists = {
-        "2": cfg.p_list or [2.0, 4.0, 6.0],
-        "inf": cfg.p_list or [6.0, 8.0, math.inf],
+        "2": _exponent_list(cfg, [2.0, 4.0, 6.0]),
+        "inf": _exponent_list(cfg, [6.0, 8.0, math.inf]),
     }
     profiles = {}
     for ell in ells:
         grid = sb.build_grid(max(cfg.n_theta or 0, 4 * ell))
-        r = wkb.band_radius(ell, zeta)
+        r = _band_radius(cfg, ell)
         for case in ("2", "inf"):
             profiles[(ell, case)] = cd.density(cd.ClusterSpec(ell, r, case), grid)
 
     checks, rows = [], []
     for case, p_list in case_plists.items():
         for p in p_list:
-            norms = [cd.lp_norm(profiles[(ell, case)], p) for ell in ells]
+            norms = [profiles[(ell, case)].norm(p) for ell in ells]
             predicted = _lower_slope_prediction(case, p, zeta)
             slope, _ = fit_slope(zip(ells, norms))
             checks.append(
@@ -362,7 +410,7 @@ def run_cluster_lower(cfg: ExperimentConfig):
     # l^{zeta (1 - 1/alpha(6))} on the case-2 family
     s6, alpha6 = cd.exponents(6.0)
     gap = [ell ** (2 * s6) * wkb.band_radius(ell, zeta)
-           / cd.lp_norm(profiles[(ell, "2")], 6.0) for ell in ells]
+           / profiles[(ell, "2")].norm(6.0) for ell in ells]
     gap_slope, _ = fit_slope(zip(ells, gap))
     checks.append(slope_check("triangle-gap-slope",
                               zeta * (1.0 - 1.0 / alpha6), gap_slope, 0.07))
@@ -375,7 +423,7 @@ CLUSTER_UPPER_RATIO_CAP = 2.5  # frozen after the calibration sweep
 
 def run_cluster_upper(cfg: ExperimentConfig):
     lams = _cluster_lambdas(cfg.lambda_range or [5, 10, 20, 35, 50])
-    p_list = cfg.p_list or [2.0, 4.0, 6.0, 10.0, math.inf]
+    p_list = _exponent_list(cfg, [2.0, 4.0, 6.0, 10.0, math.inf])
     rng = np.random.default_rng(cfg.seed)
     rows, worst = [], {p: 0.0 for p in p_list}
     for lam in lams:
@@ -385,8 +433,8 @@ def run_cluster_upper(cfg: ExperimentConfig):
         rho, nu, weights = cd.random_cluster_density(lam, n_funcs, rng, grid)
         for p in p_list:
             s, alpha = cd.exponents(p)
-            denom = lam ** (2 * s) * cd.schatten_sum(nu, alpha)
-            ratio = cd.surface_lp_norm(rho, weights, p) / denom
+            denom = lam ** (2 * s) * cd.lp_norm(nu, alpha)
+            ratio = cd.lp_norm(rho, p / 2.0, weights) / denom
             worst[p] = max(worst[p], ratio)
             rows.append((lam, float(p), ratio))
     checks = [bound_check(f"upper-ratio-p{p}", worst[p], CLUSTER_UPPER_RATIO_CAP)
@@ -398,21 +446,17 @@ WKB_SINGLE_C_CAP = 4.0  # |c|^2/l spread, both windows pooled
 
 
 def run_wkb_accuracy(cfg: ExperimentConfig):
-    ells = [int(e) for e in (cfg.ell_range or [100, 200, 400, 800])]
+    ells = _degrees(cfg.ell_range or [100, 200, 400, 800])
+    radii = [_wkb_band_radius(cfg, ell) for ell in ells]
     checks, rows = [], []
     pooled_c = []
     for case in ("2", "inf"):
         metrics, sup_errs = [], []
-        for ell in ells:
-            r = wkb.band_radius(ell, cfg.zeta)
+        for ell, r in zip(ells, radii):
             window = wkb.case_window(ell, r, case)
             sampled = {int(window[0]), int(window[window.size // 2]), int(window[-1])}
             worst_metric, worst_e = 0.0, 0.0
             for m in sorted(sampled):
-                value, deriv = sb.legendre_at_zero(ell, m)
-                parity_even = (ell + m) % 2 == 0
-                if (value == 0.0) == parity_even or (deriv == 0.0) != parity_even:
-                    raise AssertionError("equator parity data inconsistent")
                 prof = wkb.wkb_approximant(ell, m, case, r, cfg.eta1, cfg.eta2)
                 v = sb.legendre_band(ell, m, m, prof.thetas).values_v[0]
                 metric = float(np.max(
@@ -448,13 +492,13 @@ def _window_constants(ell: int, window: np.ndarray) -> np.ndarray:
 
 
 def run_phase_sums(cfg: ExperimentConfig):
-    ells = [int(e) for e in (cfg.ell_range or [100, 200, 400, 700, 1000])]
+    ells = _degrees(cfg.ell_range or [100, 200, 400, 700, 1000])
+    radii = [_wkb_band_radius(cfg, ell) for ell in ells]
     checks, rows = [], []
     for case in ("2", "inf"):
         amplitudes = []
         all_flags = True
-        for ell in ells:
-            r = wkb.band_radius(ell, cfg.zeta)
+        for ell, r in zip(ells, radii):
             _, hi = wkb.case_interval(ell, r, case, cfg.eta1, cfg.eta2)
             best = 0.0
             for theta in np.linspace(0.0, hi, 50):
@@ -471,7 +515,7 @@ def run_phase_sums(cfg: ExperimentConfig):
         checks.append(flag_check(f"phase-sum-flags-case{case}", all_flags))
 
     # tie the cluster sums back to the generic inequality machinery
-    ell, r = ells[-1], wkb.band_radius(ells[-1], cfg.zeta)
+    ell, r = ells[-1], radii[-1]
     theta = 0.5 * wkb.case_interval(ell, r, "2", cfg.eta1, cfg.eta2)[1]
     window = wkb.case_window(ell, r, "2")
     actions = np.array([wkb.action_integral(ell, int(m), theta) for m in window])
@@ -504,7 +548,7 @@ def _dump_spectra(cfg: ExperimentConfig, spectra: dict) -> None:
 
 def run_schatten_dual(cfg: ExperimentConfig):
     lams = _cluster_lambdas(cfg.lambda_range or [5, 10, 15, 20, 25, 30, 40])
-    p_list = cfg.p_list or [4.0, 6.0, 10.0]
+    p_list = _exponent_list(cfg, [4.0, 6.0, 10.0])
     checks, rows = [], []
     spectra = {
         lam: sl.projector_gram(
@@ -537,7 +581,7 @@ def run_oscillatory_scaling(cfg: ExperimentConfig):
     for lam in lams:
         sv = sl.gram_singular_values(sl.paraboloid_model(lam).gram)
         spectra[lam] = sv[:40]
-        norm = sl.schatten_norm(sv, 6.0)
+        norm = cd.lp_norm(sv, 6.0)
         eta = norm * lam ** (1.0 / 3.0)
         compensated.append(eta)
         rows.append((lam, 6.0, 6.0, norm, eta))
@@ -565,7 +609,9 @@ def run_kss_compare(cfg: ExperimentConfig):
         ells, _ = sb.cluster_rank(lam)
         beta = (lambda lo: (lambda t: 1.0 if lo <= t < lo + 1.0 else 0.0))(lam)
         lhs, _ = sl.kss_bound(beta, reference_weight, p, grid, max(ells) + 1)
-        w_q = sl.sphere_lp_norm(reference_weight, grid, q)
+        thetas, phis = grid.mesh()
+        w_q = cd.lp_norm(np.abs(reference_weight(thetas, phis)), q,
+                         grid.surface_weights())
         measured.append(lhs)
         mains.append(lam**s_p * w_q)
         ksss.append((1.0 + lam) ** (1.0 / q) * w_q)
@@ -586,10 +632,10 @@ def run_kss_compare(cfg: ExperimentConfig):
 
 
 def run_heuristic_compare(cfg: ExperimentConfig):
-    ells = [int(e) for e in (cfg.ell_range or [200, 400])]
+    ells = _degrees(cfg.ell_range or [200, 400])
     checks, rows = [], []
     for ell in ells:
-        r = wkb.band_radius(ell, cfg.zeta)
+        r = _band_radius(cfg, ell)
         grid = sb.build_grid(max(cfg.n_theta or 0, 4 * ell))
 
         window = wkb.case_window(ell, r, "inf")

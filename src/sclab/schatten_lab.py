@@ -61,8 +61,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cluster_density import exponents
-from .sphere_basis import SphereGrid, cluster_rank, legendre_row
+from .cluster_density import exponents, lp_norm
+from .sphere_basis import SphereGrid, cluster_rank, radial_rows
 
 
 @dataclass(frozen=True)
@@ -76,24 +76,6 @@ class SchattenReport:
     schatten_norm: float
     predicted: float
     ratio: float
-
-
-def schatten_norm(singular_values, alpha: float) -> float:
-    """(sum sigma^alpha)^(1/alpha); alpha = inf is the largest value."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    sv = np.asarray(singular_values, dtype=float)
-    if np.any(sv < 0):
-        raise ValueError("singular values must be nonnegative")
-    if sv.size == 0:
-        return 0.0
-    if math.isinf(alpha):
-        return float(sv.max())
-    top = sv.max()
-    if top == 0.0:
-        return 0.0
-    # factor out the top value so large alpha cannot overflow
-    return float(top * np.sum((sv / top) ** alpha) ** (1.0 / alpha))
 
 
 def dual_exponent(alpha: float) -> float:
@@ -111,7 +93,7 @@ def make_report(lam: float, p: float, singular_values: np.ndarray,
     s, alpha = exponents(p)
     ap = dual_exponent(alpha)
     sv = np.sort(np.asarray(singular_values, dtype=float))[::-1]
-    norm = schatten_norm(sv, ap)
+    norm = lp_norm(sv, ap)
     predicted = fitted_const * lam ** (2.0 * s) * weight_norm_sq
     return SchattenReport(lam, p, ap, sv, norm, predicted,
                           norm / predicted if predicted else math.inf)
@@ -136,11 +118,7 @@ def weighted_cluster_gram(ells, w_samples, grid: SphereGrid) -> np.ndarray:
     coef = np.fft.fft(w_sq.reshape(grid.n_theta, grid.n_phi), axis=1)
     coef *= grid.phi_weight
     x = np.cos(grid.theta_nodes)
-    tables = []  # rows g_l^{|m|} for m = -l..l, with ylm_matrix's sign
-    for ell in ells:
-        g = np.stack([legendre_row(m, ell, x) for m in range(ell + 1)])
-        sign = np.where(np.arange(ell, 0, -1) % 2, -1.0, 1.0)[:, None]
-        tables.append(np.concatenate([sign * g[:0:-1], g]))
+    tables = [radial_rows(ell, x) for ell in ells]
     offsets = np.cumsum([0] + [t.shape[0] for t in tables])
     gram = np.empty((offsets[-1], offsets[-1]), dtype=complex)
     for ia, rows_a in enumerate(tables):
@@ -467,23 +445,14 @@ def validate_resolution(builder, lam: float, top_k: int = 20,
 SPHERE_WEYL_CONST = 1.0 / (2.0 * math.pi)  # sup_x Pi_n(x,x) <= (1+n) * this
 
 
-def sphere_lp_norm(w_samples, grid: SphereGrid, p: float) -> float:
-    """L^p(S^2) norm of a weight given as a callable on (theta, phi)."""
-    thetas, phis = grid.mesh()
-    vals = np.abs(np.asarray(w_samples(thetas, phis), dtype=float))
-    if math.isinf(p):
-        return float(vals.max())
-    return float(np.dot(grid.surface_weights(), vals**p) ** (1.0 / p))
-
-
 def kss_bound(beta, w_samples, p: float, grid: SphereGrid, n_max: int,
               fitted_const: float = SPHERE_WEYL_CONST) -> tuple[float, float]:
     """Both sides of the cluster comparison bound for beta(sqrt(Delta)) W.
 
     lhs: Schatten p-norm computed exactly on the finite-rank range of
     beta(sqrt(Delta)) restricted to degrees l <= n_max, via the Gram matrix
-    of the functions beta_j W Y_j.  rhs: C^{1/p} ||W||_p
-    (sum_n sup_{[n,n+1]} |beta|^p (1+n))^{1/p} with the sup sampled on 64
+    of the functions beta_j W Y_j.  rhs: ||W||_p times the l^p norm of
+    sup_{[n,n+1]} |beta| with weights C (1+n), the sup sampled on 64
     points per unit interval.  Requires lhs <= rhs for the calibrated C.
     """
     if p < 2:
@@ -496,23 +465,10 @@ def kss_bound(beta, w_samples, p: float, grid: SphereGrid, n_max: int,
                             for ell in ells])
     gram = weighted_cluster_gram(ells, w_samples, grid)
     gram *= np.outer(betas, betas)
-    eigs = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-    if math.isinf(p):
-        lhs = float(math.sqrt(eigs.max()))
-    else:
-        lhs = float(np.sum(eigs ** (p / 2.0)) ** (1.0 / p))
-
-    tail = 0.0
-    for n in range(0, n_max + 1):
-        samples = np.linspace(n, n + 1, 64, endpoint=False)
-        sup_beta = max(abs(beta(t)) for t in samples)
-        if math.isinf(p):
-            tail = max(tail, sup_beta)
-        else:
-            tail += sup_beta**p * (1.0 + n)
-    w_norm = sphere_lp_norm(w_samples, grid, p)
-    if math.isinf(p):
-        rhs = w_norm * tail
-    else:
-        rhs = fitted_const ** (1.0 / p) * w_norm * tail ** (1.0 / p)
-    return lhs, rhs
+    lhs = lp_norm(np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None)), p)
+    sup_beta = [max(abs(beta(t)) for t in np.linspace(n, n + 1, 64, endpoint=False))
+                for n in range(0, n_max + 1)]
+    tail = lp_norm(sup_beta, p, fitted_const * (1.0 + np.arange(n_max + 1)))
+    thetas, phis = grid.mesh()
+    w_norm = lp_norm(np.abs(w_samples(thetas, phis)), p, grid.surface_weights())
+    return lhs, w_norm * tail

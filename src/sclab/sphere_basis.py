@@ -53,13 +53,15 @@ and the orders above it read zero: their seeds are more than 300 orders
 of magnitude below the double range.  ``underflow_nodes`` on a band
 counts the nodes whose top seed underflows.
 
-Closed-form values at the equator are evaluated through log-gamma.
+Closed-form values at the equator (:func:`normalized_at_zero`) are
+evaluated through log-gamma.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -107,6 +109,14 @@ def _seed_values(m: int, x: np.ndarray, shift=0) -> np.ndarray:
         return sign * np.exp(_seed_log_magnitude(m, x) + shift * _LN2)
 
 
+def _check_nodes(x) -> np.ndarray:
+    """x as a 1-D float array, checked to lie strictly inside (-1, 1)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(np.abs(x) >= 1.0):
+        raise ValueError("nodes must lie strictly inside (-1, 1)")
+    return x
+
+
 def legendre_degree_table(m: int, ell_max: int, x) -> np.ndarray:
     """g-values for all degrees m..ell_max at fixed order m.
 
@@ -117,46 +127,55 @@ def legendre_degree_table(m: int, ell_max: int, x) -> np.ndarray:
     x : nodes in the open interval (-1, 1); typically cos(theta)
 
     Returns array of shape (ell_max - m + 1, len(x)); row k holds degree
-    m + k.
+    m + k, bit for bit the :func:`legendre_row` of that degree.
     """
     if m < 0 or ell_max < m:
         raise ValueError(f"need 0 <= m <= ell_max, got m={m}, ell_max={ell_max}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(x) >= 1.0):
-        raise ValueError("nodes must lie strictly inside (-1, 1)")
-    out = np.empty((ell_max - m + 1, x.size))
-    out[0] = _seed_values(m, x)
-    if ell_max > m:
-        out[1] = math.sqrt(2 * m + 3) * x * out[0]
-    for ell in range(m + 2, ell_max + 1):
-        a = math.sqrt((4 * ell * ell - 1.0) / (ell * ell - m * m))
-        b = math.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
-        k = ell - m
-        out[k] = a * (x * out[k - 1] - b * out[k - 2])
-    return out
+    x = _check_nodes(x)
+    return np.array(list(_degree_rows(m, ell_max, x, _seed_values(m, x))))
 
 
 def legendre_row(m: int, ell: int, x) -> np.ndarray:
     """g-values of a single (ell, m) on nodes x, O(1) memory in degree."""
     if not 0 <= m <= ell:
         raise ValueError(f"need 0 <= m <= ell, got m={m}, ell={ell}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(x) >= 1.0):
-        raise ValueError("nodes must lie strictly inside (-1, 1)")
+    x = _check_nodes(x)
     return _degree_recurrence(m, ell, x, _seed_values(m, x))
 
 
-def _degree_recurrence(m: int, ell: int, x: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Carry the order-m seed (degree m) up to degree ell; linear in the seed."""
+def _degree_rows(m: int, ell: int, x: np.ndarray, seed: np.ndarray):
+    """Yield the order-m rows of degrees m..ell, carried up from the degree-m seed.
+
+    The one upward recurrence in degree; linear in the seed.  A generator,
+    so a caller that needs only the top row holds O(1) rows.
+    """
     prev = seed
+    yield prev
     if ell == m:
-        return prev
+        return
     cur = math.sqrt(2 * m + 3) * x * prev
+    yield cur
     for deg in range(m + 2, ell + 1):
         a = math.sqrt((4 * deg * deg - 1.0) / (deg * deg - m * m))
         b = math.sqrt(((deg - 1.0) ** 2 - m * m) / (4.0 * (deg - 1.0) ** 2 - 1.0))
         prev, cur = cur, a * (x * cur - b * prev)
-    return cur
+        yield cur
+
+
+def _degree_recurrence(m: int, ell: int, x: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """The degree-ell row of :func:`_degree_rows`."""
+    return deque(_degree_rows(m, ell, x, seed), maxlen=1).pop()
+
+
+def radial_rows(ell: int, x) -> np.ndarray:
+    """Rows g_ell^m for m = -ell..ell on nodes x: the theta factors of Y_ell^m.
+
+    Negative orders carry the Condon-Shortley convention
+    g_ell^{-m} = (-1)^m g_ell^m; row ell + m holds order m.
+    """
+    g = np.stack([legendre_row(m, ell, x) for m in range(ell + 1)])
+    sign = np.where(np.arange(ell, 0, -1) % 2, -1.0, 1.0)[:, None]
+    return np.concatenate([sign * g[:0:-1], g])
 
 
 def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -272,33 +291,6 @@ def radial_table_to_csv(table: RadialTable, path) -> None:
 # ---------------------------------------------------------------------------
 # Closed forms at the equator
 # ---------------------------------------------------------------------------
-
-def legendre_at_zero(ell: int, m: int) -> tuple[float, float]:
-    """P_ell^m(0) and (P_ell^m)'(0), through log-gamma.
-
-    Exactly one of the two is zero, by parity of ell + m.  The survivor is
-    assembled in log space, so there is no intermediate overflow; the final
-    value itself can exceed the double range for large ell + m (use
-    :func:`normalized_at_zero` for a bounded variant).
-    """
-    if not 0 <= m <= ell:
-        raise ValueError(f"need 0 <= m <= ell, got m={m}, ell={ell}")
-    if (ell + m) % 2 == 0:
-        log_mag = (
-            m * _LN2 - 0.5 * math.log(math.pi)
-            + gammaln((ell + m + 1) / 2.0) - gammaln((ell - m + 2) / 2.0)
-        )
-        sign = -1.0 if ((ell + m) // 2) % 2 else 1.0
-        with np.errstate(over="ignore"):
-            return sign * float(np.exp(log_mag)), 0.0
-    log_mag = (
-        (m + 1) * _LN2 - 0.5 * math.log(math.pi)
-        + gammaln((ell + m + 2) / 2.0) - gammaln((ell - m + 1) / 2.0)
-    )
-    sign = -1.0 if ((ell + m - 1) // 2) % 2 else 1.0
-    with np.errstate(over="ignore"):
-        return 0.0, sign * float(np.exp(log_mag))
-
 
 def _log_norm_constant(ell, m):
     """log of sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!), vectorized."""
@@ -521,12 +513,8 @@ def ylm_matrix(ells, grid: SphereGrid):
     labels = []
     col = 0
     for ell in ells:
-        for m in range(-ell, ell + 1):
-            g = legendre_row(abs(m), ell, x)
-            if m < 0 and m % 2 != 0:
-                g = -g
-            phase = np.exp(1j * m * phis)
-            matrix[:, col] = np.outer(g, phase).ravel()
+        for m, g in zip(range(-ell, ell + 1), radial_rows(ell, x)):
+            matrix[:, col] = np.outer(g, np.exp(1j * m * phis)).ravel()
             labels.append((ell, m))
             col += 1
     return matrix, labels, grid.surface_weights()

@@ -76,16 +76,30 @@ def test_density_matches_per_order_sum_and_reports_underflow():
 # Norms
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("values, p, weights, expected", [
+    pytest.param([1.0, 1.0, 1.0], 1.0, None, 3.0, id="l1"),
+    pytest.param([3.0, 4.0], 2.0, None, 5.0, id="l2"),
+    pytest.param([0.5, 1.5], math.inf, None, 1.5, id="sup"),
+    pytest.param([3.0, 4.0], math.inf, [9.0, 0.1], 4.0, id="sup-ignores-weights"),
+    pytest.param([], 2.0, None, 0.0, id="empty"),
+    pytest.param([0.0, 0.0], 3.0, None, 0.0, id="zeros"),
+    pytest.param([1.0, 2.0], 2.0, [3.0, 0.25], 2.0, id="weighted"),
+    pytest.param([1e200, 1e200], 4.0, None, 2.0**0.25 * 1e200, id="overflow"),
+])
+def test_lp_norm_kernel(values, p, weights, expected):
+    assert cd.lp_norm(values, p, weights) == pytest.approx(expected, rel=1e-15)
+
+
 def test_lp_norm_p2_is_trace():
     profile = make_profile(30, 4, "inf")
-    assert cd.lp_norm(profile, 2.0) == pytest.approx(4.0, abs=1e-10)
+    assert profile.norm(2.0) == pytest.approx(4.0, abs=1e-10)
 
 
 def test_lp_norm_sup_and_domain():
     profile = make_profile(30, 4, "inf")
-    assert cd.lp_norm(profile, math.inf) == np.max(profile.rho)
+    assert profile.norm(math.inf) == np.max(profile.rho)
     with pytest.raises(ValueError):
-        cd.lp_norm(profile, 1.5)
+        profile.norm(1.5)
 
 
 def test_basis_remix_leaves_density_invariant():
@@ -136,11 +150,6 @@ def test_exponent_branches_meet_at_breakpoint(n_dim):
     assert below[1] == pytest.approx(above[1], abs=1e-8)
 
 
-def test_schatten_sum():
-    assert cd.schatten_sum([1.0, 1.0, 1.0], 1.0) == pytest.approx(3.0)
-    assert cd.schatten_sum([0.5, 1.5], math.inf) == pytest.approx(1.5)
-
-
 def test_default_p_grid_includes_breakpoint():
     assert 6.0 in cd.DEFAULT_P_GRID
     assert math.inf in cd.DEFAULT_P_GRID
@@ -158,6 +167,16 @@ def test_concentration_constant_density():
     lower, measured = cd.concentration_measure(profile, 6.0)
     assert measured == pytest.approx(4.0 * math.pi, rel=1e-12)
     assert lower <= measured
+
+
+def test_concentration_returns_shortfall():
+    # weights that integrate to 100 times the sphere break the measure
+    # estimate; the pair comes back for the caller to judge
+    grid = sb.build_grid(32)
+    profile = cd.DensityProfile(grid.theta_nodes, 100.0 * grid.theta_weights,
+                                np.ones(32), 2.0)
+    lower, measured = cd.concentration_measure(profile, 6.0)
+    assert measured == 0.0 < lower
 
 
 @pytest.mark.parametrize("case,p", [("2", 6.0), ("inf", 8.0)])
@@ -226,7 +245,7 @@ def test_random_density_trace_and_p2_ratio():
     grid = sb.build_grid(24, 36)
     rho, nu, weights = cd.random_cluster_density(10.0, 8, rng, grid)
     assert np.dot(weights, rho) == pytest.approx(float(nu.sum()), abs=1e-8)
-    ratio = cd.surface_lp_norm(rho, weights, 2.0) / cd.schatten_sum(nu, 1.0)
+    ratio = cd.lp_norm(rho, 1.0, weights) / cd.lp_norm(nu, 1.0)
     assert ratio == pytest.approx(1.0, abs=1e-9)
 
 
@@ -237,8 +256,8 @@ def test_random_density_upper_bound_ratios():
     rho, nu, weights = cd.random_cluster_density(10.0, dim // 2, rng, grid)
     for p in (4.0, 6.0, math.inf):
         s, alpha = cd.exponents(p)
-        ratio = (cd.surface_lp_norm(rho, weights, p)
-                 / (10.0 ** (2 * s) * cd.schatten_sum(nu, alpha)))
+        ratio = (cd.lp_norm(rho, p / 2.0, weights)
+                 / (10.0 ** (2 * s) * cd.lp_norm(nu, alpha)))
         assert ratio < 2.5
 
 

@@ -197,10 +197,27 @@ def test_unknown_experiment_rejected():
     ("oscillatory_scaling", {"lambda_range": [0, 8]}, "lambda_range"),
     ("oscillatory_scaling", {"lambda_range": [-3, 8]}, "lambda_range"),
     ("oscillatory_scaling", {"lambda_range": [math.inf, 8]}, "lambda_range"),
+    ("cluster_lower", {"p_list": [1]}, "p_list"),
+    ("cluster_upper", {"p_list": [1]}, "p_list"),
+    ("schatten_dual", {"p_list": [1]}, "p_list"),
+    ("cluster_lower", {"ell_range": [1, 2, 3, 4]}, "ell_range"),
+    ("cluster_lower", {"zeta": 0.9, "ell_range": [100, 141, 200, 283]}, "ell_range"),
+    ("phase_sums", {"ell_range": [3]}, "ell_range"),
+    ("heuristic_compare", {"ell_range": [3]}, "ell_range"),
+    ("wkb_accuracy", {"ell_range": [4]}, "ell_range"),
+    ("wkb_accuracy", {"ell_range": [-5, 100]}, "ell_range"),
+    ("wkb_accuracy", {"eta2": 5.0}, "eta2"),
 ])
 def test_runner_rejects_unusable_ranges(experiment, overrides, field_name):
     cfg = ex.ExperimentConfig(experiment=experiment, **overrides)
     with pytest.raises(ex.ConfigError, match=f"field '{field_name}'"):
+        ex.run(cfg)
+
+
+def test_window_error_gives_zeta_and_radius():
+    cfg = ex.ExperimentConfig(experiment="cluster_lower", zeta=0.9,
+                              ell_range=[100, 141, 200, 283])
+    with pytest.raises(ex.ConfigError, match=r"r = ceil\(l\^zeta\) = 64 at zeta = 0.9"):
         ex.run(cfg)
 
 

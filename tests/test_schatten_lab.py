@@ -11,28 +11,21 @@ from sclab.experiments import _cluster_grid, fit_slope, reference_weight
 
 
 # ---------------------------------------------------------------------------
-# Schatten norms
+# Schatten norms (the p-norm kernel cd.lp_norm with unit weights)
 # ---------------------------------------------------------------------------
-
-def test_schatten_norm_examples():
-    assert sl.schatten_norm([1.0, 1.0, 1.0], 1.0) == pytest.approx(3.0)
-    assert sl.schatten_norm([3.0, 4.0], 2.0) == pytest.approx(5.0)
-    assert sl.schatten_norm([3.0, 4.0], math.inf) == pytest.approx(4.0)
-    assert sl.schatten_norm([], 2.0) == 0.0
-
 
 def test_schatten_norm_validation():
     with pytest.raises(ValueError):
-        sl.schatten_norm([1.0], 0.0)
+        cd.lp_norm([1.0], 0.0)
     with pytest.raises(ValueError):
-        sl.schatten_norm([-1.0], 2.0)
+        cd.lp_norm([-1.0], 2.0)
 
 
 @given(st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=20),
        st.floats(0.5, 20.0), st.floats(0.5, 20.0))
 def test_schatten_norm_monotone_in_alpha(values, a1, a2):
     lo, hi = sorted((a1, a2))
-    assert sl.schatten_norm(values, hi) <= sl.schatten_norm(values, lo) * (1 + 1e-12)
+    assert cd.lp_norm(values, hi) <= cd.lp_norm(values, lo) * (1 + 1e-12)
 
 
 def test_dual_exponent():
@@ -63,7 +56,7 @@ def test_unit_weight_gives_identity_gram():
     _, dim = sb.cluster_rank(10.0)
     assert sv.size == dim
     assert np.max(np.abs(sv - 1.0)) < 1e-10
-    assert sl.schatten_norm(sv, 3.0) == pytest.approx(dim ** (1.0 / 3.0),
+    assert cd.lp_norm(sv, 3.0) == pytest.approx(dim ** (1.0 / 3.0),
                                                       rel=1e-12)
 
 
@@ -79,7 +72,7 @@ def test_empty_cluster_gives_empty_spectrum():
     grid = sb.build_grid(24, 40)
     sv = sl.projector_gram(10.4885, lambda t, p: np.ones_like(t), grid)
     assert sv.shape == (0,)
-    assert sl.schatten_norm(sv, 3.0) == 0.0
+    assert cd.lp_norm(sv, 3.0) == 0.0
 
 
 def test_gram_requires_adequate_grid():
@@ -93,8 +86,8 @@ def test_gram_route_matches_kernel_route():
     grid = sb.build_grid(22, 34)
     sv_gram = sl.projector_gram(12.0, reference_weight, grid)
     sv_kernel = sl.projector_kernel_eigs(12.0, reference_weight, grid)
-    n_gram = sl.schatten_norm(sv_gram, 3.0)
-    n_kernel = sl.schatten_norm(sv_kernel[:sv_gram.size], 3.0)
+    n_gram = cd.lp_norm(sv_gram, 3.0)
+    n_kernel = cd.lp_norm(sv_kernel[:sv_gram.size], 3.0)
     assert abs(n_gram - n_kernel) < 1e-6 * n_gram
     # the addition theorem makes the kernel matrix (root B)(root B)^H, so
     # its nonzero spectrum is the Gram spectrum up to roundoff
@@ -138,7 +131,7 @@ def test_fft_cluster_gram_across_degrees():
 
 def test_dual_norm_growth_matches_primal_exponent():
     lams = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 40.0]
-    norms = [sl.schatten_norm(
+    norms = [cd.lp_norm(
         sl.projector_gram(lam, reference_weight, _cluster_grid(lam)), 3.0)
         for lam in lams]
     slope, _ = fit_slope(zip(lams, norms))
@@ -158,8 +151,9 @@ def test_belt_weight_saturates_dual_bound():
         weight = belt(0.5 * math.sqrt(r / lam))
         grid = _cluster_grid(lam, pad=16)
         sv = sl.projector_gram(lam, weight, grid)
-        w3 = sl.sphere_lp_norm(weight, grid, 3.0)
-        ratios.append(sl.schatten_norm(sv, 3.0) / (lam ** (1.0 / 3.0) * w3**2))
+        thetas, phis = grid.mesh()
+        w3 = cd.lp_norm(np.abs(weight(thetas, phis)), 3.0, grid.surface_weights())
+        ratios.append(cd.lp_norm(sv, 3.0) / (lam ** (1.0 / 3.0) * w3**2))
     assert min(ratios) > 0.1
     assert max(ratios) / min(ratios) < 1.5
 
@@ -192,7 +186,7 @@ def test_paraboloid_scaling_compensated_by_cube_root():
     etas = []
     for lam in (4.0, 8.0, 16.0):
         sv = sl.gram_singular_values(sl.paraboloid_model(lam).gram)
-        etas.append(sl.schatten_norm(sv, 6.0) * lam ** (1.0 / 3.0))
+        etas.append(cd.lp_norm(sv, 6.0) * lam ** (1.0 / 3.0))
     assert max(etas) / min(etas) < 2.0
 
 
@@ -213,7 +207,7 @@ def test_distance_scaling_compensated_by_cube_root():
     etas = []
     for lam, ppw in ((8.0, 25.0), (16.0, 15.0)):
         sv = sl.gram_singular_values(sl.distance_model(lam, ppw).gram)
-        etas.append(sl.schatten_norm(sv, 6.0) * lam ** (1.0 / 3.0))
+        etas.append(cd.lp_norm(sv, 6.0) * lam ** (1.0 / 3.0))
     assert 0.5 <= etas[1] / etas[0] <= 2.0
 
 
@@ -325,7 +319,7 @@ def test_kss_bound_matches_dense_route(p):
                             for ell in (8, 9)])
     gram = mesh_cluster_gram([8, 9], rippled_weight, grid) * np.outer(betas, betas)
     sv = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
-    assert lhs == pytest.approx(sl.schatten_norm(sv, p), rel=1e-13)
+    assert lhs == pytest.approx(cd.lp_norm(sv, p), rel=1e-13)
 
 
 def test_kss_route_consistent_with_gram_route():
@@ -334,4 +328,4 @@ def test_kss_route_consistent_with_gram_route():
     grid = sb.build_grid(30, 44)
     lhs, _ = sl.kss_bound(indicator(10.0), reference_weight, 6.0, grid, 14)
     sv = sl.projector_gram(10.0, reference_weight, grid)
-    assert lhs**2 == pytest.approx(sl.schatten_norm(sv, 3.0), rel=1e-12)
+    assert lhs**2 == pytest.approx(cd.lp_norm(sv, 3.0), rel=1e-12)

@@ -141,7 +141,7 @@ def test_degree_table_matches_single_rows():
     x = np.linspace(-0.9, 0.9, 5)
     table = sb.legendre_degree_table(4, 40, x)
     for ell in (4, 17, 40):
-        assert np.allclose(table[ell - 4], sb.legendre_row(4, ell, x), rtol=1e-14)
+        assert np.array_equal(table[ell - 4], sb.legendre_row(4, ell, x))
 
 
 def test_ode_residual_second_order_convergence():
@@ -241,29 +241,49 @@ def test_ylm_matrix_orthonormal_on_cluster():
     assert np.max(np.abs(gram - np.eye(dim))) < 1e-10
 
 
+def test_ylm_matrix_columns_are_signed_rows():
+    grid = sb.build_grid(20, 15)
+    x = np.cos(grid.theta_nodes)
+    matrix, labels, _ = sb.ylm_matrix([3, 6], grid)
+    for col, (ell, m) in enumerate(labels):
+        g = sb.legendre_row(abs(m), ell, x)
+        if m < 0 and m % 2:
+            g = -g
+        expected = np.outer(g, np.exp(1j * m * grid.phi_nodes)).ravel()
+        assert np.array_equal(matrix[:, col], expected)
+
+
 # ---------------------------------------------------------------------------
 # Equator anchors
 # ---------------------------------------------------------------------------
 
-def test_legendre_at_zero_examples():
-    value, deriv = sb.legendre_at_zero(1, 1)
-    assert value == pytest.approx(-1.0, rel=1e-13)
+def _norm_constant(ell, m):
+    return math.sqrt((2 * ell + 1) / (4 * math.pi)
+                     * math.exp(math.lgamma(ell - m + 1) - math.lgamma(ell + m + 1)))
+
+
+def test_normalized_at_zero_examples():
+    # P_1^1(0) = -1 and (P_1^0)'(0) = 1, times the normalization
+    value, deriv = sb.normalized_at_zero(1, 1)
+    assert value == pytest.approx(-_norm_constant(1, 1), rel=1e-13)
     assert deriv == 0.0
-    value, deriv = sb.legendre_at_zero(1, 0)
+    value, deriv = sb.normalized_at_zero(1, 0)
     assert value == 0.0
-    assert deriv == pytest.approx(1.0, rel=1e-13)
+    assert deriv == pytest.approx(_norm_constant(1, 0), rel=1e-13)
 
 
-def test_legendre_at_zero_top_order_matches_double_factorial():
-    value, deriv = sb.legendre_at_zero(40, 40)
+def test_normalized_at_zero_top_order_matches_double_factorial():
+    # P_40^40(0) = 79!!
+    value, deriv = sb.normalized_at_zero(40, 40)
     assert deriv == 0.0
-    assert value == pytest.approx(float(double_factorial(79)), rel=1e-12)
+    assert value == pytest.approx(float(double_factorial(79)) * _norm_constant(40, 40),
+                                  rel=1e-12)
 
 
 @given(st.integers(0, 200), st.integers(0, 200))
-def test_legendre_at_zero_parity_structure(ell, m):
+def test_normalized_at_zero_parity_structure(ell, m):
     ell, m = max(ell, m), min(ell, m)
-    value, deriv = sb.legendre_at_zero(ell, m)
+    value, deriv = sb.normalized_at_zero(ell, m)
     if (ell + m) % 2 == 0:
         assert deriv == 0.0 and value != 0.0
     else:
