@@ -12,8 +12,11 @@ Subpackages by role:
   L^{p/2} norms, exponent tables, semiclassical comparison
 - :mod:`sclab.schatten_lab`   Schatten norms of compressed projectors and
   discretized oscillatory integral operators
-- :mod:`sclab.experiments`    configuration-driven sweeps, slope fits, the
-  acceptance suite
+- :mod:`sclab.experiments`    configuration-driven sweeps, slope fits,
+  CSV/JSON reports
+- :mod:`sclab.acceptance`     the 13-criterion acceptance suite, one table
+  of criteria over the experiment runners and basis checks
+- :mod:`sclab.cli`            the ``sclab`` command line: run, check, dump-wkb
 """
 
 __version__ = "0.1.0"

@@ -1,10 +1,14 @@
 """The acceptance suite: thirteen criteria, one pass/fail line each.
 
-Each criterion function returns (checks, elapsed_seconds) and is consumed
-both by ``sclab check`` and by the pytest acceptance module.  Criteria
-either reuse an experiment runner at its default ranges or perform a
-dedicated basis-level verification (orthonormality, equator anchors,
-randomized cotangent-bound trials).
+``CRITERIA`` is a table of (label, criterion) pairs.  A criterion takes a
+memo dict and returns its checks; :func:`run_criterion` runs one and
+returns (checks, elapsed_seconds).  Ten criteria keep checks of an
+experiment runner at its default ranges (:func:`_runner_checks`); the
+other three verify the basis directly (orthonormality, equator anchors,
+randomized cotangent-bound trials).  :func:`acceptance_suite` hands every
+criterion one memo, so paired criteria (c04/c05, c08/c09) share one
+runner call; a criterion run on its own gets a fresh memo.  Both
+``sclab check`` and the pytest acceptance module run this table.
 """
 
 from __future__ import annotations
@@ -31,203 +35,147 @@ RUNTIME_BUDGETS = {  # seconds; criteria without an entry are unbudgeted
 }
 
 
-def _timed(func):
-    start = time.perf_counter()
-    checks = func()
-    return checks, time.perf_counter() - start
+def _runner_checks(name: str, *prefixes: str):
+    """Criterion: runner ``name`` at its defaults, checks kept by name prefix.
+
+    The runner is looked up in RUNNERS when the criterion runs, and runs
+    once per memo; without prefixes every check is kept.
+    """
+    def criterion(memo: dict) -> list:
+        if name not in memo:
+            cfg = ExperimentConfig(experiment=name).validate()
+            memo[name] = RUNNERS[name](cfg)[0]
+        return [c for c in memo[name]
+                if not prefixes or c.name.startswith(prefixes)]
+
+    return criterion
 
 
-_RESULT_CACHE: dict = {}
+def _orthonormality(_memo) -> list:
+    ell_max = 200
+    grid = sb.build_grid(256, 2 * ell_max + 3)
+    x = np.cos(grid.theta_nodes)
+    dev = 0.0
+    for m in range(ell_max + 1):
+        table = sb.legendre_degree_table(m, ell_max, x)
+        gram = 2.0 * math.pi * (table * grid.theta_weights) @ table.T
+        gram[np.diag_indices_from(gram)] -= 1.0
+        dev = max(dev, float(np.max(np.abs(gram))))
 
-
-def _run_experiment(name: str, **overrides):
-    """Run a runner at defaults, memoized so paired criteria share one run."""
-    key = (name, repr(sorted(overrides.items())))
-    if key not in _RESULT_CACHE:
-        cfg = ExperimentConfig(experiment=name, **overrides)
-        checks, _, _ = RUNNERS[name](cfg.validate())
-        _RESULT_CACHE[key] = checks
-    return _RESULT_CACHE[key]
-
-
-# ---------------------------------------------------------------------------
-
-def criterion_weyl():
-    return _timed(lambda: _run_experiment("weyl"))
-
-
-def criterion_orthonormality(ell_max: int = 200, n_theta: int = 256):
-    def body():
-        grid = sb.build_grid(n_theta, 2 * ell_max + 3)
-        x = np.cos(grid.theta_nodes)
-        dev = 0.0
-        for m in range(ell_max + 1):
-            table = sb.legendre_degree_table(m, ell_max, x)
-            gram = 2.0 * math.pi * (table * grid.theta_weights) @ table.T
-            gram[np.diag_indices_from(gram)] -= 1.0
-            dev = max(dev, float(np.max(np.abs(gram))))
-
-        # cross-order entries vanish through the azimuthal rule; sample them
-        rng = np.random.default_rng(7)
-        phis = grid.phi_nodes
-        cross = 0.0
-        for _ in range(50):
-            ell_a, ell_b = rng.integers(1, ell_max + 1, 2)
-            m_a = int(rng.integers(0, ell_a + 1))
-            m_b = int(rng.integers(0, ell_b + 1))
+    # cross-order entries vanish through the azimuthal rule; sample them
+    rng = np.random.default_rng(7)
+    phis = grid.phi_nodes
+    cross = 0.0
+    for _ in range(50):
+        ell_a, ell_b = rng.integers(1, ell_max + 1, 2)
+        m_a = int(rng.integers(0, ell_a + 1))
+        m_b = int(rng.integers(0, ell_b + 1))
+        if m_a == m_b:
+            m_b = (m_b + 1) % (ell_b + 1)
             if m_a == m_b:
-                m_b = (m_b + 1) % (ell_b + 1)
-                if m_a == m_b:
-                    continue
-            phi_factor = np.mean(np.exp(1j * (m_a - m_b) * phis))
-            g_a = sb.legendre_row(m_a, int(ell_a), x)
-            g_b = sb.legendre_row(m_b, int(ell_b), x)
-            entry = 2.0 * math.pi * np.dot(grid.theta_weights, g_a * g_b) * phi_factor
-            cross = max(cross, abs(entry))
+                continue
+        phi_factor = np.mean(np.exp(1j * (m_a - m_b) * phis))
+        g_a = sb.legendre_row(m_a, int(ell_a), x)
+        g_b = sb.legendre_row(m_b, int(ell_b), x)
+        entry = 2.0 * math.pi * np.dot(grid.theta_weights, g_a * g_b) * phi_factor
+        cross = max(cross, abs(entry))
 
-        # equatorial-profile normalization, int |v|^2 dtheta = 1/(2 pi)
-        vdev = 0.0
-        for ell in (1, 10, 50, 100, 200):
-            nodes, wts = np.polynomial.legendre.leggauss(2 * ell + 64)
-            thetas = nodes * math.pi / 2
-            weights = wts * math.pi / 2
-            for m in {0, ell // 3, ell}:
-                row = sb.legendre_band(ell, m, m, thetas).values_v[0]
-                vdev = max(vdev, abs(float(np.dot(weights, row * row))
-                                     - 1.0 / (2.0 * math.pi)))
-        return [
-            bound_check("orthonormality-gram-deviation", dev, 1e-10),
-            bound_check("orthonormality-cross-order", cross, 1e-10),
-            bound_check("v-normalization-deviation", vdev, 1e-10),
-        ]
-
-    return _timed(body)
+    # equatorial-profile normalization, int |v|^2 dtheta = 1/(2 pi)
+    vdev = 0.0
+    for ell in (1, 10, 50, 100, 200):
+        nodes, wts = sb._gauss_rule(2 * ell + 64)
+        thetas = nodes * math.pi / 2
+        weights = wts * math.pi / 2
+        for m in {0, ell // 3, ell}:
+            row = sb.legendre_band(ell, m, m, thetas).values_v[0]
+            vdev = max(vdev, abs(float(np.dot(weights, row * row))
+                                 - 1.0 / (2.0 * math.pi)))
+    return [
+        bound_check("orthonormality-gram-deviation", dev, 1e-10),
+        bound_check("orthonormality-cross-order", cross, 1e-10),
+        bound_check("v-normalization-deviation", vdev, 1e-10),
+    ]
 
 
-def criterion_equator_anchors(ell_max: int = 500):
-    def body():
-        worst_val, worst_der = 0.0, 0.0
-        x0 = np.array([0.0])
-        for m in range(ell_max + 1):
-            table = sb.legendre_degree_table(m, ell_max, x0)[:, 0]
-            ells = np.arange(m, ell_max + 1)
-            values, derivs = sb.normalized_at_zero(ells, np.full(ells.size, m))
-            even = (ells + m) % 2 == 0
-            rec_val = table[even]
-            rel = np.abs(rec_val - values[even]) / np.abs(values[even])
-            if rel.size:
-                worst_val = max(worst_val, float(rel.max()))
-            # derivative route: (g_l^m)'(0) = sqrt((2l+1)(l-m)(l+m)/(2l-1)) g_{l-1}^m(0)
-            odd_idx = np.nonzero(~even)[0]
-            odd_idx = odd_idx[odd_idx >= 1]
-            if odd_idx.size:
-                ell_o = ells[odd_idx].astype(float)
-                factor = np.sqrt((2 * ell_o + 1) * (ell_o - m) * (ell_o + m)
-                                 / (2 * ell_o - 1))
-                rec_der = factor * table[odd_idx - 1]
-                rel = np.abs(rec_der - derivs[odd_idx]) / np.abs(derivs[odd_idx])
-                worst_der = max(worst_der, float(rel.max()))
-        return [
-            bound_check("equator-value-agreement", worst_val, 1e-11),
-            bound_check("equator-derivative-agreement", worst_der, 1e-11),
-        ]
-
-    return _timed(body)
+def _equator_anchors(_memo) -> list:
+    ell_max = 500
+    worst_val, worst_der = 0.0, 0.0
+    x0 = np.array([0.0])
+    for m in range(ell_max + 1):
+        table = sb.legendre_degree_table(m, ell_max, x0)[:, 0]
+        ells = np.arange(m, ell_max + 1)
+        values, derivs = sb.normalized_at_zero(ells, np.full(ells.size, m))
+        even = (ells + m) % 2 == 0
+        rec_val = table[even]
+        rel = np.abs(rec_val - values[even]) / np.abs(values[even])
+        if rel.size:
+            worst_val = max(worst_val, float(rel.max()))
+        # derivative route: (g_l^m)'(0) = sqrt((2l+1)(l-m)(l+m)/(2l-1)) g_{l-1}^m(0)
+        odd_idx = np.nonzero(~even)[0]
+        odd_idx = odd_idx[odd_idx >= 1]
+        if odd_idx.size:
+            ell_o = ells[odd_idx].astype(float)
+            factor = np.sqrt((2 * ell_o + 1) * (ell_o - m) * (ell_o + m)
+                             / (2 * ell_o - 1))
+            rec_der = factor * table[odd_idx - 1]
+            rel = np.abs(rec_der - derivs[odd_idx]) / np.abs(derivs[odd_idx])
+            worst_der = max(worst_der, float(rel.max()))
+    return [
+        bound_check("equator-value-agreement", worst_val, 1e-11),
+        bound_check("equator-derivative-agreement", worst_der, 1e-11),
+    ]
 
 
-def criterion_wkb_accuracy():
-    return _timed(lambda: _run_experiment("wkb_accuracy"))
-
-
-def criterion_normalization_constants():
-    def body():
-        checks = _run_experiment("wkb_accuracy")
-        return [c for c in checks if c.name == "normalization-constant-spread"]
-
-    return _timed(body)
-
-
-def criterion_kuzmin_landau(n_trials: int = 10_000, seed: int = 20240801):
-    def body():
-        rng = np.random.default_rng(seed)
-        violations = 0
-        worst_margin = math.inf
-        batch = 500
-        for _ in range(n_trials // batch):
-            k = int(rng.integers(2, 120))
-            eps = float(rng.uniform(0.05, math.pi))
-            incs = rng.uniform(eps, 2.0 * math.pi - eps, (batch, k))
-            incs.sort(axis=1)
-            if rng.random() < 0.5:
-                incs = incs[:, ::-1]
-            phases = np.cumsum(np.concatenate(
-                [rng.uniform(0, 2 * math.pi, (batch, 1)), incs], axis=1), axis=1)
-            sums = np.abs(np.exp(1j * phases).sum(axis=1))
-            bound = es.kuzmin_landau_bound(eps)
-            violations += int(np.sum(sums > bound))
-            worst_margin = min(worst_margin, float(np.min(bound - sums)))
-        return [
-            Check("kuzmin-landau-violations", 0.0, float(violations), 0.0,
-                  violations == 0),
-            flag_check("kuzmin-landau-margin-nonnegative", worst_margin >= 0.0),
-        ]
-
-    return _timed(body)
-
-
-def criterion_phase_sums():
-    return _timed(lambda: _run_experiment("phase_sums"))
-
-
-def criterion_optimality_slopes():
-    def body():
-        checks = _run_experiment("cluster_lower")
-        return [c for c in checks if c.name.startswith(("lower-slope",
-                                                        "triangle-gap"))]
-
-    return _timed(body)
-
-
-def criterion_pointwise_windows():
-    def body():
-        checks = _run_experiment("cluster_lower")
-        return [c for c in checks if c.name.startswith(("window-constant",
-                                                        "concentration"))]
-
-    return _timed(body)
-
-
-def criterion_dual_schatten():
-    return _timed(lambda: _run_experiment("schatten_dual"))
-
-
-def criterion_oscillatory_scaling():
-    return _timed(lambda: _run_experiment("oscillatory_scaling"))
-
-
-def criterion_kss_compare():
-    return _timed(lambda: _run_experiment("kss_compare"))
-
-
-def criterion_heuristic_compare():
-    return _timed(lambda: _run_experiment("heuristic_compare"))
+def _kuzmin_landau(_memo) -> list:
+    rng = np.random.default_rng(20240801)
+    violations = 0
+    worst_margin = math.inf
+    batch = 500
+    for _ in range(10_000 // batch):
+        k = int(rng.integers(2, 120))
+        eps = float(rng.uniform(0.05, math.pi))
+        incs = rng.uniform(eps, 2.0 * math.pi - eps, (batch, k))
+        incs.sort(axis=1)
+        if rng.random() < 0.5:
+            incs = incs[:, ::-1]
+        phases = np.cumsum(np.concatenate(
+            [rng.uniform(0, 2 * math.pi, (batch, 1)), incs], axis=1), axis=1)
+        sums = np.abs(np.exp(1j * phases).sum(axis=1))
+        bound = es.kuzmin_landau_bound(eps)
+        violations += int(np.sum(sums > bound))
+        worst_margin = min(worst_margin, float(np.min(bound - sums)))
+    return [
+        Check("kuzmin-landau-violations", 0.0, float(violations), 0.0,
+              violations == 0),
+        flag_check("kuzmin-landau-margin-nonnegative", worst_margin >= 0.0),
+    ]
 
 
 CRITERIA = (
-    ("c01-weyl", criterion_weyl),
-    ("c02-orthonormality", criterion_orthonormality),
-    ("c03-equator-anchors", criterion_equator_anchors),
-    ("c04-wkb-accuracy", criterion_wkb_accuracy),
-    ("c05-normalization-constants", criterion_normalization_constants),
-    ("c06-kuzmin-landau", criterion_kuzmin_landau),
-    ("c07-phase-sums", criterion_phase_sums),
-    ("c08-optimality-slopes", criterion_optimality_slopes),
-    ("c09-pointwise-windows", criterion_pointwise_windows),
-    ("c10-dual-schatten", criterion_dual_schatten),
-    ("c11-oscillatory-scaling", criterion_oscillatory_scaling),
-    ("c12-kss-compare", criterion_kss_compare),
-    ("c13-heuristic-compare", criterion_heuristic_compare),
+    ("c01-weyl", _runner_checks("weyl")),
+    ("c02-orthonormality", _orthonormality),
+    ("c03-equator-anchors", _equator_anchors),
+    ("c04-wkb-accuracy", _runner_checks("wkb_accuracy")),
+    ("c05-normalization-constants",
+     _runner_checks("wkb_accuracy", "normalization-constant-spread")),
+    ("c06-kuzmin-landau", _kuzmin_landau),
+    ("c07-phase-sums", _runner_checks("phase_sums")),
+    ("c08-optimality-slopes",
+     _runner_checks("cluster_lower", "lower-slope", "triangle-gap")),
+    ("c09-pointwise-windows",
+     _runner_checks("cluster_lower", "window-constant", "concentration")),
+    ("c10-dual-schatten", _runner_checks("schatten_dual")),
+    ("c11-oscillatory-scaling", _runner_checks("oscillatory_scaling")),
+    ("c12-kss-compare", _runner_checks("kss_compare")),
+    ("c13-heuristic-compare", _runner_checks("heuristic_compare")),
 )
+
+
+def run_criterion(criterion, memo: dict | None = None):
+    """(checks, elapsed_seconds) of one criterion; a fresh memo unless given."""
+    start = time.perf_counter()
+    checks = criterion({} if memo is None else memo)
+    return checks, time.perf_counter() - start
 
 
 def format_line(criterion: str, check: Check, elapsed: float) -> str:
@@ -244,10 +192,10 @@ def acceptance_suite(echo=print) -> AcceptanceReport:
     their own, so a pathologically slow environment shows up as a FAIL
     rather than silently.
     """
-    _RESULT_CACHE.clear()
     report = AcceptanceReport("acceptance", seed=0)
-    for name, func in CRITERIA:
-        checks, elapsed = func()
+    memo: dict = {}
+    for name, criterion in CRITERIA:
+        checks, elapsed = run_criterion(criterion, memo)
         if name in RUNTIME_BUDGETS:
             checks = list(checks) + [
                 bound_check(f"{name}-runtime-seconds", elapsed,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -46,16 +47,17 @@ def _cmd_dump_wkb(args) -> int:
     v_exact = sb.legendre_band(args.ell, args.m, args.m,
                                profile.thetas).values_v[0]
     env = wkb.envelope(profile)
-    writer = csv.writer(open(args.out, "w", newline="") if args.out
-                        else sys.stdout)
-    writer.writerow(["theta", "Q", "S", "y", "v_exact", "envelope"])
-    for i in range(profile.thetas.size):
-        writer.writerow([repr(float(profile.thetas[i])),
-                         repr(float(profile.q[i])),
-                         repr(float(profile.action[i])),
-                         repr(float(profile.y[i])),
-                         repr(float(v_exact[i])),
-                         repr(float(env[i]))])
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["theta", "Q", "S", "y", "v_exact", "envelope"])
+        for i in range(profile.thetas.size):
+            writer.writerow([repr(float(profile.thetas[i])),
+                             repr(float(profile.q[i])),
+                             repr(float(profile.action[i])),
+                             repr(float(profile.y[i])),
+                             repr(float(v_exact[i])),
+                             repr(float(env[i]))])
     return 0
 
 

@@ -52,6 +52,13 @@ class ExperimentConfig:
             )
         if not 0.0 < self.zeta < 1.0:
             raise ConfigError(f"field 'zeta': must lie in (0, 1), got {self.zeta}")
+        # the window ranges of the theory (see sclab.wkb_engine)
+        if not self.eta1 > 2.0:
+            raise ConfigError(f"field 'eta1': must exceed 2, got {self.eta1}")
+        if not 0.0 < self.eta2 < math.sqrt(2.0):
+            raise ConfigError(f"field 'eta2': must lie in (0, sqrt 2), got {self.eta2}")
+        if self.seed < 0:
+            raise ConfigError(f"field 'seed': must be nonnegative, got {self.seed}")
         for name in ("ell_range", "lambda_range", "p_list"):
             value = getattr(self, name)
             if value is not None and len(value) == 0:
@@ -234,32 +241,19 @@ def _degrees(values) -> list[int]:
     return [int(v) for v in values]
 
 
-def _band_radius(cfg: ExperimentConfig, ell: int) -> int:
+def _wkb_band_radius(cfg: ExperimentConfig, ell: int) -> int:
     """Window width r = ceil(l^zeta) at a degree of ell_range.
 
-    Both windows need 1 <= r <= l/2, else a ConfigError naming ell_range.
+    Both windows need 1 <= r <= l/2 and the case-inf interval
+    pi/2 - eta1 r/l must be nonempty, else a ConfigError naming ell_range.
+    The case-2 interval eta2 sqrt(r/l) then lies in (0, 1), as validation
+    keeps eta2 < sqrt 2.
     """
     r = wkb.band_radius(ell, cfg.zeta)
     if r > ell // 2:
         raise ConfigError(f"field 'ell_range': no window fits at l = {ell}: "
                           f"r = ceil(l^zeta) = {r} at zeta = {cfg.zeta} "
                           f"exceeds l/2")
-    return r
-
-
-def _wkb_band_radius(cfg: ExperimentConfig, ell: int) -> int:
-    """:func:`_band_radius`, with both WKB intervals inside (0, pi/2).
-
-    The intervals are eta2 sqrt(r/l) for case "2" and pi/2 - eta1 r/l for
-    case "inf"; one outside is a ConfigError naming the field.
-    """
-    r = _band_radius(cfg, ell)
-    if not 0.0 < cfg.eta2 * math.sqrt(r / ell) < math.pi / 2:
-        raise ConfigError(f"field 'eta2': the case-2 interval eta2 sqrt(r/l) "
-                          f"must lie in (0, pi/2), got eta2 = {cfg.eta2} at "
-                          f"l = {ell}, r = {r}")
-    if cfg.eta1 <= 0:
-        raise ConfigError(f"field 'eta1': must be positive, got {cfg.eta1}")
     if cfg.eta1 * r / ell >= math.pi / 2:
         raise ConfigError(f"field 'ell_range': the case-inf interval "
                           f"pi/2 - eta1 r/l is empty at l = {ell}, r = {r} "
@@ -302,12 +296,11 @@ def reference_weight(theta, phi):
     )
 
 
-def _cluster_grid(lam: float, pad: int = 12, n_theta: int | None = None,
+def _cluster_grid(lam: float, n_theta: int | None = None,
                   n_phi: int | None = None) -> sb.SphereGrid:
     ells, _ = sb.cluster_rank(lam)
     lmax = max(ells)
-    return sb.build_grid(max(n_theta or 0, lmax + pad),
-                         max(n_phi or 0, 2 * lmax + pad + 4))
+    return sb.build_grid(max(n_theta or 0, lmax + 12), max(n_phi or 0, 2 * lmax + 16))
 
 
 def _lower_slope_prediction(case: str, p: float, zeta: float) -> float:
@@ -361,10 +354,10 @@ def run_cluster_lower(cfg: ExperimentConfig):
         "2": _exponent_list(cfg, [2.0, 4.0, 6.0]),
         "inf": _exponent_list(cfg, [6.0, 8.0, math.inf]),
     }
+    radii = [_wkb_band_radius(cfg, ell) for ell in ells]
     profiles = {}
-    for ell in ells:
+    for ell, r in zip(ells, radii):
         grid = sb.build_grid(max(cfg.n_theta or 0, 4 * ell))
-        r = _band_radius(cfg, ell)
         for case in ("2", "inf"):
             profiles[(ell, case)] = cd.density(cd.ClusterSpec(ell, r, case), grid)
 
@@ -470,7 +463,7 @@ def run_wkb_accuracy(cfg: ExperimentConfig):
             sup_errs.append(worst_e * r)
             pooled_c.extend(
                 float(np.abs(c) ** 2) / ell
-                for c in _window_constants(ell, window)
+                for c in wkb.matching_constants(ell, window)
             )
         checks.append(bound_check(f"wkb-metric-variation-case{case}",
                                   max(metrics) / min(metrics), 3.0))
@@ -481,14 +474,6 @@ def run_wkb_accuracy(cfg: ExperimentConfig):
     header = ("ell", "case", "m", "sup_err_metric", "sup_error_functional",
               "c_sq_over_ell")
     return checks, rows, header
-
-
-def _window_constants(ell: int, window: np.ndarray) -> np.ndarray:
-    values, derivs = sb.normalized_at_zero(
-        np.full(window.size, ell), window.astype(int))
-    q0 = np.array([-wkb.q_potential(ell, int(m), 0.0) for m in window])
-    even = (ell + window) % 2 == 0
-    return np.where(even, values * q0**0.25, derivs / q0**0.25)
 
 
 def run_phase_sums(cfg: ExperimentConfig):
@@ -560,7 +545,7 @@ def run_schatten_dual(cfg: ExperimentConfig):
     for p in p_list:
         ratios = []
         for lam in lams:
-            report = sl.make_report(lam, p, spectra[lam], fitted_const=1.0)
+            report = sl.make_report(lam, p, spectra[lam])
             ratios.append(report.ratio)
             rows.append((lam, float(p), report.alpha_prime,
                          report.schatten_norm, report.ratio))
@@ -634,8 +619,8 @@ def run_kss_compare(cfg: ExperimentConfig):
 def run_heuristic_compare(cfg: ExperimentConfig):
     ells = _degrees(cfg.ell_range or [200, 400])
     checks, rows = [], []
-    for ell in ells:
-        r = _band_radius(cfg, ell)
+    radii = [_wkb_band_radius(cfg, ell) for ell in ells]
+    for ell, r in zip(ells, radii):
         grid = sb.build_grid(max(cfg.n_theta or 0, 4 * ell))
 
         window = wkb.case_window(ell, r, "inf")

@@ -6,9 +6,9 @@ Three computations live here.
    nonzero spectrum equals that of the finite Gram matrix
    G_jk = int |W|^2 Y_j conj(Y_k) over the cluster basis, an exact
    finite-rank reduction (the only approximation is quadrature of the
-   entries).  A second, independent route discretizes the projector kernel
-   through the addition theorem sum_l (2l+1)/(4 pi) P_l(cos geodesic) and
-   must agree.
+   entries).  The tests check it against a second, independent route: the
+   projector kernel discretized through the addition theorem
+   sum_l (2l+1)/(4 pi) P_l(cos geodesic).
 
 2. Weighted Nystrom discretization of oscillatory integral operators with
    kernel exp(i lam psi(x, y)) a(x, y): the matrix
@@ -87,14 +87,13 @@ def dual_exponent(alpha: float) -> float:
     return alpha / (alpha - 1.0)
 
 
-def make_report(lam: float, p: float, singular_values: np.ndarray,
-                fitted_const: float, weight_norm_sq: float = 1.0) -> SchattenReport:
-    """Assemble the report row: measured S^{alpha'} norm vs C lam^{2s} ||W||^2."""
+def make_report(lam: float, p: float, singular_values: np.ndarray) -> SchattenReport:
+    """Assemble the report row: measured S^{alpha'} norm against lam^{2s}."""
     s, alpha = exponents(p)
     ap = dual_exponent(alpha)
     sv = np.sort(np.asarray(singular_values, dtype=float))[::-1]
     norm = lp_norm(sv, ap)
-    predicted = fitted_const * lam ** (2.0 * s) * weight_norm_sq
+    predicted = lam ** (2.0 * s)
     return SchattenReport(lam, p, ap, sv, norm, predicted,
                           norm / predicted if predicted else math.inf)
 
@@ -134,15 +133,18 @@ def weighted_cluster_gram(ells, w_samples, grid: SphereGrid) -> np.ndarray:
     return gram
 
 
-def projector_gram(lam: float, w_samples, grid: SphereGrid,
-                   w_degree_hint: int = 8) -> np.ndarray:
+# Degrees of |W|^2 that a cluster grid must resolve on top of 2 l_max.
+WEIGHT_DEGREE_HINT = 8
+
+
+def projector_gram(lam: float, w_samples, grid: SphereGrid) -> np.ndarray:
     """Descending eigenvalues of W Pi W via the cluster Gram matrix.
 
     ``w_samples(theta, phi)`` must be real and bounded.  The grid has to
     integrate products of two cluster harmonics against |W|^2 exactly
-    enough: degree > 2 l_max + w_degree_hint in colatitude and
-    n_phi > 2 l_max + w_degree_hint in azimuth, else the reduction is not
-    trusted and a GridResolutionError is raised.
+    enough: degree > 2 l_max + WEIGHT_DEGREE_HINT in colatitude and
+    n_phi > 2 l_max + WEIGHT_DEGREE_HINT in azimuth, else the reduction is
+    not trusted and a GridResolutionError is raised.
     """
     from .sphere_basis import GridResolutionError
 
@@ -150,40 +152,16 @@ def projector_gram(lam: float, w_samples, grid: SphereGrid,
     if not ells:
         return np.zeros(0)
     ell_max = max(ells)
-    if grid.degree <= 2 * ell_max + w_degree_hint:
+    if grid.degree <= 2 * ell_max + WEIGHT_DEGREE_HINT:
         raise GridResolutionError(
-            f"grid degree {grid.degree} <= 2*{ell_max} + {w_degree_hint}"
+            f"grid degree {grid.degree} <= 2*{ell_max} + {WEIGHT_DEGREE_HINT}"
         )
-    if grid.n_phi <= 2 * ell_max + w_degree_hint:
+    if grid.n_phi <= 2 * ell_max + WEIGHT_DEGREE_HINT:
         raise GridResolutionError(
-            f"n_phi {grid.n_phi} <= 2*{ell_max} + {w_degree_hint}"
+            f"n_phi {grid.n_phi} <= 2*{ell_max} + {WEIGHT_DEGREE_HINT}"
         )
     gram = weighted_cluster_gram(ells, w_samples, grid)
     eigs = np.linalg.eigvalsh(gram)[::-1]
-    return np.clip(eigs, 0.0, None)
-
-
-def projector_kernel_eigs(lam: float, w_samples, grid: SphereGrid) -> np.ndarray:
-    """Same spectrum through the discretized addition-theorem kernel.
-
-    Builds sqrt(w) W K W sqrt(w) with K(x, y) = sum_l (2l+1)/(4 pi)
-    P_l(x . y) over the cluster degrees; the dense mesh route, used as a
-    cross-check of the Gram reduction for moderate lam.
-    """
-    ells, _ = cluster_rank(lam)
-    thetas, phis = grid.mesh()
-    xyz = np.stack([np.sin(thetas) * np.cos(phis),
-                    np.sin(thetas) * np.sin(phis),
-                    np.cos(thetas)], axis=1)
-    cosd = np.clip(xyz @ xyz.T, -1.0, 1.0)
-    coeffs = np.zeros(max(ells) + 1)
-    for ell in ells:
-        coeffs[ell] = (2 * ell + 1) / (4.0 * math.pi)
-    kernel = np.polynomial.legendre.legval(cosd, coeffs)
-    w_vals = np.asarray(w_samples(thetas, phis), dtype=float)
-    root = np.sqrt(grid.surface_weights()) * w_vals
-    mat = root[:, None] * kernel * root[None, :]
-    eigs = np.linalg.eigvalsh(mat)[::-1]
     return np.clip(eigs, 0.0, None)
 
 
@@ -422,20 +400,26 @@ def distance_model(lam: float, points_per_wavelength: float = 10.0,
     return OscillatoryModel(lam, real + 1j * (cross - cross.T), n_x, n_y, dense)
 
 
-def validate_resolution(builder, lam: float, top_k: int = 20,
-                        rel_tol: float = 1e-4, **kwargs) -> tuple[bool, float]:
-    """Doubling check: top singular values must move < rel_tol relative.
+# validate_resolution compares this many top singular values at this tolerance
+RESOLUTION_TOP_K = 20
+RESOLUTION_RTOL = 1e-4
 
-    Returns (converged, worst_drift); a False flag means the base
-    resolution under-resolves the oscillation and its spectra are not to
-    be trusted.
+
+def validate_resolution(builder, lam: float, **kwargs) -> tuple[bool, float]:
+    """Doubling check of the builder's top singular values at ``lam``.
+
+    Converged when the top RESOLUTION_TOP_K singular values move less than
+    RESOLUTION_RTOL, relative to the largest, under ``refine=2``.  Returns
+    (converged, worst_drift); a False flag means the base resolution
+    under-resolves the oscillation and its spectra are not to be trusted.
+    ``kwargs`` go to the builder at both resolutions.
     """
     base = gram_singular_values(builder(lam, **kwargs).gram)
     fine = gram_singular_values(builder(lam, refine=2, **kwargs).gram)
-    k = min(top_k, base.size, fine.size)
+    k = min(RESOLUTION_TOP_K, base.size, fine.size)
     scale = max(fine[0], 1e-300)
     drift = float(np.max(np.abs(base[:k] - fine[:k]) / scale))
-    return drift < rel_tol, drift
+    return drift < RESOLUTION_RTOL, drift
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +429,15 @@ def validate_resolution(builder, lam: float, top_k: int = 20,
 SPHERE_WEYL_CONST = 1.0 / (2.0 * math.pi)  # sup_x Pi_n(x,x) <= (1+n) * this
 
 
-def kss_bound(beta, w_samples, p: float, grid: SphereGrid, n_max: int,
-              fitted_const: float = SPHERE_WEYL_CONST) -> tuple[float, float]:
+def kss_bound(beta, w_samples, p: float, grid: SphereGrid,
+              n_max: int) -> tuple[float, float]:
     """Both sides of the cluster comparison bound for beta(sqrt(Delta)) W.
 
     lhs: Schatten p-norm computed exactly on the finite-rank range of
     beta(sqrt(Delta)) restricted to degrees l <= n_max, via the Gram matrix
     of the functions beta_j W Y_j.  rhs: ||W||_p times the l^p norm of
-    sup_{[n,n+1]} |beta| with weights C (1+n), the sup sampled on 64
-    points per unit interval.  Requires lhs <= rhs for the calibrated C.
+    sup_{[n,n+1]} |beta| with weights C (1+n), C = SPHERE_WEYL_CONST, the
+    sup sampled on 64 points per unit interval.  Requires lhs <= rhs.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -465,10 +449,10 @@ def kss_bound(beta, w_samples, p: float, grid: SphereGrid, n_max: int,
                             for ell in ells])
     gram = weighted_cluster_gram(ells, w_samples, grid)
     gram *= np.outer(betas, betas)
-    lhs = lp_norm(np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None)), p)
+    lhs = lp_norm(gram_singular_values(gram), p)
     sup_beta = [max(abs(beta(t)) for t in np.linspace(n, n + 1, 64, endpoint=False))
                 for n in range(0, n_max + 1)]
-    tail = lp_norm(sup_beta, p, fitted_const * (1.0 + np.arange(n_max + 1)))
+    tail = lp_norm(sup_beta, p, SPHERE_WEYL_CONST * (1.0 + np.arange(n_max + 1)))
     thetas, phis = grid.mesh()
     w_norm = lp_norm(np.abs(w_samples(thetas, phis)), p, grid.surface_weights())
     return lhs, w_norm * tail

@@ -127,6 +127,9 @@ def _error_density(q, q1, q2):
 # [0, |theta|] into 2^k equal panels and doubles k until the whole batch
 # (orders at one angle, or angles at one order) agrees with the previous k.
 
+# numpy's rule, not sphere_basis._gauss_rule: that one is scipy's, whose
+# first call imports scipy.linalg (+6.8 MB resident), and the WKB layer
+# otherwise never loads it.
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_DOUBLINGS = 16
 
@@ -236,9 +239,8 @@ def wkb_approximant(ell: int, m: int, case_tag, r: int | None = None,
                     n_theta: int = 201) -> WkbProfile:
     """Sample Q, S, y, E on the case interval and match c at theta = 0.
 
-    The matching uses v(0) for even l+m and v'(0) for odd l+m; the
-    denominators |Q(0)|^{1/4} cannot vanish in the oscillatory regime,
-    which is asserted.
+    The matching uses v(0) for even l+m and v'(0) for odd l+m (see
+    :func:`matching_constants`).
     """
     case = normalize_case(case_tag)
     if r is None:
@@ -264,12 +266,25 @@ def wkb_approximant(ell: int, m: int, case_tag, r: int | None = None,
     parity_even = (ell + m) % 2 == 0
     y = amp * (np.cos(action) if parity_even else np.sin(action))
 
-    q0 = -q_potential(ell, m, 0.0)
-    assert q0 > 0.0, "matching point left the oscillatory regime"
-    v0, dv0 = normalized_at_zero(ell, m)
-    c = v0 * q0**0.25 if parity_even else dv0 / q0**0.25
+    c = matching_constants(ell, np.array([m]))[0]
     return WkbProfile(ell, m, case, r, eta1, eta2, interval,
                       thetas, q, action, y, float(c), err)
+
+
+def matching_constants(ell: int, ms: np.ndarray) -> np.ndarray:
+    """The constants c of :func:`wkb_approximant` for an array of orders.
+
+    c = v(0) |Q(0)|^{1/4} for even l+m and v'(0) / |Q(0)|^{1/4} for odd
+    l+m; |Q(0)| cannot vanish in the oscillatory regime, which is asserted.
+    """
+    ms = np.asarray(ms, dtype=int)
+    q0 = -_potential(ell, ms, 0.0)
+    assert np.all(q0 > 0.0), "matching point left the oscillatory regime"
+    # Python's pow per element, the rounding that recorded values of c carry:
+    # numpy's vectorized pow differs from it in the last bit for some orders
+    quarter = np.array([q ** 0.25 for q in q0.tolist()])
+    values, derivs = normalized_at_zero(np.full(ms.size, ell), ms)
+    return np.where((ell + ms) % 2 == 0, values * quarter, derivs / quarter)
 
 
 def envelope(profile: WkbProfile) -> np.ndarray:

@@ -2,10 +2,14 @@
 
 Everything here deliberately avoids the library's own code paths: the
 recurrence runs in 50-digit mpmath arithmetic, the action integral is a
-brute-force composite Simpson rule, and the profile integrals run one
-Gauss panel at a time in a Python loop.  Frozen literals in the tests were
-produced by these functions; rerun them to re-derive any of the constants.
+brute-force composite Simpson rule, the profile integrals run one Gauss
+panel at a time in a Python loop, and the projector spectrum comes from
+the dense addition-theorem kernel on the mesh.  Frozen literals in the
+tests were produced by these functions; rerun them to re-derive any of
+the constants.
 """
+
+import math
 
 import numpy as np
 
@@ -96,3 +100,29 @@ def double_factorial(n: int) -> int:
     for k in range(n, 0, -2):
         out *= k
     return out
+
+
+def projector_kernel_eigs(lam: float, w_samples, grid) -> np.ndarray:
+    """Descending eigenvalues of W Pi W through the addition-theorem kernel.
+
+    Builds sqrt(w) W K W sqrt(w) with K(x, y) = sum_l (2l+1)/(4 pi)
+    P_l(x . y) over the cluster degrees: the dense mesh route that the
+    cluster Gram reduction of ``schatten_lab.projector_gram`` must match.
+    """
+    from sclab.sphere_basis import cluster_rank
+
+    ells, _ = cluster_rank(lam)
+    thetas, phis = grid.mesh()
+    xyz = np.stack([np.sin(thetas) * np.cos(phis),
+                    np.sin(thetas) * np.sin(phis),
+                    np.cos(thetas)], axis=1)
+    cosd = np.clip(xyz @ xyz.T, -1.0, 1.0)
+    coeffs = np.zeros(max(ells) + 1)
+    for ell in ells:
+        coeffs[ell] = (2 * ell + 1) / (4.0 * math.pi)
+    kernel = np.polynomial.legendre.legval(cosd, coeffs)
+    w_vals = np.asarray(w_samples(thetas, phis), dtype=float)
+    root = np.sqrt(grid.surface_weights()) * w_vals
+    mat = root[:, None] * kernel * root[None, :]
+    eigs = np.linalg.eigvalsh(mat)[::-1]
+    return np.clip(eigs, 0.0, None)

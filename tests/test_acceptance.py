@@ -1,113 +1,117 @@
 """Acceptance gate: every stated criterion at its stated tolerance.
 
-Each test runs one criterion through :mod:`sclab.acceptance`, prints one
+One test per entry of ``acc.CRITERIA``, all with the same body: it runs
+the criterion through :func:`sclab.acceptance.run_criterion`, prints one
 pass/fail line per check (visible with ``pytest -s`` and in captured
-output on failure), and asserts both the checks and the stated runtime
-budget.  ``sclab check`` runs the same functions.
+output on failure), asserts the checks and the stated runtime budget, and
+then the criterion's pin from ``PINS``: the tolerances, counts and names
+that the stated criteria fix.  ``sclab check`` runs the same table.
 """
+
+import collections
 
 import pytest
 
 from sclab import acceptance as acc
+from sclab import experiments as ex
+from sclab.experiments import Check
 
 
-def _run(name: str, func):
-    checks, elapsed = func()
-    for check in checks:
-        print(acc.format_line(name, check, elapsed))
-    failed = [c.name for c in checks if not c.passed]
-    assert not failed, f"{name} failed: {failed}"
-    budget = acc.RUNTIME_BUDGETS.get(name)
-    if budget is not None:
-        assert elapsed < budget, f"{name} took {elapsed:.1f}s > {budget}s"
-    return checks
+def _tols(expected: dict):
+    return lambda c: all(c[name].tol == tol for name, tol in expected.items())
 
 
-def test_c01_weyl_law():
-    checks = _run("c01-weyl", acc.criterion_weyl)
-    slope = next(c for c in checks if c.name == "weyl-count-slope")
-    assert slope.tol == 0.02
-    coeff = next(c for c in checks if c.name == "weyl-leading-coefficient")
-    assert coeff.tol == 0.05
+def _all_tol(tol: float):
+    return lambda c: all(check.tol == tol for check in c.values())
 
 
-def test_c02_orthonormality():
-    checks = _run("c02-orthonormality", acc.criterion_orthonormality)
-    assert all(c.tol == 1e-10 for c in checks)
+# label -> (test name, pin over the criterion's checks keyed by check name)
+PINS = {
+    "c01-weyl": ("test_c01_weyl_law", _tols(
+        {"weyl-count-slope": 0.02, "weyl-leading-coefficient": 0.05})),
+    "c02-orthonormality": ("test_c02_orthonormality", _all_tol(1e-10)),
+    "c03-equator-anchors": ("test_c03_equator_anchors", _all_tol(1e-11)),
+    "c04-wkb-accuracy": ("test_c04_wkb_accuracy", _tols(
+        {"wkb-metric-variation-case2": 3.0, "wkb-metric-variation-caseinf": 3.0})),
+    "c05-normalization-constants": ("test_c05_normalization_constants", lambda c: (
+        set(c) == {"normalization-constant-spread"})),
+    # an exact inequality, no tolerance
+    "c06-kuzmin-landau": ("test_c06_kuzmin_landau",
+                          lambda c: c["kuzmin-landau-violations"].measured == 0.0),
+    "c07-phase-sums": ("test_c07_phase_sums", _tols(
+        {"phase-sum-variation-case2": 2.0, "phase-sum-variation-caseinf": 2.0})),
+    "c08-optimality-slopes": ("test_c08_optimality_slopes", lambda c: [
+        check.tol for name, check in c.items() if name.startswith("lower-slope")
+    ] == [0.07] * 6),
+    "c09-pointwise-windows": ("test_c09_pointwise_windows",
+                              lambda c: "window-constants-positive" in c),
+    "c10-dual-schatten": ("test_c10_dual_schatten", lambda c: set(c) == {
+        "dual-ratio-tail-p4.0", "dual-ratio-tail-p6.0", "dual-ratio-tail-p10.0"
+    } and _all_tol(2.0)(c)),
+    "c11-oscillatory-scaling": ("test_c11_oscillatory_scaling", _tols(
+        {"oscillatory-paraboloid-variation": 2.0})),
+    "c12-kss-compare": ("test_c12_kss_comparison", lambda c: (
+        c["kss-ratio-slope"].tol == 0.1
+        and c["kss-ratio-slope"].predicted == pytest.approx(-1.0 / 6.0))),
+    # both windows at both degrees
+    "c13-heuristic-compare": ("test_c13_heuristic_comparison",
+                              lambda c: len(c) == 4 and _all_tol(2.0)(c)),
+}
 
 
-def test_c03_equator_anchors():
-    checks = _run("c03-equator-anchors", acc.criterion_equator_anchors)
-    assert all(c.tol == 1e-11 for c in checks)
+def _criterion_test(label: str, test_name: str, pin):
+    def test():
+        checks, elapsed = acc.run_criterion(dict(acc.CRITERIA)[label])
+        for check in checks:
+            print(acc.format_line(label, check, elapsed))
+        failed = [c.name for c in checks if not c.passed]
+        assert not failed, f"{label} failed: {failed}"
+        budget = acc.RUNTIME_BUDGETS.get(label)
+        if budget is not None:
+            assert elapsed < budget, f"{label} took {elapsed:.1f}s > {budget}s"
+        by_name = {c.name: c for c in checks}
+        assert len(by_name) == len(checks), f"{label}: repeated check names"
+        assert pin(by_name), f"{label}: a pinned tolerance, count or name moved"
+
+    test.__name__ = test_name
+    return test
 
 
-def test_c04_wkb_accuracy():
-    checks = _run("c04-wkb-accuracy", acc.criterion_wkb_accuracy)
-    for case in ("2", "inf"):
-        metric = next(c for c in checks
-                      if c.name == f"wkb-metric-variation-case{case}")
-        assert metric.tol == 3.0
+for _label, (_test_name, _pin) in PINS.items():
+    globals()[_test_name] = _criterion_test(_label, _test_name, _pin)
 
 
-def test_c05_normalization_constants():
-    _run("c05-normalization-constants", acc.criterion_normalization_constants)
+def test_every_criterion_is_pinned():
+    assert [label for label, _ in acc.CRITERIA] == list(PINS)
 
 
-def test_c06_kuzmin_landau():
-    checks = _run("c06-kuzmin-landau", acc.criterion_kuzmin_landau)
-    violations = next(c for c in checks if c.name == "kuzmin-landau-violations")
-    assert violations.measured == 0.0  # exact inequality, no tolerance
+def test_criterion_alone_does_not_reuse_an_earlier_run(monkeypatch):
+    criteria = dict(acc.CRITERIA)
+    checks, _ = acc.run_criterion(criteria["c04-wkb-accuracy"])
+    assert all(c.passed for c in checks)
+    failing = Check("normalization-constant-spread", 4.0, 9.0, 4.0, False)
+    monkeypatch.setitem(ex.RUNNERS, "wkb_accuracy", lambda cfg: ([failing], [], ()))
+    checks, _ = acc.run_criterion(criteria["c05-normalization-constants"])
+    assert checks == [failing]
 
 
-def test_c07_phase_sums():
-    checks = _run("c07-phase-sums", acc.criterion_phase_sums)
-    for case in ("2", "inf"):
-        var = next(c for c in checks
-                   if c.name == f"phase-sum-variation-case{case}")
-        assert var.tol == 2.0
+def test_suite_aggregate_report(monkeypatch):
+    calls = collections.Counter()
 
+    def counted(name, runner):
+        def run(cfg):
+            calls[name] += 1
+            return runner(cfg)
+        return run
 
-def test_c08_optimality_slopes():
-    checks = _run("c08-optimality-slopes", acc.criterion_optimality_slopes)
-    slope_checks = [c for c in checks if c.name.startswith("lower-slope")]
-    assert len(slope_checks) == 6
-    assert all(c.tol == 0.07 for c in slope_checks)
-
-
-def test_c09_pointwise_windows():
-    checks = _run("c09-pointwise-windows", acc.criterion_pointwise_windows)
-    assert any(c.name == "window-constants-positive" for c in checks)
-
-
-def test_c10_dual_schatten():
-    checks = _run("c10-dual-schatten", acc.criterion_dual_schatten)
-    assert {c.name for c in checks} == {
-        "dual-ratio-tail-p4.0", "dual-ratio-tail-p6.0", "dual-ratio-tail-p10.0"}
-    assert all(c.tol == 2.0 for c in checks)
-
-
-def test_c11_oscillatory_scaling():
-    checks = _run("c11-oscillatory-scaling", acc.criterion_oscillatory_scaling)
-    var = next(c for c in checks if c.name == "oscillatory-paraboloid-variation")
-    assert var.tol == 2.0
-
-
-def test_c12_kss_comparison():
-    checks = _run("c12-kss-compare", acc.criterion_kss_compare)
-    slope = next(c for c in checks if c.name == "kss-ratio-slope")
-    assert slope.tol == 0.1
-    assert slope.predicted == pytest.approx(-1.0 / 6.0)
-
-
-def test_c13_heuristic_comparison():
-    checks = _run("c13-heuristic-compare", acc.criterion_heuristic_compare)
-    assert len(checks) == 4  # both windows at both degrees
-    assert all(c.tol == 2.0 for c in checks)
-
-
-def test_suite_aggregate_report():
+    for name, runner in list(ex.RUNNERS.items()):
+        monkeypatch.setitem(ex.RUNNERS, name, counted(name, runner))
     report = acc.acceptance_suite(echo=None)
     assert report.passed
     assert len(report.checks) >= 13
+    # paired criteria (c04/c05, c08/c09) share one runner call
+    assert dict(calls) == dict.fromkeys(
+        ["weyl", "wkb_accuracy", "phase_sums", "cluster_lower", "schatten_dual",
+         "oscillatory_scaling", "kss_compare", "heuristic_compare"], 1)
     data = report.to_json_dict()
     assert data["schema_version"] == 1

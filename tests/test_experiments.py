@@ -207,6 +207,15 @@ def test_unknown_experiment_rejected():
     ("wkb_accuracy", {"ell_range": [4]}, "ell_range"),
     ("wkb_accuracy", {"ell_range": [-5, 100]}, "ell_range"),
     ("wkb_accuracy", {"eta2": 5.0}, "eta2"),
+    ("wkb_accuracy", {"eta2": 1.5}, "eta2"),
+    ("wkb_accuracy", {"eta1": 1.0}, "eta1"),
+    ("phase_sums", {"eta2": 1.5}, "eta2"),
+    ("phase_sums", {"eta1": 1.0}, "eta1"),
+    ("heuristic_compare", {"eta1": 100}, "ell_range"),
+    ("heuristic_compare", {"ell_range": [8]}, "ell_range"),
+    ("cluster_lower", {"eta1": 100}, "ell_range"),
+    ("cluster_lower", {"ell_range": [8, 16, 32, 64]}, "ell_range"),
+    ("cluster_upper", {"seed": -1}, "seed"),
 ])
 def test_runner_rejects_unusable_ranges(experiment, overrides, field_name):
     cfg = ex.ExperimentConfig(experiment=experiment, **overrides)

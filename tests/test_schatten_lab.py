@@ -9,6 +9,8 @@ from sclab import schatten_lab as sl
 from sclab import sphere_basis as sb
 from sclab.experiments import _cluster_grid, fit_slope, reference_weight
 
+from _oracles import projector_kernel_eigs
+
 
 # ---------------------------------------------------------------------------
 # Schatten norms (the p-norm kernel cd.lp_norm with unit weights)
@@ -37,7 +39,7 @@ def test_dual_exponent():
 
 def test_make_report_consistency():
     sv = np.array([0.5, 2.0, 1.0])
-    report = sl.make_report(10.0, 6.0, sv, fitted_const=1.0)
+    report = sl.make_report(10.0, 6.0, sv)
     assert report.alpha_prime == pytest.approx(3.0)
     assert np.all(np.diff(report.singular_values) <= 0)
     recomputed = float(np.sum(report.singular_values ** 3.0) ** (1.0 / 3.0))
@@ -85,7 +87,7 @@ def test_gram_requires_adequate_grid():
 def test_gram_route_matches_kernel_route():
     grid = sb.build_grid(22, 34)
     sv_gram = sl.projector_gram(12.0, reference_weight, grid)
-    sv_kernel = sl.projector_kernel_eigs(12.0, reference_weight, grid)
+    sv_kernel = projector_kernel_eigs(12.0, reference_weight, grid)
     n_gram = cd.lp_norm(sv_gram, 3.0)
     n_kernel = cd.lp_norm(sv_kernel[:sv_gram.size], 3.0)
     assert abs(n_gram - n_kernel) < 1e-6 * n_gram
@@ -149,7 +151,8 @@ def test_belt_weight_saturates_dual_bound():
     for lam in (15.0, 25.0, 40.0):
         r = int(math.ceil(math.sqrt(lam)))
         weight = belt(0.5 * math.sqrt(r / lam))
-        grid = _cluster_grid(lam, pad=16)
+        ell_max = max(sb.cluster_rank(lam)[0])
+        grid = sb.build_grid(ell_max + 16, 2 * ell_max + 20)
         sv = sl.projector_gram(lam, weight, grid)
         thetas, phis = grid.mesh()
         w3 = cd.lp_norm(np.abs(weight(thetas, phis)), 3.0, grid.surface_weights())
