@@ -99,27 +99,27 @@ def _orthonormality(_memo) -> list:
 
 def _equator_anchors(_memo) -> list:
     ell_max = 500
+    orders = np.arange(ell_max + 1)
+    x0 = np.zeros(1)
     worst_val, worst_der = 0.0, 0.0
-    x0 = np.array([0.0])
-    for m in range(ell_max + 1):
-        table = sb.legendre_degree_table(m, ell_max, x0)[:, 0]
-        ells = np.arange(m, ell_max + 1)
-        values, derivs = sb.normalized_at_zero(ells, np.full(ells.size, m))
-        even = (ells + m) % 2 == 0
-        rec_val = table[even]
-        rel = np.abs(rec_val - values[even]) / np.abs(values[even])
-        if rel.size:
+    below = None
+    # one recurrence over all orders: step j holds g_{m+j}^m(0) in row m
+    for step, rows in enumerate(sb._degree_rows(orders[:, None], ell_max, x0,
+                                                sb._seed_values(orders[:, None], x0))):
+        ms = orders[:ell_max + 1 - step]  # the orders still at degree <= ell_max
+        ells = ms + step
+        values, derivs = sb.normalized_at_zero(ells, ms)
+        if step % 2 == 0:  # l + m even: v(0) is the row itself
+            rel = np.abs(rows[ms, 0] - values) / np.abs(values)
             worst_val = max(worst_val, float(rel.max()))
-        # derivative route: (g_l^m)'(0) = sqrt((2l+1)(l-m)(l+m)/(2l-1)) g_{l-1}^m(0)
-        odd_idx = np.nonzero(~even)[0]
-        odd_idx = odd_idx[odd_idx >= 1]
-        if odd_idx.size:
-            ell_o = ells[odd_idx].astype(float)
-            factor = np.sqrt((2 * ell_o + 1) * (ell_o - m) * (ell_o + m)
+        else:
+            # (g_l^m)'(0) = sqrt((2l+1)(l-m)(l+m)/(2l-1)) g_{l-1}^m(0)
+            ell_o = ells.astype(float)
+            factor = np.sqrt((2 * ell_o + 1) * (ell_o - ms) * (ell_o + ms)
                              / (2 * ell_o - 1))
-            rec_der = factor * table[odd_idx - 1]
-            rel = np.abs(rec_der - derivs[odd_idx]) / np.abs(derivs[odd_idx])
+            rel = np.abs(factor * below[ms, 0] - derivs) / np.abs(derivs)
             worst_der = max(worst_der, float(rel.max()))
+        below = rows
     return [
         bound_check("equator-value-agreement", worst_val, 1e-11),
         bound_check("equator-derivative-agreement", worst_der, 1e-11),

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import sys
 from time import perf_counter
@@ -47,17 +46,10 @@ def _cmd_dump_wkb(args) -> int:
     v_exact = sb.legendre_band(args.ell, args.m, args.m,
                                profile.thetas).values_v[0]
     env = wkb.envelope(profile)
+    rows = zip(profile.thetas, profile.q, profile.action, profile.y, v_exact, env)
     with (open(args.out, "w", newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "Q", "S", "y", "v_exact", "envelope"])
-        for i in range(profile.thetas.size):
-            writer.writerow([repr(float(profile.thetas[i])),
-                             repr(float(profile.q[i])),
-                             repr(float(profile.action[i])),
-                             repr(float(profile.y[i])),
-                             repr(float(v_exact[i])),
-                             repr(float(env[i]))])
+        fh.write(ex.format_rows(("theta", "Q", "S", "y", "v_exact", "envelope"), rows))
     return 0
 
 

@@ -31,10 +31,6 @@ from .wkb_engine import case_window, normalize_case
 
 SPHERE_AREA = 4.0 * math.pi
 
-# default p-grid for norm tabulation; the exponent-table kink at p = 6 is
-# always included
-DEFAULT_P_GRID = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0, math.inf)
-
 
 class UnderResolvedError(RuntimeError):
     """Doubling the colatitude grid moved the requested norms too much."""

@@ -40,8 +40,6 @@ class ExperimentConfig:
     eta1: float = wkb.DEFAULT_ETA1
     eta2: float = wkb.DEFAULT_ETA2
     p_list: list | None = None
-    n_theta: int | None = None
-    n_phi: int | None = None
     seed: int = 0
     output: str | None = None
 
@@ -66,7 +64,7 @@ class ExperimentConfig:
         return self
 
 
-_INT_FIELDS = {"seed", "n_theta", "n_phi"}
+_INT_FIELDS = {"seed"}
 _FLOAT_FIELDS = {"zeta", "eta1", "eta2"}
 _LIST_FIELDS = {"ell_range", "lambda_range", "p_list"}
 _STR_FIELDS = {"experiment", "output"}
@@ -271,9 +269,12 @@ def _exponent_list(cfg: ExperimentConfig, default) -> list:
 
 
 def _cluster_lambdas(values) -> list[float]:
-    """lambda_range values as floats, each with a nonempty spectral cluster."""
+    """lambda_range values as finite floats, each with a nonempty spectral cluster."""
     lams = [float(v) for v in values]
     for lam in lams:
+        if not math.isfinite(lam):
+            raise ConfigError(f"field 'lambda_range': values must be finite, "
+                              f"got {lam}")
         if lam < 1 or not sb.cluster_rank(lam)[0]:
             raise ConfigError("field 'lambda_range': no degree l with "
                               f"lam^2 <= l(l+1) < (lam+1)^2 at lam = {lam}")
@@ -296,11 +297,10 @@ def reference_weight(theta, phi):
     )
 
 
-def _cluster_grid(lam: float, n_theta: int | None = None,
-                  n_phi: int | None = None) -> sb.SphereGrid:
+def _cluster_grid(lam: float) -> sb.SphereGrid:
     ells, _ = sb.cluster_rank(lam)
     lmax = max(ells)
-    return sb.build_grid(max(n_theta or 0, lmax + 12), max(n_phi or 0, 2 * lmax + 16))
+    return sb.build_grid(lmax + 12, 2 * lmax + 16)
 
 
 def _lower_slope_prediction(case: str, p: float, zeta: float) -> float:
@@ -316,9 +316,9 @@ def _lower_slope_prediction(case: str, p: float, zeta: float) -> float:
 
 def run_weyl(cfg: ExperimentConfig):
     bounds = cfg.lambda_range or [10.0, 300.0]
-    if len(bounds) != 2 or not 0 < bounds[0] < bounds[1]:
-        raise ConfigError("field 'lambda_range': weyl sweeps between two values "
-                          f"0 < lo < hi, got {bounds}")
+    if len(bounds) != 2 or not 0 < bounds[0] < bounds[1] < math.inf:
+        raise ConfigError("field 'lambda_range': weyl sweeps between two finite "
+                          f"values 0 < lo < hi, got {bounds}")
     lo, hi = bounds
     lams = np.geomspace(lo, hi, 25)
     counts = [sb.weyl_count(lam) for lam in lams]
@@ -357,7 +357,7 @@ def run_cluster_lower(cfg: ExperimentConfig):
     radii = [_wkb_band_radius(cfg, ell) for ell in ells]
     profiles = {}
     for ell, r in zip(ells, radii):
-        grid = sb.build_grid(max(cfg.n_theta or 0, 4 * ell))
+        grid = sb.build_grid(4 * ell)
         for case in ("2", "inf"):
             profiles[(ell, case)] = cd.density(cd.ClusterSpec(ell, r, case), grid)
 
@@ -420,7 +420,7 @@ def run_cluster_upper(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg.seed)
     rows, worst = [], {p: 0.0 for p in p_list}
     for lam in lams:
-        grid = _cluster_grid(lam, n_theta=cfg.n_theta, n_phi=cfg.n_phi)
+        grid = _cluster_grid(lam)
         _, dim = sb.cluster_rank(lam)
         n_funcs = max(1, dim // 2)
         rho, nu, weights = cd.random_cluster_density(lam, n_funcs, rng, grid)
@@ -535,12 +535,8 @@ def run_schatten_dual(cfg: ExperimentConfig):
     lams = _cluster_lambdas(cfg.lambda_range or [5, 10, 15, 20, 25, 30, 40])
     p_list = _exponent_list(cfg, [4.0, 6.0, 10.0])
     checks, rows = [], []
-    spectra = {
-        lam: sl.projector_gram(
-            lam, reference_weight,
-            _cluster_grid(lam, n_theta=cfg.n_theta, n_phi=cfg.n_phi))
-        for lam in lams
-    }
+    spectra = {lam: sl.projector_gram(lam, reference_weight, _cluster_grid(lam))
+               for lam in lams}
     _dump_spectra(cfg, spectra)
     for p in p_list:
         ratios = []
@@ -590,7 +586,7 @@ def run_kss_compare(cfg: ExperimentConfig):
     q = 2.0 * p / (p - 2.0)
     measured, mains, ksss, rows = [], [], [], []
     for lam in lams:
-        grid = _cluster_grid(lam, n_theta=cfg.n_theta, n_phi=cfg.n_phi)
+        grid = _cluster_grid(lam)
         ells, _ = sb.cluster_rank(lam)
         beta = (lambda lo: (lambda t: 1.0 if lo <= t < lo + 1.0 else 0.0))(lam)
         lhs, _ = sl.kss_bound(beta, reference_weight, p, grid, max(ells) + 1)
@@ -621,7 +617,7 @@ def run_heuristic_compare(cfg: ExperimentConfig):
     checks, rows = [], []
     radii = [_wkb_band_radius(cfg, ell) for ell in ells]
     for ell, r in zip(ells, radii):
-        grid = sb.build_grid(max(cfg.n_theta or 0, 4 * ell))
+        grid = sb.build_grid(4 * ell)
 
         window = wkb.case_window(ell, r, "inf")
         theta_star = 2.0 * cfg.eta1 * r / ell

@@ -17,11 +17,13 @@ so that int |Y_l^m|^2 domega = 1 and int_0^pi |g_l^m|^2 sin(theta) dtheta
 satisfies the normal-form equation -v'' + Q v = 0 consumed by the WKB
 engine, with int_{-pi/2}^{pi/2} |v|^2 dtheta = 1/(2 pi).
 
-Single orders go through the fully normalized three-term recurrence
-upward in degree at fixed order (:func:`legendre_row`).  Normalized values
-stay O(sqrt(l)), so there is no intermediate overflow for l <= 1e4.  Its
-seed g_m^m ~ sin(theta)^m underflows near the poles at high order; the
-row then starts from a subnormal seed, with fewer bits, or from zero.
+Fixed-order rows come from one normalized three-term recurrence upward
+in degree (:func:`_degree_rows`), over one order or a column of orders
+advancing together: a row (:func:`legendre_row`), a degree table, or the
+degree-l rows of all orders (:func:`radial_rows`) each take one call.
+Normalized values stay O(sqrt(l)), so nothing overflows for l <= 1e4.
+The seed g_m^m ~ sin(theta)^m underflows near the poles at high order;
+the row then starts from a subnormal seed, with fewer bits, or from zero.
 Where that happens deep in the classically forbidden zone, the true values
 are far below the double range as well, and those zeros are harmless at
 the tolerances used here.
@@ -59,9 +61,7 @@ evaluated through log-gamma.
 
 from __future__ import annotations
 
-import csv
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,29 +84,32 @@ class GridResolutionError(ValueError):
 # Fully normalized associated Legendre recurrences
 # ---------------------------------------------------------------------------
 
-def _seed_log_magnitude(m: int, x: np.ndarray) -> np.ndarray:
-    """log |g_m^m| on nodes x, finite wherever |x| < 1."""
-    if m == 0:
-        return np.full_like(x, -0.5 * math.log(FOUR_PI))
-    return (
-        0.5 * (math.log(2 * m + 1) - math.log(FOUR_PI) + gammaln(2 * m + 1))
-        - gammaln(m + 1)
-        - m * _LN2
-        + 0.5 * m * np.log1p(-x * x)
-    )
+def _seed_log_magnitude(m, x: np.ndarray) -> np.ndarray:
+    """log |g_m^m| on nodes x for one order or a column of orders (k, 1).
+
+    Finite wherever |x| < 1; at x = +-1 it is -inf except at order 0.
+    """
+    m = np.asarray(m)
+    # math.log per order: numpy's log differs from it in the last bit at
+    # some orders (the first is 9571), and the seeds keep math.log's bits
+    log_odd = np.reshape([math.log(2 * k + 1) for k in m.ravel().tolist()], m.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log(0) at order 0
+        log_mag = (0.5 * (log_odd - math.log(FOUR_PI) + gammaln(2 * m + 1))
+                   - gammaln(m + 1) - m * _LN2 + 0.5 * m * np.log1p(-x * x))
+    return np.where(m == 0, -0.5 * math.log(FOUR_PI), log_mag)
 
 
-def _seed_values(m: int, x: np.ndarray, shift=0) -> np.ndarray:
-    """g-value of degree m at order m on nodes x, times 2**shift, via logs.
+def _seed_values(m, x: np.ndarray, shift=0) -> np.ndarray:
+    """g-values of degree m at order m (or a column of orders), times 2**shift.
 
     ``shift`` (one integer, or one per node) lifts seeds that would
     underflow into the normal range; the default gives the plain seed.
     """
-    if m == 0:
-        return np.ldexp(np.full_like(x, 1.0 / math.sqrt(FOUR_PI)), shift)
-    sign = -1.0 if m % 2 else 1.0
+    m = np.asarray(m)
     with np.errstate(under="ignore"):
-        return sign * np.exp(_seed_log_magnitude(m, x) + shift * _LN2)
+        values = np.where(m % 2, -1.0, 1.0) * np.exp(
+            _seed_log_magnitude(m, x) + shift * _LN2)
+    return np.where(m == 0, np.ldexp(1.0 / math.sqrt(FOUR_PI), shift), values)
 
 
 def _check_nodes(x) -> np.ndarray:
@@ -140,40 +143,49 @@ def legendre_row(m: int, ell: int, x) -> np.ndarray:
     if not 0 <= m <= ell:
         raise ValueError(f"need 0 <= m <= ell, got m={m}, ell={ell}")
     x = _check_nodes(x)
-    return _degree_recurrence(m, ell, x, _seed_values(m, x))
+    for row in _degree_rows(m, ell, x, _seed_values(m, x)):
+        pass  # the last row is degree ell
+    return row
 
 
-def _degree_rows(m: int, ell: int, x: np.ndarray, seed: np.ndarray):
-    """Yield the order-m rows of degrees m..ell, carried up from the degree-m seed.
+def _degree_rows(m, ell: int, x: np.ndarray, seed: np.ndarray):
+    """Yield the rows of degree m + j, j = 0..ell - min(m), from degree-m seeds.
 
-    The one upward recurrence in degree; linear in the seed.  A generator,
-    so a caller that needs only the top row holds O(1) rows.
+    The one upward recurrence in degree; linear in the seed.  ``m`` is one
+    order (one seed row, Python-float coefficients) or a column of orders
+    (shape (k, 1), k seed rows) advancing together; order m reaches ell at
+    step ell - m, and higher orders run on past it.  Each element takes
+    the operations of its order alone, so a column gives its one-order
+    rows bit for bit.  A generator: O(1) rows are held.
     """
+    sqrt = math.sqrt if np.ndim(m) == 0 else np.sqrt
     prev = seed
     yield prev
-    if ell == m:
+    steps = ell - int(np.min(m))
+    if steps == 0:
         return
-    cur = math.sqrt(2 * m + 3) * x * prev
+    cur = sqrt(2 * m + 3) * x * prev
     yield cur
-    for deg in range(m + 2, ell + 1):
-        a = math.sqrt((4 * deg * deg - 1.0) / (deg * deg - m * m))
-        b = math.sqrt(((deg - 1.0) ** 2 - m * m) / (4.0 * (deg - 1.0) ** 2 - 1.0))
+    for step in range(2, steps + 1):
+        deg = m + step
+        a = sqrt((4 * deg * deg - 1.0) / (deg * deg - m * m))
+        b = sqrt(((deg - 1.0) ** 2 - m * m) / (4.0 * (deg - 1.0) ** 2 - 1.0))
         prev, cur = cur, a * (x * cur - b * prev)
         yield cur
-
-
-def _degree_recurrence(m: int, ell: int, x: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """The degree-ell row of :func:`_degree_rows`."""
-    return deque(_degree_rows(m, ell, x, seed), maxlen=1).pop()
 
 
 def radial_rows(ell: int, x) -> np.ndarray:
     """Rows g_ell^m for m = -ell..ell on nodes x: the theta factors of Y_ell^m.
 
-    Negative orders carry the Condon-Shortley convention
-    g_ell^{-m} = (-1)^m g_ell^m; row ell + m holds order m.
+    One recurrence over the column of orders 0..ell.  Negative orders carry
+    the Condon-Shortley convention g_ell^{-m} = (-1)^m g_ell^m; row ell + m
+    holds order m.
     """
-    g = np.stack([legendre_row(m, ell, x) for m in range(ell + 1)])
+    x = _check_nodes(x)
+    orders = np.arange(ell + 1)[:, None]
+    g = np.empty((ell + 1, x.size))
+    for j, rows in enumerate(_degree_rows(orders, ell, x, _seed_values(orders, x))):
+        g[ell - j] = rows[ell - j]  # order ell - j reaches degree ell at step j
     sign = np.where(np.arange(ell, 0, -1) % 2, -1.0, 1.0)[:, None]
     return np.concatenate([sign * g[:0:-1], g])
 
@@ -204,11 +216,13 @@ def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarr
         xs = x[cols]
         lift = np.ceil((_LOG_TINY - _seed_log_magnitude(m_top, xs)) / _LN2)
         lift = np.maximum(lift, 0.0).astype(int)
-        upper = _degree_recurrence(m_top, ell, xs, _seed_values(m_top, xs, lift))
+        for upper in _degree_rows(m_top, ell, xs, _seed_values(m_top, xs, lift)):
+            pass
         out[m_top - m_lo, cols] = upper
         if m_top > m_lo:
-            lower = _degree_recurrence(m_top - 1, ell, xs,
-                                       _seed_values(m_top - 1, xs, lift))
+            for lower in _degree_rows(m_top - 1, ell, xs,
+                                      _seed_values(m_top - 1, xs, lift)):
+                pass
             out[m_top - 1 - m_lo, cols] = lower
             # 1 - x*x is the sin^2 the seeds were built from (log1p(-x*x)),
             # so the cotangent matches them where 1 - x^2 is tiny
@@ -249,10 +263,6 @@ class RadialTable:
     values_g: np.ndarray
     underflow_nodes: int = 0
 
-    @property
-    def orders(self) -> np.ndarray:
-        return np.arange(self.m_lo, self.m_hi + 1)
-
 
 def legendre_band(ell: int, m_lo: int, m_hi: int, thetas) -> RadialTable:
     """Evaluate v_ell^m and g_ell^m for all orders m_lo..m_hi.
@@ -272,20 +282,6 @@ def legendre_band(ell: int, m_lo: int, m_hi: int, thetas) -> RadialTable:
     values_g, n_under = _order_band(ell, m_lo, m_hi, np.sin(thetas))
     values_v = np.sqrt(np.cos(thetas)) * values_g
     return RadialTable(ell, m_lo, m_hi, thetas, values_v, values_g, n_under)
-
-
-def radial_table_to_csv(table: RadialTable, path) -> None:
-    """Debug dump, one row per (order, node): columns m, theta, v, g."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "theta", "v", "g"])
-        for i, m in enumerate(table.orders):
-            for j, theta in enumerate(table.thetas):
-                writer.writerow(
-                    [int(m), repr(float(theta)),
-                     repr(float(table.values_v[i, j])),
-                     repr(float(table.values_g[i, j]))]
-                )
 
 
 # ---------------------------------------------------------------------------

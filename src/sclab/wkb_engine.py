@@ -132,6 +132,8 @@ def _error_density(q, q1, q2):
 # otherwise never loads it.
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_DOUBLINGS = 16
+# Relative change between panel doublings at which S and E are accepted
+ADAPTIVE_RTOL = 1e-10
 
 
 def _panel_nodes(edges):
@@ -146,12 +148,13 @@ def _panel_sums(values, half):
     return half * (values @ _GAUSS_WEIGHTS)
 
 
-def _from_zero(ell: int, m, theta: np.ndarray, rtol: float,
-               error: bool = False) -> np.ndarray:
+def _from_zero(ell: int, m, theta: np.ndarray, error: bool = False) -> np.ndarray:
     """S (odd in theta) or E (even) from 0 to every theta, panels doubling.
 
     The batch runs along ``theta`` at one order, or along an array of orders
     ``m`` at a one-element ``theta``; all its entries share the panel count.
+    Panels double until no entry changes by more than ``ADAPTIVE_RTOL``
+    relative.
     """
     m = np.asarray(m)[..., None, None]
     upper = np.abs(theta)
@@ -170,15 +173,15 @@ def _from_zero(ell: int, m, theta: np.ndarray, rtol: float,
         nodes, half = _panel_nodes(np.linspace(0.0, upper, n_panels + 1, axis=-1))
         vals = _panel_sums(integrand(nodes), half).sum(axis=-1)
         if prev is not None and np.all(
-            np.abs(vals - prev) <= rtol * np.maximum(np.abs(vals), 1e-300)
+            np.abs(vals - prev) <= ADAPTIVE_RTOL * np.maximum(np.abs(vals), 1e-300)
         ):
             return vals if error else np.sign(theta) * vals
         prev = vals
         n_panels *= 2
-    raise RuntimeError(f"adaptive quadrature failed to reach rtol={rtol}")
+    raise RuntimeError(f"adaptive quadrature failed to reach rtol={ADAPTIVE_RTOL}")
 
 
-def action_integral(ell: int, m: int, theta: float, rtol: float = 1e-10) -> float:
+def action_integral(ell: int, m: int, theta: float) -> float:
     """Accumulated phase S(theta) = int_0^theta sqrt(|Q|); odd in theta.
 
     Raises :class:`TurningPointError` if Q reaches 0 on the range, which
@@ -187,24 +190,24 @@ def action_integral(ell: int, m: int, theta: float, rtol: float = 1e-10) -> floa
     theta = float(theta)
     if theta == 0.0:
         return 0.0
-    return float(_from_zero(ell, m, np.array([theta]), rtol)[0])
+    return float(_from_zero(ell, m, np.array([theta]))[0])
 
 
-def action_values(ell: int, ms, theta: float, rtol: float = 1e-10) -> np.ndarray:
+def action_values(ell: int, ms, theta: float) -> np.ndarray:
     """S_{l,m}(theta) for a whole vector of orders at one angle."""
     ms = np.asarray(ms, dtype=int)
     theta = float(theta)
     if theta == 0.0:
         return np.zeros(ms.size)
-    return _from_zero(ell, ms, np.array([theta]), rtol)
+    return _from_zero(ell, ms, np.array([theta]))
 
 
-def wkb_error_functional(ell: int, m: int, theta: float, rtol: float = 1e-10) -> float:
+def wkb_error_functional(ell: int, m: int, theta: float) -> float:
     """Fedoryuk-form error integral E(theta); even, nonnegative, E(0) = 0."""
     theta = float(theta)
     if theta == 0.0:
         return 0.0
-    return float(_from_zero(ell, m, np.array([theta]), rtol, error=True)[0])
+    return float(_from_zero(ell, m, np.array([theta]), error=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +311,7 @@ def wkb_defect(ell: int, m: int, theta, action=None) -> np.ndarray:
     # with |Q|' = -Q' and |Q|'' = -Q'', A = |Q|^(-1/4) has
     a2 = (5.0 / 16.0) * absq**-2.25 * q1**2 + 0.25 * absq**-1.25 * q2
     if action is None:
-        action = _from_zero(ell, m, theta, 1e-10)
+        action = _from_zero(ell, m, theta)
     osc = np.cos(action) if (ell + m) % 2 == 0 else np.sin(action)
     return -a2 * osc
 
@@ -318,7 +321,8 @@ def window_q_bounds(ell: int, r: int, case_tag, eta1: float = DEFAULT_ETA1,
     """Fitted constants (c1, c2) with -c1 <= Q/scale <= -c2 over the window.
 
     scale is l*r in case "2" and l^2 in case "inf".  Both constants are
-    positive once l is past the sign threshold; experiments record them.
+    positive once l is past the sign threshold.  A diagnostic of the window
+    geometry: no experiment runner calls it.
     """
     case = normalize_case(case_tag)
     lo, hi = case_interval(ell, r, case, eta1, eta2)

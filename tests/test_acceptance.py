@@ -14,6 +14,7 @@ import pytest
 
 from sclab import acceptance as acc
 from sclab import experiments as ex
+from sclab import sphere_basis as sb
 from sclab.experiments import Check
 
 
@@ -93,6 +94,22 @@ def test_criterion_alone_does_not_reuse_an_earlier_run(monkeypatch):
     monkeypatch.setitem(ex.RUNNERS, "wkb_accuracy", lambda cfg: ([failing], [], ()))
     checks, _ = acc.run_criterion(criteria["c05-normalization-constants"])
     assert checks == [failing]
+
+
+@pytest.mark.parametrize("scaled", [0, 1])  # the values, then the derivatives
+def test_equator_anchors_can_fail(monkeypatch, scaled):
+    exact = sb.normalized_at_zero
+
+    def perturbed(ell, m):
+        pair = list(exact(ell, m))
+        pair[scaled] = pair[scaled] * (1.0 + 1e-9)
+        return tuple(pair)
+
+    monkeypatch.setattr(sb, "normalized_at_zero", perturbed)
+    checks, _ = acc.run_criterion(dict(acc.CRITERIA)["c03-equator-anchors"])
+    verdicts = {c.name: c.passed for c in checks}
+    assert verdicts == {"equator-value-agreement": scaled == 1,
+                        "equator-derivative-agreement": scaled == 0}
 
 
 def test_suite_aggregate_report(monkeypatch):

@@ -150,12 +150,6 @@ def test_exponent_branches_meet_at_breakpoint(n_dim):
     assert below[1] == pytest.approx(above[1], abs=1e-8)
 
 
-def test_default_p_grid_includes_breakpoint():
-    assert 6.0 in cd.DEFAULT_P_GRID
-    assert math.inf in cd.DEFAULT_P_GRID
-    assert all(p >= 2.0 for p in cd.DEFAULT_P_GRID)
-
-
 # ---------------------------------------------------------------------------
 # Concentration measure
 # ---------------------------------------------------------------------------

@@ -121,15 +121,6 @@ def test_cluster_lower_sup_norm_slope_tight():
     assert abs(sup_slope.measured - 1.0) <= 0.05
 
 
-def test_grid_size_overrides_are_honored():
-    cfg = ex.ExperimentConfig(experiment="heuristic_compare",
-                              ell_range=[100], n_theta=700)
-    checks, _, _ = ex.run_heuristic_compare(cfg)
-    assert all(c.passed for c in checks)
-    grid = ex._cluster_grid(10.0, n_theta=64, n_phi=80)
-    assert grid.n_theta == 64 and grid.n_phi == 80
-
-
 def test_cluster_upper_default_sweep_bounded():
     cfg = ex.ExperimentConfig(experiment="cluster_upper", seed=1)
     checks, rows, _ = ex.run_cluster_upper(cfg)
@@ -216,6 +207,12 @@ def test_unknown_experiment_rejected():
     ("cluster_lower", {"eta1": 100}, "ell_range"),
     ("cluster_lower", {"ell_range": [8, 16, 32, 64]}, "ell_range"),
     ("cluster_upper", {"seed": -1}, "seed"),
+    ("weyl", {"lambda_range": [10, math.inf]}, "lambda_range"),
+    ("schatten_dual", {"lambda_range": [5, 10, math.inf]}, "lambda_range"),
+    ("cluster_upper", {"lambda_range": [5, 10, math.inf]}, "lambda_range"),
+    ("kss_compare", {"lambda_range": [6, 9, 14, math.inf]}, "lambda_range"),
+    ("schatten_dual", {"lambda_range": [5, math.nan, 10]}, "lambda_range"),
+    ("kss_compare", {"lambda_range": [6, 9, math.nan, 20]}, "lambda_range"),
 ])
 def test_runner_rejects_unusable_ranges(experiment, overrides, field_name):
     cfg = ex.ExperimentConfig(experiment=experiment, **overrides)

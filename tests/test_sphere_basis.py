@@ -144,6 +144,21 @@ def test_degree_table_matches_single_rows():
         assert np.array_equal(table[ell - 4], sb.legendre_row(4, ell, x))
 
 
+@pytest.mark.parametrize("ell", [0, 1, 2, 5, 40, 127])
+def test_order_column_matches_one_order_recurrences(ell):
+    x = np.cos(sb.build_grid(256).theta_nodes)
+    orders = np.arange(ell + 1)[:, None]
+    alone = [sb._degree_rows(m, ell, x, sb._seed_values(m, x)) for m in range(ell + 1)]
+    column = sb._degree_rows(orders, ell, x, sb._seed_values(orders, x))
+    for step, rows in enumerate(column):
+        for m in range(ell + 1 - step):  # orders not yet past degree ell
+            assert np.array_equal(rows[m], next(alone[m]))
+    assert step == ell
+    assert all(next(gen, None) is None for gen in alone)
+    stacked = np.stack([sb.legendre_row(m, ell, x) for m in range(ell + 1)])
+    assert np.array_equal(sb.radial_rows(ell, x)[ell:], stacked)
+
+
 def test_ode_residual_second_order_convergence():
     # centered second difference of v against Q v, halving the step
     ell, m = 30, 12
@@ -391,19 +406,3 @@ def test_cluster_rank_membership(lam):
 def test_cluster_can_fall_into_an_eigenvalue_gap():
     # [lam^2, (lam+1)^2) fits between 10*11 and 11*12 here
     assert sb.cluster_rank(10.4885) == ([], 0)
-
-
-# ---------------------------------------------------------------------------
-# Table dump
-# ---------------------------------------------------------------------------
-
-def test_radial_table_csv_roundtrip(tmp_path):
-    table = sb.legendre_band(6, 2, 4, np.linspace(-1.0, 1.0, 5))
-    path = tmp_path / "table.csv"
-    sb.radial_table_to_csv(table, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "m,theta,v,g"
-    assert len(lines) == 1 + 3 * 5
-    first = lines[1].split(",")
-    assert int(first[0]) == 2
-    assert float(first[2]) == table.values_v[0, 0]
