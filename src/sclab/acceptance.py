@@ -26,7 +26,7 @@ from .experiments import (AcceptanceReport, Check, ExperimentConfig, RUNNERS,
 RUNTIME_BUDGETS = {  # seconds; criteria without an entry are unbudgeted
     "c01-weyl": 1.0,
     "c02-orthonormality": 6.0,  # ~15x its 0.40 s median alone in a fresh process
-    "c03-equator-anchors": 10.0,
+    "c03-equator-anchors": 1.6,  # ~15x its 0.11 s median in a slow phase (0.047 s typical)
     "c04-wkb-accuracy": 0.8,  # ~18x its 0.045 s median alone in a fresh process
     "c06-kuzmin-landau": 1.0,  # ~16x its 0.064 s median, likewise
     "c08-optimality-slopes": 5.0,  # ~17x its 0.29 s median on 2 cores

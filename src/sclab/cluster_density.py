@@ -26,14 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere_basis import SphereGrid, _order_band, build_grid, cluster_rank, ylm_matrix
+from .sphere_basis import (GridResolutionError, SphereGrid, _order_band, build_grid,
+                           cluster_rank, ylm_matrix)
 from .wkb_engine import case_window, normalize_case
 
 SPHERE_AREA = 4.0 * math.pi
-
-
-class UnderResolvedError(RuntimeError):
-    """Doubling the colatitude grid moved the requested norms too much."""
 
 
 @dataclass(frozen=True)
@@ -47,9 +44,7 @@ class ClusterSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "case_tag", normalize_case(self.case_tag))
-        window = case_window(self.ell, self.r, self.case_tag)
-        if window.size != self.r or window.min() < 0 or window.max() > self.ell:
-            raise ValueError("window must hold r orders inside [0, ell]")
+        case_window(self.ell, self.r, self.case_tag)  # 1 <= r <= ell/2 or ValueError
         if self.nu is not None:
             nu = np.asarray(self.nu, dtype=float)
             if nu.shape != (self.r,):
@@ -121,15 +116,15 @@ def density(spec: ClusterSpec, grid: SphereGrid, check_convergence: bool = False
     """Window density on the grid's colatitude nodes.
 
     Resolving the fastest oscillation takes n_theta >= 4 l; coarser grids
-    are rejected unless ``allow_coarse`` (used to demonstrate the
-    convergence flag).  With ``check_convergence`` the p = 2 and p = 6
+    raise GridResolutionError unless ``allow_coarse`` (used to demonstrate
+    the convergence flag).  With ``check_convergence`` the p = 2 and p = 6
     quadrature norms are recomputed on a doubled grid and a drift above
-    1e-6 relative raises :class:`UnderResolvedError`.  The sup norm is not
-    part of the drift check: a node maximum is sampling-limited and moves
-    at O(h^2) even on fully resolved grids.
+    1e-6 relative raises GridResolutionError.  The sup norm is not part of
+    the drift check: a node maximum is sampling-limited and moves at O(h^2)
+    even on fully resolved grids.
     """
     if grid.n_theta < 4 * spec.ell and not allow_coarse:
-        raise UnderResolvedError(
+        raise GridResolutionError(
             f"n_theta={grid.n_theta} < 4*ell={4 * spec.ell}; "
             "pass allow_coarse=True to override"
         )
@@ -139,7 +134,7 @@ def density(spec: ClusterSpec, grid: SphereGrid, check_convergence: bool = False
         for p in (2.0, 6.0):
             a, b = profile.norm(p), fine.norm(p)
             if abs(a - b) > 1e-6 * abs(b):
-                raise UnderResolvedError(
+                raise GridResolutionError(
                     f"L^{p/2} norm drifts by {abs(a - b) / abs(b):.2e} under doubling"
                 )
     return profile

@@ -7,7 +7,8 @@ monotone and confined to [eps, 2 pi - eps] satisfies
 
 by summation by parts against a telescoping cotangent sum.  The increments
 may be monotone in either direction: reversing the sequence leaves the
-modulus unchanged, so both orderings are accepted and normalized here.
+modulus unchanged, so :func:`cluster_phase_sum` accepts both orderings
+when it flags monotonicity.
 
 The cluster phase sums Phi_m = 2 S_{l,m}(theta) + m pi fall into this
 regime: increments are non-increasing in m because sqrt is concave and
@@ -19,7 +20,6 @@ a window behave like their non-oscillatory part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -27,43 +27,8 @@ import numpy as np
 from .wkb_engine import (DEFAULT_ETA1, DEFAULT_ETA2, action_values,
                          case_interval, case_window, normalize_case)
 
-# slack for monotonicity of increments computed through quadrature, and for
-# roundoff at the ends of the admissible increment range
+# slack for monotonicity of increments computed through quadrature
 _MONOTONE_TOL = 1e-9
-_RANGE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PhaseSequence:
-    """Validated phases with monotone increments in [eps, 2 pi - eps].
-
-    ``direction`` is +1 when increments are non-decreasing, -1 when
-    non-increasing (ties allowed).
-    """
-
-    phases: np.ndarray
-    eps: float
-    direction: int = field(init=False)
-
-    def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=float)
-        object.__setattr__(self, "phases", phases)
-        if phases.ndim != 1 or phases.size < 2:
-            raise ValueError("need at least two phases")
-        if not 0.0 < self.eps <= math.pi:
-            raise ValueError("eps must lie in (0, pi]")
-        h = np.diff(phases)
-        if np.any(h < self.eps - _RANGE_TOL) or np.any(
-            h > 2.0 * math.pi - self.eps + _RANGE_TOL
-        ):
-            raise ValueError("increments must lie in [eps, 2 pi - eps]")
-        dh = np.diff(h)
-        if np.all(dh <= _MONOTONE_TOL):
-            object.__setattr__(self, "direction", -1)
-        elif np.all(dh >= -_MONOTONE_TOL):
-            object.__setattr__(self, "direction", +1)
-        else:
-            raise ValueError("increments must be monotone (either direction)")
 
 
 def kuzmin_landau_bound(eps: float) -> float:
@@ -73,11 +38,6 @@ def kuzmin_landau_bound(eps: float) -> float:
     return 1.0 / math.tan(eps / 4.0)
 
 
-def exp_sum(seq: PhaseSequence) -> complex:
-    """Direct sum of exp(i Phi_k); modulus is <= kuzmin_landau_bound(seq.eps)."""
-    return complex(np.exp(1j * seq.phases).sum())
-
-
 class PhaseSumCheck(NamedTuple):
     total: complex
     bound_holds: bool
@@ -85,26 +45,15 @@ class PhaseSumCheck(NamedTuple):
     separated: bool
 
 
-def phase_increments(ell: int, case_tag, r: int, eta1: float = DEFAULT_ETA1,
-                     eta2: float = DEFAULT_ETA2, theta: float = 0.0) -> np.ndarray:
-    """Increments Phi_m - Phi_{m-1} = 2(S_{l,m} - S_{l,m-1}) + pi over the window."""
-    case = normalize_case(case_tag)
-    lo, hi = case_interval(ell, r, case, eta1, eta2)
-    if not lo <= theta <= hi:
-        raise ValueError(f"theta={theta} outside the case-{case} interval")
-    ms = case_window(ell, r, case)
-    actions = action_values(ell, ms, theta)
-    return 2.0 * np.diff(actions) + math.pi
-
-
 def cluster_phase_sum(ell: int, case_tag, r: int, eta1: float = DEFAULT_ETA1,
                       eta2: float = DEFAULT_ETA2, theta: float = 0.0) -> PhaseSumCheck:
     """Sum exp(i (2 S_{l,m}(theta) + m pi)) over the case window, with flags.
 
-    Flags report (a) monotonicity of the increments in m, (b) separation of
-    every increment from 0 and 2 pi, and (c) whether |sum| respects the
-    cotangent bound at the observed separation.  Flag failures never raise:
-    experiments record the first degree at which all flags turn true.
+    Flags report (a) monotonicity of the increments in m, either way,
+    (b) separation of every increment from 0 and 2 pi, and (c) whether
+    |sum| respects the cotangent bound at the observed separation.  They
+    are the one check of the bound's hypotheses and never raise; the
+    phase-sum experiment requires all three at every sampled angle.
     """
     case = normalize_case(case_tag)
     lo, hi = case_interval(ell, r, case, eta1, eta2)

@@ -31,7 +31,9 @@ matrices, and the dense matrices stay only as test oracles.
   :func:`projector_gram` and :func:`kss_bound`): an FFT of |W|^2 along
   each azimuthal ring, then one theta sum per pair of basis functions,
   O(n_theta dim^2) instead of O(n_theta n_phi dim^2).  Same quadrature,
-  so the entries agree with the mesh product to roundoff.
+  so the entries agree with the mesh product to roundoff.  The kernel
+  itself refuses a grid too coarse for that quadrature to be exact
+  enough, so both callers share the one resolution check.
 - Paraboloid (:func:`paraboloid_model`): phase and amplitude separate over
   x_1 and x_2, so M^H M is the entrywise product of two n_y x n_y Grams,
   O(n_x n_y^2) with no n_x^2 x n_y matrix.
@@ -62,7 +64,7 @@ from typing import Callable
 import numpy as np
 
 from .cluster_density import exponents, lp_norm
-from .sphere_basis import SphereGrid, cluster_rank, radial_rows
+from .sphere_basis import GridResolutionError, SphereGrid, cluster_rank, radial_rows
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,10 @@ def make_report(lam: float, p: float, singular_values: np.ndarray) -> SchattenRe
 # Cluster compressions
 # ---------------------------------------------------------------------------
 
+# Degrees of |W|^2 that a cluster grid must resolve on top of 2 l_max.
+WEIGHT_DEGREE_HINT = 8
+
+
 def weighted_cluster_gram(ells, w_samples, grid: SphereGrid) -> np.ndarray:
     """G_ab = int |W|^2 conj(Y_a) Y_b over the cluster basis of degrees ``ells``.
 
@@ -111,7 +117,18 @@ def weighted_cluster_gram(ells, w_samples, grid: SphereGrid) -> np.ndarray:
     e^{-i k phi_j}, and G_ab = sum_theta w_theta g_a g_b c_{m_a - m_b}(theta),
     one diagonal m_a - m_b at a time.  That costs O(n_theta dim^2) plus the
     FFT, against O(n_theta n_phi dim^2) for the product of the mesh matrices.
+
+    ``w_samples(theta, phi)`` must be real and bounded.  The grid has to
+    integrate products of two cluster harmonics against |W|^2 exactly
+    enough: degree > 2 l_max + WEIGHT_DEGREE_HINT in colatitude and
+    n_phi > 2 l_max + WEIGHT_DEGREE_HINT in azimuth, else the reduction is
+    not trusted and a GridResolutionError is raised.  ``ells`` is nonempty.
     """
+    ell_max = max(ells)
+    for name, size in (("grid degree", grid.degree), ("n_phi", grid.n_phi)):
+        if size <= 2 * ell_max + WEIGHT_DEGREE_HINT:
+            raise GridResolutionError(
+                f"{name} {size} <= 2*{ell_max} + {WEIGHT_DEGREE_HINT}")
     thetas, phis = grid.mesh()
     w_sq = np.asarray(w_samples(thetas, phis), dtype=float) ** 2
     coef = np.fft.fft(w_sq.reshape(grid.n_theta, grid.n_phi), axis=1)
@@ -133,33 +150,15 @@ def weighted_cluster_gram(ells, w_samples, grid: SphereGrid) -> np.ndarray:
     return gram
 
 
-# Degrees of |W|^2 that a cluster grid must resolve on top of 2 l_max.
-WEIGHT_DEGREE_HINT = 8
-
-
 def projector_gram(lam: float, w_samples, grid: SphereGrid) -> np.ndarray:
     """Descending eigenvalues of W Pi W via the cluster Gram matrix.
 
-    ``w_samples(theta, phi)`` must be real and bounded.  The grid has to
-    integrate products of two cluster harmonics against |W|^2 exactly
-    enough: degree > 2 l_max + WEIGHT_DEGREE_HINT in colatitude and
-    n_phi > 2 l_max + WEIGHT_DEGREE_HINT in azimuth, else the reduction is
-    not trusted and a GridResolutionError is raised.
+    The weight and the grid are those of :func:`weighted_cluster_gram`,
+    which raises GridResolutionError on a grid too coarse for the cluster.
     """
-    from .sphere_basis import GridResolutionError
-
     ells, _ = cluster_rank(lam)
     if not ells:
         return np.zeros(0)
-    ell_max = max(ells)
-    if grid.degree <= 2 * ell_max + WEIGHT_DEGREE_HINT:
-        raise GridResolutionError(
-            f"grid degree {grid.degree} <= 2*{ell_max} + {WEIGHT_DEGREE_HINT}"
-        )
-    if grid.n_phi <= 2 * ell_max + WEIGHT_DEGREE_HINT:
-        raise GridResolutionError(
-            f"n_phi {grid.n_phi} <= 2*{ell_max} + {WEIGHT_DEGREE_HINT}"
-        )
     gram = weighted_cluster_gram(ells, w_samples, grid)
     eigs = np.linalg.eigvalsh(gram)[::-1]
     return np.clip(eigs, 0.0, None)
@@ -437,7 +436,9 @@ def kss_bound(beta, w_samples, p: float, grid: SphereGrid,
     beta(sqrt(Delta)) restricted to degrees l <= n_max, via the Gram matrix
     of the functions beta_j W Y_j.  rhs: ||W||_p times the l^p norm of
     sup_{[n,n+1]} |beta| with weights C (1+n), C = SPHERE_WEYL_CONST, the
-    sup sampled on 64 points per unit interval.  Requires lhs <= rhs.
+    sup sampled on 64 points per unit interval.  Requires lhs <= rhs.  The
+    grid must resolve the degrees where beta is nonzero, as in
+    :func:`weighted_cluster_gram`, else GridResolutionError.
     """
     if p < 2:
         raise ValueError("p must be >= 2")

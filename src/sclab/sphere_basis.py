@@ -77,7 +77,7 @@ _MAX_LIFT = 1000
 
 
 class GridResolutionError(ValueError):
-    """A quadrature grid is too coarse for the requested computation."""
+    """A quadrature grid is too coarse: for the cluster Gram or a window density."""
 
 
 # ---------------------------------------------------------------------------

@@ -321,8 +321,8 @@ def window_q_bounds(ell: int, r: int, case_tag, eta1: float = DEFAULT_ETA1,
     """Fitted constants (c1, c2) with -c1 <= Q/scale <= -c2 over the window.
 
     scale is l*r in case "2" and l^2 in case "inf".  Both constants are
-    positive once l is past the sign threshold.  A diagnostic of the window
-    geometry: no experiment runner calls it.
+    positive once l is past the sign threshold; the WKB runners require
+    c2 > 0, that Q < 0 for every order on the whole interval.
     """
     case = normalize_case(case_tag)
     lo, hi = case_interval(ell, r, case, eta1, eta2)

@@ -50,9 +50,9 @@ def test_weighted_trace_identity():
 
 def test_coarse_grid_rejected_and_flagged():
     spec = cd.ClusterSpec(100, 10, "2")
-    with pytest.raises(cd.UnderResolvedError):
+    with pytest.raises(sb.GridResolutionError):
         cd.density(spec, sb.build_grid(100))
-    with pytest.raises(cd.UnderResolvedError):
+    with pytest.raises(sb.GridResolutionError):
         cd.density(spec, sb.build_grid(100), check_convergence=True,
                    allow_coarse=True)
     cd.density(spec, sb.build_grid(400), check_convergence=True)  # clean

@@ -6,6 +6,7 @@ import pytest
 
 from sclab import cli
 from sclab import experiments as ex
+from sclab import wkb_engine as wkb
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +78,22 @@ def test_parse_config_bad_values():
         ex.parse_config("seed = 1\n")
     with pytest.raises(ex.ConfigError, match="line 2"):
         ex.parse_config("experiment = weyl\njust some words\n")
+    # non-finite tokens parse as floats; the runner names the field
+    cfg = ex.parse_config("experiment = weyl\nlambda_range = 10, Infinity\n")
+    assert cfg.lambda_range == [10, math.inf]
+    with pytest.raises(ex.ConfigError, match="field 'lambda_range'"):
+        ex.run(cfg)
+    cfg = ex.parse_config("experiment = cluster_upper\nlambda_range = -inf, 5, 10\n")
+    assert cfg.lambda_range == [-math.inf, 5, 10]
+    with pytest.raises(ex.ConfigError, match="field 'lambda_range'"):
+        ex.run(cfg)
+    assert ex.parse_config("experiment = weyl\np_list = 4, +inf\n").p_list == [4, math.inf]
+    with pytest.raises(ex.ConfigError, match="line 2: field 'p_list'"):
+        ex.parse_config("experiment = weyl\np_list = 4, nan\n")
+    # a repeated key names both of its lines
+    with pytest.raises(ex.ConfigError, match="line 3: key 'experiment' repeats line 1"):
+        ex.parse_config("experiment = cluster_upper\nlambda_range = 5, 10\n"
+                        "experiment = weyl\n")
 
 
 def test_empty_range_rejected():
@@ -213,11 +230,26 @@ def test_unknown_experiment_rejected():
     ("kss_compare", {"lambda_range": [6, 9, 14, math.inf]}, "lambda_range"),
     ("schatten_dual", {"lambda_range": [5, math.nan, 10]}, "lambda_range"),
     ("kss_compare", {"lambda_range": [6, 9, math.nan, 20]}, "lambda_range"),
+    # windows whose Q reaches 0 on their interval (eta1 near 2, wide r)
+    *[(name, {"ell_range": ells, "eta1": 2.05, "eta2": eta2, "zeta": 0.7},
+       "ell_range")
+      for name in ("phase_sums", "wkb_accuracy")
+      for ells in ([30, 40, 60, 90], [16, 24, 32, 48])
+      for eta2 in (0.5, 1.0, 1.41)],
 ])
 def test_runner_rejects_unusable_ranges(experiment, overrides, field_name):
     cfg = ex.ExperimentConfig(experiment=experiment, **overrides)
     with pytest.raises(ex.ConfigError, match=f"field '{field_name}'"):
         ex.run(cfg)
+
+
+def test_phase_sum_tie_back_can_fail(monkeypatch):
+    # the per-order action integrals are the tie-back's independent route
+    exact = wkb.action_integral
+    monkeypatch.setattr(wkb, "action_integral",
+                        lambda ell, m, theta: exact(ell, m, theta) * (1.0 + 1e-9))
+    checks, _, _ = ex.run_phase_sums(ex.ExperimentConfig(experiment="phase_sums"))
+    assert [c.name for c in checks if not c.passed] == ["phase-sum-matches-exp-sum"]
 
 
 def test_window_error_gives_zeta_and_radius():

@@ -33,41 +33,18 @@ def test_bound_domain():
 
 
 # ---------------------------------------------------------------------------
-# Phase sequences
+# Direct sums against the bound
 # ---------------------------------------------------------------------------
 
-def test_sequence_accepts_both_monotone_directions():
-    eps = 0.4
-    inc = np.array([1.5, 1.2, 1.0, 0.8, 0.5])
-    seq = es.PhaseSequence(np.concatenate([[0.0], np.cumsum(inc)]), eps)
-    assert seq.direction == -1
-    seq = es.PhaseSequence(np.concatenate([[0.0], np.cumsum(inc[::-1])]), eps)
-    assert seq.direction == +1
-
-
-def test_sequence_rejections():
-    with pytest.raises(ValueError):  # mixed monotonicity
-        es.PhaseSequence(np.array([0.0, 1.0, 1.5, 2.8]), 0.3)
-    with pytest.raises(ValueError):  # increment below eps
-        es.PhaseSequence(np.array([0.0, 0.1, 0.2]), 0.3)
-    with pytest.raises(ValueError):  # increment above 2 pi - eps
-        es.PhaseSequence(np.array([0.0, 6.2]), 0.3)
-    with pytest.raises(ValueError):  # eps out of range
-        es.PhaseSequence(np.array([0.0, 1.0]), 4.0)
-    with pytest.raises(ValueError):  # too short
-        es.PhaseSequence(np.array([1.0]), 0.5)
-
-
 def test_alternating_sum_stays_below_one():
-    seq = es.PhaseSequence(np.arange(6) * math.pi, math.pi)
-    assert abs(es.exp_sum(seq)) <= 1.0
-    assert abs(es.exp_sum(seq)) == pytest.approx(0.0, abs=1e-12)
+    total = np.exp(1j * (np.arange(6) * math.pi)).sum()
+    assert abs(total) <= 1.0
+    assert abs(total) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_geometric_progression_closed_form():
     eps, k = 0.3, 1000
-    seq = es.PhaseSequence(np.arange(k + 1) * eps, eps)
-    total = es.exp_sum(seq)
+    total = np.exp(1j * (np.arange(k + 1) * eps)).sum()
     closed = abs(math.sin((k + 1) * eps / 2.0) / math.sin(eps / 2.0))
     assert abs(total) == pytest.approx(closed, abs=1e-9)
     assert abs(total) <= es.kuzmin_landau_bound(eps)
@@ -88,11 +65,10 @@ def test_cotangent_bound_property(eps, k, descending, phase0, seed):
     if descending:
         inc = inc[::-1]
     phases = phase0 + np.concatenate([[0.0], np.cumsum(inc)])
-    seq = es.PhaseSequence(phases, eps)
     # where the bound is attained, the float sum of k + 1 unit terms may
     # exceed it by roundoff: allow (k + 1) ulps of the bound
     bound = es.kuzmin_landau_bound(eps)
-    assert abs(es.exp_sum(seq)) <= bound * (1.0 + (k + 1) * 2.0**-52)
+    assert abs(np.exp(1j * phases).sum()) <= bound * (1.0 + (k + 1) * 2.0**-52)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +122,8 @@ def test_increment_separation_stable_in_degree(case):
     for ell in (200, 800):
         r = wkb.band_radius(ell)
         _, hi = wkb.case_interval(ell, r, case)
-        h = es.phase_increments(ell, case, r, theta=0.9 * hi)
+        window = wkb.case_window(ell, r, case)
+        h = 2 * np.diff(wkb.action_values(ell, window, 0.9 * hi)) + math.pi
         assert np.all(h > 2.0) and np.all(h <= math.pi + 1e-12)
         deficits[ell] = math.pi - float(h.min())
     assert 0.7 < deficits[200] / deficits[800] < 1.4
@@ -154,8 +131,8 @@ def test_increment_separation_stable_in_degree(case):
 
 def test_increments_match_action_differences():
     ell, r, theta = 120, 11, 0.05
-    h = es.phase_increments(ell, "2", r, theta=theta)
     window = wkb.case_window(ell, r, "2")
+    h = 2 * np.diff(wkb.action_values(ell, window, theta)) + math.pi
     actions = [wkb.action_integral(ell, int(m), theta) for m in window]
     manual = 2.0 * np.diff(actions) + math.pi
     assert np.allclose(h, manual, rtol=1e-10)

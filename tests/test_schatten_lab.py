@@ -82,6 +82,10 @@ def test_gram_requires_adequate_grid():
         sl.projector_gram(10.0, lambda t, p: np.ones_like(t), sb.build_grid(12, 40))
     with pytest.raises(sb.GridResolutionError):
         sl.projector_gram(10.0, lambda t, p: np.ones_like(t), sb.build_grid(24, 20))
+    # kss_bound shares the check: the cluster at lambda = 10 is l = 10
+    for grid in (sb.build_grid(24, 20), sb.build_grid(12, 40)):
+        with pytest.raises(sb.GridResolutionError):
+            sl.kss_bound(indicator(10.0), reference_weight, 6.0, grid, 11)
 
 
 def test_gram_route_matches_kernel_route():
