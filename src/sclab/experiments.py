@@ -369,6 +369,10 @@ def run_cluster_lower(cfg: ExperimentConfig):
         "2": _exponent_list(cfg, [2.0, 4.0, 6.0]),
         "inf": _exponent_list(cfg, [6.0, 8.0, math.inf]),
     }
+    # the case-inf prediction is the saturating branch, which holds for p >= 6
+    if min(case_plists["inf"]) < 6.0:
+        raise ConfigError(f"field 'p_list': the case-inf slope prediction holds "
+                          f"for p >= 6, got {case_plists['inf']}")
     radii = [_wkb_band_radius(cfg, ell) for ell in ells]
     profiles = {}
     for ell, r in zip(ells, radii):

@@ -37,21 +37,35 @@ matrices, and the dense matrices stay only as test oracles.
 - Paraboloid (:func:`paraboloid_model`): phase and amplitude separate over
   x_1 and x_2, so M^H M is the entrywise product of two n_y x n_y Grams,
   O(n_x n_y^2) with no n_x^2 x n_y matrix.
-- Distance (:func:`distance_model`): |x - y| does not separate, so M M^H
-  is summed over blocks of at most GRAM_BLOCK_ENTRIES entries of M, in
-  real arithmetic: Re G = [C S][C S]^T and Im G = X - X^T, X = S C^T,
-  half the flops of the complex product.
+- Distance (:func:`distance_model`): |x - y| does not separate, but the
+  boxes are centred on 0, the ring depends on |x - y| only and the Gauss
+  nodes are symmetric, so each axis reflection of the square commutes
+  with M.  In the per-axis even/odd basis M M^H splits into four
+  Hermitian blocks, one per parity pair, each built from the kernel on
+  one quadrant of x nodes against the four reflected images of one
+  quadrant of y nodes: a quarter of the cos/sin work and ~1/16 of the
+  products and of the eigensolve.  Each block is summed over blocks of y
+  nodes (at most GRAM_BLOCK_ENTRIES kernel entries each) in real
+  arithmetic: Re G = [C S][C S]^T and Im G = X - X^T, X = S C^T, half
+  the flops of the complex product.
+
+Every model holds its Gram as a tuple of diagonal blocks (one for the
+paraboloid, four for the distance), and :func:`gram_singular_values`
+merges their spectra.
 
 Precision.  A Gram squares the singular values, so its eigenvalues carry
 an absolute error ~eps sigma_max^2 and a singular value below
 ~sqrt(eps) sigma_max (~1.5e-8 sigma_max) is roundoff, whatever the route.
-Two routes agree on those only as squares.  The benchmark's references
-pin two such values of the lam ~ 8 paraboloid (sigma_8 ~ 4e-8 and
-sigma_9 ~ 9e-9, at the 12-node floor of both axes) to 1e-6 relative
-plus 1e-11, and the separable Gram moves sigma_9 by 1-5% relative at
-lam = 7.9-8.1.  So matrices of at most
-DENSE_RUNG_ENTRIES entries (144 x 12) keep the dense product M^H M, bit
-for bit the oracle's.
+Two routes agree on those only as squares.  The parity split adds an
+error of the same order: the Gauss nodes and weights are symmetric only
+to roundoff, and the split takes each reflected node as the exact mirror
+image, so it is tested against the dense oracle (top singular values
+within ~4e-15 sigma_max).  The benchmark's references pin two values of
+the lam ~ 8 paraboloid below that floor (sigma_8 ~ 4e-8 and
+sigma_9 ~ 9e-9, at the 12-node floor of both axes) to 1e-6 relative plus
+1e-11, and the separable Gram moves sigma_9 by 1-5% relative at
+lam = 7.9-8.1.  So matrices of at most DENSE_RUNG_ENTRIES entries
+(144 x 12) keep the dense product M^H M, bit for bit the oracle's.
 """
 
 from __future__ import annotations
@@ -233,15 +247,19 @@ def _smaller_gram(matrix: np.ndarray) -> np.ndarray:
     return matrix.conj().T @ matrix
 
 
-def gram_singular_values(gram: np.ndarray) -> np.ndarray:
-    """Descending singular values of M, given its Gram M^H M or M M^H."""
-    eigs = np.linalg.eigvalsh(gram)[::-1]
+def gram_singular_values(blocks) -> np.ndarray:
+    """Descending singular values of M, given its Gram M^H M or M M^H.
+
+    ``blocks`` are the Gram's diagonal blocks (Hermitian; a sequence, even
+    for a single block); their spectra are merged.
+    """
+    eigs = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[::-1]
     return np.sqrt(np.clip(eigs, 0.0, None))
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
     """Descending singular values; routed through the smaller Gram side."""
-    return gram_singular_values(_smaller_gram(matrix))
+    return gram_singular_values((_smaller_gram(matrix),))
 
 
 def paraboloid_phase(x_nodes: np.ndarray, y_nodes: np.ndarray) -> np.ndarray:
@@ -261,13 +279,14 @@ class OscillatoryModel:
     """A discretized W T_lam at one resolution, held as its Gram matrix.
 
     ``gram`` is M^H M or M M^H of the weighted Nystrom matrix M (see each
-    builder for the side); its eigenvalues are the squared singular values.
+    builder for the side and the basis), as a tuple of its diagonal blocks;
+    their eigenvalues together are the squared singular values.
     ``matrix`` is M itself, assembled densely on first access: the oracle
     that the structured Gram routes are tested against.
     """
 
     lam: float
-    gram: np.ndarray
+    gram: tuple[np.ndarray, ...]
     n_x_axis: int
     n_y_axis: int
     dense: Callable[[], np.ndarray] = field(repr=False, compare=False)
@@ -327,22 +346,58 @@ def paraboloid_model(lam: float, points_per_wavelength: float = 10.0,
 
     if n_x * n_x * n_y <= DENSE_RUNG_ENTRIES:
         mat = dense()
-        return OscillatoryModel(lam, _smaller_gram(mat), n_x, n_y, lambda: mat)
+        return OscillatoryModel(lam, (_smaller_gram(mat),), n_x, n_y, lambda: mat)
     y, y_w = _axis_rule(*Y_BOX_PARABOLOID[0], n_y)
     a1 = _bump_factor(*X_BOX_PARABOLOID[0], n_x, lam, y)
     a2 = _bump_factor(*X_BOX_PARABOLOID[1], n_x, lam, 0.5 * y * y)
     d = np.sqrt(y_w) * box_bump(y[:, None], Y_BOX_PARABOLOID)
     gram = (a1.conj().T @ a1) * (a2.conj().T @ a2)
     gram *= np.outer(d, d)
-    return OscillatoryModel(lam, gram, n_x, n_y, dense)
+    return OscillatoryModel(lam, (gram,), n_x, n_y, dense)
 
 
 X_BOX_DISTANCE = ((-0.3, 0.3), (-0.3, 0.3))
 Y_BOX_DISTANCE = ((-0.9, 0.9), (-0.9, 0.9))
 DISTANCE_RING = (0.2, 0.8)
-# Columns of M per Gram block, as a count of matrix entries: each block's
-# float arrays stay near 8 MB whatever the resolution.
+# y-quadrant nodes per Gram block, as a count of kernel entries over the
+# four reflected images: each block's float arrays stay near 8 MB whatever
+# the resolution.
 GRAM_BLOCK_ENTRIES = 1 << 20
+
+
+def _half_axis(lo: float, hi: float, n: int):
+    """First ceil(n/2) Gauss nodes of [lo, hi], with their factors by parity.
+
+    The factors are sqrt(w) bump(t), as (even, odd).  On an odd count the
+    last of these nodes is the centre: it gets 1/sqrt(2) in the even
+    parity and 0 in the odd one, which holds no centre.
+    """
+    nodes, weights = _axis_rule(lo, hi, n)
+    half = (n + 1) // 2
+    even = np.sqrt(weights[:half]) * box_bump(nodes[:half, None], ((lo, hi),))
+    odd = even.copy()
+    if n % 2:
+        even[-1] *= math.sqrt(0.5)
+        odd[-1] = 0.0
+    return nodes[:half], (even, odd)
+
+
+def _quadrant(axes):
+    """Tensor nodes of two half axes (ij order) and per-parity factors."""
+    (u1, f1), (u2, f2) = axes
+    nodes = [np.repeat(u1, u2.size), np.tile(u2, u1.size)]
+    factors = [[np.outer(a, b).ravel() for b in f2] for a in f1]
+    return nodes, factors
+
+
+def _image_distances(x, y) -> np.ndarray:
+    """|x - (d1 y1, d2 y2)| over the sign pairs d, shape (2, 2, len x, len y).
+
+    Index 0 of an axis is the node itself, index 1 its mirror image.
+    """
+    sq = [np.stack((np.subtract.outer(xa, ya), np.add.outer(xa, ya))) ** 2
+          for xa, ya in zip(x, y)]
+    return np.sqrt(sq[0][:, None] + sq[1][None, :])
 
 
 def distance_model(lam: float, points_per_wavelength: float = 10.0,
@@ -352,14 +407,24 @@ def distance_model(lam: float, points_per_wavelength: float = 10.0,
     The amplitude vanishes unless d(x, y) sits inside DISTANCE_RING, the
     annulus hypothesis of the distance-phase scaling; |grad psi| = 1 on
     both sides fixes the resolution rule.  The x box is the smaller one,
-    so the Gram is M M^H on the x side.  |x - y| does not separate, so it
-    is summed over blocks of y columns: with M = C + iS in real arithmetic,
-    Re G = [C S][C S]^T and Im G = X - X^T with X = S C^T.
+    so the Gram is M M^H on the x side.
+
+    Both boxes are centred on 0 and the ring depends on |x - y| only, so
+    M(R x, R y) = M(x, y) for the reflection R of either axis, and M M^H
+    is block diagonal in the per-axis even/odd basis: one block per parity
+    pair (s1, s2).  Block s has M_s(x, y) = sum_d s^d M(x, d y) over the
+    four reflections d, with x and y in one quadrant; a centre node (odd
+    count) scales it by 1/sqrt(2) and is absent from the odd parity.  The
+    kernel is evaluated on the quadrants only and summed over blocks of y
+    nodes, with M_s = C + iS in real arithmetic:
+    Re G_s = [C S][C S]^T and Im G_s = X - X^T with X = S C^T.
     """
+    for lo, hi in X_BOX_DISTANCE + Y_BOX_DISTANCE:
+        if lo != -hi:
+            raise ValueError(f"the parity split needs boxes centred on 0, "
+                             f"got the interval ({lo}, {hi})")
     n_x = _axis_count(lam, 0.6, 1.0, points_per_wavelength) * refine
     n_y = _axis_count(lam, 1.8, 1.0, points_per_wavelength) * refine
-    x_nodes, x_w = gauss_box(X_BOX_DISTANCE, n_x)
-    y_nodes, y_w = gauss_box(Y_BOX_DISTANCE, n_y)
     ring_lo, ring_hi = DISTANCE_RING
     center, halfwidth = 0.5 * (ring_lo + ring_hi), 0.5 * (ring_hi - ring_lo)
 
@@ -370,33 +435,48 @@ def distance_model(lam: float, points_per_wavelength: float = 10.0,
         return base * bump((dist - center) / halfwidth)
 
     def dense():
+        x_nodes, x_w = gauss_box(X_BOX_DISTANCE, n_x)
+        y_nodes, y_w = gauss_box(Y_BOX_DISTANCE, n_y)
         return oscillatory_operator(distance_phase, amplitude, lam,
                                     x_nodes, x_w, y_nodes, y_w)
 
-    n_rows = x_nodes.shape[0]
-    x_amp = np.sqrt(x_w) * box_bump(x_nodes, X_BOX_DISTANCE)
-    y_amp = np.sqrt(y_w) * box_bump(y_nodes, Y_BOX_DISTANCE)
-    real = np.zeros((n_rows, n_rows))
-    cross = np.zeros((n_rows, n_rows))
-    step = max(1, GRAM_BLOCK_ENTRIES // n_rows)
-    for start in range(0, y_nodes.shape[0], step):
-        yb = y_nodes[start:start + step]
-        width = yb.shape[0]
-        dist = np.subtract.outer(x_nodes[:, 0], yb[:, 0]) ** 2
-        dist += np.subtract.outer(x_nodes[:, 1], yb[:, 1]) ** 2
-        np.sqrt(dist, out=dist)
+    x, x_factors = _quadrant([_half_axis(lo, hi, n_x) for lo, hi in X_BOX_DISTANCE])
+    y, y_factors = _quadrant([_half_axis(lo, hi, n_y) for lo, hi in Y_BOX_DISTANCE])
+    n_rows = x[0].size
+    real = np.zeros((2, 2, n_rows, n_rows))
+    cross = np.zeros((2, 2, n_rows, n_rows))
+    step = max(1, GRAM_BLOCK_ENTRIES // (4 * n_rows))
+    for start in range(0, y[0].size, step):
+        cols = slice(start, start + step)
+        dist = _image_distances(x, [ya[cols] for ya in y])
         amp = bump((dist - center) / halfwidth)
-        amp *= x_amp[:, None]
-        amp *= y_amp[start:start + step]
         dist *= lam
-        cs = np.empty((n_rows, 2 * width))
-        np.cos(dist, out=cs[:, :width])
-        np.sin(dist, out=cs[:, width:])
-        cs[:, :width] *= amp
-        cs[:, width:] *= amp
-        real += cs @ cs.T
-        cross += cs[:, width:] @ cs[:, :width].T
-    return OscillatoryModel(lam, real + 1j * (cross - cross.T), n_x, n_y, dense)
+        width = dist.shape[-1]
+        cs = np.empty((2, 2, n_rows, 2, width))
+        np.cos(dist, out=cs[..., 0, :])
+        np.sin(dist, out=cs[..., 1, :])
+        cs *= amp[..., None, :]
+        for axis in (0, 1):  # images (identity, reflected) -> parities (even, odd)
+            ident, refl = np.moveaxis(cs, axis, 0)
+            diff = ident - refl
+            ident += refl
+            refl[...] = diff
+        for s1, s2 in np.ndindex(2, 2):
+            block = cs[s1, s2]
+            block *= y_factors[s1][s2][cols]
+            block = block.reshape(n_rows, 2 * width)
+            real[s1, s2] += block @ block.T
+            cross[s1, s2] += block[:, width:] @ block[:, :width].T
+    half, n_odd = (n_x + 1) // 2, n_x // 2
+    blocks = []
+    for s1, s2 in np.ndindex(2, 2):
+        gram = real[s1, s2] + 1j * (cross[s1, s2] - cross[s1, s2].T)
+        factor = x_factors[s1][s2]
+        gram *= np.outer(factor, factor)
+        k1, k2 = (n_odd if s1 else half), (n_odd if s2 else half)
+        gram = gram.reshape(half, half, half, half)[:k1, :k2, :k1, :k2]
+        blocks.append(gram.reshape(k1 * k2, k1 * k2))
+    return OscillatoryModel(lam, tuple(blocks), n_x, n_y, dense)
 
 
 # validate_resolution compares this many top singular values at this tolerance
@@ -450,7 +530,7 @@ def kss_bound(beta, w_samples, p: float, grid: SphereGrid,
                             for ell in ells])
     gram = weighted_cluster_gram(ells, w_samples, grid)
     gram *= np.outer(betas, betas)
-    lhs = lp_norm(gram_singular_values(gram), p)
+    lhs = lp_norm(gram_singular_values((gram,)), p)
     sup_beta = [max(abs(beta(t)) for t in np.linspace(n, n + 1, 64, endpoint=False))
                 for n in range(0, n_max + 1)]
     tail = lp_norm(sup_beta, p, SPHERE_WEYL_CONST * (1.0 + np.arange(n_max + 1)))

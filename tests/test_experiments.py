@@ -252,6 +252,16 @@ def test_phase_sum_tie_back_can_fail(monkeypatch):
     assert [c.name for c in checks if not c.passed] == ["phase-sum-matches-exp-sum"]
 
 
+@pytest.mark.parametrize("p_list", [[2, math.inf], [3.0, 8.0]])
+def test_cluster_lower_refuses_caseinf_exponents_below_six(p_list):
+    # one p_list serves both windows; the case-inf slope prediction is the
+    # saturating branch (p >= 6), which reads 0 at p = 2 against a measured 0.5
+    cfg = ex.ExperimentConfig(experiment="cluster_lower", p_list=p_list,
+                              ell_range=[100, 141, 200, 283])
+    with pytest.raises(ex.ConfigError, match=r"field 'p_list'.*p >= 6"):
+        ex.run(cfg)
+
+
 def test_window_error_gives_zeta_and_radius():
     cfg = ex.ExperimentConfig(experiment="cluster_lower", zeta=0.9,
                               ell_range=[100, 141, 200, 283])

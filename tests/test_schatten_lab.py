@@ -218,20 +218,33 @@ def test_distance_scaling_compensated_by_cube_root():
     assert 0.5 <= etas[1] / etas[0] <= 2.0
 
 
-@pytest.mark.parametrize("refine", [1, 2])
-@pytest.mark.parametrize("lam", [16.0, 32.0, 64.0])
-def test_separable_paraboloid_gram_matches_dense_oracle(lam, refine):
-    model = sl.paraboloid_model(lam, refine=refine)
-    assert model.matrix.shape == (model.n_x_axis**2, model.n_y_axis)
-    sv = sl.gram_singular_values(model.gram)[:20]
-    oracle = sl.singular_values(model.matrix)[:20]
+def _assert_gram_matches_dense_oracle(model):
+    """The model's Gram blocks against the singular values of its dense matrix.
+
+    Returns the top 20 singular values of both routes.
+    """
+    oracle = sl.singular_values(model.matrix)
     top = oracle[0]
+    for block in model.gram:
+        assert np.max(np.abs(block - block.conj().T)) <= 1e-14 * top**2
+    assert sum(block.shape[0] for block in model.gram) == min(model.matrix.shape)
+    sv = sl.gram_singular_values(model.gram)[:20]
+    oracle = oracle[:20]
     # both routes square the singular values, so below ~sqrt(eps) * top they
     # sit at the Gram floor and agree only as squares
     assert np.max(np.abs(sv**2 - oracle**2)) <= 1e-12 * top**2
     resolved = oracle >= 1e-3 * top
     assert resolved.sum() >= 5
     assert np.max(np.abs(sv - oracle)[resolved]) <= 1e-12 * top
+    return sv, oracle
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("lam", [16.0, 32.0, 64.0])
+def test_separable_paraboloid_gram_matches_dense_oracle(lam, refine):
+    model = sl.paraboloid_model(lam, refine=refine)
+    assert model.matrix.shape == (model.n_x_axis**2, model.n_y_axis)
+    _assert_gram_matches_dense_oracle(model)
 
 
 @pytest.mark.parametrize("lam", [0.0, 4.0, 8.0, 8.12])
@@ -242,18 +255,37 @@ def test_dense_rung_is_the_oracle_bit_for_bit(lam):
                           sl.singular_values(model.matrix))
 
 
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("lam, n_x, n_y", [
+    (12.0, 12, 35),  # odd y count: a centre y node on each axis
+    (13.0, 13, 38),  # odd x count: the odd parities lose the centre row
+])
+def test_parity_split_distance_gram_matches_dense_oracle(lam, n_x, n_y, refine):
+    model = sl.distance_model(lam, refine=refine)
+    assert (model.n_x_axis, model.n_y_axis) == (n_x * refine, n_y * refine)
+    assert len(model.gram) == 4
+    _assert_gram_matches_dense_oracle(model)
+
+
 @pytest.mark.parametrize("lam, ppw, block", [
     (8.0, 10.0, sl.GRAM_BLOCK_ENTRIES),
-    (8.0, 25.0, sl.GRAM_BLOCK_ENTRIES),  # two blocks, the last one short
+    (8.0, 25.0, sl.GRAM_BLOCK_ENTRIES),
     (16.0, 10.0, sl.GRAM_BLOCK_ENTRIES),
-    (16.0, 10.0, 256 * 97),  # 22 blocks of 97 columns, the last one short
+    (16.0, 10.0, 4 * 64 * 97),  # 6 blocks of 97 y-quadrant nodes, the last 44
+    (13.0, 10.0, 4 * 49 * 50),  # 8 blocks of 50, the last 11; odd n_x = 13
 ])
 def test_blocked_distance_gram_matches_dense_oracle(lam, ppw, block, monkeypatch):
     monkeypatch.setattr(sl, "GRAM_BLOCK_ENTRIES", block)
-    model = sl.distance_model(lam, ppw)
-    sv = sl.gram_singular_values(model.gram)[:20]
-    oracle = sl.singular_values(model.matrix)[:20]
+    sv, oracle = _assert_gram_matches_dense_oracle(sl.distance_model(lam, ppw))
+    # the top 20 of these spectra sit above the Gram floor
     assert np.max(np.abs(sv - oracle)) <= 1e-12 * oracle[0]
+
+
+@pytest.mark.parametrize("box", ["X_BOX_DISTANCE", "Y_BOX_DISTANCE"])
+def test_distance_model_needs_boxes_centred_on_zero(box, monkeypatch):
+    monkeypatch.setattr(sl, box, ((-0.3, 0.3), (-0.2, 0.4)))
+    with pytest.raises(ValueError, match="centred on 0"):
+        sl.distance_model(8.0)
 
 
 def test_oscillatory_operator_shape_and_weighting():
