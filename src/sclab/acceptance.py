@@ -29,7 +29,7 @@ RUNTIME_BUDGETS = {  # seconds; criteria without an entry are unbudgeted
     "c03-equator-anchors": 1.6,  # ~15x its 0.11 s median in a slow phase (0.047 s typical)
     "c04-wkb-accuracy": 0.8,  # ~18x its 0.045 s median alone in a fresh process
     "c06-kuzmin-landau": 1.0,  # ~16x its 0.064 s median, likewise
-    "c08-optimality-slopes": 5.0,  # ~17x its 0.29 s median on 2 cores
+    "c08-optimality-slopes": 3.5,  # ~17x its 0.20 s median alone in a fresh process
     "c10-dual-schatten": 2.0,  # ~18x its 0.11 s median alone in a fresh process
     "c11-oscillatory-scaling": 1.5,  # ~15x its 0.10 s median, likewise
 }

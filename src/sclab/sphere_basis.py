@@ -57,6 +57,13 @@ counts the nodes whose top seed underflows.
 
 Closed-form values at the equator (:func:`normalized_at_zero`) are
 evaluated through log-gamma.
+
+Quadrature.  Colatitude grids are Gauss-Legendre rules (:func:`_gauss_rule`):
+scipy's up to 1000 nodes, and above that one Newton step in theta from
+asymptotic guesses, O(n) in all.  P_n comes from Stieltjes' interior
+series (:func:`_legendre_interior`), except at the few nodes next to each
+pole where the series cannot reach 2^-53; those take the n-step
+recurrence (:func:`_legendre_theta`).
 """
 
 from __future__ import annotations
@@ -387,6 +394,29 @@ _NEWTON_RULE_MIN = 1001
 _BESSEL_GUESSES = 20
 
 
+def _series_truncation() -> tuple[int, float]:
+    """Terms M of the interior series, and the least rho sin(theta) it serves.
+
+    The remainder after M terms of :func:`_legendre_interior` is below
+    twice the first omitted term taken at full size (Szegő's bound, as used
+    by Hale & Townsend).  Relative to the leading term that is
+    2 prod_{j<=M} (j - 1/2)^2 / (2 j (n + j + 1/2) sin theta), at most
+    B_M(x) = 2 prod_{j<=M} (j - 1/2)^2 / (2 j x) with x = rho sin(theta),
+    rho = n + 1/2, for every n.  M is the count that reaches B_M(x) = 2^-53
+    at the smallest x: 36 terms from x = 17.7, past the fifth zero of J_0.
+    """
+    log_b = math.log(2.0)
+    reach = []  # (x with B_m(x) = 2^-53, m)
+    for m in range(1, 100):
+        log_b += math.log((m - 0.5) ** 2 / (2.0 * m))
+        reach.append((math.exp((log_b + 53.0 * _LN2) / m), m))
+    x, m = min(reach)
+    return m, x
+
+
+_SERIES_TERMS, _SERIES_MIN_RHO_SIN = _series_truncation()
+
+
 def _legendre_theta(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(cos theta) and dP_n/dtheta by the three-term recurrence.
 
@@ -399,30 +429,89 @@ def _legendre_theta(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     every coefficient is an integer, so rounding errors vary from node to
     node instead of repeating as one rounded ratio per step; the latter
     biased all weights alike (sum 2 + 1.1e-14 at n = 9600, against 9e-16).
-    Then dP_n/dtheta = (E_n - n d P_n) / sin(theta).
+    Then dP_n/dtheta = (E_n - n d P_n) / sin(theta).  O(n) per node; the
+    Gauss rule uses it only where the interior series cannot reach 2^-53,
+    a few nodes, so each node runs as one loop on Python floats: ~5x
+    faster there than numpy calls on a short array, with the same bits.
     """
     d = 2.0 * np.sin(0.5 * theta) ** 2
-    p = 1.0 - d
-    e = -d
-    term = np.empty_like(d)
-    for k in range(1, n):
-        np.multiply(d, p, out=term)
-        term *= 2 * k + 1
-        e -= term
-        np.divide(e, k + 1, out=term)
-        p += term
+    p = np.empty_like(d)
+    e = np.empty_like(d)
+    for i, d_i in enumerate(d.tolist()):
+        p_i, e_i = 1.0 - d_i, -d_i
+        for k in range(1, n):
+            e_i -= d_i * p_i * (2 * k + 1)
+            p_i += e_i / (k + 1)
+        p[i], e[i] = p_i, e_i
     return p, (e - n * d * p) / np.sin(theta)
 
 
+def _series_constant(n: int) -> float:
+    """C_n = (4/pi) prod_{j<=n} j / (j + 1/2), the interior series' prefactor.
+
+    As 4/pi exp(-sum log1p(1/(2j))) with the sum exactly rounded: within
+    ~4e-16 of mpmath up to n = 51200.  Through gammaln or poch the ratio
+    n!/Gamma(n + 3/2) was 3e-12 to 5e-12 off at n = 4096 and 9600.
+    """
+    return 4.0 / math.pi * math.exp(-math.fsum(np.log1p(0.5 / np.arange(1.0, n + 1))))
+
+
+def _legendre_interior(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(cos theta) and dP_n/dtheta by Stieltjes' interior series.
+
+        P_n(cos theta) = C_n sum_{m<M} h_m cos(alpha_m) / (2 sin theta)^(m+1/2),
+        alpha_m = (n + m + 1/2) theta - (m + 1/2) pi/2,
+        h_0 = 1,   h_m = h_{m-1} (m - 1/2)^2 / (m (n + m + 1/2)),
+
+    with C_n from :func:`_series_constant` and M = ``_SERIES_TERMS``
+    (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013), section 3).  Good to
+    2^-53 of the leading term where (n + 1/2) sin(theta) is at least
+    ``_SERIES_MIN_RHO_SIN``; O(M) per node.  Term m is the real part of
+    z_m = h_m e^{i alpha_0} w^m / sqrt(2 sin theta), w = (1 - i cot theta)/2,
+    so dP_n/dtheta = -C_n sum_m ((rho + m) Im z_m + (m + 1/2) cot theta Re z_m).
+    The phase rho theta, rho = n + 1/2, enters as one product: callers keep
+    it exact, since its rounding would move a node by 2^-53 theta.
+    """
+    rho = n + 0.5
+    sin = np.sin(theta)
+    cot = np.cos(theta) / sin
+    w = 0.5 - 0.5j * cot
+    z = np.exp(1j * (rho * theta)) * (complex(1.0, -1.0) / np.sqrt(4.0 * sin))
+    total = z.copy()  # sum of z_m
+    weighted = np.zeros_like(z)  # sum of m z_m
+    h = 1.0
+    for m in range(1, _SERIES_TERMS):
+        h *= (m - 0.5) ** 2 / (m * (n + m + 0.5))
+        z *= w
+        total += h * z
+        weighted += (m * h) * z
+    c_n = _series_constant(n)
+    p = c_n * total.real
+    dp = -c_n * (rho * total.imag + weighted.imag + cot * (weighted.real + 0.5 * total.real))
+    return p, dp
+
+
 def _newton_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule by Newton's method in theta, for large n.
+    """Gauss-Legendre rule by one Newton step in theta, for large n; O(n).
 
     Half the nodes, theta in (0, pi/2], start from asymptotic guesses (Hale
     & Townsend, SIAM J. Sci. Comput. 35 (2013)): Tricomi's expansion in the
     interior, Olver's Bessel-zero expansion for the outermost nodes.  Both
-    are good to ~1e-10 relative at n > 1000, so two Newton sweeps converge.
-    The weights are w = 2 / (dP_n/dtheta)^2 from the last sweep; this form
-    never forms 1 - x^2, which cancels near x = +-1.
+    are within ~4e-13 at n > 1000.  Each guess is rounded to a multiple of
+    a power of two q for which (n + 1/2) theta is exact.  P_n and dP_n/dtheta
+    at the guess come from :func:`_legendre_interior`, except at the nodes
+    with (n + 1/2) sin(theta) below ``_SERIES_MIN_RHO_SIN`` (five per half),
+    which take the O(n) recurrence :func:`_legendre_theta`.  The Legendre
+    equation gives the higher derivatives,
+
+        P'' = -cot(theta) P' - n (n + 1) P,
+        P''' = P' / sin^2(theta) - cot(theta) P'' - n (n + 1) P',
+
+    so one Newton step is taken to second order, and dP_n/dtheta at the node
+    to third order.  The node x = cos(theta + step) is a Taylor series
+    about the guess, which is exact, so theta + step is never rounded.
+    The weights are w = 2 / (dP_n/dtheta)^2; this form never forms 1 - x^2,
+    which cancels near x = +-1.
     """
     half = n // 2
     rho = n + 0.5
@@ -433,15 +522,23 @@ def _newton_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     theta[:psi.size] = psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * rho**2)
     if n % 2:
         theta = np.append(theta, math.pi / 2)  # the middle node, x = 0
-    p, dp = _legendre_theta(n, theta)
-    step = p / dp
-    if n % 2:
-        step[-1] = 0.0
-    theta -= step
-    # the second step is below the rounding of theta itself; fold it into x
-    # to first order rather than into theta, and take w from this sweep
-    p, dp = _legendre_theta(n, theta)
-    x = np.cos(theta[:half]) + np.sin(theta[:half]) * (p[:half] / dp[:half])
+    # a multiple of q below 2 is q times an integer below 2^53 / (2n + 1),
+    # so rho * theta = (2n + 1) * integer * q / 2 is a double
+    q = math.ldexp(1.0, math.frexp(2 * n + 1)[1] - 52)
+    theta = np.round(theta / q) * q
+    sin, cos = np.sin(theta), np.cos(theta)
+    near_pole = rho * sin < _SERIES_MIN_RHO_SIN
+    p, dp = np.empty_like(theta), np.empty_like(theta)
+    p[~near_pole], dp[~near_pole] = _legendre_interior(n, theta[~near_pole])
+    p[near_pole], dp[near_pole] = _legendre_theta(n, theta[near_pole])
+    cot = cos / sin
+    lam = n * (n + 1.0)
+    d2 = -cot * dp - lam * p
+    d3 = dp / sin**2 - cot * d2 - lam * dp
+    step = -p / dp
+    step -= 0.5 * (d2 / dp) * step**2
+    dp += d2 * step + 0.5 * d3 * step**2
+    x = cos[:half] - sin[:half] * step[:half] - 0.5 * cos[:half] * step[:half] ** 2
     w = 2.0 / dp**2
     middle_x = [0.0] if n % 2 else []
     nodes = np.concatenate([-x, middle_x, x[::-1]])
@@ -458,15 +555,20 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     values at the roundoff floor, which move with a 1-ulp change of a
     weight, so small rules keep scipy's exact output.  Above n = 1000,
     :func:`_newton_rule` takes over.  scipy's rule (Golub-Welsch plus a
-    polish) and the Newton sweeps both cost O(n^2) flops, but on a 2-core
-    x86 box scipy took 3.6 s at n = 9600 against 0.48 s for Newton.  Newton
-    is already the faster one from n ~ 350 (at n = 1000, 9 ms against
-    scipy's 39 ms); below the cutoff the saving is at most ~30 ms a rule.
-    Against 30-digit mpmath, at 30-40 sampled nodes for n = 1001 and 4096,
-    the Newton nodes are within 1.3e-16 absolute and the weights within
-    1.6e-14 relative, the outermost ones included.  scipy's nodes are as
-    good, but its end weights are off by 4e-9 at n = 1001 and by up to
-    5.9e-6 at n = 9600, from cancellation in 1 - x^2.
+    polish) costs O(n^2) flops, the Newton rule O(n): 36 series terms a
+    node, plus the n-step recurrence on five nodes per half.  On a 2-core
+    x86 box it takes 8, 16, 32 and 64 ms at n = 6400, 12800, 25600 and
+    51200, where two recurrence sweeps at every node (the O(n^2) route, kept
+    as a test oracle) take 0.16, 0.49, 1.7 and 6.8 s.
+    Against 30-digit mpmath at n = 1001, 4096, 9600, 20000, 25600 and
+    51200 (the two outermost nodes, both sides of the series switch, three
+    interior nodes), the nodes are within 1.1e-16 absolute and the weights
+    within 3e-14 relative.  The largest weight errors are at the
+    recurrence nodes: 4.7e-15 at n = 1001, 1.2e-14 at 4096, 3.0e-14 at
+    20000 and 1.3e-14 at 51200, with no trend toward the 1e-13 gate; the
+    series nodes stay within 1.4e-15.  scipy's nodes are as good, but its
+    end weights are off by 4e-9 at n = 1001 and by up to 5.9e-6 at
+    n = 9600, from cancellation in 1 - x^2.
     """
     if n < _NEWTON_RULE_MIN:
         nodes, weights = roots_legendre(n)

@@ -1,7 +1,8 @@
 """Independent reference computations used to freeze expected values.
 
 Everything here deliberately avoids the library's own code paths: the
-recurrence runs in 50-digit mpmath arithmetic, the action integral is a
+recurrence runs in 50-digit mpmath arithmetic, the all-node Gauss rule
+runs the full recurrence at every node, the action integral is a
 brute-force composite Simpson rule, the profile integrals run one Gauss
 panel at a time in a Python loop, and the projector spectrum comes from
 the dense addition-theorem kernel on the mesh.  Frozen literals in the
@@ -36,9 +37,13 @@ def normalized_legendre_mp(m: int, ell: int, x, dps: int = 50):
 def gauss_legendre_node_mp(n: int, x0: float, dps: int = 30):
     """Gauss-Legendre node next to x0 and its weight, in mpmath arithmetic.
 
-    One Newton step on P_n from a double-precision x0 (already within
-    ~1e-16 of the node) lands within ~1e-30; the weight is then
-    2 (1 - x^2) / (n P_{n-1}(x))^2.  Returns (node, weight) as mpf.
+    Two Newton steps on P_n from a double-precision x0 (already within
+    ~1e-16 of the node); the weight is then 2 (1 - x^2) / (n P_{n-1}(x))^2.
+    One step is not enough near x = +-1: there the quadratic constant of
+    Newton's method grows like n^2 / (1 - x), one step left x ~5e-26 off
+    at the outermost node for n = 20000, and the weight formula, which is
+    not stationary in x, turned that into a relative error of 1.5e-13.
+    Returns (node, weight) as mpf.
     """
     import mpmath as mp
 
@@ -50,10 +55,53 @@ def gauss_legendre_node_mp(n: int, x0: float, dps: int = 30):
 
     with mp.workdps(dps):
         x = mp.mpf(x0)
-        p_prev, p_n = recurrence(x)
-        x -= p_n * (x * x - 1) / (n * (x * p_n - p_prev))
+        for _ in range(2):
+            p_prev, p_n = recurrence(x)
+            x -= p_n * (x * x - 1) / (n * (x * p_n - p_prev))
         p_prev, _ = recurrence(x)
         return x, 2 * (1 - x * x) / (n * p_prev) ** 2
+
+
+def gauss_legendre_recurrence_rule(n: int):
+    """Gauss-Legendre rule (ascending nodes, weights) with P_n by recurrence.
+
+    Newton in theta from the same Tricomi and Bessel-zero guesses as
+    ``sphere_basis._newton_rule``, but with two full sweeps of the n-step
+    three-term recurrence (Reinsch's form) at every node, so O(n^2): the
+    all-node oracle for the O(n) rule.  After the first sweep the second
+    Newton step is below the rounding of theta and is folded into x to
+    first order; the weights are 2 / (dP_n/dtheta)^2 from the last sweep.
+    """
+    from scipy.special import jn_zeros
+
+    def legendre_theta(theta):
+        d = 2.0 * np.sin(0.5 * theta) ** 2
+        p, e = 1.0 - d, -d
+        for k in range(1, n):
+            e = e - (2 * k + 1) * (d * p)
+            p = p + e / (k + 1)
+        return p, (e - n * d * p) / np.sin(theta)
+
+    half = n // 2
+    rho = n + 0.5
+    phi = (np.arange(1, half + 1) - 0.25) * math.pi / rho
+    theta = np.arccos((1.0 - (n - 1.0) / (8.0 * n**3)
+                       - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n**4)) * np.cos(phi))
+    psi = jn_zeros(0, min(half, 20)) / rho
+    theta[:psi.size] = psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * rho**2)
+    if n % 2:
+        theta = np.append(theta, math.pi / 2)
+    p, dp = legendre_theta(theta)
+    step = p / dp
+    if n % 2:
+        step[-1] = 0.0
+    theta -= step
+    p, dp = legendre_theta(theta)
+    x = np.cos(theta[:half]) + np.sin(theta[:half]) * (p[:half] / dp[:half])
+    w = 2.0 / dp**2
+    nodes = np.concatenate([-x, [0.0] if n % 2 else [], x[::-1]])
+    weights = np.concatenate([w[:half], w[half:], w[:half][::-1]])
+    return nodes, weights
 
 
 def action_simpson(ell: int, m: int, theta: float, n: int = 1_000_001) -> float:

@@ -8,7 +8,8 @@ from scipy.special import lpmv, gammaln, roots_legendre
 from sclab import sphere_basis as sb
 from sclab.wkb_engine import band_radius, case_window, q_potential
 
-from _oracles import double_factorial, gauss_legendre_node_mp, normalized_legendre_mp
+from _oracles import (double_factorial, gauss_legendre_node_mp,
+                      gauss_legendre_recurrence_rule, normalized_legendre_mp)
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +190,107 @@ def test_small_gauss_rules_are_scipy_bit_for_bit(n):
     assert np.array_equal(weights, ref_weights)
 
 
-@pytest.mark.parametrize("n", [1001, 4096, 9600])
+def _recurrence_nodes_per_half(n):
+    """Nodes per half of the n-point rule at which the series gives way."""
+    theta = np.arccos(sb._gauss_rule(n)[0][n // 2:])
+    return int(np.count_nonzero((n + 0.5) * np.sin(theta) < sb._SERIES_MIN_RHO_SIN))
+
+
+def _mpmath_errors(n, nodes, weights):
+    """Worst node (absolute) and weight (relative) error against mpmath.
+
+    Sampled at the two outermost nodes, where 1 - x^2 cancels, the last
+    recurrence node and the first series node on each side of the rule,
+    and three interior nodes.
+    """
+    r = _recurrence_nodes_per_half(n)
+    sample = (n - 1, n - 2, n - r, n - r - 1, r - 1, r,
+              (4 * n) // 5, (2 * n) // 3, n // 2)
+    node_err = weight_err = 0.0
+    for i in sample:
+        node, weight = gauss_legendre_node_mp(n, nodes[i])
+        node_err = max(node_err, float(abs(node - nodes[i])))
+        weight_err = max(weight_err, float(abs(weights[i] / weight - 1)))
+    return node_err, weight_err
+
+
+@pytest.mark.parametrize("n", [1001, 4096, 9600, 20000])
 def test_large_gauss_rule_against_mpmath(n):
     nodes, weights = sb._gauss_rule(n)
     assert np.all(np.diff(nodes) > 0)
     assert np.array_equal(nodes, -nodes[::-1])
     assert np.array_equal(weights, weights[::-1])
     assert abs(math.fsum(weights) - 2.0) <= 1e-14
-    # the two outermost nodes, where 1 - x^2 cancels, then the interior
-    for i in (n - 1, n - 2, (4 * n) // 5, (2 * n) // 3, n // 2):
-        node, weight = gauss_legendre_node_mp(n, nodes[i])
-        assert float(abs(node - nodes[i])) <= 4e-16
-        assert float(abs(weights[i] / weight - 1)) <= 1e-13
+    node_err, weight_err = _mpmath_errors(n, nodes, weights)
+    assert node_err <= 4e-16
+    assert weight_err <= 1e-13
+
+
+@pytest.mark.parametrize("mutate", ["constant", "terms", "switch"])
+def test_mpmath_weight_gate_fails_on_a_broken_series(monkeypatch, mutate):
+    # dropping the last series term, or even twenty of them, moves no weight
+    # by 1e-13 (the tail is ~1e-16 where the series starts), so the
+    # mutations are the smallest of each kind that the gate resolves
+    if mutate == "constant":
+        constant = sb._series_constant
+        monkeypatch.setattr(sb, "_series_constant", lambda n: constant(n) * (1 + 1e-12))
+    elif mutate == "terms":
+        monkeypatch.setattr(sb, "_SERIES_TERMS", 14)
+    else:  # the series at every node, the poles included
+        monkeypatch.setattr(sb, "_SERIES_MIN_RHO_SIN", 0.0)
+    n = 1001
+    nodes, weights = sb._newton_rule(n)
+    monkeypatch.undo()  # the sample is chosen with the real switch
+    assert _mpmath_errors(n, nodes, weights)[1] > 1e-13
+
+
+@pytest.mark.parametrize("n", [1001, 1002, 4097, 9600])
+def test_large_gauss_rule_matches_recurrence_at_every_node(n):
+    nodes, weights = sb._gauss_rule(n)
+    ref_nodes, ref_weights = gauss_legendre_recurrence_rule(n)
+    assert np.abs(nodes - ref_nodes).max() <= 5e-16
+    assert np.abs(weights / ref_weights - 1).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1001, 4096, 25600])
+def test_interior_series_matches_recurrence(n):
+    rho = n + 0.5
+    # from the switch itself, where the truncation bound is 2^-53, to pi/2,
+    # on multiples of the rule's q so that rho * theta is exact
+    q = math.ldexp(1.0, math.frexp(2 * n + 1)[1] - 52)
+    theta = np.linspace(math.asin(sb._SERIES_MIN_RHO_SIN / rho), math.pi / 2, 41)
+    theta = np.round(theta / q) * q
+    p, dp = sb._legendre_interior(n, theta)
+    ref_p, ref_dp = sb._legendre_theta(n, theta)
+    # P_n(cos theta) has condition ~rho theta in theta, and the recurrence
+    # rounds 2 sin^2(theta/2): the two agree to a few 2^-53 rho theta of
+    # the amplitude C_n / sqrt(2 sin theta) (measured: at most 1.24)
+    tol = 4.0 * 2.0**-53 * rho * theta * sb._series_constant(n) / np.sqrt(2.0 * np.sin(theta))
+    assert np.all(np.abs(p - ref_p) <= tol)
+    assert np.all(np.abs(dp - ref_dp) <= rho * tol)
+
+
+@pytest.mark.parametrize("n", [1001, 9600, 51200])
+def test_series_constant_against_mpmath(n):
+    import mpmath as mp
+
+    with mp.workdps(30):
+        exact = 2 / mp.sqrt(mp.pi) * mp.gamma(n + 1) / mp.gamma(n + mp.mpf(3) / 2)
+        assert float(abs(sb._series_constant(n) / exact - 1)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1001, 4097, 25600, 51200])
+def test_recurrence_runs_on_a_fixed_number_of_nodes(monkeypatch, n):
+    sizes = []
+    recurrence = sb._legendre_theta
+
+    def counted(n, theta):
+        sizes.append(theta.size)
+        return recurrence(n, theta)
+
+    monkeypatch.setattr(sb, "_legendre_theta", counted)
+    sb._newton_rule(n)
+    assert sizes == [5]  # j_{0,5} = 14.9 < 17.7 < j_{0,6} = 18.1
 
 
 # ---------------------------------------------------------------------------
