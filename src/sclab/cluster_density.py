@@ -89,9 +89,11 @@ class DensityProfile:
     """Colatitude density samples.
 
     theta_weights absorb sin(theta): the trace identity reads
-    2 pi * sum_i w_i rho_i = sum_j nu_j.  ``underflow_nodes`` counts the
-    nodes where the recurrence seed of the window's top order underflows
-    (see :mod:`sclab.sphere_basis`).
+    2 pi * sum_i w_i rho_i = sum_j nu_j.  ``rho`` covers every node, though
+    :func:`density` evaluates one half of them and mirrors it.
+    ``underflow_nodes`` counts the nodes of the whole grid where the
+    recurrence seed of the window's top order underflows (see
+    :mod:`sclab.sphere_basis`).
     """
 
     thetas: np.ndarray
@@ -114,6 +116,11 @@ class DensityProfile:
 def density(spec: ClusterSpec, grid: SphereGrid, check_convergence: bool = False,
             allow_coarse: bool = False) -> DensityProfile:
     """Window density on the grid's colatitude nodes.
+
+    Since g_l^m(-x) = (-1)^(l+m) g_l^m(x), rho is symmetric under
+    theta -> pi - theta, and so are the nodes of :func:`build_grid`: rho is
+    evaluated on the first ceil(n/2) nodes and mirrored onto the rest, the
+    centre node of an odd grid taken once.
 
     Resolving the fastest oscillation takes n_theta >= 4 l; coarser grids
     raise GridResolutionError unless ``allow_coarse`` (used to demonstrate
@@ -141,12 +148,17 @@ def density(spec: ClusterSpec, grid: SphereGrid, check_convergence: bool = False
 
 
 def _density_on(spec: ClusterSpec, grid: SphereGrid) -> DensityProfile:
+    # node i pairs with node n - 1 - i (see density); an odd centre is alone
+    n_pairs = grid.n_theta // 2
+    half = grid.theta_nodes[:grid.n_theta - n_pairs]
     window = spec.window
-    values, n_under = _order_band(spec.ell, int(window[0]), int(window[-1]),
-                                  np.cos(grid.theta_nodes))
+    values, underflow = _order_band(spec.ell, int(window[0]), int(window[-1]),
+                                    np.cos(half))
     rho = np.einsum("i,ij,ij->j", spec.weights, values, values)
+    rho = np.concatenate([rho, rho[:n_pairs][::-1]])
+    n_under = 2 * np.count_nonzero(underflow[:n_pairs]) + np.count_nonzero(underflow[n_pairs:])
     return DensityProfile(grid.theta_nodes, grid.theta_weights, rho,
-                          float(np.sum(spec.weights)), underflow_nodes=n_under)
+                          float(np.sum(spec.weights)), underflow_nodes=int(n_under))
 
 
 def exponents(p: float, n_dim: int = 2) -> tuple[float, float]:

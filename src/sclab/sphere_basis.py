@@ -29,31 +29,55 @@ are far below the double range as well, and those zeros are harmless at
 the tolerances used here.
 
 A band of orders m_lo..m_hi at one degree (:func:`legendre_band`) recurs
-downward in order instead.  Two per-order seeds at m_hi and m_hi - 1 feed
+downward in order instead,
 
     g^{m-1} = -(sqrt((l-m)(l+m+1)) g^{m+1} + 2m cot(theta) g^m)
               / sqrt((l+m)(l-m+1)),
 
-so a window of r orders costs O((l - m_hi + r) n) on n nodes instead of
-the O(r l n) of r separate degree recurrences.  Downward is the stable
-direction: past the turning point m = (l + 1/2) sin(theta) the true values
-grow as m decreases, so the recurrence follows the dominant solution, and
-inside the oscillatory zone both solutions have the same size, so
-rounding errors grow at most algebraically.  Measured against the
-per-order recurrence on n = 4l Gauss nodes up to l = 2400, the band agrees
-to within 3e-11 of each row's maximum.
+from two top rows that one degree recurrence gives.  That recurrence runs
+at order m = m_hi - 1; its last two rows are g_{l-1}^m and g_l^m, and the
+order-raising identity (sin(theta) P_l^{m+1} = (l-m) x P_l^m - (l+m)
+P_{l-1}^m, normalized)
+
+    g_l^{m+1} = [(l-m) x g_l^m - sqrt((2l+1)(l-m)(l+m)/(2l-1)) g_{l-1}^m]
+                / (sin(theta) sqrt((l+m+1)(l-m)))
+
+gives the top row.  A window of r orders thus costs O((l - m_hi + r) n) on
+n nodes instead of the O(r l n) of r separate degree recurrences.
+Downward is the stable direction: past the turning point
+m = (l + 1/2) sin(theta) the true values grow as m decreases, so the
+recurrence follows the dominant solution, and inside the oscillatory zone
+both solutions have the same size, so rounding errors grow at most
+algebraically.  The identity's two terms cancel where g_l^{m+1} is far
+below them: deep in the forbidden zone next to a pole, and next to a zero
+of g_l^{m+1}.  Where they cancel by more than ``_CANCEL_BITS`` = 10 bits,
+|t1| + |t2| > 2^10 |t1 - t2|, the top row is recomputed on those nodes
+alone by its own degree recurrence: on n = 4l Gauss nodes that is ~1% of
+a case-"inf" window's nodes (92 of 9600 at l = 2400) and none of a
+case-"2" window's.  Every sin^2(theta) is formed as (1 - x)(1 + x), in the
+seeds as log1p(-x) + log1p(x): 1 - x*x would lose m/2 * 2^-53 / (1 - x^2)
+of relative accuracy in sin^m next to the poles (at l = 400 on the first
+of 1600 Gauss nodes, seeds of m = 60..137 are within 5e-14 of mpmath this
+way, against up to 1.1e-9 from 1 - x*x).  Measured against
+the per-order recurrence on n = 4l Gauss nodes up to l = 2400, the band
+agrees to within 1.2e-11 of each row's maximum (6.5e-13 in case "inf").
+Against 50-digit mpmath at l = 975 and 2400, the top row is within 7e-12
+at sampled allowed, forbidden and fallback nodes (of the row's maximum
+where allowed, pointwise elsewhere).
 
 Underflow.  Where the sectoral seed of m_hi falls below the smallest
-normal double (sin(theta)^m_hi < ~1e-308), both seeds of the band are
-lifted by the same factor 2^k, k <= 1000, added as k ln 2 to their
-logarithm before exp.  Both recurrences are linear, and the finished rows
-are scaled back by 2^-k, which rounds only where a value is itself
-subnormal or below the double range.  The band is then accurate at lower orders whose values are representable even
-though the top seed is not.  Past the largest lift (sin(theta)^m_hi below
-~1e-609) a node restarts at the highest order whose seed is within reach,
-and the orders above it read zero: their seeds are more than 300 orders
-of magnitude below the double range.  ``underflow_nodes`` on a band
-counts the nodes whose top seed underflows.
+normal double (sin(theta)^m_hi < ~1e-308), the seed of the band's degree
+recurrence is lifted by the power 2^k, k <= 1000, that brings the top
+seed into the normal range, added as k ln 2 to its logarithm before exp.
+The degree and order recurrences and the identity are all linear, and
+the finished rows are scaled back by 2^-k, which rounds only where a
+value is itself subnormal or below the double range.  The band is then
+accurate at lower orders whose values are representable even though the
+top seed is not.  Past the largest lift (sin(theta)^m_hi below ~1e-609) a
+node restarts at the highest order within reach, and the orders above it
+read zero: their seeds are more than 300 orders of magnitude below the
+double range.  ``underflow_nodes`` on a band counts the nodes whose top
+seed underflows.
 
 Closed-form values at the equator (:func:`normalized_at_zero`) are
 evaluated through log-gamma.
@@ -69,6 +93,7 @@ recurrence (:func:`_legendre_theta`).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,6 +106,9 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 # Largest lift of an order-band seed, in bits: 2^1000 times any |g_l^m|
 # <= sqrt((2l + 1) / (4 pi)) stays finite, so lifted bands never overflow.
 _MAX_LIFT = 1000
+# Bits the order-raising identity of an order band may lose to cancellation
+# before the top row is recomputed by its own degree recurrence.
+_CANCEL_BITS = 10
 
 
 class GridResolutionError(ValueError):
@@ -102,7 +130,8 @@ def _seed_log_magnitude(m, x: np.ndarray) -> np.ndarray:
     log_odd = np.reshape([math.log(2 * k + 1) for k in m.ravel().tolist()], m.shape)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log(0) at order 0
         log_mag = (0.5 * (log_odd - math.log(FOUR_PI) + gammaln(2 * m + 1))
-                   - gammaln(m + 1) - m * _LN2 + 0.5 * m * np.log1p(-x * x))
+                   - gammaln(m + 1) - m * _LN2
+                   + 0.5 * m * (np.log1p(-x) + np.log1p(x)))
     return np.where(m == 0, -0.5 * math.log(FOUR_PI), log_mag)
 
 
@@ -150,9 +179,7 @@ def legendre_row(m: int, ell: int, x) -> np.ndarray:
     if not 0 <= m <= ell:
         raise ValueError(f"need 0 <= m <= ell, got m={m}, ell={ell}")
     x = _check_nodes(x)
-    for row in _degree_rows(m, ell, x, _seed_values(m, x)):
-        pass  # the last row is degree ell
-    return row
+    return _last_rows(m, ell, x)[-1]
 
 
 def _degree_rows(m, ell: int, x: np.ndarray, seed: np.ndarray):
@@ -197,16 +224,28 @@ def radial_rows(ell: int, x) -> np.ndarray:
     return np.concatenate([sign * g[:0:-1], g])
 
 
-def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarray, int]:
+def _last_rows(m: int, ell: int, x: np.ndarray, shift=0) -> deque:
+    """The rows of degree ell - 1 and ell at one order m (degree ell alone if m = ell).
+
+    Seeds are lifted by 2**shift as in :func:`_seed_values`.
+    """
+    return deque(_degree_rows(m, ell, x, _seed_values(m, x, shift)), maxlen=2)
+
+
+def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g_ell^m for m = m_lo..m_hi (rows) on nodes x, by downward recurrence in m.
 
-    Returns (values, underflow_nodes), the latter counting the nodes where
-    the sectoral seed of m_hi is below the smallest normal double.  The
-    band seeds at m_hi and m_hi - 1 and recurs down; wherever its seeds are
-    normal doubles, a one-order band is :func:`legendre_row` bit for bit.
-    Where a seed would underflow, both seeds are lifted by the same power
-    of two, and the finished rows are scaled back.  Nodes whose top seed
-    lies beyond the largest lift restart at the highest order within
+    Returns (values, underflow), the latter marking the nodes where the
+    sectoral seed of m_hi is below the smallest normal double.  A band of
+    one order is its degree recurrence (:func:`legendre_row` bit for bit
+    where the seed is normal).  A wider band runs one degree recurrence, at
+    the order below its top, and takes the top row from that recurrence's
+    last two rows by the order-raising identity (see the module notes); at
+    nodes where the identity's two terms cancel by more
+    than ``_CANCEL_BITS`` bits, the top row comes from its own degree
+    recurrence instead.  Where a seed would underflow, the rows are lifted
+    by one power of two and the finished rows scaled back.  Nodes whose top
+    seed lies beyond the largest lift restart at the highest order within
     reach, and the orders above it read zero.
     """
     out = np.zeros((m_hi - m_lo + 1, x.size))
@@ -215,25 +254,31 @@ def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarr
     top = np.full(x.size, m_hi)
     short = np.flatnonzero(top_log < reach)
     if short.size:
-        top[short] = m_lo - 1  # no order within reach: the column reads zero
-        for m in range(m_lo, m_hi):
-            top[short[_seed_log_magnitude(m, x[short]) >= reach]] = m
+        within = _seed_log_magnitude(np.arange(m_lo, m_hi + 1)[:, None], x[short]) >= reach
+        # the highest order within reach; where none is, the column reads zero
+        top[short] = np.where(within.any(axis=0),
+                              m_hi - np.argmax(within[::-1], axis=0), m_lo - 1)
     for m_top in np.unique(top[top >= m_lo]).tolist():
         cols = np.flatnonzero(top == m_top)
         xs = x[cols]
         lift = np.ceil((_LOG_TINY - _seed_log_magnitude(m_top, xs)) / _LN2)
         lift = np.maximum(lift, 0.0).astype(int)
-        for upper in _degree_rows(m_top, ell, xs, _seed_values(m_top, xs, lift)):
-            pass
-        out[m_top - m_lo, cols] = upper
-        if m_top > m_lo:
-            for lower in _degree_rows(m_top - 1, ell, xs,
-                                      _seed_values(m_top - 1, xs, lift)):
-                pass
-            out[m_top - 1 - m_lo, cols] = lower
-            # 1 - x*x is the sin^2 the seeds were built from (log1p(-x*x)),
-            # so the cotangent matches them where 1 - x^2 is tiny
-            cot = xs / np.sqrt(1.0 - xs * xs)
+        if m_top == m_lo:
+            out[0, cols] = _last_rows(m_top, ell, xs, lift)[-1]
+        else:
+            m = m_top - 1
+            below, lower = _last_rows(m, ell, xs, lift)  # degrees ell - 1 and ell
+            sin = np.sqrt((1.0 - xs) * (1.0 + xs))  # the seeds' sin^2 (module notes)
+            t1 = (ell - m) * xs * lower
+            t2 = math.sqrt((2 * ell + 1.0) * (ell - m) * (ell + m) / (2 * ell - 1.0)) * below
+            upper = (t1 - t2) / (math.sqrt((ell + m + 1.0) * (ell - m)) * sin)
+            cancel = np.flatnonzero(np.abs(t1 - t2)
+                                    < 2.0**-_CANCEL_BITS * (np.abs(t1) + np.abs(t2)))
+            if cancel.size:
+                upper[cancel] = _last_rows(m_top, ell, xs[cancel], lift[cancel])[-1]
+            out[m_top - m_lo, cols] = upper
+            out[m - m_lo, cols] = lower
+            cot = xs / sin
             for m in range(m_top - 1, m_lo, -1):
                 row = math.sqrt((ell - m) * (ell + m + 1.0)) * upper
                 row += (2.0 * m) * cot * lower
@@ -244,7 +289,7 @@ def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarr
         if lifted.any():
             rows = out[:m_top - m_lo + 1, cols[lifted]]
             out[:m_top - m_lo + 1, cols[lifted]] = np.ldexp(rows, -lift[lifted])
-    return out, int(np.count_nonzero(top_log < _LOG_TINY))
+    return out, top_log < _LOG_TINY
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +331,10 @@ def legendre_band(ell: int, m_lo: int, m_hi: int, thetas) -> RadialTable:
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if np.any(np.abs(thetas) >= math.pi / 2):
         raise ValueError("band nodes must satisfy |theta| < pi/2")
-    values_g, n_under = _order_band(ell, m_lo, m_hi, np.sin(thetas))
+    values_g, underflow = _order_band(ell, m_lo, m_hi, np.sin(thetas))
     values_v = np.sqrt(np.cos(thetas)) * values_g
-    return RadialTable(ell, m_lo, m_hi, thetas, values_v, values_g, n_under)
+    return RadialTable(ell, m_lo, m_hi, thetas, values_v, values_g,
+                       int(np.count_nonzero(underflow)))
 
 
 # ---------------------------------------------------------------------------

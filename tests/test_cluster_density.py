@@ -72,6 +72,25 @@ def test_density_matches_per_order_sum_and_reports_underflow():
         np.abs(top_seed) < np.finfo(float).tiny) > 0
 
 
+@pytest.mark.parametrize("case, extra", [("2", 1), ("inf", 0), ("inf", 1)])
+def test_mirrored_density_on_even_and_odd_grids(case, extra):
+    # the density is evaluated on one half of the grid and mirrored, the
+    # centre node of an odd grid taken once; the oracle sums every node
+    # (case "2" on the even grid is the test above)
+    ell = 405
+    spec = cd.ClusterSpec(ell, wkb.band_radius(ell), case)
+    grid = sb.build_grid(4 * ell + extra)
+    profile = cd.density(spec, grid)
+    x = np.cos(grid.theta_nodes)
+    exact = sum(sb.legendre_row(int(m), ell, x) ** 2 for m in spec.window)
+    kept = exact > 1e-250 * exact.max()
+    assert profile.rho.shape == x.shape
+    assert np.all(np.abs(profile.rho - exact)[kept] <= 1e-11 * exact[kept])
+    top_seed = sb._seed_values(int(spec.window[-1]), x)
+    assert profile.underflow_nodes == np.count_nonzero(
+        np.abs(top_seed) < np.finfo(float).tiny)
+
+
 # ---------------------------------------------------------------------------
 # Norms
 # ---------------------------------------------------------------------------

@@ -131,11 +131,64 @@ def test_full_band_near_pole_restarts_instead_of_reading_zero():
     last = int(np.flatnonzero(np.abs(g) >= np.finfo(float).tiny)[-1])
     assert last > seeded.sum() + 20
     for m in (int(seeded.sum()) + 5, last):
-        # the seeds' sin^2 = 1 - x*x cancels here, in both recurrences alike:
-        # a rounding of x*x moves sin^m by m/2 * 2^-53 / (1 - x^2) relative
-        tol = 1e-10 + m * 2.0**-53 / (1.0 - x[0] ** 2)
-        assert abs(g[m] / float(normalized_legendre_mp(m, ell, x[0])) - 1) <= tol
+        assert abs(g[m] / float(normalized_legendre_mp(m, ell, x[0])) - 1) <= 1e-12
     assert abs(normalized_legendre_mp(last + 1, ell, x[0])) < np.finfo(float).tiny
+
+
+def _band_with_fallback(ell, case, x):
+    """Top row of the case's order band on x, and where it fell back.
+
+    The fallback nodes are those on which the band ran the degree
+    recurrence of its top order itself.
+    """
+    window = case_window(ell, band_radius(ell), case)
+    m_hi = int(window[-1])
+    fallback = []
+    last_rows = sb._last_rows
+
+    def recorded(m, ell, xs, shift=0):
+        if m == m_hi:
+            fallback.append(xs)
+        return last_rows(m, ell, xs, shift)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sb, "_last_rows", recorded)
+        values, _ = sb._order_band(ell, int(window[0]), m_hi, x)
+    return m_hi, values[-1], np.isin(x, np.concatenate([np.empty(0), *fallback]))
+
+
+@pytest.mark.parametrize("ell", [975, 2400])
+@pytest.mark.parametrize("case", ["2", "inf"])
+def test_derived_top_row_against_mpmath(ell, case):
+    theta = sb.build_grid(4 * ell).theta_nodes
+    x = np.cos(theta)
+    m_hi, top, fallback = _band_with_fallback(ell, case, x)
+    allowed = q_potential(ell, m_hi, math.pi / 2 - theta) < 0
+    normal = np.abs(top) >= np.finfo(float).tiny
+    row_max = np.abs(top).max()
+    # case "2" has no fallback node on these grids (its top row has no zero
+    # close enough to a node, and no forbidden-zone cancellation)
+    assert fallback.any() == (case == "inf")
+    kinds = (allowed & ~fallback, ~allowed & ~fallback & normal, fallback & normal)
+    for nodes in (np.flatnonzero(kind) for kind in kinds if kind.any()):
+        for j in nodes[np.linspace(0, nodes.size - 1, 6).astype(int)]:
+            exact = float(normalized_legendre_mp(m_hi, ell, x[j]))
+            # g has zeros where allowed: there the error is measured against
+            # the row's maximum, elsewhere pointwise (at most 7.0e-12 here)
+            scale = row_max if allowed[j] else abs(exact)
+            assert abs(top[j] - exact) <= 2e-11 * scale
+
+
+@pytest.mark.parametrize("ell", [975, 2400])
+def test_cancellation_fallback_fires_near_the_poles_on_few_nodes(ell):
+    theta = sb.build_grid(4 * ell).theta_nodes
+    m_hi, _, fallback = _band_with_fallback(ell, "inf", np.cos(theta))
+    forbidden = q_potential(ell, m_hi, math.pi / 2 - theta) >= 0
+    # where g_l^m_hi is forbidden, the identity's two terms cancel next to
+    # the poles; in the allowed zone it falls back only next to a zero of g
+    assert np.count_nonzero(fallback & forbidden) >= 10
+    assert np.all(np.abs(np.cos(theta[fallback & forbidden])) > 0.99)
+    assert np.count_nonzero(fallback) <= 0.02 * theta.size
 
 
 def test_degree_table_matches_single_rows():
@@ -432,6 +485,13 @@ def test_grid_total_measure_and_exactness():
     for k in range(21):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
         assert abs(np.dot(grid.theta_weights, u**k) - exact) < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 17, 64, 999, 1000, 1001, 1600, 4097, 9600])
+def test_grid_nodes_mirror_about_the_equator(n):
+    # the density kernel evaluates one half of the nodes and mirrors it
+    theta = sb.build_grid(n).theta_nodes
+    assert np.all(np.abs(theta + theta[::-1] - math.pi) <= 2 * np.spacing(math.pi))
 
 
 def test_grid_rejects_degenerate_requests():
