@@ -22,11 +22,11 @@ in degree (:func:`_degree_rows`), over one order or a column of orders
 advancing together: a row (:func:`legendre_row`), a degree table, or the
 degree-l rows of all orders (:func:`radial_rows`) each take one call.
 Normalized values stay O(sqrt(l)), so nothing overflows for l <= 1e4.
-The seed g_m^m ~ sin(theta)^m underflows near the poles at high order;
-the row then starts from a subnormal seed, with fewer bits, or from zero.
-Where that happens deep in the classically forbidden zone, the true values
-are far below the double range as well, and those zeros are harmless at
-the tolerances used here.
+The seed g_m^m ~ sin(theta)^m underflows near the poles at high order.
+A degree table or :func:`radial_rows` then starts from a subnormal seed,
+with fewer bits, or from zero; a single row and a band lift the seed
+instead (see Underflow below).  The degree-l value can be representable
+even so: g_1600^533(-0.97) = 7.23e-38 has a seed of ~1e-327.
 
 A band of orders m_lo..m_hi at one degree (:func:`legendre_band`) recurs
 downward in order instead,
@@ -65,6 +65,30 @@ Against 50-digit mpmath at l = 975 and 2400, the top row is within 7e-12
 at sampled allowed, forbidden and fallback nodes (of the row's maximum
 where allowed, pointwise elsewhere).
 
+A band can also be swept upward in order, by the same relation solved for
+g^{m+1}, from g_l^0 and g_l^1.  Stieltjes' interior series
+(:func:`_legendre_interior`) gives P_l and dP_l/dtheta in O(36) per node,
+and so both seeds, wherever (l + 1/2) sin(theta) >= ``_SERIES_MIN_RHO_SIN``.
+Upward is the stable direction only up to the turning point: inside the
+oscillatory zone rounding errors grow at most algebraically, but past it
+the wanted solution is the one that decays with m, and the other one
+takes over (at l = 1600, m = 400, with nodes reaching 10% past the
+turning point, the sweep is off by 1.5e-9 where the value is 7.4e-6).  A
+band therefore takes this route only when every node satisfies
+(l + 1/2) sin(theta) >= max(``_SERIES_MIN_RHO_SIN``, m_hi), so that every
+order is oscillatory everywhere, and when it is the cheaper route,
+m_hi + ``_SERIES_COST_STEPS`` < l - m_lo.  It then costs O((36 + m_hi) n)
+instead of O((l - m_lo) n).  This is the route of case-"inf" windows
+(orders [r, 2r)) on their WKB intervals, which end ~8r/l from the poles:
+at l = 1600 a row of order m <= 79 takes the series and m - 1 order steps
+instead of 1600 - m degree steps.  Gauss grids have nodes next to the
+poles, and case-"2" windows have m_hi near l, so both keep the degree
+route.  Against 50-digit mpmath on both windows' WKB intervals at l = 400
+and 1600 (ends included; case "2" swept upward on purpose), upward rows
+are within 9.7e-14 of each row's maximum, against
+4.9e-14 by the degree recurrence; the gap is the series phase
+(l + 1/2) theta, which is rounded at an arbitrary node, ~l 2^-53.
+
 Underflow.  Where the sectoral seed of m_hi falls below the smallest
 normal double (sin(theta)^m_hi < ~1e-308), the seed of the band's degree
 recurrence is lifted by the power 2^k, k <= 1000, that brings the top
@@ -77,7 +101,13 @@ top seed is not.  Past the largest lift (sin(theta)^m_hi below ~1e-609) a
 node restarts at the highest order within reach, and the orders above it
 read zero: their seeds are more than 300 orders of magnitude below the
 double range.  ``underflow_nodes`` on a band counts the nodes whose top
-seed underflows.
+seed underflows.  A single row (:func:`legendre_row`) lifts its seed the
+same way, up to the largest lift.
+
+The seeds' constant log |g_m^m(0)| = (log((2m + 1)/(4 pi)) + S_m) / 2,
+with S_m = log((2m)! / (4^m m!^2)) = sum_{j<=m} log1p(-1/(2j)), is read
+from one table of exactly rounded prefix sums
+(:func:`_equator_seed_logs`), so a column of orders costs one lookup.
 
 Closed-form values at the equator (:func:`normalized_at_zero`) are
 evaluated through log-gamma.
@@ -92,6 +122,7 @@ recurrence (:func:`_legendre_theta`).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -119,19 +150,40 @@ class GridResolutionError(ValueError):
 # Fully normalized associated Legendre recurrences
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _equator_seed_logs(size: int) -> np.ndarray:
+    """log |g_m^m(0)| for the orders m < size, read-only.
+
+    log |g_m^m(0)| = (log((2m + 1) / (4 pi)) + S_m) / 2, where
+    S_m = log((2m)! / (4^m m!^2)) = sum_{j<=m} log1p(-1/(2j)).  The running
+    sums are corrected by the running sum of their own rounding errors,
+    each found exactly by two-sum, which gives the exactly rounded sum of
+    the terms, as ``math.fsum`` would, at every m: within 4.4e-16 of
+    40-digit mpmath at m = 376, 1000, 2346 and 6400.  Through gammaln, S_m
+    is a sum of three terms in the thousands that cancel to ~-5, and was
+    off by 1.1e-12 (m = 376), 1.3e-12 (2346) and 1.9e-11 (6400).  Built
+    once per power-of-two size.
+    """
+    terms = np.log1p(-0.5 / np.arange(1.0, size))
+    sums = np.cumsum(terms)  # accumulate adds in order: sums[k] = sums[k-1] + terms[k]
+    before = np.concatenate([[0.0], sums[:-1]])
+    part = sums - before
+    errors = (before - (sums - part)) + (terms - part)
+    exact = np.concatenate([[0.0], sums + np.cumsum(errors)])
+    logs = 0.5 * (np.log(2.0 * np.arange(size) + 1.0) - math.log(FOUR_PI) + exact)
+    logs.setflags(write=False)
+    return logs
+
+
 def _seed_log_magnitude(m, x: np.ndarray) -> np.ndarray:
     """log |g_m^m| on nodes x for one order or a column of orders (k, 1).
 
     Finite wherever |x| < 1; at x = +-1 it is -inf except at order 0.
     """
     m = np.asarray(m)
-    # math.log per order: numpy's log differs from it in the last bit at
-    # some orders (the first is 9571), and the seeds keep math.log's bits
-    log_odd = np.reshape([math.log(2 * k + 1) for k in m.ravel().tolist()], m.shape)
+    equator = _equator_seed_logs(1 << max(10, int(m.max()).bit_length()))[m]
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log(0) at order 0
-        log_mag = (0.5 * (log_odd - math.log(FOUR_PI) + gammaln(2 * m + 1))
-                   - gammaln(m + 1) - m * _LN2
-                   + 0.5 * m * (np.log1p(-x) + np.log1p(x)))
+        log_mag = equator + 0.5 * m * (np.log1p(-x) + np.log1p(x))
     return np.where(m == 0, -0.5 * math.log(FOUR_PI), log_mag)
 
 
@@ -175,11 +227,17 @@ def legendre_degree_table(m: int, ell_max: int, x) -> np.ndarray:
 
 
 def legendre_row(m: int, ell: int, x) -> np.ndarray:
-    """g-values of a single (ell, m) on nodes x, O(1) memory in degree."""
+    """g-values of a single (ell, m) on nodes x, O(1) memory in degree.
+
+    Seeds that would underflow are lifted as in an order band (see the
+    module notes) and the row is scaled back; where the seed is a normal
+    double, the row is the plain degree recurrence bit for bit.
+    """
     if not 0 <= m <= ell:
         raise ValueError(f"need 0 <= m <= ell, got m={m}, ell={ell}")
     x = _check_nodes(x)
-    return _last_rows(m, ell, x)[-1]
+    lift = _seed_lift(m, x)
+    return np.ldexp(_last_rows(m, ell, x, lift)[-1], -lift)
 
 
 def _degree_rows(m, ell: int, x: np.ndarray, seed: np.ndarray):
@@ -224,6 +282,15 @@ def radial_rows(ell: int, x) -> np.ndarray:
     return np.concatenate([sign * g[:0:-1], g])
 
 
+def _seed_lift(m: int, x: np.ndarray) -> np.ndarray:
+    """Per node, the k <= ``_MAX_LIFT`` that brings 2^k g_m^m into the normal range.
+
+    Zero where the seed is a normal double already.
+    """
+    lift = np.ceil((_LOG_TINY - _seed_log_magnitude(m, x)) / _LN2)
+    return np.clip(lift, 0, _MAX_LIFT).astype(int)
+
+
 def _last_rows(m: int, ell: int, x: np.ndarray, shift=0) -> deque:
     """The rows of degree ell - 1 and ell at one order m (degree ell alone if m = ell).
 
@@ -232,15 +299,64 @@ def _last_rows(m: int, ell: int, x: np.ndarray, shift=0) -> deque:
     return deque(_degree_rows(m, ell, x, _seed_values(m, x, shift)), maxlen=2)
 
 
+def _order_rows(ell: int, m: int, step: int, far: np.ndarray, near: np.ndarray,
+                cot: np.ndarray):
+    """Yield g^{m + step}, g^{m + 2 step}, ... from far = g^{m - step} and near = g^m.
+
+    The three-term relation in order at degree ell,
+
+        sqrt((l - m)(l + m + 1)) g^{m+1} + 2m cot(theta) g^m
+            + sqrt((l + m)(l - m + 1)) g^{m-1} = 0,
+
+    solved for g^{m+1} (step = 1, upward) or g^{m-1} (step = -1, downward).
+    Endless; the caller takes as many rows as it needs.
+    """
+    while True:
+        row = math.sqrt((ell + step * m) * (ell - step * m + 1.0)) * far
+        row += (2.0 * m) * cot * near
+        row *= -1.0 / math.sqrt((ell - step * m) * (ell + step * m + 1.0))
+        yield row
+        far, near, m = near, row, m + step
+
+
+def _upward_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> np.ndarray:
+    """g_ell^m for m = m_lo..m_hi on nodes x, upward in order from m = 0 and 1.
+
+    The seeds come from Stieltjes' series at degree ell (:func:`_legendre_interior`),
+    on theta = arccos |x| <= pi/2 and reflected by parity:
+
+        g_l^0 = sqrt((2l + 1) / (4 pi)) P_l,
+        g_l^1 = sqrt((2l + 1) / (4 pi l (l + 1))) dP_l/dtheta.
+
+    Stable only while every order stays in its oscillatory zone,
+    m_hi <= (l + 1/2) sin(theta), which the caller checks, together with
+    the series' own reach (see the module notes).
+    """
+    theta = np.arccos(np.abs(x))
+    p, dp = _legendre_interior(ell, theta)
+    negative = x < 0
+    p[negative] *= (-1) ** ell
+    dp[negative] *= (-1) ** (ell + 1)
+    below = math.sqrt((2 * ell + 1) / FOUR_PI) * p
+    above = math.sqrt((2 * ell + 1) / (FOUR_PI * ell * (ell + 1.0))) * dp
+    cot = x / np.sqrt((1.0 - x) * (1.0 + x))
+    rows = itertools.chain([below, above], _order_rows(ell, 1, 1, below, above, cot))
+    return np.array(list(itertools.islice(rows, m_lo, m_hi + 1)))
+
+
 def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g_ell^m for m = m_lo..m_hi (rows) on nodes x, by downward recurrence in m.
+    """g_ell^m for m = m_lo..m_hi (rows) on nodes x, by a recurrence in m.
 
     Returns (values, underflow), the latter marking the nodes where the
-    sectoral seed of m_hi is below the smallest normal double.  A band of
-    one order is its degree recurrence (:func:`legendre_row` bit for bit
-    where the seed is normal).  A wider band runs one degree recurrence, at
-    the order below its top, and takes the top row from that recurrence's
-    last two rows by the order-raising identity (see the module notes); at
+    sectoral seed of m_hi is below the smallest normal double.  Where every
+    order is oscillatory at every node, (l + 1/2) sin(theta) >=
+    max(``_SERIES_MIN_RHO_SIN``, m_hi), and sweeping up from m = 0 is
+    cheaper than the degree recurrence, m_hi + ``_SERIES_COST_STEPS`` <
+    l - m_lo, the band is :func:`_upward_band`.  Otherwise, a band of one
+    order is its degree recurrence (:func:`legendre_row` bit for bit).  A
+    wider band runs one degree recurrence, at the order below its top, and
+    takes the top row from that recurrence's last two rows by the
+    order-raising identity, then recurs downward (see the module notes); at
     nodes where the identity's two terms cancel by more
     than ``_CANCEL_BITS`` bits, the top row comes from its own degree
     recurrence instead.  Where a seed would underflow, the rows are lifted
@@ -248,8 +364,13 @@ def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarr
     seed lies beyond the largest lift restart at the highest order within
     reach, and the orders above it read zero.
     """
-    out = np.zeros((m_hi - m_lo + 1, x.size))
     top_log = _seed_log_magnitude(m_hi, x)
+    underflow = top_log < _LOG_TINY
+    sin = np.sqrt((1.0 - x) * (1.0 + x))  # the seeds' sin^2 (module notes)
+    if (m_hi + _SERIES_COST_STEPS < ell - m_lo
+            and np.all((ell + 0.5) * sin >= max(_SERIES_MIN_RHO_SIN, m_hi))):
+        return _upward_band(ell, m_lo, m_hi, x), underflow
+    out = np.zeros((m_hi - m_lo + 1, x.size))
     reach = _LOG_TINY - _MAX_LIFT * _LN2
     top = np.full(x.size, m_hi)
     short = np.flatnonzero(top_log < reach)
@@ -261,35 +382,29 @@ def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarr
     for m_top in np.unique(top[top >= m_lo]).tolist():
         cols = np.flatnonzero(top == m_top)
         xs = x[cols]
-        lift = np.ceil((_LOG_TINY - _seed_log_magnitude(m_top, xs)) / _LN2)
-        lift = np.maximum(lift, 0.0).astype(int)
+        lift = _seed_lift(m_top, xs)
         if m_top == m_lo:
             out[0, cols] = _last_rows(m_top, ell, xs, lift)[-1]
         else:
             m = m_top - 1
             below, lower = _last_rows(m, ell, xs, lift)  # degrees ell - 1 and ell
-            sin = np.sqrt((1.0 - xs) * (1.0 + xs))  # the seeds' sin^2 (module notes)
             t1 = (ell - m) * xs * lower
             t2 = math.sqrt((2 * ell + 1.0) * (ell - m) * (ell + m) / (2 * ell - 1.0)) * below
-            upper = (t1 - t2) / (math.sqrt((ell + m + 1.0) * (ell - m)) * sin)
+            upper = (t1 - t2) / (math.sqrt((ell + m + 1.0) * (ell - m)) * sin[cols])
             cancel = np.flatnonzero(np.abs(t1 - t2)
                                     < 2.0**-_CANCEL_BITS * (np.abs(t1) + np.abs(t2)))
             if cancel.size:
                 upper[cancel] = _last_rows(m_top, ell, xs[cancel], lift[cancel])[-1]
             out[m_top - m_lo, cols] = upper
             out[m - m_lo, cols] = lower
-            cot = xs / sin
-            for m in range(m_top - 1, m_lo, -1):
-                row = math.sqrt((ell - m) * (ell + m + 1.0)) * upper
-                row += (2.0 * m) * cot * lower
-                row *= -1.0 / math.sqrt((ell + m) * (ell - m + 1.0))
-                out[m - 1 - m_lo, cols] = row
-                upper, lower = lower, row
+            rows = _order_rows(ell, m, -1, upper, lower, xs / sin[cols])
+            for i, row in zip(range(m - 1 - m_lo, -1, -1), rows):
+                out[i, cols] = row
         lifted = lift > 0
         if lifted.any():
             rows = out[:m_top - m_lo + 1, cols[lifted]]
             out[:m_top - m_lo + 1, cols[lifted]] = np.ldexp(rows, -lift[lifted])
-    return out, top_log < _LOG_TINY
+    return out, underflow
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +436,10 @@ def legendre_band(ell: int, m_lo: int, m_hi: int, thetas) -> RadialTable:
 
     thetas must avoid +-pi/2 exactly: cos(theta) = 0 makes the normal-form
     potential singular downstream, and the sqrt(cos) factor degenerate.
-    Costs O((ell - m_hi + number of orders) * nodes); see the module notes
-    for the order recurrence and its seeds.
+    Costs O((ell - m_hi + number of orders) * nodes) by the degree and
+    downward order recurrences, or O((36 + m_hi) * nodes) where every order
+    is oscillatory at every node and the upward sweep from the interior
+    series is cheaper; see the module notes for both routes and their seeds.
     """
     if not 0 <= m_lo <= m_hi <= ell:
         raise ValueError(
@@ -461,6 +578,10 @@ def _series_truncation() -> tuple[int, float]:
 
 
 _SERIES_TERMS, _SERIES_MIN_RHO_SIN = _series_truncation()
+# What the interior series costs at one degree, with both seeds of an
+# upward band, in steps of the degree recurrence on the same nodes: measured
+# 62 at l = 400 and 70 at l = 1600 on 1001 nodes (its C_n sum grows with l)
+_SERIES_COST_STEPS = 70
 
 
 def _legendre_theta(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -515,8 +636,11 @@ def _legendre_interior(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ``_SERIES_MIN_RHO_SIN``; O(M) per node.  Term m is the real part of
     z_m = h_m e^{i alpha_0} w^m / sqrt(2 sin theta), w = (1 - i cot theta)/2,
     so dP_n/dtheta = -C_n sum_m ((rho + m) Im z_m + (m + 1/2) cot theta Re z_m).
-    The phase rho theta, rho = n + 1/2, enters as one product: callers keep
-    it exact, since its rounding would move a node by 2^-53 theta.
+    The phase rho theta, rho = n + 1/2, enters as one product.  The Gauss
+    rule keeps it exact, since its rounding would move a node by 2^-53
+    theta.  At an arbitrary node, such as an order band's upward route
+    takes, it is rounded: up to ~rho theta 2^-53 of the amplitude, the
+    same conditioning that P_n has in theta.
     """
     rho = n + 0.5
     sin = np.sin(theta)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.special import lpmv, gammaln, roots_legendre
 
 from sclab import sphere_basis as sb
-from sclab.wkb_engine import band_radius, case_window, q_potential
+from sclab.wkb_engine import band_radius, case_interval, case_window, q_potential
 
 from _oracles import (double_factorial, gauss_legendre_node_mp,
                       gauss_legendre_recurrence_rule, normalized_legendre_mp)
@@ -189,6 +189,110 @@ def test_cancellation_fallback_fires_near_the_poles_on_few_nodes(ell):
     assert np.count_nonzero(fallback & forbidden) >= 10
     assert np.all(np.abs(np.cos(theta[fallback & forbidden])) > 0.99)
     assert np.count_nonzero(fallback) <= 0.02 * theta.size
+
+
+def _wkb_nodes(ell, case, n=1001):
+    """The case's window, its WKB profile grid, and x = cos(colatitude) there."""
+    r = band_radius(ell)
+    thetas = np.linspace(*case_interval(ell, r, case), n)
+    return case_window(ell, r, case), thetas, np.sin(thetas)
+
+
+def _upward_error(ell, m, x, row, sample):
+    """Worst |row - exact| on the sampled nodes, in units of the row's maximum.
+
+    The maximum is that of the degree recurrence's row on all of x.
+    """
+    exact = np.array([float(normalized_legendre_mp(m, ell, x[j])) for j in sample])
+    return np.abs(row[sample] - exact).max() / np.abs(sb.legendre_row(m, ell, x)).max()
+
+
+@pytest.mark.parametrize("ell", [400, 1600])
+@pytest.mark.parametrize("case", ["2", "inf"])
+def test_upward_band_against_mpmath(ell, case):
+    window, _, x = _wkb_nodes(ell, case)
+    m_lo, m_hi = int(window[0]), int(window[-1])
+    band = sb._upward_band(ell, m_lo, m_hi, x)
+    # both interval ends and their neighbours, the centre, and between
+    sample = [0, 1, 137, 250, 499, 500, 501, 777, 999, 1000]
+    for i in (0, m_hi - m_lo):
+        assert _upward_error(ell, m_lo + i, x, band[i], sample) <= 1e-12
+
+
+@pytest.mark.parametrize("past,passes", [(1.0, True), (1.1, False)])
+def test_upward_gate_fails_past_the_turning_point(past, passes):
+    # nodes from (l + 1/2) sin(theta) = m / past to the equator: at past = 1
+    # every node is oscillatory; at 1.1 the outermost lie 10% beyond the
+    # turning point, where the upward sweep follows the wrong solution
+    ell, m = 1600, 400
+    edge = math.sqrt(1.0 - (m / past / (ell + 0.5)) ** 2)
+    x = np.linspace(-edge, edge, 1001)
+    row = sb._upward_band(ell, m, m, x)[0]
+    assert (_upward_error(ell, m, x, row, [0, 1, 500, 999, 1000]) <= 1e-12) == passes
+
+
+def _degree_recurrence_calls(band):
+    """How many degree recurrences ``band()`` runs, and its result."""
+    calls = []
+    last_rows = sb._last_rows
+
+    def counted(*args):
+        calls.append(args)
+        return last_rows(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sb, "_last_rows", counted)
+        result = band()
+    return len(calls), result
+
+
+@pytest.mark.parametrize("ell", [400, 1600])
+def test_upward_route_is_taken_only_by_oscillatory_bands(ell):
+    for case, degree_route in (("inf", False), ("2", True)):
+        window, thetas, _ = _wkb_nodes(ell, case)
+        for m in (int(window[0]), int(window[-1])):
+            calls, _ = _degree_recurrence_calls(
+                lambda: sb.legendre_band(ell, m, m, thetas))
+            assert (calls > 0) == degree_route
+    # a case-"inf" window on a Gauss grid: its nodes next to the poles are
+    # in the forbidden zone of every order but 0
+    window = case_window(ell, band_radius(ell), "inf")
+    x = np.cos(sb.build_grid(4 * ell).theta_nodes)
+    calls, _ = _degree_recurrence_calls(
+        lambda: sb._order_band(ell, int(window[0]), int(window[-1]), x))
+    assert calls > 0
+
+
+@pytest.mark.parametrize("ell", [400, 1600])
+def test_upward_band_rows_are_its_one_order_rows(ell):
+    window, thetas, _ = _wkb_nodes(ell, "inf")
+    calls, table = _degree_recurrence_calls(
+        lambda: sb.legendre_band(ell, int(window[0]), int(window[-1]), thetas))
+    assert calls == 0
+    for i, m in enumerate(window.tolist()):
+        alone = sb.legendre_band(ell, m, m, thetas).values_g[0]
+        assert np.array_equal(table.values_g[i], alone)
+
+
+def test_single_row_lifts_an_underflowing_seed():
+    ell, m, x = 1600, 533, np.array([-0.970])
+    assert sb._seed_values(m, x)[0] == 0.0  # sin(theta)^533 ~ 1e-327
+    row = sb.legendre_row(m, ell, x)
+    assert np.array_equal(row, sb._order_band(ell, m, m, x)[0][0])
+    exact = float(normalized_legendre_mp(m, ell, x[0]))  # 7.23e-38
+    assert abs(row[0] / exact - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [376, 1000, 2346, 6400])
+def test_seed_constant_against_mpmath(m):
+    import mpmath as mp
+
+    with mp.workdps(40):
+        exact = mp.log(mp.sqrt((2 * m + 1) / (4 * mp.pi) * mp.factorial(2 * m))
+                       / (2**m * mp.factorial(m)))
+        # through gammaln this was off by 1.1e-12 (m = 376), 2.7e-15 (1000),
+        # 1.3e-12 (2346) and 1.9e-11 (6400)
+        assert abs(float(sb._seed_log_magnitude(m, np.zeros(1))[0] - exact)) <= 1e-15
 
 
 def test_degree_table_matches_single_rows():
