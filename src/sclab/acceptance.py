@@ -121,8 +121,8 @@ def _equator_anchors(_memo) -> list:
             worst_der = max(worst_der, float(rel.max()))
         below = rows
     return [
-        bound_check("equator-value-agreement", worst_val, 1e-11),
-        bound_check("equator-derivative-agreement", worst_der, 1e-11),
+        bound_check("equator-value-agreement", worst_val, 1e-13),
+        bound_check("equator-derivative-agreement", worst_der, 1e-13),
     ]
 
 

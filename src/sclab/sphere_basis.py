@@ -19,14 +19,15 @@ engine, with int_{-pi/2}^{pi/2} |v|^2 dtheta = 1/(2 pi).
 
 Fixed-order rows come from one normalized three-term recurrence upward
 in degree (:func:`_degree_rows`), over one order or a column of orders
-advancing together: a row (:func:`legendre_row`), a degree table, or the
-degree-l rows of all orders (:func:`radial_rows`) each take one call.
-Normalized values stay O(sqrt(l)), so nothing overflows for l <= 1e4.
-The seed g_m^m ~ sin(theta)^m underflows near the poles at high order.
-A degree table or :func:`radial_rows` then starts from a subnormal seed,
-with fewer bits, or from zero; a single row and a band lift the seed
-instead (see Underflow below).  The degree-l value can be representable
-even so: g_1600^533(-0.97) = 7.23e-38 has a seed of ~1e-327.
+advancing together: a row (:func:`legendre_row`) or a degree table each
+take one call.  Fixed-degree rows all come from one order band
+(:func:`_order_band`, below); the rows of all orders 0..l
+(:func:`radial_rows`) are the band 0..l.  Normalized values stay
+O(sqrt(l)), so nothing overflows for l <= 1e4.  The seed g_m^m ~
+sin(theta)^m underflows near the poles at high order; rows, degree tables
+and bands lift it (see Underflow below), since the degree-l value can be
+representable even so: g_1600^533(-0.97) = 7.23e-38 has a seed of
+~1e-327.
 
 A band of orders m_lo..m_hi at one degree (:func:`legendre_band`) recurs
 downward in order instead,
@@ -101,16 +102,19 @@ top seed is not.  Past the largest lift (sin(theta)^m_hi below ~1e-609) a
 node restarts at the highest order within reach, and the orders above it
 read zero: their seeds are more than 300 orders of magnitude below the
 double range.  ``underflow_nodes`` on a band counts the nodes whose top
-seed underflows.  A single row (:func:`legendre_row`) lifts its seed the
-same way, up to the largest lift.
+seed underflows.  A single row (:func:`legendre_row`) and a degree table
+(:func:`legendre_degree_table`) lift their seed the same way, up to the
+largest lift, and so does :func:`radial_rows` as a band.
 
-The seeds' constant log |g_m^m(0)| = (log((2m + 1)/(4 pi)) + S_m) / 2,
-with S_m = log((2m)! / (4^m m!^2)) = sum_{j<=m} log1p(-1/(2j)), is read
-from one table of exactly rounded prefix sums
-(:func:`_equator_seed_logs`), so a column of orders costs one lookup.
-
-Closed-form values at the equator (:func:`normalized_at_zero`) are
-evaluated through log-gamma.
+Normalization.  One quantity, the central binomial logarithm
+S_k = log((2k)! / (4^k k!^2)) = sum_{j<=k} log1p(-1/(2j)), is read from
+one cached table of exactly rounded prefix sums
+(:func:`_central_binomial_table`) wherever a normalization is needed: the
+seeds' constant log |g_m^m(0)| = (log((2m + 1)/(4 pi)) + S_m) / 2, so a
+column of orders costs one lookup; the closed-form values at the equator
+(:func:`normalized_at_zero`), g_l^m(0)^2 = (2l + 1)/(4 pi) e^(S_a + S_b)
+with a = (l + m)/2, b = a - m; and the interior series' constant
+C_n = 4 / (pi (2n + 1)) e^(-S_n) (:func:`_series_constant`).
 
 Quadrature.  Colatitude grids are Gauss-Legendre rules (:func:`_gauss_rule`):
 scipy's up to 1000 nodes, and above that one Newton step in theta from
@@ -129,7 +133,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, jn_zeros, roots_legendre
+from scipy.special import jn_zeros, roots_legendre
 
 FOUR_PI = 4.0 * math.pi
 _LN2 = math.log(2.0)
@@ -151,18 +155,18 @@ class GridResolutionError(ValueError):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _equator_seed_logs(size: int) -> np.ndarray:
-    """log |g_m^m(0)| for the orders m < size, read-only.
+def _central_binomial_table(size: int) -> np.ndarray:
+    """S_k = log((2k)! / (4^k k!^2)) = sum_{j<=k} log1p(-1/(2j)) for k < size, read-only.
 
-    log |g_m^m(0)| = (log((2m + 1) / (4 pi)) + S_m) / 2, where
-    S_m = log((2m)! / (4^m m!^2)) = sum_{j<=m} log1p(-1/(2j)).  The running
-    sums are corrected by the running sum of their own rounding errors,
-    each found exactly by two-sum, which gives the exactly rounded sum of
-    the terms, as ``math.fsum`` would, at every m: within 4.4e-16 of
-    40-digit mpmath at m = 376, 1000, 2346 and 6400.  Through gammaln, S_m
-    is a sum of three terms in the thousands that cancel to ~-5, and was
-    off by 1.1e-12 (m = 376), 1.3e-12 (2346) and 1.9e-11 (6400).  Built
-    once per power-of-two size.
+    The one source of normalization in this module: the seeds, the values
+    at the equator and the interior series' constant all read it.  The
+    running sums are corrected by the running sum of their own rounding
+    errors, each found exactly by two-sum, which gives the exactly rounded
+    sum of the terms, as ``math.fsum`` would, at every k.  Both sums run
+    in index order, so an entry does not depend on the size of its table.
+    Through log-gamma, S_k is a sum of three terms in the thousands that
+    cancel to ~-5, and was off by 1.1e-12 (k = 376), 1.3e-12 (2346) and
+    1.9e-11 (6400).  Built once per power-of-two size, ~1 ms at 16384.
     """
     terms = np.log1p(-0.5 / np.arange(1.0, size))
     sums = np.cumsum(terms)  # accumulate adds in order: sums[k] = sums[k-1] + terms[k]
@@ -170,18 +174,25 @@ def _equator_seed_logs(size: int) -> np.ndarray:
     part = sums - before
     errors = (before - (sums - part)) + (terms - part)
     exact = np.concatenate([[0.0], sums + np.cumsum(errors)])
-    logs = 0.5 * (np.log(2.0 * np.arange(size) + 1.0) - math.log(FOUR_PI) + exact)
-    logs.setflags(write=False)
-    return logs
+    exact.setflags(write=False)
+    return exact
+
+
+def _log_central_binomial(k):
+    """S_k (see :func:`_central_binomial_table`) for an index or an array of them."""
+    k = np.asarray(k)
+    return _central_binomial_table(1 << max(10, int(k.max(initial=0)).bit_length()))[k]
 
 
 def _seed_log_magnitude(m, x: np.ndarray) -> np.ndarray:
     """log |g_m^m| on nodes x for one order or a column of orders (k, 1).
 
-    Finite wherever |x| < 1; at x = +-1 it is -inf except at order 0.
+    log |g_m^m(0)| = (log((2m + 1) / (4 pi)) + S_m) / 2; within 5.1e-16
+    of 40-digit mpmath at m = 376, 1000, 2346 and 6400.  Finite wherever
+    |x| < 1; at x = +-1 it is -inf except at order 0.
     """
     m = np.asarray(m)
-    equator = _equator_seed_logs(1 << max(10, int(m.max()).bit_length()))[m]
+    equator = 0.5 * (np.log(2.0 * m + 1.0) - math.log(FOUR_PI) + _log_central_binomial(m))
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log(0) at order 0
         log_mag = equator + 0.5 * m * (np.log1p(-x) + np.log1p(x))
     return np.where(m == 0, -0.5 * math.log(FOUR_PI), log_mag)
@@ -218,12 +229,16 @@ def legendre_degree_table(m: int, ell_max: int, x) -> np.ndarray:
     x : nodes in the open interval (-1, 1); typically cos(theta)
 
     Returns array of shape (ell_max - m + 1, len(x)); row k holds degree
-    m + k, bit for bit the :func:`legendre_row` of that degree.
+    m + k, bit for bit the :func:`legendre_row` of that degree: a seed
+    that would underflow is lifted the same way and the table scaled back.
     """
     if m < 0 or ell_max < m:
         raise ValueError(f"need 0 <= m <= ell_max, got m={m}, ell_max={ell_max}")
     x = _check_nodes(x)
-    return np.array(list(_degree_rows(m, ell_max, x, _seed_values(m, x))))
+    lift = _seed_lift(m, x)
+    rows = _degree_rows(m, ell_max, x, _seed_values(m, x, lift))
+    # times an exact power of two: the ldexp of legendre_row, bit for bit, and vectorized
+    return np.array(list(rows)) * np.ldexp(1.0, -lift)
 
 
 def legendre_row(m: int, ell: int, x) -> np.ndarray:
@@ -269,15 +284,12 @@ def _degree_rows(m, ell: int, x: np.ndarray, seed: np.ndarray):
 def radial_rows(ell: int, x) -> np.ndarray:
     """Rows g_ell^m for m = -ell..ell on nodes x: the theta factors of Y_ell^m.
 
-    One recurrence over the column of orders 0..ell.  Negative orders carry
-    the Condon-Shortley convention g_ell^{-m} = (-1)^m g_ell^m; row ell + m
-    holds order m.
+    The order band 0..ell (:func:`_order_band`), O(ell n).  Negative
+    orders carry the Condon-Shortley convention g_ell^{-m} = (-1)^m g_ell^m;
+    row ell + m holds order m.
     """
     x = _check_nodes(x)
-    orders = np.arange(ell + 1)[:, None]
-    g = np.empty((ell + 1, x.size))
-    for j, rows in enumerate(_degree_rows(orders, ell, x, _seed_values(orders, x))):
-        g[ell - j] = rows[ell - j]  # order ell - j reaches degree ell at step j
+    g = _order_band(ell, 0, ell, x)[0]
     sign = np.where(np.arange(ell, 0, -1) % 2, -1.0, 1.0)[:, None]
     return np.concatenate([sign * g[:0:-1], g])
 
@@ -458,49 +470,33 @@ def legendre_band(ell: int, m_lo: int, m_hi: int, thetas) -> RadialTable:
 # Closed forms at the equator
 # ---------------------------------------------------------------------------
 
-def _log_norm_constant(ell, m):
-    """log of sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!), vectorized."""
-    ell = np.asarray(ell, dtype=float)
-    m = np.asarray(m, dtype=float)
-    return 0.5 * (
-        np.log(2 * ell + 1) - math.log(FOUR_PI)
-        + gammaln(ell - m + 1) - gammaln(ell + m + 1)
-    )
-
-
 def normalized_at_zero(ell, m) -> tuple[np.ndarray, np.ndarray]:
     """v_ell^m(0) and (v_ell^m)'(0), bounded for all desk-scale (ell, m).
 
-    Vectorized over (ell, m).  The normalization constant is folded into
-    the closed forms inside the logarithm, so both outputs stay O(l^{1/4})
-    even where P_ell^m(0) itself overflows.
+    Vectorized over (ell, m).  With a = floor((l + m) / 2) and b = a - m,
+    the closed forms from S_k (:func:`_central_binomial_table`) are
+
+        g_l^m(0) = (-1)^a sqrt((2l + 1) / (4 pi) exp(S_a + S_b))       (l + m even),
+        (g_l^m)'(0) = sqrt((2l + 1)(l - m)(l + m) / (2l - 1)) g_{l-1}^m(0)   (l + m odd),
+
+    the other one being zero by parity; v(0) = g(0), and v'(0) is the
+    derivative of g in x = cos(theta) at 0.  Both stay O(l^{1/4}) even
+    where P_ell^m(0) itself overflows.  Against 40-digit mpmath at ten pairs up to l = 10001 they
+    are within 3.2e-16; through log-gamma they were off by up to 1.6e-11.
     """
     ell_arr = np.atleast_1d(np.asarray(ell, dtype=int))
     m_arr = np.atleast_1d(np.asarray(m, dtype=int))
     ell_b, m_b = np.broadcast_arrays(ell_arr, m_arr)
     if np.any(m_b < 0) or np.any(m_b > ell_b):
         raise ValueError("need 0 <= m <= ell")
-    log_n = _log_norm_constant(ell_b, m_b)
-    even = (ell_b + m_b) % 2 == 0
-    value = np.zeros(ell_b.shape)
-    deriv = np.zeros(ell_b.shape)
-
-    le, me = ell_b[even].astype(float), m_b[even].astype(float)
-    log_mag = (
-        me * _LN2 - 0.5 * math.log(math.pi)
-        + gammaln((le + me + 1) / 2.0) - gammaln((le - me + 2) / 2.0)
-    )
-    sign = np.where((((ell_b[even] + m_b[even]) // 2) % 2) == 1, -1.0, 1.0)
-    value[even] = sign * np.exp(log_mag + log_n[even])
-
-    lo, mo = ell_b[~even].astype(float), m_b[~even].astype(float)
-    log_mag = (
-        (mo + 1) * _LN2 - 0.5 * math.log(math.pi)
-        + gammaln((lo + mo + 2) / 2.0) - gammaln((lo - mo + 1) / 2.0)
-    )
-    sign = np.where((((ell_b[~even] + m_b[~even] - 1) // 2) % 2) == 1, -1.0, 1.0)
-    deriv[~even] = sign * np.exp(log_mag + log_n[~even])
-
+    odd = (ell_b + m_b) % 2 == 1
+    a = (ell_b + m_b) // 2
+    factor = (2.0 * ell_b + 1.0) * np.where(odd, (ell_b - m_b) * (ell_b + m_b), 1)
+    magnitude = np.sqrt(factor / FOUR_PI) * np.exp(
+        0.5 * (_log_central_binomial(a) + _log_central_binomial(a - m_b)))
+    signed = np.where(a % 2, -magnitude, magnitude)
+    value = np.where(odd, 0.0, signed)
+    deriv = np.where(odd, signed, 0.0)
     if np.isscalar(ell) and np.isscalar(m):
         return float(value.reshape(-1)[0]), float(deriv.reshape(-1)[0])
     return value, deriv
@@ -580,7 +576,8 @@ def _series_truncation() -> tuple[int, float]:
 _SERIES_TERMS, _SERIES_MIN_RHO_SIN = _series_truncation()
 # What the interior series costs at one degree, with both seeds of an
 # upward band, in steps of the degree recurrence on the same nodes: measured
-# 62 at l = 400 and 70 at l = 1600 on 1001 nodes (its C_n sum grows with l)
+# 57 to 73 at l = 400, 1600 and 10000 on 1001 nodes (flat in l: C_n is a
+# table lookup)
 _SERIES_COST_STEPS = 70
 
 
@@ -616,11 +613,12 @@ def _legendre_theta(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _series_constant(n: int) -> float:
     """C_n = (4/pi) prod_{j<=n} j / (j + 1/2), the interior series' prefactor.
 
-    As 4/pi exp(-sum log1p(1/(2j))) with the sum exactly rounded: within
-    ~4e-16 of mpmath up to n = 51200.  Through gammaln or poch the ratio
-    n!/Gamma(n + 3/2) was 3e-12 to 5e-12 off at n = 4096 and 9600.
+    The product is 4^n n!^2 / (2n + 1)! = exp(-S_n) / (2n + 1), with S_n
+    read from :func:`_central_binomial_table`: within 3.2e-16 of 30-digit
+    mpmath at n = 1001, 9600 and 51200.  Through log-gamma or poch the
+    ratio n!/Gamma(n + 3/2) was 3e-12 to 5e-12 off at n = 4096 and 9600.
     """
-    return 4.0 / math.pi * math.exp(-math.fsum(np.log1p(0.5 / np.arange(1.0, n + 1))))
+    return 4.0 / (math.pi * (2 * n + 1)) * math.exp(-float(_log_central_binomial(n)))
 
 
 def _legendre_interior(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

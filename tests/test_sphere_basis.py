@@ -283,6 +283,11 @@ def test_single_row_lifts_an_underflowing_seed():
     assert abs(row[0] / exact - 1) <= 1e-12
 
 
+def test_central_binomial_entries_do_not_depend_on_the_table_size():
+    small, large = sb._central_binomial_table(1024), sb._central_binomial_table(65536)
+    assert np.array_equal(small, large[:1024])
+
+
 @pytest.mark.parametrize("m", [376, 1000, 2346, 6400])
 def test_seed_constant_against_mpmath(m):
     import mpmath as mp
@@ -293,6 +298,14 @@ def test_seed_constant_against_mpmath(m):
         # through gammaln this was off by 1.1e-12 (m = 376), 2.7e-15 (1000),
         # 1.3e-12 (2346) and 1.9e-11 (6400)
         assert abs(float(sb._seed_log_magnitude(m, np.zeros(1))[0] - exact)) <= 1e-15
+
+
+def test_degree_table_lifts_an_underflowing_seed():
+    m, ell, x = 533, 1600, np.array([-0.970])
+    table = sb.legendre_degree_table(m, ell, x)
+    assert np.array_equal(table[-1], sb.legendre_row(m, ell, x))
+    exact = float(normalized_legendre_mp(m, ell, x[0]))  # 7.23e-38
+    assert abs(table[-1, 0] / exact - 1) <= 1e-12
 
 
 def test_degree_table_matches_single_rows():
@@ -313,8 +326,25 @@ def test_order_column_matches_one_order_recurrences(ell):
             assert np.array_equal(rows[m], next(alone[m]))
     assert step == ell
     assert all(next(gen, None) is None for gen in alone)
-    stacked = np.stack([sb.legendre_row(m, ell, x) for m in range(ell + 1)])
-    assert np.array_equal(sb.radial_rows(ell, x)[ell:], stacked)
+    assert np.array_equal(sb.radial_rows(ell, x), _signed_band(ell, x))
+
+
+def _signed_band(ell, x):
+    """Rows of orders -ell..ell from the order band 0..ell, Condon-Shortley signed."""
+    band = sb._order_band(ell, 0, ell, x)[0]
+    sign = np.where(np.arange(ell, 0, -1) % 2, -1.0, 1.0)[:, None]
+    return np.concatenate([sign * band[:0:-1], band])
+
+
+@pytest.mark.parametrize("ell", [100, 400])
+def test_radial_rows_against_mpmath(ell):
+    x = np.append(np.cos(sb.build_grid(ell + 12).theta_nodes), 0.0)  # the equator last
+    rows = sb.radial_rows(ell, x)[ell:]
+    for m in (0, ell // 2, ell - 2, ell - 1, ell):
+        peak = np.abs(rows[m]).max()
+        for i in (0, x.size // 4, x.size - 2, x.size - 1):  # both outermost nodes
+            exact = float(normalized_legendre_mp(m, ell, x[i]))
+            assert abs(rows[m, i] - exact) <= 1e-12 * peak, (m, i)
 
 
 def test_ode_residual_second_order_convergence():
@@ -508,9 +538,7 @@ def test_ylm_matrix_columns_are_signed_rows():
     x = np.cos(grid.theta_nodes)
     matrix, labels, _ = sb.ylm_matrix([3, 6], grid)
     for col, (ell, m) in enumerate(labels):
-        g = sb.legendre_row(abs(m), ell, x)
-        if m < 0 and m % 2:
-            g = -g
+        g = _signed_band(ell, x)[ell + m]
         expected = np.outer(g, np.exp(1j * m * grid.phi_nodes)).ravel()
         assert np.array_equal(matrix[:, col], expected)
 
@@ -560,6 +588,26 @@ def test_normalized_at_zero_matches_recurrence():
         values, _ = sb.normalized_at_zero(ells, np.full(ells.size, m))
         even = (ells + m) % 2 == 0
         assert np.allclose(table[even], values[even], rtol=1e-12)
+
+
+@pytest.mark.parametrize("ell, m", [(400, 7), (401, 7), (1600, 533), (1601, 533),
+                                   (2400, 2350), (2401, 2350), (6400, 80), (6401, 80),
+                                   (10000, 5000), (10001, 5000)])
+def test_normalized_at_zero_against_mpmath(ell, m):
+    import mpmath as mp
+
+    with mp.workdps(40):
+        norm = mp.sqrt((2 * ell + 1) / (4 * mp.pi) * mp.factorial(ell - m) / mp.factorial(ell + m))
+        if (ell + m) % 2 == 0:  # P_l^m(0) = (-1)^a (l + m - 1)!! / (l - m)!!
+            got = sb.normalized_at_zero(ell, m)[0]
+            exact = ((-1) ** ((ell + m) // 2) * mp.mpf(double_factorial(ell + m - 1))
+                     / double_factorial(ell - m))
+        else:  # (P_l^m)'(0) = (l + m) P_{l-1}^m(0)
+            got = sb.normalized_at_zero(ell, m)[1]
+            exact = ((-1) ** ((ell + m - 1) // 2) * (ell + m)
+                     * mp.mpf(double_factorial(ell + m - 2)) / double_factorial(ell - m - 1))
+        # through log-gamma these were off by up to 1.6e-11
+        assert abs(float(got / (norm * exact) - 1)) <= 1e-14
 
 
 def test_normalized_at_zero_bounded_at_extreme_orders():
