@@ -40,11 +40,15 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dump_wkb(args) -> int:
-    r = args.r or wkb.band_radius(args.ell)
-    profile = wkb.wkb_approximant(args.ell, args.m, args.case, r,
-                                  args.eta1, args.eta2, args.n_theta)
-    v_exact = sb.legendre_band(args.ell, args.m, args.m,
-                               profile.thetas).values_v[0]
+    try:
+        r = args.r or wkb.band_radius(args.ell)
+        profile = wkb.wkb_approximant(args.ell, args.m, args.case, r,
+                                      args.eta1, args.eta2, args.n_theta)
+        v_exact = sb.legendre_band(args.ell, args.m, args.m,
+                                   profile.thetas).values_v[0]
+    except (ValueError, wkb.TurningPointError) as err:
+        print(f"dump-wkb error: {err}", file=sys.stderr)
+        return 2
     env = wkb.envelope(profile)
     rows = zip(profile.thetas, profile.q, profile.action, profile.y, v_exact, env)
     with (open(args.out, "w", newline="") if args.out

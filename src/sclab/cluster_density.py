@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sphere_basis import (GridResolutionError, SphereGrid, _order_band, build_grid,
-                           cluster_rank, ylm_matrix)
+                           cluster_rank, radial_rows)
 from .wkb_engine import case_window, normalize_case
 
 SPHERE_AREA = 4.0 * math.pi
@@ -237,20 +237,31 @@ def random_cluster_density(lam: float, n_funcs: int, rng: np.random.Generator,
                            grid: SphereGrid):
     """Density of a Haar-random weighted orthonormal system inside a cluster.
 
-    Draws n_funcs orthonormal combinations of the cluster basis (QR of a
-    complex Gaussian matrix) and weights nu uniform in [0, 1].  Returns
-    (rho, nu, surface_weights) with rho on the flattened (theta, phi) mesh;
-    the mix couples different azimuthal orders, so rho genuinely depends
-    on phi.
+    Draws the coefficients q_k of n_funcs orthonormal combinations
+    f_k = sum_(l,m) q_k[(l,m)] Y_l^m of the cluster basis (degree-major,
+    m = -l..l, as :func:`radial_rows` orders each degree) as the Q factor
+    of a complex Gaussian matrix (real parts drawn first, then imaginary
+    parts), then weights nu uniform in [0, 1].  Returns
+    (rho, nu, surface_weights) with rho = sum_k nu_k |f_k|^2 on the
+    flattened theta-major (theta, phi) mesh; the mix couples different
+    azimuthal orders, so rho genuinely depends on phi.
+
+    On a ring, f_k(theta, phi_j) = sum_m F_k^m(theta) e^{i m phi_j} with
+    F_k^m = sum_l q_k[(l,m)] g_l^m, and e^{i m phi_j} depends on m only
+    through m mod n_phi: each F_k^m is added into azimuthal bin
+    m mod n_phi, and one inverse FFT along phi gives f_k on every node.
     """
     ells, dim = cluster_rank(lam)
     if not 1 <= n_funcs <= dim:
         raise ValueError(f"need 1 <= n_funcs <= dim={dim}")
-    basis, _, weights = ylm_matrix(ells, grid)
     gauss = rng.standard_normal((dim, n_funcs)) + 1j * rng.standard_normal((dim, n_funcs))
     q, _ = np.linalg.qr(gauss)
-    funcs = basis @ q
     nu = rng.uniform(0.0, 1.0, n_funcs)
-    rho = (np.abs(funcs) ** 2 * nu).sum(axis=1)
-    return rho, nu, weights
-
+    x = np.cos(grid.theta_nodes)
+    bins = np.zeros((grid.n_theta, grid.n_phi, n_funcs), dtype=complex)
+    coeffs = iter(q)
+    for ell in ells:
+        for m, g in zip(range(-ell, ell + 1), radial_rows(ell, x)):
+            bins[:, m % grid.n_phi] += np.outer(g, next(coeffs))
+    funcs = np.fft.ifft(bins, axis=1, norm="forward")
+    return (np.abs(funcs) ** 2 @ nu).ravel(), nu, grid.surface_weights()

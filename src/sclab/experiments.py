@@ -533,26 +533,40 @@ def run_phase_sums(cfg: ExperimentConfig):
     return checks, rows, header
 
 
-def _dump_spectra(cfg: ExperimentConfig, spectra: dict) -> None:
-    """One singular-value file per (lambda, experiment) under output/spectra."""
+def _spectra_files(cfg: ExperimentConfig, lams) -> dict:
+    """lambda -> its singular-value file under output/spectra; {} without output.
+
+    A file is named by the experiment and {lambda:g}, so two lambda_range
+    values that print alike would share one file and one spectrum would be
+    lost: a ConfigError naming the field, raised before any work.
+    """
     if not cfg.output:
-        return
-    spectra_dir = os.path.join(cfg.output, "spectra")
-    os.makedirs(spectra_dir, exist_ok=True)
-    for lam, sv in spectra.items():
-        path = os.path.join(spectra_dir, f"{cfg.experiment}_lambda{lam:g}.csv")
+        return {}
+    files = {lam: os.path.join(cfg.output, "spectra",
+                               f"{cfg.experiment}_lambda{lam:g}.csv") for lam in lams}
+    if len(set(files.values())) < len(lams):
+        raise ConfigError(f"field 'lambda_range': values {list(lams)} repeat a "
+                          "spectra file name (lambda printed with 6 significant digits)")
+    return files
+
+
+def _dump_spectra(files: dict, spectra: dict) -> None:
+    """Write each lambda's singular values to its file from :func:`_spectra_files`."""
+    for lam, path in files.items():
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        sigma = np.asarray(spectra[lam], dtype=float)
         with open(path, "w", newline="") as fh:
-            fh.write(format_rows(("k", "sigma"),
-                                 list(enumerate(np.asarray(sv, dtype=float)))))
+            fh.write(format_rows(("k", "sigma"), list(enumerate(sigma))))
 
 
 def run_schatten_dual(cfg: ExperimentConfig):
     lams = _cluster_lambdas(cfg.lambda_range or [5, 10, 15, 20, 25, 30, 40])
     p_list = _exponent_list(cfg, [4.0, 6.0, 10.0])
+    files = _spectra_files(cfg, lams)
     checks, rows = [], []
     spectra = {lam: sl.projector_gram(lam, reference_weight, _cluster_grid(lam))
                for lam in lams}
-    _dump_spectra(cfg, spectra)
+    _dump_spectra(files, spectra)
     for p in p_list:
         ratios = []
         for lam in lams:
@@ -571,6 +585,7 @@ def run_oscillatory_scaling(cfg: ExperimentConfig):
     if not all(0.0 < lam < math.inf for lam in lams):
         raise ConfigError("field 'lambda_range': frequencies must be positive "
                           f"and finite, got {lams}")
+    files = _spectra_files(cfg, lams)
     checks, rows = [], []
     compensated = []
     spectra = {}
@@ -581,7 +596,7 @@ def run_oscillatory_scaling(cfg: ExperimentConfig):
         eta = norm * lam ** (1.0 / 3.0)
         compensated.append(eta)
         rows.append((lam, 6.0, 6.0, norm, eta))
-    _dump_spectra(cfg, spectra)
+    _dump_spectra(files, spectra)
     checks.append(bound_check("oscillatory-paraboloid-variation",
                               max(compensated) / min(compensated), 2.0))
     ok, _ = sl.validate_resolution(sl.paraboloid_model, max(lams))

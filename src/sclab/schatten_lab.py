@@ -125,10 +125,10 @@ WEIGHT_DEGREE_HINT = 8
 def weighted_cluster_gram(ells, w_samples, grid: SphereGrid) -> np.ndarray:
     """G_ab = int |W|^2 conj(Y_a) Y_b over the cluster basis of degrees ``ells``.
 
-    Columns follow :func:`ylm_matrix` (degree-major, m = -l..l), and the
-    entries are its trapezoid-times-Gauss quadrature: an FFT of |W|^2 along
-    each azimuthal ring gives c_k(theta) = (2 pi / n_phi) sum_j |W|^2
-    e^{-i k phi_j}, and G_ab = sum_theta w_theta g_a g_b c_{m_a - m_b}(theta),
+    Columns follow :func:`radial_rows` degree by degree (degree-major,
+    m = -l..l), and the entries are the grid's trapezoid-times-Gauss
+    quadrature: an FFT of |W|^2 along each azimuthal ring gives
+    c_k(theta) = (2 pi / n_phi) sum_j |W|^2 e^{-i k phi_j}, and G_ab = sum_theta w_theta g_a g_b c_{m_a - m_b}(theta),
     one diagonal m_a - m_b at a time.  That costs O(n_theta dim^2) plus the
     FFT, against O(n_theta n_phi dim^2) for the product of the mesh matrices.
 
@@ -239,14 +239,6 @@ def oscillatory_operator(phase, amplitude, lam: float,
     return mat
 
 
-def _smaller_gram(matrix: np.ndarray) -> np.ndarray:
-    """M M^H or M^H M, whichever is the smaller square."""
-    n_rows, n_cols = matrix.shape
-    if n_rows <= n_cols:
-        return matrix @ matrix.conj().T
-    return matrix.conj().T @ matrix
-
-
 def gram_singular_values(blocks) -> np.ndarray:
     """Descending singular values of M, given its Gram M^H M or M M^H.
 
@@ -255,11 +247,6 @@ def gram_singular_values(blocks) -> np.ndarray:
     """
     eigs = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[::-1]
     return np.sqrt(np.clip(eigs, 0.0, None))
-
-
-def singular_values(matrix: np.ndarray) -> np.ndarray:
-    """Descending singular values; routed through the smaller Gram side."""
-    return gram_singular_values((_smaller_gram(matrix),))
 
 
 def paraboloid_phase(x_nodes: np.ndarray, y_nodes: np.ndarray) -> np.ndarray:
@@ -346,7 +333,7 @@ def paraboloid_model(lam: float, points_per_wavelength: float = 10.0,
 
     if n_x * n_x * n_y <= DENSE_RUNG_ENTRIES:
         mat = dense()
-        return OscillatoryModel(lam, (_smaller_gram(mat),), n_x, n_y, lambda: mat)
+        return OscillatoryModel(lam, (mat.conj().T @ mat,), n_x, n_y, lambda: mat)
     y, y_w = _axis_rule(*Y_BOX_PARABOLOID[0], n_y)
     a1 = _bump_factor(*X_BOX_PARABOLOID[0], n_x, lam, y)
     a2 = _bump_factor(*X_BOX_PARABOLOID[1], n_x, lam, 0.5 * y * y)

@@ -540,8 +540,9 @@ class SphereGrid:
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """(thetas, phis) of the flattened product mesh, theta-major.
 
-        Entry i * n_phi + j is (theta_i, phi_j): the row order of
-        :func:`ylm_matrix` and of :meth:`surface_weights`.
+        Entry i * n_phi + j is (theta_i, phi_j): the order of
+        :meth:`surface_weights` and of the density that
+        :func:`sclab.cluster_density.random_cluster_density` returns.
         """
         return (np.repeat(self.theta_nodes, self.n_phi),
                 np.tile(self.phi_nodes, self.n_theta))
@@ -761,29 +762,6 @@ def build_grid(n_theta: int, n_phi: int = 1) -> SphereGrid:
     theta = np.arccos(u)[::-1].copy()
     weights = w[::-1].copy()
     return SphereGrid(theta, weights, n_phi, 2 * n_theta - 1)
-
-
-def ylm_matrix(ells, grid: SphereGrid):
-    """Columns Y_l^m on the flattened (theta, phi) mesh for all given degrees.
-
-    Returns (matrix, labels, weights): matrix has shape
-    (n_theta * n_phi, sum(2l+1)), labels is the list of (ell, m) pairs in
-    column order, and weights are the matching surface weights.
-    """
-    ells = [int(e) for e in ells]
-    x = np.cos(grid.theta_nodes)
-    phis = grid.phi_nodes
-    n_nodes = grid.n_theta * grid.n_phi
-    dim = sum(2 * e + 1 for e in ells)
-    matrix = np.empty((n_nodes, dim), dtype=complex)
-    labels = []
-    col = 0
-    for ell in ells:
-        for m, g in zip(range(-ell, ell + 1), radial_rows(ell, x)):
-            matrix[:, col] = np.outer(g, np.exp(1j * m * phis)).ravel()
-            labels.append((ell, m))
-            col += 1
-    return matrix, labels, grid.surface_weights()
 
 
 # ---------------------------------------------------------------------------

@@ -243,8 +243,12 @@ def wkb_approximant(ell: int, m: int, case_tag, r: int | None = None,
     """Sample Q, S, y, E on the case interval and match c at theta = 0.
 
     The matching uses v(0) for even l+m and v'(0) for odd l+m (see
-    :func:`matching_constants`).
+    :func:`matching_constants`).  S and E are summed outward from the
+    grid's centre node theta = 0, so ``n_theta`` must be at least 2 (an
+    even count is raised by one to keep that node).
     """
+    if n_theta < 2:
+        raise ValueError(f"n_theta must be >= 2, got {n_theta}")
     case = normalize_case(case_tag)
     if r is None:
         r = band_radius(ell)

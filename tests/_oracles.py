@@ -1,13 +1,21 @@
 """Independent reference computations used to freeze expected values.
 
-Everything here deliberately avoids the library's own code paths: the
-recurrence runs in 50-digit mpmath arithmetic, the all-node Gauss rule
-runs the full recurrence at every node, the action integral is a
+Everything here deliberately avoids the library code path it checks:
+the recurrence runs in 50-digit mpmath arithmetic, the all-node Gauss
+rule runs the full recurrence at every node, the action integral is a
 brute-force composite Simpson rule, the profile integrals run one Gauss
 panel at a time in a Python loop, and the projector spectrum comes from
 the dense addition-theorem kernel on the mesh.  Frozen literals in the
 tests were produced by these functions; rerun them to re-derive any of
 the constants.
+
+Two dense routes are the references for the library's structured ones.
+``ylm_matrix`` expands every Y_l^m on the mesh from the library's
+``radial_rows`` (themselves tested against mpmath): the reference for the
+FFT routes in phi, the cluster Gram and the random cluster density.
+``singular_values`` takes the spectrum of a dense matrix through its
+smaller Gram: the reference for the Gram blocks of the oscillatory
+models.
 """
 
 import math
@@ -174,3 +182,36 @@ def projector_kernel_eigs(lam: float, w_samples, grid) -> np.ndarray:
     mat = root[:, None] * kernel * root[None, :]
     eigs = np.linalg.eigvalsh(mat)[::-1]
     return np.clip(eigs, 0.0, None)
+
+
+def ylm_matrix(ells, grid):
+    """Columns Y_l^m on the flattened theta-major (theta, phi) mesh.
+
+    Returns (matrix, labels, weights): matrix has shape
+    (n_theta * n_phi, sum(2l+1)), labels is the list of (ell, m) pairs in
+    column order (degree-major, m = -l..l), and weights are the matching
+    surface weights.
+    """
+    from sclab.sphere_basis import radial_rows
+
+    x = np.cos(grid.theta_nodes)
+    columns, labels = [], []
+    for ell in ells:
+        for m, g in zip(range(-ell, ell + 1), radial_rows(ell, x)):
+            columns.append(np.outer(g, np.exp(1j * m * grid.phi_nodes)).ravel())
+            labels.append((ell, m))
+    return np.stack(columns, axis=1), labels, grid.surface_weights()
+
+
+def singular_values(matrix) -> np.ndarray:
+    """Descending singular values of a dense matrix through its smaller Gram.
+
+    The eigenvalues of M M^H or M^H M, whichever is the smaller square,
+    clipped at 0 and square-rooted.
+    """
+    n_rows, n_cols = matrix.shape
+    if n_rows <= n_cols:
+        gram = matrix @ matrix.conj().T
+    else:
+        gram = matrix.conj().T @ matrix
+    return np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))[::-1]

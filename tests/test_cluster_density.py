@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sclab import cluster_density as cd
+from sclab import schatten_lab as sl
 from sclab import sphere_basis as sb
 from sclab import wkb_engine as wkb
+from sclab.experiments import _cluster_grid, reference_weight
+
+from _oracles import ylm_matrix
 
 
 def make_profile(ell, r, case, n_mult=4, nu=None):
@@ -272,6 +276,48 @@ def test_random_density_upper_bound_ratios():
         ratio = (cd.lp_norm(rho, p / 2.0, weights)
                  / (10.0 ** (2 * s) * cd.lp_norm(nu, alpha)))
         assert ratio < 2.5
+
+
+def _redraw_system(lam, n_funcs, seed):
+    """Q and nu of random_cluster_density, drawn again in its documented order."""
+    _, dim = sb.cluster_rank(lam)
+    rng = np.random.default_rng(seed)
+    gauss = rng.standard_normal((dim, n_funcs)) + 1j * rng.standard_normal((dim, n_funcs))
+    q, _ = np.linalg.qr(gauss)
+    return q, rng.uniform(0.0, 1.0, n_funcs)
+
+
+@pytest.mark.parametrize("lam, n_theta, n_phi", [
+    (10.0, 24, 36), (35.0, 47, 86),  # n_phi >= 2l + 1: one order per bin
+    (10.0, 24, 15), (35.0, 47, 15),  # n_phi < 2l + 1: orders share a bin
+])
+def test_random_density_matches_mesh_oracle(lam, n_theta, n_phi):
+    grid = sb.build_grid(n_theta, n_phi)
+    ells, dim = sb.cluster_rank(lam)
+    rho, nu, weights = cd.random_cluster_density(lam, dim // 2,
+                                                 np.random.default_rng(7), grid)
+    q, nu_again = _redraw_system(lam, dim // 2, 7)
+    basis, _, mesh_weights = ylm_matrix(ells, grid)
+    oracle = np.abs(basis @ q) ** 2 @ nu_again
+    assert np.array_equal(nu, nu_again)
+    assert np.array_equal(weights, mesh_weights)
+    assert np.max(np.abs(rho - oracle)) <= 1e-13 * oracle.max()
+
+
+@pytest.mark.parametrize("lam", [10.0, 35.0])
+def test_random_density_pairs_with_the_cluster_gram(lam):
+    # int |W|^2 rho = Tr(W gamma W^*) = sum_k nu_k q_k^H G_W q_k on one grid
+    grid = _cluster_grid(lam)
+    ells, dim = sb.cluster_rank(lam)
+    rho, nu, weights = cd.random_cluster_density(lam, dim // 2,
+                                                 np.random.default_rng(3), grid)
+    q, _ = _redraw_system(lam, dim // 2, 3)
+    thetas, phis = grid.mesh()
+    lhs = np.dot(weights * reference_weight(thetas, phis) ** 2, rho)
+    gram = sl.weighted_cluster_gram(ells, reference_weight, grid)
+    rhs = np.einsum("k,ik,ij,jk->", nu, q.conj(), gram, q)
+    assert abs(rhs.imag) <= 1e-14 * abs(rhs)
+    assert lhs == pytest.approx(rhs.real, rel=1e-12)
 
 
 def test_random_density_argument_validation():

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from sclab import cli
 from sclab import experiments as ex
 from sclab import wkb_engine as wkb
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +170,28 @@ def test_spectra_dumped_per_lambda(tmp_path):
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,sigma"
         assert float(lines[1].split(",")[1]) > 0.0
+
+
+@pytest.mark.parametrize("experiment, lams", [
+    ("oscillatory_scaling", [123.4561, 123.4562]),
+    ("schatten_dual", [30.0000001, 30.0000002, 40]),
+])
+def test_spectra_file_names_must_differ(tmp_path, experiment, lams):
+    # both values print as one {lam:g} name: one spectrum would overwrite the other
+    cfg = ex.ExperimentConfig(experiment=experiment, lambda_range=lams,
+                              output=str(tmp_path))
+    with pytest.raises(ex.ConfigError, match="field 'lambda_range'"):
+        ex.run(cfg)
+    assert not (tmp_path / "spectra").exists()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_configs_pass(path, tmp_path):
+    cfg = dataclasses.replace(ex.load_config(path), output=str(tmp_path))
+    report = ex.run(cfg)
+    assert report.checks
+    assert [c.name for c in report.checks if not c.passed] == []
+    assert (tmp_path / f"{cfg.experiment}.json").exists()
 
 
 def test_json_report_schema(tmp_path):
@@ -332,6 +358,21 @@ def test_cli_dump_wkb(tmp_path):
     row = [float(tok) for tok in lines[101].split(",")]
     assert row[0] == pytest.approx(0.0)  # center of the symmetric grid
     assert row[1] < 0.0  # oscillatory regime
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ell", "10", "--m", "20", "--case", "2"],  # turning point
+    ["--ell", "10", "--m", "9", "--case", "inf"],  # empty interval
+    ["--ell", "40", "--m", "38", "--case", "2", "--eta2", "5"],  # |theta| >= pi/2
+    ["--ell", "40", "--m", "38", "--case", "2", "--n-theta", "1"],
+])
+def test_cli_dump_wkb_reports_unusable_arguments(argv, capsys):
+    code = cli.main(["dump-wkb", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("dump-wkb error: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_cli_check_writes_acceptance_json(tmp_path, capsys):

@@ -9,7 +9,7 @@ from sclab import schatten_lab as sl
 from sclab import sphere_basis as sb
 from sclab.experiments import _cluster_grid, fit_slope, reference_weight
 
-from _oracles import projector_kernel_eigs
+from _oracles import projector_kernel_eigs, singular_values, ylm_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_gram_route_matches_kernel_route():
 
 def mesh_cluster_gram(ells, w_samples, grid):
     """The cluster Gram as a product of mesh matrices: the oracle route."""
-    basis, _, weights = sb.ylm_matrix(ells, grid)
+    basis, _, weights = ylm_matrix(ells, grid)
     thetas, phis = grid.mesh()
     w_sq = np.asarray(w_samples(thetas, phis), dtype=float) ** 2
     return basis.conj().T @ (basis * (weights * w_sq)[:, None])
@@ -171,7 +171,7 @@ def test_belt_weight_saturates_dual_bound():
 
 def test_zero_frequency_separable_amplitude_is_rank_one():
     model = sl.paraboloid_model(0.0)
-    sv = sl.singular_values(model.matrix)
+    sv = singular_values(model.matrix)
     assert sv[1] / sv[0] < 1e-7
 
 
@@ -223,7 +223,7 @@ def _assert_gram_matches_dense_oracle(model):
 
     Returns the top 20 singular values of both routes.
     """
-    oracle = sl.singular_values(model.matrix)
+    oracle = singular_values(model.matrix)
     top = oracle[0]
     for block in model.gram:
         assert np.max(np.abs(block - block.conj().T)) <= 1e-14 * top**2
@@ -252,7 +252,7 @@ def test_dense_rung_is_the_oracle_bit_for_bit(lam):
     model = sl.paraboloid_model(lam)
     assert model.matrix.size <= sl.DENSE_RUNG_ENTRIES
     assert np.array_equal(sl.gram_singular_values(model.gram),
-                          sl.singular_values(model.matrix))
+                          singular_values(model.matrix))
 
 
 @pytest.mark.parametrize("refine", [1, 2])
@@ -315,7 +315,7 @@ def test_kss_hilbert_schmidt_identity():
     grid = sb.build_grid(30, 44)
     lhs, rhs = sl.kss_bound(indicator(10.0), reference_weight, 2.0, grid, 14)
     ells, dim = sb.cluster_rank(10.0)
-    basis, _, weights = sb.ylm_matrix(ells, grid)
+    basis, _, weights = ylm_matrix(ells, grid)
     thetas, phis = grid.mesh()
     w2 = reference_weight(thetas, phis) ** 2
     direct = sum(float(np.dot(weights, w2 * np.abs(basis[:, j]) ** 2))

