@@ -41,7 +41,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_dump_wkb(args) -> int:
     try:
-        r = args.r or wkb.band_radius(args.ell)
+        r = wkb.band_radius(args.ell) if args.r is None else args.r
         profile = wkb.wkb_approximant(args.ell, args.m, args.case, r,
                                       args.eta1, args.eta2, args.n_theta)
         v_exact = sb.legendre_band(args.ell, args.m, args.m,

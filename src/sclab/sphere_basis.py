@@ -54,9 +54,11 @@ below them: deep in the forbidden zone next to a pole, and next to a zero
 of g_l^{m+1}.  Where they cancel by more than ``_CANCEL_BITS`` = 10 bits,
 |t1| + |t2| > 2^10 |t1 - t2|, the top row is recomputed on those nodes
 alone by its own degree recurrence: on n = 4l Gauss nodes that is ~1% of
-a case-"inf" window's nodes (92 of 9600 at l = 2400) and none of a
-case-"2" window's.  Every sin^2(theta) is formed as (1 - x)(1 + x), in the
-seeds as log1p(-x) + log1p(x): 1 - x*x would lose m/2 * 2^-53 / (1 - x^2)
+a case-"inf" window's nodes (92 of 9600 at l = 2400), and in a case-"2"
+window the nodes next to the poles whose top row is below the smallest
+normal double (108 of 3900 at l = 975, 268 of 9600 at l = 2400).  Every
+sin^2(theta) is formed as (1 - x)(1 + x), in unlifted seeds as
+log1p(-x) + log1p(x): 1 - x*x would lose m/2 * 2^-53 / (1 - x^2)
 of relative accuracy in sin^m next to the poles (at l = 400 on the first
 of 1600 Gauss nodes, seeds of m = 60..137 are within 5e-14 of mpmath this
 way, against up to 1.1e-9 from 1 - x*x).  Measured against
@@ -90,21 +92,36 @@ are within 9.7e-14 of each row's maximum, against
 4.9e-14 by the degree recurrence; the gap is the series phase
 (l + 1/2) theta, which is rounded at an arbitrary node, ~l 2^-53.
 
-Underflow.  Where the sectoral seed of m_hi falls below the smallest
-normal double (sin(theta)^m_hi < ~1e-308), the seed of the band's degree
-recurrence is lifted by the power 2^k, k <= 1000, that brings the top
-seed into the normal range, added as k ln 2 to its logarithm before exp.
-The degree and order recurrences and the identity are all linear, and
-the finished rows are scaled back by 2^-k, which rounds only where a
-value is itself subnormal or below the double range.  The band is then
-accurate at lower orders whose values are representable even though the
-top seed is not.  Past the largest lift (sin(theta)^m_hi below ~1e-609) a
-node restarts at the highest order within reach, and the orders above it
-read zero: their seeds are more than 300 orders of magnitude below the
-double range.  ``underflow_nodes`` on a band counts the nodes whose top
-seed underflows.  A single row (:func:`legendre_row`) and a degree table
-(:func:`legendre_degree_table`) lift their seed the same way, up to the
-largest lift, and so does :func:`radial_rows` as a band.
+Underflow.  Where the seed g_m^m of a recurrence falls below the smallest
+normal double (sin(theta)^m < ~1e-308 next to the poles), that node's rows
+carry a power of two: the seed is lifted by the least 2^lift that brings
+it into the normal range.  A lifted seed goes through exp as
+(m/2) log(f) + (lift + m k) ln 2, with sin^2(theta) = f 4^k and f in
+[1/2, 2), not as the log of sin^m itself, whose rounding (~1e5 2^-53 at
+m = 1e4) left seeds 1.7e-11 off next to a pole at l = 10000 (1.4e-12 this
+way).  The degree and order recurrences and the identity are all linear,
+so lifted rows are the true rows times 2^lift.  As the rows grow, the
+recurrences keep that power up to date (:func:`_rescaled`): every
+``_DEGREE_CHECK_STEPS`` steps in degree and every ``_ORDER_CHECK_STEPS``
+in order, a node whose two latest rows have passed 2^512 is scaled down by
+that power, and its lift drops by as much.  The checks are often enough: a
+step in order multiplies a row by at most 1 + sqrt(2l) |cot(theta)|, below
+2^34 for l <= 1e4 since |cot(theta)| < 2^26.5 at every double inside
+(-1, 1), and a step in degree by less than 2^8, so no row passes 2^800.
+Each finished row is scaled back once, by 2^-lift, which rounds only where
+a value is itself subnormal or below the double range.  There is no
+largest lift and nothing restarts: every node of a band takes the one
+route, and an order whose value is representable reads it however far
+below the double range its seed lies.  At l = 10000 and sin(theta) = 0.06,
+orders 499, 549 and 600 (values -0.94, -1.49 and 2.12, seeds below
+1e-600, which a band restarting at the highest order within a lift of
+2^1000 read as 0) are within 6.2e-13 of mpmath; next to the poles
+(x = +-nextafter(1, 0) and the first node of the 4l-point Gauss rule, at
+l = 2400 and 10000) the band's normal values are within 1.4e-12.
+``underflow_nodes`` on a band counts the nodes whose top seed underflows.
+A single row (:func:`legendre_row`) and a degree table
+(:func:`legendre_degree_table`) lift their seed the same way, and so does
+:func:`radial_rows` as a band.
 
 Normalization.  One quantity, the central binomial logarithm
 S_k = log((2k)! / (4^k k!^2)) = sum_{j<=k} log1p(-1/(2j)), is read from
@@ -138,9 +155,21 @@ from scipy.special import jn_zeros, roots_legendre
 FOUR_PI = 4.0 * math.pi
 _LN2 = math.log(2.0)
 _LOG_TINY = math.log(np.finfo(float).tiny)
-# Largest lift of an order-band seed, in bits: 2^1000 times any |g_l^m|
-# <= sqrt((2l + 1) / (4 pi)) stays finite, so lifted bands never overflow.
-_MAX_LIFT = 1000
+# Lifted rows (see Underflow in the module notes) are checked at the second
+# row of a recurrence and then every _DEGREE_CHECK_STEPS steps in degree and
+# every _ORDER_CHECK_STEPS steps in order; where either of a node's two
+# latest rows has passed 2^_RESCALE_BITS, both are scaled down by that
+# power.  A step multiplies the larger of the two by at most
+# 1.6 sqrt(m + 3) < 2^8 in degree, and by at most 1 + sqrt(2l) |cot(theta)|
+# < 2^34 in order, since |cot(theta)| < 2^26.5 at every double inside
+# (-1, 1) (both for l <= 1e4).  So rows of the degree recurrence stay below
+# 2^(512 + 32 * 8), the order-raising identity multiplies them by at most
+# 2^28, the order sweep's check at its second row brings both top rows
+# below 2^512, and each later stretch adds at most 2^(8 * 34): no row
+# passes 2^800.
+_RESCALE_BITS = 512
+_DEGREE_CHECK_STEPS = 32
+_ORDER_CHECK_STEPS = 8
 # Bits the order-raising identity of an order band may lose to cancellation
 # before the top row is recomputed by its own degree recurrence.
 _CANCEL_BITS = 10
@@ -188,27 +217,34 @@ def _seed_log_magnitude(m, x: np.ndarray) -> np.ndarray:
     """log |g_m^m| on nodes x for one order or a column of orders (k, 1).
 
     log |g_m^m(0)| = (log((2m + 1) / (4 pi)) + S_m) / 2; within 5.1e-16
-    of 40-digit mpmath at m = 376, 1000, 2346 and 6400.  Finite wherever
-    |x| < 1; at x = +-1 it is -inf except at order 0.
+    of 40-digit mpmath at m = 376, 1000, 2346 and 6400.  For |x| < 1,
+    which every entry point of this module checks.
     """
     m = np.asarray(m)
     equator = 0.5 * (np.log(2.0 * m + 1.0) - math.log(FOUR_PI) + _log_central_binomial(m))
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log(0) at order 0
-        log_mag = equator + 0.5 * m * (np.log1p(-x) + np.log1p(x))
-    return np.where(m == 0, -0.5 * math.log(FOUR_PI), log_mag)
+    return equator + 0.5 * m * (np.log1p(-x) + np.log1p(x))
 
 
-def _seed_values(m, x: np.ndarray, shift=0) -> np.ndarray:
-    """g-values of degree m at order m (or a column of orders), times 2**shift.
+def _seed_values(m, x: np.ndarray, lift=0) -> np.ndarray:
+    """g-values of degree m at order m (or a column of orders), times 2**lift.
 
-    ``shift`` (one integer, or one per node) lifts seeds that would
+    ``lift`` (one integer, or one per node) lifts seeds that would
     underflow into the normal range; the default gives the plain seed.
+    A lifted seed is exp of (m/2) log(fraction) + (lift + m k) ln 2 and
+    the log of its value at the equator, with sin^2(theta) = fraction 4^k:
+    no term reaches the size of log(sin^m), whose rounding would cost
+    |log(sin^m)| 2^-53 of relative accuracy (see Underflow in the module
+    notes).  Order 0 is 1/sqrt(4 pi) times 2**lift exactly.
     """
-    m = np.asarray(m)
+    log_mag = _seed_log_magnitude(m, x)
+    if np.any(lift):  # sin^2 = fraction * 4^(exponent // 2), fraction in [1/2, 2)
+        fraction, exponent = np.frexp((1.0 - x) * (1.0 + x))
+        log_mag = np.where(lift > 0, _seed_log_magnitude(m, 0.0) + 0.5 * m * np.log(
+            np.ldexp(fraction, exponent % 2)) + (lift + m * (exponent // 2)) * _LN2, log_mag)
     with np.errstate(under="ignore"):
-        values = np.where(m % 2, -1.0, 1.0) * np.exp(
-            _seed_log_magnitude(m, x) + shift * _LN2)
-    return np.where(m == 0, np.ldexp(1.0 / math.sqrt(FOUR_PI), shift), values)
+        values = np.where(m % 2, -1.0, 1.0) * np.exp(log_mag)
+    # a lift meant for another order must not reach ldexp: it may overflow
+    return np.where(m == 0, np.ldexp(1.0 / math.sqrt(FOUR_PI), np.where(m == 0, lift, 0)), values)
 
 
 def _check_nodes(x) -> np.ndarray:
@@ -230,23 +266,23 @@ def legendre_degree_table(m: int, ell_max: int, x) -> np.ndarray:
 
     Returns array of shape (ell_max - m + 1, len(x)); row k holds degree
     m + k, bit for bit the :func:`legendre_row` of that degree: a seed
-    that would underflow is lifted the same way and the table scaled back.
+    that would underflow is lifted the same way, and each row scaled back.
     """
     if m < 0 or ell_max < m:
         raise ValueError(f"need 0 <= m <= ell_max, got m={m}, ell_max={ell_max}")
     x = _check_nodes(x)
     lift = _seed_lift(m, x)
     rows = _degree_rows(m, ell_max, x, _seed_values(m, x, lift))
-    # times an exact power of two: the ldexp of legendre_row, bit for bit, and vectorized
-    return np.array(list(rows)) * np.ldexp(1.0, -lift)
+    return np.array(list(_unlifted(_rescaled(rows, lift, _DEGREE_CHECK_STEPS), lift)))
 
 
 def legendre_row(m: int, ell: int, x) -> np.ndarray:
     """g-values of a single (ell, m) on nodes x, O(1) memory in degree.
 
-    Seeds that would underflow are lifted as in an order band (see the
-    module notes) and the row is scaled back; where the seed is a normal
-    double, the row is the plain degree recurrence bit for bit.
+    Seeds that would underflow are lifted as in an order band (see
+    Underflow in the module notes), with no largest lift, and the row is
+    scaled back; where the seed is a normal double, the row is the plain
+    degree recurrence bit for bit.
     """
     if not 0 <= m <= ell:
         raise ValueError(f"need 0 <= m <= ell, got m={m}, ell={ell}")
@@ -281,6 +317,43 @@ def _degree_rows(m, ell: int, x: np.ndarray, seed: np.ndarray):
         yield cur
 
 
+def _rescaled(rows, lift: np.ndarray, every: int):
+    """Yield the rows of a recurrence on lifted seeds, keeping ``lift`` up to date.
+
+    ``rows`` is :func:`_degree_rows` or a sweep of :func:`_order_rows` after
+    its two first rows, and ``lift`` the power of two its seeds carry, one
+    per node.  At rows 1, 1 + every, 1 + 2 every, ..., where either of a
+    lifted node's two latest rows has passed 2^``_RESCALE_BITS``, both are
+    scaled down by that power in place, so that the recurrence goes on from
+    them, and the node's lift drops by as much.  A row times 2**-lift, with
+    the lift as it stands when the row is yielded, is the true row.  Scaling
+    by a power of two is exact, and nodes not lifted at the start hold true
+    values, below sqrt((2l + 1) / (4 pi)); the bound after ``_RESCALE_BITS``
+    shows why the check intervals keep every row finite.
+    """
+    nodes = np.flatnonzero(lift)
+    for k, row in enumerate(rows):
+        if nodes.size and k % every == 1:
+            big = nodes[np.maximum(np.abs(last[nodes]), np.abs(row[nodes])) > 2.0**_RESCALE_BITS]
+            last[big], row[big] = last[big] * 2.0**-_RESCALE_BITS, row[big] * 2.0**-_RESCALE_BITS
+            lift[big] -= _RESCALE_BITS
+        yield row
+        last = row
+
+
+def _unlifted(rows, lift: np.ndarray):
+    """Yield each of the rows times 2**-lift, with the lift as it stands when it comes.
+
+    The nodes lifted at the start are scaled on a copy of the row, since
+    the recurrence goes on from the lifted one; with none, rows pass as
+    they are.
+    """
+    lifted = lift != 0
+    any_lifted = lifted.any()
+    for row in rows:
+        yield np.ldexp(row, -lift, out=row.copy(), where=lifted) if any_lifted else row
+
+
 def radial_rows(ell: int, x) -> np.ndarray:
     """Rows g_ell^m for m = -ell..ell on nodes x: the theta factors of Y_ell^m.
 
@@ -295,20 +368,23 @@ def radial_rows(ell: int, x) -> np.ndarray:
 
 
 def _seed_lift(m: int, x: np.ndarray) -> np.ndarray:
-    """Per node, the k <= ``_MAX_LIFT`` that brings 2^k g_m^m into the normal range.
+    """Per node, the least k >= 0 that brings 2^k g_m^m into the normal range.
 
-    Zero where the seed is a normal double already.
+    Zero where the seed is a normal double already.  There is no largest
+    lift: the recurrences scale lifted rows back down as they grow (see
+    Underflow in the module notes).
     """
-    lift = np.ceil((_LOG_TINY - _seed_log_magnitude(m, x)) / _LN2)
-    return np.clip(lift, 0, _MAX_LIFT).astype(int)
+    return np.maximum(np.ceil((_LOG_TINY - _seed_log_magnitude(m, x)) / _LN2), 0).astype(int)
 
 
-def _last_rows(m: int, ell: int, x: np.ndarray, shift=0) -> deque:
+def _last_rows(m: int, ell: int, x: np.ndarray, lift: np.ndarray) -> deque:
     """The rows of degree ell - 1 and ell at one order m (degree ell alone if m = ell).
 
-    Seeds are lifted by 2**shift as in :func:`_seed_values`.
+    Seeds are lifted by 2**lift as in :func:`_seed_values`, and ``lift`` is
+    updated in place: the rows times 2**-lift are the true rows.
     """
-    return deque(_degree_rows(m, ell, x, _seed_values(m, x, shift)), maxlen=2)
+    rows = _degree_rows(m, ell, x, _seed_values(m, x, lift))
+    return deque(_rescaled(rows, lift, _DEGREE_CHECK_STEPS), maxlen=2)
 
 
 def _order_rows(ell: int, m: int, step: int, far: np.ndarray, near: np.ndarray,
@@ -371,51 +447,31 @@ def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarr
     order-raising identity, then recurs downward (see the module notes); at
     nodes where the identity's two terms cancel by more
     than ``_CANCEL_BITS`` bits, the top row comes from its own degree
-    recurrence instead.  Where a seed would underflow, the rows are lifted
-    by one power of two and the finished rows scaled back.  Nodes whose top
-    seed lies beyond the largest lift restart at the highest order within
-    reach, and the orders above it read zero.
+    recurrence instead.  Every node takes this one route: where a seed
+    would underflow, its rows carry a power of two that the recurrences
+    keep up to date, and each finished row is scaled back once.
     """
-    top_log = _seed_log_magnitude(m_hi, x)
-    underflow = top_log < _LOG_TINY
+    underflow = _seed_log_magnitude(m_hi, x) < _LOG_TINY
     sin = np.sqrt((1.0 - x) * (1.0 + x))  # the seeds' sin^2 (module notes)
     if (m_hi + _SERIES_COST_STEPS < ell - m_lo
             and np.all((ell + 0.5) * sin >= max(_SERIES_MIN_RHO_SIN, m_hi))):
         return _upward_band(ell, m_lo, m_hi, x), underflow
-    out = np.zeros((m_hi - m_lo + 1, x.size))
-    reach = _LOG_TINY - _MAX_LIFT * _LN2
-    top = np.full(x.size, m_hi)
-    short = np.flatnonzero(top_log < reach)
-    if short.size:
-        within = _seed_log_magnitude(np.arange(m_lo, m_hi + 1)[:, None], x[short]) >= reach
-        # the highest order within reach; where none is, the column reads zero
-        top[short] = np.where(within.any(axis=0),
-                              m_hi - np.argmax(within[::-1], axis=0), m_lo - 1)
-    for m_top in np.unique(top[top >= m_lo]).tolist():
-        cols = np.flatnonzero(top == m_top)
-        xs = x[cols]
-        lift = _seed_lift(m_top, xs)
-        if m_top == m_lo:
-            out[0, cols] = _last_rows(m_top, ell, xs, lift)[-1]
-        else:
-            m = m_top - 1
-            below, lower = _last_rows(m, ell, xs, lift)  # degrees ell - 1 and ell
-            t1 = (ell - m) * xs * lower
-            t2 = math.sqrt((2 * ell + 1.0) * (ell - m) * (ell + m) / (2 * ell - 1.0)) * below
-            upper = (t1 - t2) / (math.sqrt((ell + m + 1.0) * (ell - m)) * sin[cols])
-            cancel = np.flatnonzero(np.abs(t1 - t2)
-                                    < 2.0**-_CANCEL_BITS * (np.abs(t1) + np.abs(t2)))
-            if cancel.size:
-                upper[cancel] = _last_rows(m_top, ell, xs[cancel], lift[cancel])[-1]
-            out[m_top - m_lo, cols] = upper
-            out[m - m_lo, cols] = lower
-            rows = _order_rows(ell, m, -1, upper, lower, xs / sin[cols])
-            for i, row in zip(range(m - 1 - m_lo, -1, -1), rows):
-                out[i, cols] = row
-        lifted = lift > 0
-        if lifted.any():
-            rows = out[:m_top - m_lo + 1, cols[lifted]]
-            out[:m_top - m_lo + 1, cols[lifted]] = np.ldexp(rows, -lift[lifted])
+    if m_lo == m_hi:
+        return legendre_row(m_hi, ell, x)[None], underflow
+    m = m_hi - 1
+    lift = _seed_lift(m_hi, x)
+    below, lower = _last_rows(m, ell, x, lift)  # degrees ell - 1 and ell
+    t1 = (ell - m) * x * lower
+    t2 = math.sqrt((2 * ell + 1.0) * (ell - m) * (ell + m) / (2 * ell - 1.0)) * below
+    upper = (t1 - t2) / (math.sqrt((ell + m + 1.0) * (ell - m)) * sin)
+    cancel = np.flatnonzero(np.abs(t1 - t2) < 2.0**-_CANCEL_BITS * (np.abs(t1) + np.abs(t2)))
+    if cancel.size:  # the top row's own recurrence, at its own lift, then at the band's
+        own = _seed_lift(m_hi, x[cancel])
+        upper[cancel] = np.ldexp(_last_rows(m_hi, ell, x[cancel], own)[-1], lift[cancel] - own)
+    sweep = itertools.chain([upper, lower], _order_rows(ell, m, -1, upper, lower, x / sin))
+    out = np.empty((m_hi - m_lo + 1, x.size))
+    for dest, row in zip(out[::-1], _unlifted(_rescaled(sweep, lift, _ORDER_CHECK_STEPS), lift)):
+        dest[:] = row  # from the top order down
     return out, underflow
 
 
@@ -448,10 +504,14 @@ def legendre_band(ell: int, m_lo: int, m_hi: int, thetas) -> RadialTable:
 
     thetas must avoid +-pi/2 exactly: cos(theta) = 0 makes the normal-form
     potential singular downstream, and the sqrt(cos) factor degenerate.
+    So must their sines: within ~1e-8 of +-pi/2, sin(theta) rounds to +-1,
+    a pole, and such a node is refused like one at +-pi/2.
     Costs O((ell - m_hi + number of orders) * nodes) by the degree and
     downward order recurrences, or O((36 + m_hi) * nodes) where every order
     is oscillatory at every node and the upward sweep from the interior
     series is cheaper; see the module notes for both routes and their seeds.
+    Nodes whose seeds fall below the double range take the same route, their
+    rows carrying a power of two (Underflow in the module notes).
     """
     if not 0 <= m_lo <= m_hi <= ell:
         raise ValueError(
@@ -460,7 +520,7 @@ def legendre_band(ell: int, m_lo: int, m_hi: int, thetas) -> RadialTable:
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if np.any(np.abs(thetas) >= math.pi / 2):
         raise ValueError("band nodes must satisfy |theta| < pi/2")
-    values_g, underflow = _order_band(ell, m_lo, m_hi, np.sin(thetas))
+    values_g, underflow = _order_band(ell, m_lo, m_hi, _check_nodes(np.sin(thetas)))
     values_v = np.sqrt(np.cos(thetas)) * values_g
     return RadialTable(ell, m_lo, m_hi, thetas, values_v, values_g,
                        int(np.count_nonzero(underflow)))

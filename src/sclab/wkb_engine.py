@@ -55,7 +55,9 @@ def normalize_case(case_tag) -> str:
 
 
 def band_radius(ell: int, zeta: float = 0.5) -> int:
-    """Default window width r = ceil(l^zeta)."""
+    """Default window width r = ceil(l^zeta), for l >= 1."""
+    if ell < 1:
+        raise ValueError(f"need ell >= 1, got ell={ell}")
     if not 0.0 < zeta < 1.0:
         raise ValueError("zeta must lie in (0, 1)")
     return int(math.ceil(ell**zeta))
@@ -72,13 +74,23 @@ def case_window(ell: int, r: int, case_tag) -> np.ndarray:
 
 def case_interval(ell: int, r: int, case_tag, eta1: float = DEFAULT_ETA1,
                   eta2: float = DEFAULT_ETA2) -> tuple[float, float]:
-    """Symmetric theta-interval on which the window's WKB data is built."""
+    """Symmetric theta-interval on which the window's WKB data is built.
+
+    Case "2" reads only eta2 and case "inf" only eta1; an error names the
+    one its case reads.  The interval must be nonempty and stay inside
+    (-pi/2, pi/2).
+    """
+    if ell < 1 or r < 1:
+        raise ValueError(f"need ell >= 1 and r >= 1, got ell={ell}, r={r}")
     if normalize_case(case_tag) == "2":
-        half = eta2 * math.sqrt(r / ell)
+        name, eta, half = "eta2", eta2, eta2 * math.sqrt(r / ell)
     else:
-        half = math.pi / 2 - eta1 * r / ell
-    if half <= 0:
-        raise ValueError("empty interval: eta1 * r / ell >= pi/2")
+        name, eta, half = "eta1", eta1, math.pi / 2 - eta1 * r / ell
+    if not math.isfinite(eta):
+        raise ValueError(f"{name} must be finite, got {eta}")
+    if not 0 < half < math.pi / 2:
+        raise ValueError(f"{name} = {eta} gives the interval |theta| < {half:.6g} at "
+                         f"ell={ell}, r={r}; it must be nonempty and inside (-pi/2, pi/2)")
     return (-half, half)
 
 

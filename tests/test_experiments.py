@@ -365,6 +365,11 @@ def test_cli_dump_wkb(tmp_path):
     ["--ell", "10", "--m", "9", "--case", "inf"],  # empty interval
     ["--ell", "40", "--m", "38", "--case", "2", "--eta2", "5"],  # |theta| >= pi/2
     ["--ell", "40", "--m", "38", "--case", "2", "--n-theta", "1"],
+    ["--ell", "0", "--m", "0", "--case", "2"],
+    ["--ell", "-4", "--m", "0", "--case", "2"],
+    ["--ell", "100", "--m", "90", "--case", "2", "--eta2", "nan"],
+    ["--ell", "100", "--m", "90", "--case", "2", "--r", "0"],
+    ["--ell", "100", "--m", "90", "--case", "2", "--eta2", "-1"],
 ])
 def test_cli_dump_wkb_reports_unusable_arguments(argv, capsys):
     code = cli.main(["dump-wkb", *argv])
@@ -373,6 +378,8 @@ def test_cli_dump_wkb_reports_unusable_arguments(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("dump-wkb error: ")
     assert len(captured.err.splitlines()) == 1
+    if argv[-2:] in (["--eta2", "5"], ["--eta2", "nan"], ["--eta2", "-1"]):  # case 2 reads eta2
+        assert "eta2" in captured.err and "eta1" not in captured.err
 
 
 def test_cli_check_writes_acceptance_json(tmp_path, capsys):

@@ -69,6 +69,8 @@ def test_band_rejects_bad_orders_and_nodes():
         sb.legendre_band(3, 2, 1, np.array([0.1]))
     with pytest.raises(ValueError):
         sb.legendre_band(3, 0, 1, np.array([math.pi / 2]))
+    with pytest.raises(ValueError):  # sin(theta) rounds to 1: a pole
+        sb.legendre_band(3, 0, 1, np.array([np.nextafter(math.pi / 2, 0.0)]))
     with pytest.raises(ValueError):
         sb.legendre_row(2, 5, np.array([1.0]))
 
@@ -115,7 +117,7 @@ def test_lifted_band_is_exact_where_per_order_seeds_underflow():
         assert abs(table.values_g[i, j] / exact - 1) <= 1e-10
 
 
-def test_full_band_near_pole_restarts_instead_of_reading_zero():
+def test_full_band_near_pole_reads_true_values_to_the_double_range():
     ell = 400
     theta = math.pi / 2 - sb.build_grid(4 * ell).theta_nodes[:1]
     x = np.sin(theta)
@@ -134,6 +136,44 @@ def test_full_band_near_pole_restarts_instead_of_reading_zero():
     for m in (int(seeded.sum()) + 5, last):
         assert abs(g[m] / float(normalized_legendre_mp(m, ell, x[0])) - 1) <= 1e-12
     assert abs(normalized_legendre_mp(last + 1, ell, x[0])) < np.finfo(float).tiny
+
+
+def test_orders_above_every_old_lift_read_their_true_values():
+    # at sin(theta) = 0.06 the seeds of orders >= 499 at l = 10000 are below
+    # 2^-1000 of the smallest normal double; bands that restarted below them
+    # read 0 there, where g is O(1).  Scale: the largest |g_l^m| over all
+    # orders at the node (3.2); relative to the values themselves the errors
+    # are at most 6.2e-13.
+    ell, x = 10000, np.array([math.sqrt(1.0 - 0.06**2)])
+    rows = sb.radial_rows(ell, x)[ell:, 0]
+    scale = np.abs(rows).max()
+    for m in (499, 549, 600):
+        exact = float(normalized_legendre_mp(m, ell, x[0]))
+        assert abs(exact) > 0.9
+        for value in (rows[m], sb.legendre_row(m, ell, x)[0],
+                      sb.legendre_degree_table(m, ell, x)[-1, 0]):
+            assert abs(value - exact) <= 1e-12 * scale, m
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ell,highest", [(2400, (53, 143, 53)), (10000, (59, 144, 59))])
+def test_full_band_next_to_the_poles(ell, highest):
+    # x = -+nextafter(1, 0) and the first node of the 4l-point Gauss rule.
+    # There |cot(theta)| reaches 2^26.5, so the order sweep multiplies rows by
+    # up to 1 + sqrt(2l) 2^26.5 < 2^34 a step: the growth bound that sets how
+    # often lifted rows are checked.  Three nodes only: the band on all 4l
+    # nodes at l = 10000 would hold 3.2 GB of rows.
+    edge = np.nextafter(1.0, 0.0)
+    x = np.array([-edge, sb._gauss_rule(4 * ell)[0][0], edge])
+    g, _ = sb._order_band(ell, 0, ell, x)
+    assert np.all(np.isfinite(g))
+    # the highest nonzero order of each node, as the restarting band had it
+    assert tuple(int(np.flatnonzero(g[:, j])[-1]) for j in range(3)) == highest
+    for j in range(3):
+        top = int(np.flatnonzero(np.abs(g[:, j]) >= np.finfo(float).tiny)[-1])
+        for m in (top // 2, top):  # measured at most 1.4e-12
+            exact = float(normalized_legendre_mp(m, ell, x[j]))
+            assert abs(g[m, j] / exact - 1) <= 1e-11, (j, m)
 
 
 def _band_with_fallback(ell, case, x):
@@ -167,9 +207,10 @@ def test_derived_top_row_against_mpmath(ell, case):
     allowed = q_potential(ell, m_hi, math.pi / 2 - theta) < 0
     normal = np.abs(top) >= np.finfo(float).tiny
     row_max = np.abs(top).max()
-    # case "2" has no fallback node on these grids (its top row has no zero
-    # close enough to a node, and no forbidden-zone cancellation)
-    assert fallback.any() == (case == "inf")
+    # case "2" falls back only deep in the forbidden zone next to the poles,
+    # where its top row is below the smallest normal double (108 of 3900
+    # nodes at l = 975, 268 of 9600 at l = 2400)
+    assert case == "inf" or not (fallback & normal).any()
     kinds = (allowed & ~fallback, ~allowed & ~fallback & normal, fallback & normal)
     for nodes in (np.flatnonzero(kind) for kind in kinds if kind.any()):
         for j in nodes[np.linspace(0, nodes.size - 1, 6).astype(int)]:
