@@ -219,7 +219,7 @@ def heuristic_density(ell: int, a_m: int, b_m: int, theta):
     if not 0 <= a_m <= b_m <= ell:
         raise ValueError("need 0 <= a_m <= b_m <= ell")
     theta_arr = np.asarray(theta, dtype=float)
-    if np.any((theta_arr <= 0) | (theta_arr >= math.pi)):
+    if not np.all((theta_arr > 0) & (theta_arr < math.pi)):
         raise ValueError("theta must lie in (0, pi)")
     u = np.sin(theta_arr)
     scale = ell + 0.5

@@ -21,76 +21,66 @@ Fixed-order rows come from one normalized three-term recurrence upward
 in degree (:func:`_degree_rows`), over one order or a column of orders
 advancing together: a row (:func:`legendre_row`) or a degree table each
 take one call.  Fixed-degree rows all come from one order band
-(:func:`_order_band`, below); the rows of all orders 0..l
-(:func:`radial_rows`) are the band 0..l.  Normalized values stay
-O(sqrt(l)), so nothing overflows for l <= 1e4.  The seed g_m^m ~
+(:func:`_order_band`, below), which runs no degree recurrence; the rows of
+all orders 0..l (:func:`radial_rows`) are the band 0..l.  Normalized
+values stay O(sqrt(l)), so nothing overflows.  The seed g_m^m ~
 sin(theta)^m underflows near the poles at high order; rows, degree tables
 and bands lift it (see Underflow below), since the degree-l value can be
 representable even so: g_1600^533(-0.97) = 7.23e-38 has a seed of
 ~1e-327.
 
-A band of orders m_lo..m_hi at one degree (:func:`legendre_band`) recurs
-downward in order instead,
+Order bands.  A band of orders m_lo..m_hi at one degree
+(:func:`legendre_band`) comes from one three-term relation in order
+(:func:`_order_rows`),
 
-    g^{m-1} = -(sqrt((l-m)(l+m+1)) g^{m+1} + 2m cot(theta) g^m)
-              / sqrt((l+m)(l-m+1)),
+    sqrt((l-m)(l+m+1)) g^{m+1} + 2m cot(theta) g^m
+        + sqrt((l+m)(l-m+1)) g^{m-1} = 0,
 
-from two top rows that one degree recurrence gives.  That recurrence runs
-at order m = m_hi - 1; its last two rows are g_{l-1}^m and g_l^m, and the
-order-raising identity (sin(theta) P_l^{m+1} = (l-m) x P_l^m - (l+m)
-P_{l-1}^m, normalized)
+swept in one of two directions at each node.
 
-    g_l^{m+1} = [(l-m) x g_l^m - sqrt((2l+1)(l-m)(l+m)/(2l-1)) g_{l-1}^m]
-                / (sin(theta) sqrt((l+m+1)(l-m)))
-
-gives the top row.  A window of r orders thus costs O((l - m_hi + r) n) on
-n nodes instead of the O(r l n) of r separate degree recurrences.
-Downward is the stable direction: past the turning point
+Downward, from g_l^{l+1} = 0 and the sectoral seed g_l^l, which gives
+g_l^{l-1} = -sqrt(2l) cot(theta) g_l^l and then every lower order: l - m_lo
+steps, the rows above m_hi passed over before they are scaled back (see
+Underflow).  Downward is the stable direction: past the turning point
 m = (l + 1/2) sin(theta) the true values grow as m decreases, so the
-recurrence follows the dominant solution, and inside the oscillatory zone
+relation follows the dominant solution, and inside the oscillatory zone
 both solutions have the same size, so rounding errors grow at most
-algebraically.  The identity's two terms cancel where g_l^{m+1} is far
-below them: deep in the forbidden zone next to a pole, and next to a zero
-of g_l^{m+1}.  Where they cancel by more than ``_CANCEL_BITS`` = 10 bits,
-|t1| + |t2| > 2^10 |t1 - t2|, the top row is recomputed on those nodes
-alone by its own degree recurrence: on n = 4l Gauss nodes that is ~1% of
-a case-"inf" window's nodes (92 of 9600 at l = 2400), and in a case-"2"
-window the nodes next to the poles whose top row is below the smallest
-normal double (108 of 3900 at l = 975, 268 of 9600 at l = 2400).  Every
-sin^2(theta) is formed as (1 - x)(1 + x), in unlifted seeds as
-log1p(-x) + log1p(x): 1 - x*x would lose m/2 * 2^-53 / (1 - x^2)
-of relative accuracy in sin^m next to the poles (at l = 400 on the first
-of 1600 Gauss nodes, seeds of m = 60..137 are within 5e-14 of mpmath this
-way, against up to 1.1e-9 from 1 - x*x).  Measured against
-the per-order recurrence on n = 4l Gauss nodes up to l = 2400, the band
-agrees to within 1.2e-11 of each row's maximum (6.5e-13 in case "inf").
-Against 50-digit mpmath at l = 975 and 2400, the top row is within 7e-12
-at sampled allowed, forbidden and fallback nodes (of the row's maximum
-where allowed, pointwise elsewhere).
+algebraically.
 
-A band can also be swept upward in order, by the same relation solved for
-g^{m+1}, from g_l^0 and g_l^1.  Stieltjes' interior series
+Upward, by the relation solved for g^{m+1}, from g_l^0 and g_l^1
+(:func:`_upward_rows`).  Stieltjes' interior series
 (:func:`_legendre_interior`) gives P_l and dP_l/dtheta in O(36) per node,
 and so both seeds, wherever (l + 1/2) sin(theta) >= ``_SERIES_MIN_RHO_SIN``.
 Upward is the stable direction only up to the turning point: inside the
 oscillatory zone rounding errors grow at most algebraically, but past it
 the wanted solution is the one that decays with m, and the other one
 takes over (at l = 1600, m = 400, with nodes reaching 10% past the
-turning point, the sweep is off by 1.5e-9 where the value is 7.4e-6).  A
-band therefore takes this route only when every node satisfies
-(l + 1/2) sin(theta) >= max(``_SERIES_MIN_RHO_SIN``, m_hi), so that every
-order is oscillatory everywhere, and when it is the cheaper route,
-m_hi + ``_SERIES_COST_STEPS`` < l - m_lo.  It then costs O((36 + m_hi) n)
-instead of O((l - m_lo) n).  This is the route of case-"inf" windows
-(orders [r, 2r)) on their WKB intervals, which end ~8r/l from the poles:
-at l = 1600 a row of order m <= 79 takes the series and m - 1 order steps
-instead of 1600 - m degree steps.  Gauss grids have nodes next to the
-poles, and case-"2" windows have m_hi near l, so both keep the degree
-route.  Against 50-digit mpmath on both windows' WKB intervals at l = 400
-and 1600 (ends included; case "2" swept upward on purpose), upward rows
-are within 9.7e-14 of each row's maximum, against
-4.9e-14 by the degree recurrence; the gap is the series phase
-(l + 1/2) theta, which is rounded at an arbitrary node, ~l 2^-53.
+turning point, the sweep is off by 1.5e-9 where the value is 7.4e-6).
+
+A node sweeps upward where every order of the band is oscillatory,
+(l + 1/2) sin(theta) >= max(``_SERIES_MIN_RHO_SIN``, m_hi), in a band for
+which upward is the cheaper direction, m_hi + ``_SERIES_COST_STEPS`` <
+l - m_lo: O(36 + m_hi) per node instead of O(l - m_lo).  Every other node
+sweeps downward.  Case-"inf" windows (orders [r, 2r)) sweep upward on
+their WKB intervals, which end ~8r/l from the poles, and on a Gauss grid
+everywhere but next to the poles (246 of 9600 nodes sweep downward at
+l = 2400); case-"2" windows have m_hi near l and sweep downward, as does
+:func:`radial_rows`.  Every sin^2(theta) is formed as (1 - x)(1 + x), in
+unlifted seeds as log1p(-x) + log1p(x): 1 - x*x would lose
+m/2 * 2^-53 / (1 - x^2) of relative accuracy in sin^m next to the poles
+(at l = 400 on the first of 1600 Gauss nodes, seeds of m = 60..137 are
+within 5e-14 of mpmath this way, against up to 1.1e-9 from 1 - x*x).
+Measured against the per-order degree recurrence on n = 4l Gauss nodes
+up to l = 2400, both windows' bands agree to within 7.2e-13 of each row's
+maximum.  Against 50-digit mpmath at l = 975 and 2400, the top and bottom
+rows of both windows are within 3.3e-13 at sampled upward nodes, downward
+nodes allowed and forbidden for the top order, and the nodes either side
+of each switch (of the row's maximum where allowed, pointwise elsewhere).
+On both windows' WKB intervals at l = 400 and 1600 (ends included; case
+"2" swept upward on purpose), upward rows are within 9.7e-14 of each
+row's maximum, against 4.9e-14 by the degree recurrence; the gap is the
+series phase (l + 1/2) theta, which is rounded at an arbitrary node,
+~l 2^-53.
 
 Underflow.  Where the seed g_m^m of a recurrence falls below the smallest
 normal double (sin(theta)^m < ~1e-308 next to the poles), that node's rows
@@ -99,29 +89,36 @@ it into the normal range.  A lifted seed goes through exp as
 (m/2) log(f) + (lift + m k) ln 2, with sin^2(theta) = f 4^k and f in
 [1/2, 2), not as the log of sin^m itself, whose rounding (~1e5 2^-53 at
 m = 1e4) left seeds 1.7e-11 off next to a pole at l = 10000 (1.4e-12 this
-way).  The degree and order recurrences and the identity are all linear,
-so lifted rows are the true rows times 2^lift.  As the rows grow, the
-recurrences keep that power up to date (:func:`_rescaled`): every
-``_DEGREE_CHECK_STEPS`` steps in degree and every ``_ORDER_CHECK_STEPS``
-in order, a node whose two latest rows have passed 2^512 is scaled down by
-that power, and its lift drops by as much.  The checks are often enough: a
-step in order multiplies a row by at most 1 + sqrt(2l) |cot(theta)|, below
-2^34 for l <= 1e4 since |cot(theta)| < 2^26.5 at every double inside
-(-1, 1), and a step in degree by less than 2^8, so no row passes 2^800.
-Each finished row is scaled back once, by 2^-lift, which rounds only where
-a value is itself subnormal or below the double range.  There is no
-largest lift and nothing restarts: every node of a band takes the one
-route, and an order whose value is representable reads it however far
-below the double range its seed lies.  At l = 10000 and sin(theta) = 0.06,
-orders 499, 549 and 600 (values -0.94, -1.49 and 2.12, seeds below
-1e-600, which a band restarting at the highest order within a lift of
-2^1000 read as 0) are within 6.2e-13 of mpmath; next to the poles
+way).  Both recurrences are linear, so lifted rows are the true rows
+times 2^lift.  As the rows grow, the recurrences keep that power up to
+date (:func:`_rescaled`): every ``_DEGREE_CHECK_STEPS`` steps in degree
+and every ``_ORDER_CHECK_STEPS`` in order, a node whose two latest rows
+have passed 2^512 is scaled down by that power, and its lift drops by as
+much.  The checks are often enough (the bounds are stated beside
+``_RESCALE_BITS``): no row of an order sweep passes 2^808 for l <= 1e6,
+and no row of a degree recurrence 2^768 for l <= 1e4.  Each kept row is
+scaled back once, by 2^-lift, which rounds only where a value is itself
+subnormal or below the double range.  There is no largest lift and
+nothing restarts: an order whose value is representable reads it however
+far below the double range its seed lies.  At l = 10000 and
+sin(theta) = 0.06, orders 499, 549 and 600 (values -0.94, -1.49 and 2.12,
+seeds below 1e-600, which a band restarting at the highest order within a
+lift of 2^1000 read as 0) are within 6.2e-13 of mpmath; next to the poles
 (x = +-nextafter(1, 0) and the first node of the 4l-point Gauss rule, at
-l = 2400 and 10000) the band's normal values are within 1.4e-12.
-``underflow_nodes`` on a band counts the nodes whose top seed underflows.
-A single row (:func:`legendre_row`) and a degree table
-(:func:`legendre_degree_table`) lift their seed the same way, and so does
-:func:`radial_rows` as a band.
+l = 2400 and 10000) the band's normal values are within 1.4e-12.  A single
+row (:func:`legendre_row`) and a degree table
+(:func:`legendre_degree_table`) lift their seed the same way.
+
+The seed-exponent floor.  The exponent of a lifted seed is a sum of terms
+up to ~(m/2) ln 2 in size, each rounded, so the seed is off by up to
+~m 2^-53 relative, and a sweep passes that error on unchanged to every
+row it gives on the node.  A downward sweep starts from m = l, so next to
+the poles a band is off by ~l 2^-53 relative: at l = 1e5, on the three
+nodes above, 4.4e-12 to 1.1e-11 against 50-digit mpmath, the same at
+every order.  ``underflow_nodes`` on a band still counts the nodes where
+the seed of the top order m_hi underflows, that is, where a degree
+recurrence of that order would have to lift it; the downward seed g_l^l
+underflows there too, and on more nodes.
 
 Normalization.  One quantity, the central binomial logarithm
 S_k = log((2k)! / (4^k k!^2)) = sum_{j<=k} log1p(-1/(2j)), is read from
@@ -160,19 +157,15 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 # every _ORDER_CHECK_STEPS steps in order; where either of a node's two
 # latest rows has passed 2^_RESCALE_BITS, both are scaled down by that
 # power.  A step multiplies the larger of the two by at most
-# 1.6 sqrt(m + 3) < 2^8 in degree, and by at most 1 + sqrt(2l) |cot(theta)|
-# < 2^34 in order, since |cot(theta)| < 2^26.5 at every double inside
-# (-1, 1) (both for l <= 1e4).  So rows of the degree recurrence stay below
-# 2^(512 + 32 * 8), the order-raising identity multiplies them by at most
-# 2^28, the order sweep's check at its second row brings both top rows
-# below 2^512, and each later stretch adds at most 2^(8 * 34): no row
-# passes 2^800.
+# 1.6 sqrt(m + 3) < 2^8 in degree (for l <= 1e4), so rows of the degree
+# recurrence stay below 2^(512 + 32 * 8).  A step in order multiplies it by
+# at most 1 + sqrt(2l) |cot(theta)|, and |cot(theta)| < 2^26.5 at every
+# double inside (-1, 1).  A lifted node's downward sweep starts from a seed
+# just above the smallest normal double, so for l <= 1e6 none of its rows
+# passes 2^(8 log2(1 + sqrt(2e6) 2^26.5) + 512) ~ 2^808 < 2^1023.
 _RESCALE_BITS = 512
 _DEGREE_CHECK_STEPS = 32
 _ORDER_CHECK_STEPS = 8
-# Bits the order-raising identity of an order band may lose to cancellation
-# before the top row is recomputed by its own degree recurrence.
-_CANCEL_BITS = 10
 
 
 class GridResolutionError(ValueError):
@@ -248,9 +241,9 @@ def _seed_values(m, x: np.ndarray, lift=0) -> np.ndarray:
 
 
 def _check_nodes(x) -> np.ndarray:
-    """x as a 1-D float array, checked to lie strictly inside (-1, 1)."""
+    """x as a 1-D float array, checked to lie strictly inside (-1, 1); NaN does not."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(x) >= 1.0):
+    if not np.all(np.abs(x) < 1.0):
         raise ValueError("nodes must lie strictly inside (-1, 1)")
     return x
 
@@ -279,16 +272,18 @@ def legendre_degree_table(m: int, ell_max: int, x) -> np.ndarray:
 def legendre_row(m: int, ell: int, x) -> np.ndarray:
     """g-values of a single (ell, m) on nodes x, O(1) memory in degree.
 
-    Seeds that would underflow are lifted as in an order band (see
-    Underflow in the module notes), with no largest lift, and the row is
-    scaled back; where the seed is a normal double, the row is the plain
-    degree recurrence bit for bit.
+    The degree recurrence at order m alone, which no order band runs, so
+    the tests check bands against it.  Seeds that would underflow are
+    lifted as in an order band (see Underflow in the module notes), with
+    no largest lift, and the row is scaled back; where the seed is a
+    normal double, the row is the plain degree recurrence bit for bit.
     """
     if not 0 <= m <= ell:
         raise ValueError(f"need 0 <= m <= ell, got m={m}, ell={ell}")
     x = _check_nodes(x)
     lift = _seed_lift(m, x)
-    return np.ldexp(_last_rows(m, ell, x, lift)[-1], -lift)
+    rows = _degree_rows(m, ell, x, _seed_values(m, x, lift))
+    return np.ldexp(deque(_rescaled(rows, lift, _DEGREE_CHECK_STEPS), maxlen=1)[0], -lift)
 
 
 def _degree_rows(m, ell: int, x: np.ndarray, seed: np.ndarray):
@@ -357,7 +352,8 @@ def _unlifted(rows, lift: np.ndarray):
 def radial_rows(ell: int, x) -> np.ndarray:
     """Rows g_ell^m for m = -ell..ell on nodes x: the theta factors of Y_ell^m.
 
-    The order band 0..ell (:func:`_order_band`), O(ell n).  Negative
+    The order band 0..ell (:func:`_order_band`), swept downward from
+    g_ell^ell on every node, O(ell n).  Negative
     orders carry the Condon-Shortley convention g_ell^{-m} = (-1)^m g_ell^m;
     row ell + m holds order m.
     """
@@ -375,16 +371,6 @@ def _seed_lift(m: int, x: np.ndarray) -> np.ndarray:
     Underflow in the module notes).
     """
     return np.maximum(np.ceil((_LOG_TINY - _seed_log_magnitude(m, x)) / _LN2), 0).astype(int)
-
-
-def _last_rows(m: int, ell: int, x: np.ndarray, lift: np.ndarray) -> deque:
-    """The rows of degree ell - 1 and ell at one order m (degree ell alone if m = ell).
-
-    Seeds are lifted by 2**lift as in :func:`_seed_values`, and ``lift`` is
-    updated in place: the rows times 2**-lift are the true rows.
-    """
-    rows = _degree_rows(m, ell, x, _seed_values(m, x, lift))
-    return deque(_rescaled(rows, lift, _DEGREE_CHECK_STEPS), maxlen=2)
 
 
 def _order_rows(ell: int, m: int, step: int, far: np.ndarray, near: np.ndarray,
@@ -407,8 +393,8 @@ def _order_rows(ell: int, m: int, step: int, far: np.ndarray, near: np.ndarray,
         far, near, m = near, row, m + step
 
 
-def _upward_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> np.ndarray:
-    """g_ell^m for m = m_lo..m_hi on nodes x, upward in order from m = 0 and 1.
+def _upward_rows(ell: int, x: np.ndarray, cot: np.ndarray):
+    """Yield g_ell^0, g_ell^1, g_ell^2, ... on nodes x, upward in order; endless.
 
     The seeds come from Stieltjes' series at degree ell (:func:`_legendre_interior`),
     on theta = arccos |x| <= pi/2 and reflected by parity:
@@ -416,9 +402,9 @@ def _upward_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> np.ndarray:
         g_l^0 = sqrt((2l + 1) / (4 pi)) P_l,
         g_l^1 = sqrt((2l + 1) / (4 pi l (l + 1))) dP_l/dtheta.
 
-    Stable only while every order stays in its oscillatory zone,
-    m_hi <= (l + 1/2) sin(theta), which the caller checks, together with
-    the series' own reach (see the module notes).
+    Stable only up to the turning point m = (l + 1/2) sin(theta), and only
+    where the series reaches 2^-53, which the caller checks (see the module
+    notes).
     """
     theta = np.arccos(np.abs(x))
     p, dp = _legendre_interior(ell, theta)
@@ -427,51 +413,44 @@ def _upward_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> np.ndarray:
     dp[negative] *= (-1) ** (ell + 1)
     below = math.sqrt((2 * ell + 1) / FOUR_PI) * p
     above = math.sqrt((2 * ell + 1) / (FOUR_PI * ell * (ell + 1.0))) * dp
-    cot = x / np.sqrt((1.0 - x) * (1.0 + x))
-    rows = itertools.chain([below, above], _order_rows(ell, 1, 1, below, above, cot))
-    return np.array(list(itertools.islice(rows, m_lo, m_hi + 1)))
+    yield from itertools.chain([below, above], _order_rows(ell, 1, 1, below, above, cot))
 
 
 def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g_ell^m for m = m_lo..m_hi (rows) on nodes x, by a recurrence in m.
+    """g_ell^m for m = m_lo..m_hi (rows) on nodes x, by the relation in order alone.
 
     Returns (values, underflow), the latter marking the nodes where the
-    sectoral seed of m_hi is below the smallest normal double.  Where every
-    order is oscillatory at every node, (l + 1/2) sin(theta) >=
-    max(``_SERIES_MIN_RHO_SIN``, m_hi), and sweeping up from m = 0 is
-    cheaper than the degree recurrence, m_hi + ``_SERIES_COST_STEPS`` <
-    l - m_lo, the band is :func:`_upward_band`.  Otherwise, a band of one
-    order is its degree recurrence (:func:`legendre_row` bit for bit).  A
-    wider band runs one degree recurrence, at the order below its top, and
-    takes the top row from that recurrence's last two rows by the
-    order-raising identity, then recurs downward (see the module notes); at
-    nodes where the identity's two terms cancel by more
-    than ``_CANCEL_BITS`` bits, the top row comes from its own degree
-    recurrence instead.  Every node takes this one route: where a seed
-    would underflow, its rows carry a power of two that the recurrences
-    keep up to date, and each finished row is scaled back once.
+    sectoral seed of m_hi is below the smallest normal double, that is,
+    where the degree recurrence of the top order would start from an
+    underflowing seed; the band itself runs no degree recurrence.  Each node
+    takes one of two sweeps (see the module notes).  Where every order is
+    oscillatory, (l + 1/2) sin(theta) >= max(``_SERIES_MIN_RHO_SIN``, m_hi),
+    and the band is one that sweeping up from m = 0 makes cheaper,
+    m_hi + ``_SERIES_COST_STEPS`` < l - m_lo, the node sweeps upward
+    (:func:`_upward_rows`).  Every other node sweeps downward from
+    g_l^{l+1} = 0 and the sectoral seed g_l^l; where that seed would
+    underflow, the node's rows carry a power of two that the sweep keeps up
+    to date, and each kept row is scaled back once.  Rows go straight into
+    the one output array.
     """
     underflow = _seed_log_magnitude(m_hi, x) < _LOG_TINY
     sin = np.sqrt((1.0 - x) * (1.0 + x))  # the seeds' sin^2 (module notes)
-    if (m_hi + _SERIES_COST_STEPS < ell - m_lo
-            and np.all((ell + 0.5) * sin >= max(_SERIES_MIN_RHO_SIN, m_hi))):
-        return _upward_band(ell, m_lo, m_hi, x), underflow
-    if m_lo == m_hi:
-        return legendre_row(m_hi, ell, x)[None], underflow
-    m = m_hi - 1
-    lift = _seed_lift(m_hi, x)
-    below, lower = _last_rows(m, ell, x, lift)  # degrees ell - 1 and ell
-    t1 = (ell - m) * x * lower
-    t2 = math.sqrt((2 * ell + 1.0) * (ell - m) * (ell + m) / (2 * ell - 1.0)) * below
-    upper = (t1 - t2) / (math.sqrt((ell + m + 1.0) * (ell - m)) * sin)
-    cancel = np.flatnonzero(np.abs(t1 - t2) < 2.0**-_CANCEL_BITS * (np.abs(t1) + np.abs(t2)))
-    if cancel.size:  # the top row's own recurrence, at its own lift, then at the band's
-        own = _seed_lift(m_hi, x[cancel])
-        upper[cancel] = np.ldexp(_last_rows(m_hi, ell, x[cancel], own)[-1], lift[cancel] - own)
-    sweep = itertools.chain([upper, lower], _order_rows(ell, m, -1, upper, lower, x / sin))
+    cot = x / sin
+    up = ((m_hi + _SERIES_COST_STEPS < ell - m_lo)
+          & ((ell + 0.5) * sin >= max(_SERIES_MIN_RHO_SIN, m_hi)))
+    down = ~up
     out = np.empty((m_hi - m_lo + 1, x.size))
-    for dest, row in zip(out[::-1], _unlifted(_rescaled(sweep, lift, _ORDER_CHECK_STEPS), lift)):
-        dest[:] = row  # from the top order down
+    if up.any():
+        for dest, row in zip(out, itertools.islice(_upward_rows(ell, x[up], cot[up]), m_lo, None)):
+            dest[up] = row
+    if down.any():
+        lift = _seed_lift(ell, x[down])
+        top = _seed_values(ell, x[down], lift)
+        above = np.zeros_like(top)  # g_l^{l+1}
+        sweep = itertools.chain([above, top], _order_rows(ell, ell, -1, above, top, cot[down]))
+        rows = itertools.islice(_rescaled(sweep, lift, _ORDER_CHECK_STEPS), ell + 1 - m_hi, None)
+        for dest, row in zip(out[::-1], _unlifted(rows, lift)):  # from the top order down
+            dest[down] = row
     return out, underflow
 
 
@@ -506,19 +485,22 @@ def legendre_band(ell: int, m_lo: int, m_hi: int, thetas) -> RadialTable:
     potential singular downstream, and the sqrt(cos) factor degenerate.
     So must their sines: within ~1e-8 of +-pi/2, sin(theta) rounds to +-1,
     a pole, and such a node is refused like one at +-pi/2.
-    Costs O((ell - m_hi + number of orders) * nodes) by the degree and
-    downward order recurrences, or O((36 + m_hi) * nodes) where every order
-    is oscillatory at every node and the upward sweep from the interior
-    series is cheaper; see the module notes for both routes and their seeds.
-    Nodes whose seeds fall below the double range take the same route, their
-    rows carrying a power of two (Underflow in the module notes).
+    Each node sweeps in order, with no degree recurrence: upward from the
+    interior series, O(36 + m_hi), where every order is oscillatory at it
+    and the band is one for which that is cheaper, and otherwise downward
+    from the sectoral seed g_ell^ell, O(ell - m_lo); see the module notes
+    for both routes.  A node whose seed falls below the double range sweeps
+    the same way, its rows carrying a power of two (Underflow in the module
+    notes).  ``underflow_nodes`` counts the nodes where the seed of the top
+    order m_hi underflows: a diagnostic of how far the band reaches into
+    the poles' forbidden zone, not of a route taken.
     """
     if not 0 <= m_lo <= m_hi <= ell:
         raise ValueError(
             f"need 0 <= m_lo <= m_hi <= ell, got ({m_lo}, {m_hi}) at ell={ell}"
         )
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if np.any(np.abs(thetas) >= math.pi / 2):
+    if not np.all(np.abs(thetas) < math.pi / 2):
         raise ValueError("band nodes must satisfy |theta| < pi/2")
     values_g, underflow = _order_band(ell, m_lo, m_hi, _check_nodes(np.sin(thetas)))
     values_v = np.sqrt(np.cos(thetas)) * values_g
@@ -638,7 +620,8 @@ _SERIES_TERMS, _SERIES_MIN_RHO_SIN = _series_truncation()
 # What the interior series costs at one degree, with both seeds of an
 # upward band, in steps of the degree recurrence on the same nodes: measured
 # 57 to 73 at l = 400, 1600 and 10000 on 1001 nodes (flat in l: C_n is a
-# table lookup)
+# table lookup); a step of the downward order sweep, which the upward
+# route saves, costs about as much
 _SERIES_COST_STEPS = 70
 
 

@@ -100,7 +100,7 @@ def case_interval(ell: int, r: int, case_tag, eta1: float = DEFAULT_ETA1,
 
 def _potential(ell: int, m, theta, derivatives: bool = False):
     """Q, or (Q, Q', Q''), from one cos and one sin of theta; m broadcasts."""
-    if np.any(np.abs(theta) >= math.pi / 2):
+    if not np.all(np.abs(theta) < math.pi / 2):
         raise ValueError("Q requires |theta| < pi/2")
     c = np.cos(theta)
     coef = m * m - 0.25

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, strategies as st
 from scipy.special import lpmv, gammaln, roots_legendre
 
 from sclab import sphere_basis as sb
-from sclab.wkb_engine import band_radius, case_interval, case_window, q_potential
+from sclab.cluster_density import heuristic_density
+from sclab.wkb_engine import (action_integral, band_radius, case_interval, case_window,
+                              q_potential)
 
 from _oracles import (double_factorial, gauss_legendre_node_mp,
                       gauss_legendre_recurrence_rule, normalized_legendre_mp,
@@ -73,6 +76,21 @@ def test_band_rejects_bad_orders_and_nodes():
         sb.legendre_band(3, 0, 1, np.array([np.nextafter(math.pi / 2, 0.0)]))
     with pytest.raises(ValueError):
         sb.legendre_row(2, 5, np.array([1.0]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda nan: sb.legendre_row(2, 5, [nan]),
+    lambda nan: sb.legendre_band(5, 0, 2, [0.1, nan]),
+    lambda nan: sb.radial_rows(5, [nan]),
+    lambda nan: q_potential(100, 5, nan),
+    lambda nan: action_integral(100, 5, nan),
+    lambda nan: heuristic_density(100, 5, 10, nan),
+], ids=["legendre_row", "legendre_band", "radial_rows", "q_potential", "action_integral",
+        "heuristic_density"])
+def test_range_checks_refuse_nan(call):
+    # a check written any(|t| >= bound) lets NaN through
+    with pytest.raises(ValueError):
+        call(math.nan)
 
 
 def _normal_seed(m, x):
@@ -160,11 +178,10 @@ def test_orders_above_every_old_lift_read_their_true_values():
 def test_full_band_next_to_the_poles(ell, highest):
     # x = -+nextafter(1, 0) and the first node of the 4l-point Gauss rule.
     # There |cot(theta)| reaches 2^26.5, so the order sweep multiplies rows by
-    # up to 1 + sqrt(2l) 2^26.5 < 2^34 a step: the growth bound that sets how
-    # often lifted rows are checked.  Three nodes only: the band on all 4l
-    # nodes at l = 10000 would hold 3.2 GB of rows.
-    edge = np.nextafter(1.0, 0.0)
-    x = np.array([-edge, sb._gauss_rule(4 * ell)[0][0], edge])
+    # up to 1 + sqrt(2l) 2^26.5 a step: the growth bound that sets how often
+    # lifted rows are checked.  Three nodes only: the band on all 4l nodes at
+    # l = 10000 would hold 3.2 GB of rows.
+    x = _polar_nodes(ell)
     g, _ = sb._order_band(ell, 0, ell, x)
     assert np.all(np.isfinite(g))
     # the highest nonzero order of each node, as the restarting band had it
@@ -176,61 +193,75 @@ def test_full_band_next_to_the_poles(ell, highest):
             assert abs(g[m, j] / exact - 1) <= 1e-11, (j, m)
 
 
-def _band_with_fallback(ell, case, x):
-    """Top row of the case's order band on x, and where it fell back.
+def _polar_nodes(ell):
+    """x = -nextafter(1, 0), the first node of the 4l-point Gauss rule, nextafter(1, 0)."""
+    edge = np.nextafter(1.0, 0.0)
+    return np.array([-edge, sb._gauss_rule(4 * ell)[0][0], edge])
 
-    The fallback nodes are those on which the band ran the degree
-    recurrence of its top order itself.
-    """
-    window = case_window(ell, band_radius(ell), case)
-    m_hi = int(window[-1])
-    fallback = []
-    last_rows = sb._last_rows
 
-    def recorded(m, ell, xs, shift=0):
-        if m == m_hi:
-            fallback.append(xs)
-        return last_rows(m, ell, xs, shift)
+@pytest.mark.filterwarnings("error")
+def test_full_band_at_degree_1e5_next_to_the_poles():
+    # every node sweeps down from the lifted seed g_l^l: the growth bound
+    # beside _RESCALE_BITS, stated for l <= 1e6, keeps each row finite
+    ell = 100000
+    x = _polar_nodes(ell)
+    g, underflow = sb._order_band(ell, 0, ell, x)
+    assert np.all(np.isfinite(g)) and underflow.all()
+    assert [int(np.flatnonzero(g[:, j])[-1]) for j in range(3)] == [71, 144, 71]
+    # frozen from normalized_legendre_mp at 50 digits, seconds a value at this
+    # degree.  The whole row carries its seed's relative error, the rounding
+    # of an exponent of size ~(l/2) ln 2: the seed-exponent floor, measured
+    # 4.4e-12 here and 1.1e-11 at the Gauss node
+    for m, exact in ((0, 126.15687146031784), (68, 1.0363980520180885e-307)):
+        assert abs(g[m, 2] / exact - 1) <= 2e-11
+        assert g[m, 0] == g[m, 2] * (-1) ** (ell + m)
+
+
+def _upward_nodes(band, x):
+    """``band()``'s result, and which of the nodes x it swept upward in order."""
+    swept = []
+    upward_rows = sb._upward_rows
+
+    def recorded(ell, nodes, cot):
+        swept.append(nodes)
+        return upward_rows(ell, nodes, cot)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sb, "_last_rows", recorded)
-        values, _ = sb._order_band(ell, int(window[0]), m_hi, x)
-    return m_hi, values[-1], np.isin(x, np.concatenate([np.empty(0), *fallback]))
+        patch.setattr(sb, "_upward_rows", recorded)
+        result = band()
+    return result, np.isin(x, np.concatenate([np.empty(0), *swept]))
 
 
 @pytest.mark.parametrize("ell", [975, 2400])
 @pytest.mark.parametrize("case", ["2", "inf"])
 def test_derived_top_row_against_mpmath(ell, case):
+    # both routes of a window's band on the 4l-point Gauss grid: upward nodes,
+    # downward nodes allowed and forbidden for the top order, and the two
+    # nodes either side of each switch between the routes (in case "2", of
+    # the top order's turning point, where both sides sweep downward)
     theta = sb.build_grid(4 * ell).theta_nodes
     x = np.cos(theta)
-    m_hi, top, fallback = _band_with_fallback(ell, case, x)
+    window = case_window(ell, band_radius(ell), case)
+    m_lo, m_hi = int(window[0]), int(window[-1])
+    (values, _), up = _upward_nodes(lambda: sb._order_band(ell, m_lo, m_hi, x), x)
+    oscillatory = (ell + 0.5) * np.sin(theta) >= max(sb._SERIES_MIN_RHO_SIN, m_hi)
+    # case "2" has m_hi near l, where sweeping up from m = 0 costs more
+    assert np.array_equal(up, oscillatory & (case == "inf"))
     allowed = q_potential(ell, m_hi, math.pi / 2 - theta) < 0
-    normal = np.abs(top) >= np.finfo(float).tiny
-    row_max = np.abs(top).max()
-    # case "2" falls back only deep in the forbidden zone next to the poles,
-    # where its top row is below the smallest normal double (108 of 3900
-    # nodes at l = 975, 268 of 9600 at l = 2400)
-    assert case == "inf" or not (fallback & normal).any()
-    kinds = (allowed & ~fallback, ~allowed & ~fallback & normal, fallback & normal)
-    for nodes in (np.flatnonzero(kind) for kind in kinds if kind.any()):
-        for j in nodes[np.linspace(0, nodes.size - 1, 6).astype(int)]:
-            exact = float(normalized_legendre_mp(m_hi, ell, x[j]))
+    normal = np.abs(values[-1]) >= np.finfo(float).tiny
+    kinds = (up, ~up & allowed, ~up & ~allowed & normal)
+    switch = np.flatnonzero(np.diff(oscillatory))
+    sampled = [np.flatnonzero(kind)[np.linspace(0, kind.sum() - 1, 5).astype(int)]
+               for kind in kinds if kind.any()]
+    for i, m in ((-1, m_hi), (0, m_lo)):
+        row_max = np.abs(values[i]).max()
+        for j in np.concatenate([switch, switch + 1, *(sampled if i == -1 else [])]):
+            exact = float(normalized_legendre_mp(m, ell, x[j]))
             # g has zeros where allowed: there the error is measured against
-            # the row's maximum, elsewhere pointwise (at most 7.0e-12 here)
-            scale = row_max if allowed[j] else abs(exact)
-            assert abs(top[j] - exact) <= 2e-11 * scale
-
-
-@pytest.mark.parametrize("ell", [975, 2400])
-def test_cancellation_fallback_fires_near_the_poles_on_few_nodes(ell):
-    theta = sb.build_grid(4 * ell).theta_nodes
-    m_hi, _, fallback = _band_with_fallback(ell, "inf", np.cos(theta))
-    forbidden = q_potential(ell, m_hi, math.pi / 2 - theta) >= 0
-    # where g_l^m_hi is forbidden, the identity's two terms cancel next to
-    # the poles; in the allowed zone it falls back only next to a zero of g
-    assert np.count_nonzero(fallback & forbidden) >= 10
-    assert np.all(np.abs(np.cos(theta[fallback & forbidden])) > 0.99)
-    assert np.count_nonzero(fallback) <= 0.02 * theta.size
+            # the row's maximum, elsewhere pointwise (at most 3.3e-13 here)
+            allowed_j = q_potential(ell, m, math.pi / 2 - theta[j]) < 0
+            scale = row_max if allowed_j else abs(exact)
+            assert abs(values[i, j] - exact) <= 2e-11 * scale, (m, j)
 
 
 def _wkb_nodes(ell, case, n=1001):
@@ -238,6 +269,12 @@ def _wkb_nodes(ell, case, n=1001):
     r = band_radius(ell)
     thetas = np.linspace(*case_interval(ell, r, case), n)
     return case_window(ell, r, case), thetas, np.sin(thetas)
+
+
+def _upward_sweep(ell, m_lo, m_hi, x):
+    """Rows m_lo..m_hi of the upward sweep on every node x, whatever its order's zone."""
+    rows = sb._upward_rows(ell, x, x / np.sqrt((1.0 - x) * (1.0 + x)))
+    return np.array(list(itertools.islice(rows, m_lo, m_hi + 1)))
 
 
 def _upward_error(ell, m, x, row, sample):
@@ -254,7 +291,7 @@ def _upward_error(ell, m, x, row, sample):
 def test_upward_band_against_mpmath(ell, case):
     window, _, x = _wkb_nodes(ell, case)
     m_lo, m_hi = int(window[0]), int(window[-1])
-    band = sb._upward_band(ell, m_lo, m_hi, x)
+    band = _upward_sweep(ell, m_lo, m_hi, x)  # case "2" too, on purpose
     # both interval ends and their neighbours, the centre, and between
     sample = [0, 1, 137, 250, 499, 500, 501, 777, 999, 1000]
     for i in (0, m_hi - m_lo):
@@ -265,52 +302,61 @@ def test_upward_band_against_mpmath(ell, case):
 def test_upward_gate_fails_past_the_turning_point(past, passes):
     # nodes from (l + 1/2) sin(theta) = m / past to the equator: at past = 1
     # every node is oscillatory; at 1.1 the outermost lie 10% beyond the
-    # turning point, where the upward sweep follows the wrong solution
+    # turning point, where the upward sweep follows the wrong solution.  The
+    # band sweeps those nodes downward, and passes either way.
     ell, m = 1600, 400
     edge = math.sqrt(1.0 - (m / past / (ell + 0.5)) ** 2)
     x = np.linspace(-edge, edge, 1001)
-    row = sb._upward_band(ell, m, m, x)[0]
-    assert (_upward_error(ell, m, x, row, [0, 1, 500, 999, 1000]) <= 1e-12) == passes
+    sample = [0, 1, 500, 999, 1000]
+    row = _upward_sweep(ell, m, m, x)[0]
+    assert (_upward_error(ell, m, x, row, sample) <= 1e-12) == passes
+    assert _upward_error(ell, m, x, sb._order_band(ell, m, m, x)[0][0], sample) <= 1e-12
 
 
-def _degree_recurrence_calls(band):
-    """How many degree recurrences ``band()`` runs, and its result."""
-    calls = []
-    last_rows = sb._last_rows
-
-    def counted(*args):
-        calls.append(args)
-        return last_rows(*args)
+def _without_degree_recurrence(band):
+    """``band()``, with the degree recurrence made to raise should it run."""
+    def refused(*args):
+        raise AssertionError("a degree recurrence ran")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sb, "_last_rows", counted)
-        result = band()
-    return len(calls), result
+        patch.setattr(sb, "_degree_rows", refused)
+        return band()
+
+
+@pytest.mark.parametrize("ell", [400, 1600])
+def test_no_band_runs_a_degree_recurrence(ell):
+    grid = np.cos(sb.build_grid(4 * ell).theta_nodes)
+    for case in ("2", "inf"):
+        window, thetas, x = _wkb_nodes(ell, case)
+        m_lo, m_hi = int(window[0]), int(window[-1])
+        for m in (m_lo, m_hi):  # single rows
+            _without_degree_recurrence(lambda: sb.legendre_band(ell, m, m, thetas))
+        _without_degree_recurrence(lambda: sb.legendre_band(ell, m_lo, m_hi, thetas))
+        _without_degree_recurrence(lambda: sb._order_band(ell, m_lo, m_hi, grid))
+    _without_degree_recurrence(lambda: sb.radial_rows(ell, x))
 
 
 @pytest.mark.parametrize("ell", [400, 1600])
 def test_upward_route_is_taken_only_by_oscillatory_bands(ell):
-    for case, degree_route in (("inf", False), ("2", True)):
-        window, thetas, _ = _wkb_nodes(ell, case)
+    for case, upward in (("inf", True), ("2", False)):
+        window, thetas, x = _wkb_nodes(ell, case)
         for m in (int(window[0]), int(window[-1])):
-            calls, _ = _degree_recurrence_calls(
-                lambda: sb.legendre_band(ell, m, m, thetas))
-            assert (calls > 0) == degree_route
+            _, up = _upward_nodes(lambda: sb.legendre_band(ell, m, m, thetas), x)
+            assert np.all(up == upward)
     # a case-"inf" window on a Gauss grid: its nodes next to the poles are
-    # in the forbidden zone of every order but 0
+    # in the forbidden zone of every order but 0, and sweep downward
     window = case_window(ell, band_radius(ell), "inf")
     x = np.cos(sb.build_grid(4 * ell).theta_nodes)
-    calls, _ = _degree_recurrence_calls(
-        lambda: sb._order_band(ell, int(window[0]), int(window[-1]), x))
-    assert calls > 0
+    _, up = _upward_nodes(lambda: sb._order_band(ell, int(window[0]), int(window[-1]), x), x)
+    assert 0 < np.count_nonzero(~up) <= 0.07 * x.size  # 6.1% at l = 400, 3.1% at 1600
+    assert np.all(np.abs(x[~up]) > 0.99)
 
 
 @pytest.mark.parametrize("ell", [400, 1600])
 def test_upward_band_rows_are_its_one_order_rows(ell):
     window, thetas, _ = _wkb_nodes(ell, "inf")
-    calls, table = _degree_recurrence_calls(
+    table = _without_degree_recurrence(
         lambda: sb.legendre_band(ell, int(window[0]), int(window[-1]), thetas))
-    assert calls == 0
     for i, m in enumerate(window.tolist()):
         alone = sb.legendre_band(ell, m, m, thetas).values_g[0]
         assert np.array_equal(table.values_g[i], alone)
@@ -319,10 +365,11 @@ def test_upward_band_rows_are_its_one_order_rows(ell):
 def test_single_row_lifts_an_underflowing_seed():
     ell, m, x = 1600, 533, np.array([-0.970])
     assert sb._seed_values(m, x)[0] == 0.0  # sin(theta)^533 ~ 1e-327
-    row = sb.legendre_row(m, ell, x)
-    assert np.array_equal(row, sb._order_band(ell, m, m, x)[0][0])
     exact = float(normalized_legendre_mp(m, ell, x[0]))  # 7.23e-38
-    assert abs(row[0] / exact - 1) <= 1e-12
+    # the row by the degree recurrence; the band by the downward sweep from
+    # g_l^l ~ 1e-984
+    for value in (sb.legendre_row(m, ell, x)[0], sb._order_band(ell, m, m, x)[0][0, 0]):
+        assert abs(value / exact - 1) <= 1e-12
 
 
 def test_central_binomial_entries_do_not_depend_on_the_table_size():
