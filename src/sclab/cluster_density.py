@@ -67,10 +67,10 @@ def lp_norm(values, p: float, weights=None) -> float:
     weights make it an L^p norm.  Empty input gives 0.  The top value is
     factored out, so large p cannot overflow.
     """
-    if p <= 0:
+    if not p > 0:
         raise ValueError("p must be positive")
     values = np.asarray(values, dtype=float)
-    if np.any(values < 0):
+    if not np.all(values >= 0):
         raise ValueError("values must be nonnegative")
     if values.size == 0:
         return 0.0
@@ -108,7 +108,7 @@ class DensityProfile:
         The density is azimuth-independent, so the surface weights are
         2 pi times the colatitude weights.
         """
-        if p < 2:
+        if not p >= 2:
             raise ValueError("p must be >= 2")
         return lp_norm(self.rho, p / 2.0, 2.0 * math.pi * self.theta_weights)
 
@@ -166,7 +166,7 @@ def exponents(p: float, n_dim: int = 2) -> tuple[float, float]:
 
     Branches meet at p = 2(N+1)/(N-1); alpha(inf) = inf (operator norm).
     """
-    if p < 2:
+    if not p >= 2:
         raise ValueError("p must be >= 2")
     if n_dim < 2:
         raise ValueError("n_dim must be >= 2")
@@ -189,8 +189,8 @@ def concentration_measure(profile: DensityProfile, p: float) -> tuple[float, flo
     correctly the measured area cannot fall below the bound; the caller
     decides what a shortfall means.
     """
-    if not p > 2:
-        raise ValueError("p must be > 2")
+    if not 2 < p < math.inf:
+        raise ValueError("p must be finite and > 2")
     norm1 = profile.norm(2.0)
     norm_p2 = profile.norm(p)
     threshold = norm1 / (4.0 * SPHERE_AREA)

@@ -105,6 +105,8 @@ def dual_exponent(alpha: float) -> float:
 
 def make_report(lam: float, p: float, singular_values: np.ndarray) -> SchattenReport:
     """Assemble the report row: measured S^{alpha'} norm against lam^{2s}."""
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be finite and positive")
     s, alpha = exponents(p)
     ap = dual_exponent(alpha)
     sv = np.sort(np.asarray(singular_values, dtype=float))[::-1]
@@ -507,7 +509,7 @@ def kss_bound(beta, w_samples, p: float, grid: SphereGrid,
     grid must resolve the degrees where beta is nonzero, as in
     :func:`weighted_cluster_gram`, else GridResolutionError.
     """
-    if p < 2:
+    if not p >= 2:
         raise ValueError("p must be >= 2")
     ells = [ell for ell in range(0, n_max + 1)
             if beta(math.sqrt(ell * (ell + 1.0))) != 0.0]

@@ -133,9 +133,12 @@ C_n = 4 / (pi (2n + 1)) e^(-S_n) (:func:`_series_constant`).
 Quadrature.  Colatitude grids are Gauss-Legendre rules (:func:`_gauss_rule`):
 scipy's up to 1000 nodes, and above that one Newton step in theta from
 asymptotic guesses, O(n) in all.  P_n comes from Stieltjes' interior
-series (:func:`_legendre_interior`), except at the few nodes next to each
-pole where the series cannot reach 2^-53; those take the n-step
-recurrence (:func:`_legendre_theta`).
+series (:func:`_legendre_interior`), except at the five nodes next to each
+pole where the series cannot reach 2^-53.  Those take Miller's sweep down
+the same relation in order that the bands run (:func:`_legendre_miller`),
+``_MILLER_ORDER`` = 75 steps whatever n, normalized by the addition
+theorem.  So the module has two recurrences: in degree, for fixed-order
+rows, and in order, for bands and the rule's boundary nodes.
 """
 
 from __future__ import annotations
@@ -625,33 +628,38 @@ _SERIES_TERMS, _SERIES_MIN_RHO_SIN = _series_truncation()
 _SERIES_COST_STEPS = 70
 
 
-def _legendre_theta(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(cos theta) and dP_n/dtheta by the three-term recurrence.
+# Miller's sweep (:func:`_legendre_miller`) starts at this order, past the
+# turning point of every node it serves, (n + 1/2) sin(theta) <
+# ``_SERIES_MIN_RHO_SIN``.  Its unnormalized rows grow from g^M = 1 down to
+# the turning point: on the Gauss rule's nodes, (n + 1/2) theta >= j_{0,1},
+# the largest is 1.4e103 (at m = 1 on the first node, n = 1001 to 1e6), so
+# no row needs rescaling.
+_MILLER_ORDER = int(2 * _SERIES_MIN_RHO_SIN) + 40
 
-    The recurrence runs on P_k and E_k = k (P_k - P_{k-1}) with d = 1 - cos
-    theta = 2 sin^2(theta/2) (Reinsch's form): near the poles it sees theta
-    itself, not a cos(theta) rounded to the spacing of doubles near 1.  In
 
-        E_{k+1} = E_k - (2k+1) d P_k,    P_{k+1} = P_k + E_{k+1} / (k+1)
+def _legendre_miller(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(cos theta) and dP_n/dtheta by Miller's backward sweep in order.
 
-    every coefficient is an integer, so rounding errors vary from node to
-    node instead of repeating as one rounded ratio per step; the latter
-    biased all weights alike (sum 2 + 1.1e-14 at n = 9600, against 9e-16).
-    Then dP_n/dtheta = (E_n - n d P_n) / sin(theta).  O(n) per node; the
-    Gauss rule uses it only where the interior series cannot reach 2^-53,
-    a few nodes, so each node runs as one loop on Python floats: ~5x
-    faster there than numpy calls on a short array, with the same bits.
+    The relation in order at degree n (:func:`_order_rows`) runs down from
+    g^{M+1} = 0, g^M = 1, M = ``_MILLER_ORDER``, to m = 0 (Gautschi, SIAM
+    Rev. 9 (1967)): past the turning point the true rows grow downward, so
+    the sweep follows them.  The addition theorem,
+    g_n^0^2 + 2 sum_{m>=1} g_n^m^2 = (2n + 1)/(4 pi), fixes the scale, and
+    g_n^M, which has no zero past its turning point, the sign (-1)^M
+    (Condon-Shortley).  With total the same sum over the swept rows,
+
+        P_n = (-1)^M g^0 / sqrt(total),
+        dP_n/dtheta = (-1)^M g^1 sqrt(n (n + 1) / total).
+
+    M steps per node, whatever n.  The Gauss rule takes it at theta <= pi/2
+    where (n + 1/2) sin(theta) < ``_SERIES_MIN_RHO_SIN``.
     """
-    d = 2.0 * np.sin(0.5 * theta) ** 2
-    p = np.empty_like(d)
-    e = np.empty_like(d)
-    for i, d_i in enumerate(d.tolist()):
-        p_i, e_i = 1.0 - d_i, -d_i
-        for k in range(1, n):
-            e_i -= d_i * p_i * (2 * k + 1)
-            p_i += e_i / (k + 1)
-        p[i], e[i] = p_i, e_i
-    return p, (e - n * d * p) / np.sin(theta)
+    top, cot = np.ones_like(theta), np.cos(theta) / np.sin(theta)
+    sweep = _order_rows(n, _MILLER_ORDER, -1, np.zeros_like(top), top, cot)
+    rows = [top, *itertools.islice(sweep, _MILLER_ORDER)]  # g^M .. g^0
+    total = rows[-1] ** 2 + 2.0 * sum(row * row for row in rows[:-1])
+    scale = (-1) ** _MILLER_ORDER / np.sqrt(total)
+    return rows[-1] * scale, rows[-2] * (scale * math.sqrt(n * (n + 1.0)))
 
 
 def _series_constant(n: int) -> float:
@@ -713,8 +721,9 @@ def _newton_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     a power of two q for which (n + 1/2) theta is exact.  P_n and dP_n/dtheta
     at the guess come from :func:`_legendre_interior`, except at the nodes
     with (n + 1/2) sin(theta) below ``_SERIES_MIN_RHO_SIN`` (five per half),
-    which take the O(n) recurrence :func:`_legendre_theta`.  The Legendre
-    equation gives the higher derivatives,
+    which take Miller's sweep in order (:func:`_legendre_miller`),
+    ``_MILLER_ORDER`` steps whatever n.  The Legendre equation gives the
+    higher derivatives,
 
         P'' = -cot(theta) P' - n (n + 1) P,
         P''' = P' / sin^2(theta) - cot(theta) P'' - n (n + 1) P',
@@ -742,7 +751,7 @@ def _newton_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     near_pole = rho * sin < _SERIES_MIN_RHO_SIN
     p, dp = np.empty_like(theta), np.empty_like(theta)
     p[~near_pole], dp[~near_pole] = _legendre_interior(n, theta[~near_pole])
-    p[near_pole], dp[near_pole] = _legendre_theta(n, theta[near_pole])
+    p[near_pole], dp[near_pole] = _legendre_miller(n, theta[near_pole])
     cot = cos / sin
     lam = n * (n + 1.0)
     d2 = -cot * dp - lam * p
@@ -768,19 +777,21 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     weight, so small rules keep scipy's exact output.  Above n = 1000,
     :func:`_newton_rule` takes over.  scipy's rule (Golub-Welsch plus a
     polish) costs O(n^2) flops, the Newton rule O(n): 36 series terms a
-    node, plus the n-step recurrence on five nodes per half.  On a 2-core
-    x86 box it takes 8, 16, 32 and 64 ms at n = 6400, 12800, 25600 and
-    51200, where two recurrence sweeps at every node (the O(n^2) route, kept
-    as a test oracle) take 0.16, 0.49, 1.7 and 6.8 s.
+    node, plus 75 steps of Miller's sweep on five nodes per half.  On a
+    2-core x86 box it takes 2.8, 4.0, 6.0 and 11 ms at n = 6400, 12800,
+    25600 and 51200, and 0.11 s at 4e5, where two sweeps of the n-step
+    recurrence at every node (the O(n^2) route, kept as a test oracle) take
+    0.16, 0.49, 1.7 and 6.8 s.
     Against 30-digit mpmath at n = 1001, 4096, 9600, 20000, 25600 and
-    51200 (the two outermost nodes, both sides of the series switch, three
-    interior nodes), the nodes are within 1.1e-16 absolute and the weights
-    within 3e-14 relative.  The largest weight errors are at the
-    recurrence nodes: 4.7e-15 at n = 1001, 1.2e-14 at 4096, 3.0e-14 at
-    20000 and 1.3e-14 at 51200, with no trend toward the 1e-13 gate; the
-    series nodes stay within 1.4e-15.  scipy's nodes are as good, but its
-    end weights are off by 4e-9 at n = 1001 and by up to 5.9e-6 at
-    n = 9600, from cancellation in 1 - x^2.
+    51200 (the five boundary nodes of one half and two of the other, both
+    sides of the series switch, three interior nodes), the nodes are within
+    1.1e-16 absolute and the weights within 1.4e-15 relative.  At the
+    boundary nodes the weights are within 6.7e-16 at n = 1001, 4.4e-16 at
+    4096, 7.8e-16 at 9600, 4.4e-16 at 20000 and 2.2e-16 at 25600 and 51200
+    (by the n-step recurrence there: 4.7e-15, 1.2e-14, 1.3e-14, 3.0e-14,
+    2.1e-14 and 3.2e-14); the series nodes stay within 1.4e-15.  scipy's nodes are
+    as good, but its end weights are off by 4e-9 at n = 1001 and by up to
+    5.9e-6 at n = 9600, from cancellation in 1 - x^2.
     """
     if n < _NEWTON_RULE_MIN:
         nodes, weights = roots_legendre(n)
@@ -817,8 +828,8 @@ def weyl_count(lam: float) -> int:
     Equals (L+1)^2 with L the largest admissible degree; grows like lam^2
     with unit leading coefficient.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lam must be finite and >= 0")
     lam2 = lam * lam
     L = int(math.floor((-1.0 + math.sqrt(1.0 + 4.0 * lam2)) / 2.0))
     while L >= 0 and L * (L + 1) >= lam2:
@@ -830,8 +841,8 @@ def weyl_count(lam: float) -> int:
 
 def cluster_rank(lam: float) -> tuple[list[int], int]:
     """Degrees with lam^2 <= l(l+1) < (lam+1)^2, and their total multiplicity."""
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
+    if not 1 <= lam < math.inf:
+        raise ValueError("lam must be finite and >= 1")
     lo, hi = lam * lam, (lam + 1.0) ** 2
     first = max(0, int(math.floor(lam)) - 2)
     last = int(math.ceil(lam)) + 2

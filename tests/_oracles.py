@@ -1,13 +1,15 @@
 """Independent reference computations used to freeze expected values.
 
 Everything here deliberately avoids the library code path it checks:
-the recurrence runs in 50-digit mpmath arithmetic, the all-node Gauss
-rule runs the full recurrence at every node, the action integral is a
-brute-force composite Simpson rule, the profile integrals run one Gauss
-panel at a time in a Python loop, and the projector spectrum comes from
-the dense addition-theorem kernel on the mesh.  Frozen literals in the
-tests were produced by these functions; rerun them to re-derive any of
-the constants.
+the associated Legendre recurrence runs in 50-digit mpmath arithmetic,
+P_n comes from the n-step degree recurrence (the library's Gauss rule
+takes Stieltjes' series, and Miller's sweep in order next to the poles),
+the all-node Gauss rule runs that recurrence at every node, the action
+integral is a brute-force composite Simpson rule, the profile integrals
+run one Gauss panel at a time in a Python loop, and the projector
+spectrum comes from the dense addition-theorem kernel on the mesh.
+Frozen literals in the tests were produced by these functions; rerun
+them to re-derive any of the constants.
 
 Two dense routes are the references for the library's structured ones.
 ``ylm_matrix`` expands every Y_l^m on the mesh from the library's
@@ -70,25 +72,38 @@ def gauss_legendre_node_mp(n: int, x0: float, dps: int = 30):
         return x, 2 * (1 - x * x) / (n * p_prev) ** 2
 
 
+def legendre_theta_recurrence(n: int, theta):
+    """P_n(cos theta) and dP_n/dtheta by the n-step three-term recurrence.
+
+    Reinsch's form: the recurrence runs on P_k and E_k = k (P_k - P_{k-1})
+    with d = 1 - cos theta = 2 sin^2(theta/2), so that near the poles it
+    sees theta itself, not a cos(theta) rounded to the spacing of doubles
+    near 1:
+
+        E_{k+1} = E_k - (2k+1) d P_k,    P_{k+1} = P_k + E_{k+1} / (k+1),
+
+    then dP_n/dtheta = (E_n - n d P_n) / sin(theta).  O(n) per node; the
+    reference for the library's interior series and for Miller's sweep.
+    """
+    d = 2.0 * np.sin(0.5 * theta) ** 2
+    p, e = 1.0 - d, -d
+    for k in range(1, n):
+        e = e - (2 * k + 1) * (d * p)
+        p = p + e / (k + 1)
+    return p, (e - n * d * p) / np.sin(theta)
+
+
 def gauss_legendre_recurrence_rule(n: int):
     """Gauss-Legendre rule (ascending nodes, weights) with P_n by recurrence.
 
     Newton in theta from the same Tricomi and Bessel-zero guesses as
-    ``sphere_basis._newton_rule``, but with two full sweeps of the n-step
-    three-term recurrence (Reinsch's form) at every node, so O(n^2): the
-    all-node oracle for the O(n) rule.  After the first sweep the second
-    Newton step is below the rounding of theta and is folded into x to
-    first order; the weights are 2 / (dP_n/dtheta)^2 from the last sweep.
+    ``sphere_basis._newton_rule``, but with two full sweeps of
+    ``legendre_theta_recurrence`` at every node, so O(n^2): the all-node
+    oracle for the O(n) rule.  After the first sweep the second Newton step
+    is below the rounding of theta and is folded into x to first order; the
+    weights are 2 / (dP_n/dtheta)^2 from the last sweep.
     """
     from scipy.special import jn_zeros
-
-    def legendre_theta(theta):
-        d = 2.0 * np.sin(0.5 * theta) ** 2
-        p, e = 1.0 - d, -d
-        for k in range(1, n):
-            e = e - (2 * k + 1) * (d * p)
-            p = p + e / (k + 1)
-        return p, (e - n * d * p) / np.sin(theta)
 
     half = n // 2
     rho = n + 0.5
@@ -99,12 +114,12 @@ def gauss_legendre_recurrence_rule(n: int):
     theta[:psi.size] = psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * rho**2)
     if n % 2:
         theta = np.append(theta, math.pi / 2)
-    p, dp = legendre_theta(theta)
+    p, dp = legendre_theta_recurrence(n, theta)
     step = p / dp
     if n % 2:
         step[-1] = 0.0
     theta -= step
-    p, dp = legendre_theta(theta)
+    p, dp = legendre_theta_recurrence(n, theta)
     x = np.cos(theta[:half]) + np.sin(theta[:half]) * (p[:half] / dp[:half])
     w = 2.0 / dp**2
     nodes = np.concatenate([-x, [0.0] if n % 2 else [], x[::-1]])

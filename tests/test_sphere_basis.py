@@ -7,13 +7,15 @@ from hypothesis import given, strategies as st
 from scipy.special import lpmv, gammaln, roots_legendre
 
 from sclab import sphere_basis as sb
-from sclab.cluster_density import heuristic_density
+from sclab.cluster_density import (DensityProfile, concentration_measure, exponents,
+                                   heuristic_density, lp_norm)
+from sclab.schatten_lab import kss_bound, make_report
 from sclab.wkb_engine import (action_integral, band_radius, case_interval, case_window,
                               q_potential)
 
 from _oracles import (double_factorial, gauss_legendre_node_mp,
-                      gauss_legendre_recurrence_rule, normalized_legendre_mp,
-                      ylm_matrix)
+                      gauss_legendre_recurrence_rule, legendre_theta_recurrence,
+                      normalized_legendre_mp, ylm_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +80,42 @@ def test_band_rejects_bad_orders_and_nodes():
         sb.legendre_row(2, 5, np.array([1.0]))
 
 
-@pytest.mark.parametrize("call", [
-    lambda nan: sb.legendre_row(2, 5, [nan]),
-    lambda nan: sb.legendre_band(5, 0, 2, [0.1, nan]),
-    lambda nan: sb.radial_rows(5, [nan]),
-    lambda nan: q_potential(100, 5, nan),
-    lambda nan: action_integral(100, 5, nan),
-    lambda nan: heuristic_density(100, 5, 10, nan),
+@pytest.mark.parametrize("call, argument", [
+    (lambda nan: sb.legendre_row(2, 5, [nan]), "nodes"),
+    (lambda nan: sb.legendre_band(5, 0, 2, [0.1, nan]), "nodes"),
+    (lambda nan: sb.radial_rows(5, [nan]), "nodes"),
+    (lambda nan: q_potential(100, 5, nan), "theta"),
+    (lambda nan: action_integral(100, 5, nan), "theta"),
+    (lambda nan: heuristic_density(100, 5, 10, nan), "theta"),
+    (lambda nan: lp_norm([1.0, 2.0], nan), "p"),
+    (lambda nan: lp_norm([1.0, nan], 2.0), "values"),
+    (lambda nan: exponents(nan), "p"),
+    (lambda nan: DensityProfile(*np.ones((3, 1)), 1.0).norm(nan), "p"),
+    (lambda nan: make_report(10.0, nan, np.ones(3)), "p"),
+    (lambda nan: make_report(nan, 6.0, np.ones(3)), "lam"),
+    (lambda nan: kss_bound(None, None, nan, None, 0), "p"),
+    (lambda nan: sb.weyl_count(nan), "lam"),
+    (lambda nan: sb.cluster_rank(nan), "lam"),
 ], ids=["legendre_row", "legendre_band", "radial_rows", "q_potential", "action_integral",
-        "heuristic_density"])
-def test_range_checks_refuse_nan(call):
-    # a check written any(|t| >= bound) lets NaN through
-    with pytest.raises(ValueError):
+        "heuristic_density", "lp_norm", "lp_norm_values", "exponents", "density_norm",
+        "make_report", "make_report_lam", "kss_bound", "weyl_count", "cluster_rank"])
+def test_range_checks_refuse_nan(call, argument):
+    # a check written any(|t| >= bound) or p < 2 lets NaN through
+    with pytest.raises(ValueError, match=argument):
         call(math.nan)
+
+
+@pytest.mark.parametrize("call, argument", [
+    (sb.weyl_count, "lam"),
+    (sb.cluster_rank, "lam"),
+    (lambda inf: make_report(inf, 6.0, np.ones(3)), "lam"),
+    (lambda inf: concentration_measure(DensityProfile(*np.ones((3, 1)), 1.0), inf), "p"),
+], ids=["weyl_count", "cluster_rank", "make_report", "concentration_measure"])
+def test_range_checks_refuse_infinity(call, argument):
+    # weyl_count and cluster_rank overflowed, make_report gave a ratio of 0
+    # and concentration_measure a NaN bound
+    with pytest.raises(ValueError, match=argument):
+        call(math.inf)
 
 
 def _normal_seed(m, x):
@@ -262,6 +287,52 @@ def test_derived_top_row_against_mpmath(ell, case):
             allowed_j = q_potential(ell, m, math.pi / 2 - theta[j]) < 0
             scale = row_max if allowed_j else abs(exact)
             assert abs(values[i, j] - exact) <= 2e-11 * scale, (m, j)
+
+
+# g_25600^m on nodes j of the 102400-point Gauss rule (theta < pi/2), for
+# the case-"inf" window's top and bottom orders: {j: (x_j, m = 319, m = 160)},
+# frozen from normalized_legendre_mp(m, 25600, x_j) at 50 digits (about a
+# second a value).  Nodes 50..405 sweep downward, 406.. upward
+_DEGREE_25600 = {
+    50: (0.9999987878904532, -9.613643170327639e-247, 9.377394347614647e-77),
+    100: (0.9999952229867828, -2.4133504225505126e-153, 2.1896118397264393e-32),
+    150: (0.9999893050207364, -3.2441369055987526e-100, 2.8851392556877474e-10),
+    200: (0.9999810340062392, -2.101762320841787e-64, 3.299815590754487),
+    250: (0.9999704099627534, -9.343330572352135e-39, -1.4151896076455286),
+    300: (0.9999574329152783, -3.179744223198188e-20, -3.835858260363228),
+    350: (0.9999421028943498, -1.869152243365061e-07, -1.943079021209966),
+    405: (0.9999225222302077, -3.995277926563429, 2.0656719964359875),
+    406: (0.9999221398655695, -4.43373038519295, 0.18112305172672502),
+    1000: (0.9995287160082303, 0.9236043067289988, -1.658074203181633),
+    5000: (0.9882541661187598, 0.12585907316473152, -0.8137121550669414),
+    20000: (0.817573289007539, 0.11826406397770918, 0.30873970817838015),
+    51199: (1.5339732977085782e-05, -0.12180937393353934, 0.29408309421746126),
+}
+
+
+def test_window_band_at_degree_25600_against_mpmath():
+    # polar downward nodes, the two nodes either side of the switch, and
+    # upward nodes, on the 4l-point Gauss grid, top and bottom rows
+    ell = 25600
+    theta = sb.build_grid(4 * ell).theta_nodes
+    window = case_window(ell, band_radius(ell), "inf")
+    m_lo, m_hi = int(window[0]), int(window[-1])
+    sample = np.array(list(_DEGREE_25600))
+    x = np.cos(theta[sample])
+    assert np.array_equal(x, [x_j for x_j, _, _ in _DEGREE_25600.values()])
+    (values, _), up = _upward_nodes(lambda: sb._order_band(ell, m_lo, m_hi, x), x)
+    assert np.array_equal(up, sample >= 406)
+    oscillatory = (ell + 0.5) * np.sin(theta[sample]) >= m_hi
+    assert np.array_equal(oscillatory, up)  # 405 and 406 straddle the switch
+    for i, m, col in ((-1, m_hi, 1), (0, m_lo, 2)):
+        # where allowed, errors are measured against the row's maximum on
+        # the grid's half, elsewhere pointwise.  At most 4.5e-12, on polar
+        # nodes: the seed-exponent floor (module notes), ~l 2^-53
+        row_max = np.abs(sb._order_band(ell, m, m, np.cos(theta[:2 * ell]))[0]).max()
+        for k, (j, frozen) in enumerate(_DEGREE_25600.items()):
+            allowed = q_potential(ell, m, math.pi / 2 - theta[j]) < 0
+            scale = row_max if allowed else abs(frozen[col])
+            assert abs(values[i, k] - frozen[col]) <= 2e-11 * scale, (m, j)
 
 
 def _wkb_nodes(ell, case, n=1001):
@@ -466,7 +537,12 @@ def test_small_gauss_rules_are_scipy_bit_for_bit(n):
     assert np.array_equal(weights, ref_weights)
 
 
-def _recurrence_nodes_per_half(n):
+# the large rule's weights are within this of 30-digit mpmath, relative
+# (worst measured on _mpmath_errors' sample: 1.4e-15)
+_WEIGHT_GATE = 1e-14
+
+
+def _miller_nodes_per_half(n):
     """Nodes per half of the n-point rule at which the series gives way."""
     theta = np.arccos(sb._gauss_rule(n)[0][n // 2:])
     return int(np.count_nonzero((n + 0.5) * np.sin(theta) < sb._SERIES_MIN_RHO_SIN))
@@ -476,10 +552,10 @@ def _mpmath_errors(n, nodes, weights):
     """Worst node (absolute) and weight (relative) error against mpmath.
 
     Sampled at the two outermost nodes, where 1 - x^2 cancels, the last
-    recurrence node and the first series node on each side of the rule,
-    and three interior nodes.
+    node of Miller's sweep and the first series node on each side of the
+    rule, and three interior nodes.
     """
-    r = _recurrence_nodes_per_half(n)
+    r = _miller_nodes_per_half(n)
     sample = (n - 1, n - 2, n - r, n - r - 1, r - 1, r,
               (4 * n) // 5, (2 * n) // 3, n // 2)
     node_err = weight_err = 0.0
@@ -499,25 +575,28 @@ def test_large_gauss_rule_against_mpmath(n):
     assert abs(math.fsum(weights) - 2.0) <= 1e-14
     node_err, weight_err = _mpmath_errors(n, nodes, weights)
     assert node_err <= 4e-16
-    assert weight_err <= 1e-13
+    assert weight_err <= _WEIGHT_GATE
 
 
-@pytest.mark.parametrize("mutate", ["constant", "terms", "switch"])
+@pytest.mark.parametrize("mutate", ["constant", "terms", "switch", "miller_order"])
 def test_mpmath_weight_gate_fails_on_a_broken_series(monkeypatch, mutate):
-    # dropping the last series term, or even twenty of them, moves no weight
-    # by 1e-13 (the tail is ~1e-16 where the series starts), so the
-    # mutations are the smallest of each kind that the gate resolves
+    # dropping the last series term, or even sixteen of them, moves no weight
+    # by the gate (the tail is ~1e-16 where the series starts), so the
+    # mutations are about the smallest of each kind that the gate resolves:
+    # measured 6.0e-14 (constant) and 2.6e-14 (19 terms dropped)
     if mutate == "constant":
         constant = sb._series_constant
-        monkeypatch.setattr(sb, "_series_constant", lambda n: constant(n) * (1 + 1e-12))
+        monkeypatch.setattr(sb, "_series_constant", lambda n: constant(n) * (1 + 3e-14))
     elif mutate == "terms":
-        monkeypatch.setattr(sb, "_SERIES_TERMS", 14)
-    else:  # the series at every node, the poles included
+        monkeypatch.setattr(sb, "_SERIES_TERMS", 17)
+    elif mutate == "switch":  # the series at every node, the poles included
         monkeypatch.setattr(sb, "_SERIES_MIN_RHO_SIN", 0.0)
+    else:  # Miller's sweep started next to the switch: 7.4e-3
+        monkeypatch.setattr(sb, "_MILLER_ORDER", 18)
     n = 1001
     nodes, weights = sb._newton_rule(n)
     monkeypatch.undo()  # the sample is chosen with the real switch
-    assert _mpmath_errors(n, nodes, weights)[1] > 1e-13
+    assert _mpmath_errors(n, nodes, weights)[1] > _WEIGHT_GATE
 
 
 @pytest.mark.parametrize("n", [1001, 1002, 4097, 9600])
@@ -537,7 +616,7 @@ def test_interior_series_matches_recurrence(n):
     theta = np.linspace(math.asin(sb._SERIES_MIN_RHO_SIN / rho), math.pi / 2, 41)
     theta = np.round(theta / q) * q
     p, dp = sb._legendre_interior(n, theta)
-    ref_p, ref_dp = sb._legendre_theta(n, theta)
+    ref_p, ref_dp = legendre_theta_recurrence(n, theta)
     # P_n(cos theta) has condition ~rho theta in theta, and the recurrence
     # rounds 2 sin^2(theta/2): the two agree to a few 2^-53 rho theta of
     # the amplitude C_n / sqrt(2 sin theta) (measured: at most 1.24)
@@ -555,18 +634,88 @@ def test_series_constant_against_mpmath(n):
         assert float(abs(sb._series_constant(n) / exact - 1)) <= 1e-15
 
 
+def _miller_route(n):
+    """The guesses of the n-point Newton rule that take Miller's sweep, and
+    how many steps of the relation in order the rule takes in all."""
+    thetas, steps = [], 0
+    miller, order_rows = sb._legendre_miller, sb._order_rows
+
+    def recorded(n, theta):
+        thetas.append(theta)
+        return miller(n, theta)
+
+    def counted(*args):
+        nonlocal steps
+        for row in order_rows(*args):
+            steps += 1
+            yield row
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sb, "_legendre_miller", recorded)
+        patch.setattr(sb, "_order_rows", counted)
+        sb._newton_rule(n)
+    return np.concatenate(thetas), steps
+
+
 @pytest.mark.parametrize("n", [1001, 4097, 25600, 51200])
-def test_recurrence_runs_on_a_fixed_number_of_nodes(monkeypatch, n):
-    sizes = []
-    recurrence = sb._legendre_theta
+def test_recurrence_runs_on_a_fixed_number_of_nodes(n):
+    theta, _ = _miller_route(n)
+    assert theta.size == 5  # j_{0,5} = 14.9 < 17.7 < j_{0,6} = 18.1
 
-    def counted(n, theta):
-        sizes.append(theta.size)
-        return recurrence(n, theta)
 
-    monkeypatch.setattr(sb, "_legendre_theta", counted)
-    sb._newton_rule(n)
-    assert sizes == [5]  # j_{0,5} = 14.9 < 17.7 < j_{0,6} = 18.1
+def _boundary_errors(n, theta, p, dp):
+    """Worst |P_n - exact| and |dP_n/dtheta / exact - 1| against 40-digit mpmath."""
+    import mpmath as mp
+
+    p_err = dp_err = 0.0
+    with mp.workdps(40):
+        for t, p_t, dp_t in zip(theta.tolist(), p, dp):
+            x = mp.cos(mp.mpf(t))
+            exact = mp.legendre(n, x)
+            exact_dp = n * (x * exact - mp.legendre(n - 1, x)) / mp.sin(mp.mpf(t))
+            p_err = max(p_err, float(abs(p_t - exact)))
+            dp_err = max(dp_err, float(abs(dp_t / exact_dp - 1)))
+    return p_err, dp_err
+
+
+def _miller_sample(n):
+    """The rule's Miller nodes, and the last multiple of its q below the switch."""
+    theta, steps = _miller_route(n)
+    rho = n + 0.5
+    q = math.ldexp(1.0, math.frexp(2 * n + 1)[1] - 52)
+    last = math.floor(math.asin(sb._SERIES_MIN_RHO_SIN / rho) / q) * q
+    while rho * math.sin(last) >= sb._SERIES_MIN_RHO_SIN:
+        last -= q
+    return np.append(theta, last), steps
+
+
+@pytest.mark.parametrize("n", [1001, 20000, 51200, 400000])
+def test_boundary_values_against_mpmath(n):
+    theta, steps = _miller_sample(n)
+    # the rule's one loop in order has M steps at every n: none has n steps
+    assert steps == sb._MILLER_ORDER
+    p, dp = sb._legendre_miller(n, theta)
+    p_err, dp_err = _boundary_errors(n, theta, p, dp)
+    assert p_err <= 2e-15
+    assert dp_err <= 2e-15
+
+
+def test_boundary_values_fail_without_the_sign():
+    # (-1)^M = -1 at M = 75.  Without it P_n and dP_n/dtheta flip together,
+    # which leaves every Newton step and weight of the rule as it was: the
+    # weight gate cannot see the sign, the values against mpmath do
+    n = 1001
+    assert sb._MILLER_ORDER % 2 == 1
+    theta, _ = _miller_sample(n)
+    p, dp = sb._legendre_miller(n, theta)
+    nodes, weights = sb._newton_rule(n)
+    with pytest.MonkeyPatch.context() as patch:
+        miller = sb._legendre_miller
+        patch.setattr(sb, "_legendre_miller", lambda n, theta: tuple(-v for v in miller(n, theta)))
+        unsigned = sb._newton_rule(n)
+    assert np.array_equal(unsigned[0], nodes) and np.array_equal(unsigned[1], weights)
+    p_err, dp_err = _boundary_errors(n, theta, -p, -dp)
+    assert p_err > 1e-11 and dp_err > 1
 
 
 # ---------------------------------------------------------------------------
