@@ -233,6 +233,12 @@ def heuristic_density(ell: int, a_m: int, b_m: int, theta):
 # Random subcluster densities (stress for the upper bound)
 # ---------------------------------------------------------------------------
 
+# Complex bin entries (theta ring x azimuthal bin x function) that
+# random_cluster_density fills and transforms at a time: 2 MB of bins,
+# whatever lam and the grid
+BIN_BLOCK_ENTRIES = 1 << 17
+
+
 def random_cluster_density(lam: float, n_funcs: int, rng: np.random.Generator,
                            grid: SphereGrid):
     """Density of a Haar-random weighted orthonormal system inside a cluster.
@@ -250,6 +256,9 @@ def random_cluster_density(lam: float, n_funcs: int, rng: np.random.Generator,
     F_k^m = sum_l q_k[(l,m)] g_l^m, and e^{i m phi_j} depends on m only
     through m mod n_phi: each F_k^m is added into azimuthal bin
     m mod n_phi, and one inverse FFT along phi gives f_k on every node.
+    The bins are filled and transformed for a block of rings at a time, at
+    most ``BIN_BLOCK_ENTRIES`` entries (or one ring), a degree at a time
+    over n_phi orders at once, which fall into distinct bins.
     """
     ells, dim = cluster_rank(lam)
     if not 1 <= n_funcs <= dim:
@@ -258,10 +267,21 @@ def random_cluster_density(lam: float, n_funcs: int, rng: np.random.Generator,
     q, _ = np.linalg.qr(gauss)
     nu = rng.uniform(0.0, 1.0, n_funcs)
     x = np.cos(grid.theta_nodes)
-    bins = np.zeros((grid.n_theta, grid.n_phi, n_funcs), dtype=complex)
-    coeffs = iter(q)
+    n_phi = grid.n_phi
+    degrees, start = [], 0  # (rows, coefficients, bins) of each degree's orders
     for ell in ells:
-        for m, g in zip(range(-ell, ell + 1), radial_rows(ell, x)):
-            bins[:, m % grid.n_phi] += np.outer(g, next(coeffs))
-    funcs = np.fft.ifft(bins, axis=1, norm="forward")
-    return (np.abs(funcs) ** 2 @ nu).ravel(), nu, grid.surface_weights()
+        orders = np.arange(-ell, ell + 1)
+        degrees.append((radial_rows(ell, x), q[start:start + orders.size], orders % n_phi))
+        start += orders.size
+    rho = np.empty((grid.n_theta, n_phi))
+    rings = max(1, BIN_BLOCK_ENTRIES // (n_phi * n_funcs))
+    for lo in range(0, grid.n_theta, rings):
+        block = slice(lo, lo + rings)
+        bins = np.zeros((rho[block].shape[0], n_phi, n_funcs), dtype=complex)
+        for rows, coeffs, bin_of in degrees:
+            for first in range(0, bin_of.size, n_phi):
+                chunk = slice(first, first + n_phi)
+                bins[:, bin_of[chunk]] += rows[chunk, block].T[:, :, None] * coeffs[chunk]
+        funcs = np.fft.ifft(bins, axis=1, norm="forward")
+        rho[block] = np.abs(funcs) ** 2 @ nu
+    return rho.ravel(), nu, grid.surface_weights()

@@ -96,6 +96,8 @@ class SchattenReport:
 
 def dual_exponent(alpha: float) -> float:
     """Hoelder dual alpha' = alpha/(alpha - 1); inf and 1 swap."""
+    if math.isnan(alpha):
+        raise ValueError("alpha must not be NaN")
     if math.isinf(alpha):
         return 1.0
     if alpha <= 1.0:
@@ -349,9 +351,9 @@ X_BOX_DISTANCE = ((-0.3, 0.3), (-0.3, 0.3))
 Y_BOX_DISTANCE = ((-0.9, 0.9), (-0.9, 0.9))
 DISTANCE_RING = (0.2, 0.8)
 # y-quadrant nodes per Gram block, as a count of kernel entries over the
-# four reflected images: each block's float arrays stay near 8 MB whatever
+# four reflected images: each block's float arrays stay near 2 MB whatever
 # the resolution.
-GRAM_BLOCK_ENTRIES = 1 << 20
+GRAM_BLOCK_ENTRIES = 1 << 18
 
 
 def _half_axis(lo: float, hi: float, n: int):

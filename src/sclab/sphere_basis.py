@@ -36,7 +36,7 @@ Order bands.  A band of orders m_lo..m_hi at one degree
     sqrt((l-m)(l+m+1)) g^{m+1} + 2m cot(theta) g^m
         + sqrt((l+m)(l-m+1)) g^{m-1} = 0,
 
-swept in one of two directions at each node.
+swept in one of three ways at each node.
 
 Downward, from g_l^{l+1} = 0 and the sectoral seed g_l^l, which gives
 g_l^{l-1} = -sqrt(2l) cot(theta) g_l^l and then every lower order: l - m_lo
@@ -46,6 +46,14 @@ m = (l + 1/2) sin(theta) the true values grow as m decreases, so the
 relation follows the dominant solution, and inside the oscillatory zone
 both solutions have the same size, so rounding errors grow at most
 algebraically.
+
+By Miller's method (:func:`_miller_rows`; Gautschi, SIAM Rev. 9 (1967)):
+downward too, but from g^{M+1} = 0, g^M = 1 at an order M past the node's
+turning point, M = 2 max(``_SERIES_MIN_RHO_SIN``, m_hi) + 40, to m = 0,
+the rows scaled by the addition theorem g^0^2 + 2 sum_{m>=1} g^m^2 =
+(2l + 1)/(4 pi) and signed by (-1)^M (parity on x < 0).  The start brings in
+some of the other solution, which dies away as the sweep follows the
+dominant one down, and the sweep needs no seed: M steps a node.
 
 Upward, by the relation solved for g^{m+1}, from g_l^0 and g_l^1
 (:func:`_upward_rows`).  Stieltjes' interior series
@@ -57,25 +65,33 @@ the wanted solution is the one that decays with m, and the other one
 takes over (at l = 1600, m = 400, with nodes reaching 10% past the
 turning point, the sweep is off by 1.5e-9 where the value is 7.4e-6).
 
-A node sweeps upward where every order of the band is oscillatory,
-(l + 1/2) sin(theta) >= max(``_SERIES_MIN_RHO_SIN``, m_hi), in a band for
-which upward is the cheaper direction, m_hi + ``_SERIES_COST_STEPS`` <
-l - m_lo: O(36 + m_hi) per node instead of O(l - m_lo).  Every other node
-sweeps downward.  Case-"inf" windows (orders [r, 2r)) sweep upward on
-their WKB intervals, which end ~8r/l from the poles, and on a Gauss grid
-everywhere but next to the poles (246 of 9600 nodes sweep downward at
-l = 2400); case-"2" windows have m_hi near l and sweep downward, as does
-:func:`radial_rows`.  Every sin^2(theta) is formed as (1 - x)(1 + x), in
-unlifted seeds as log1p(-x) + log1p(x): 1 - x*x would lose
-m/2 * 2^-53 / (1 - x^2) of relative accuracy in sin^m next to the poles
+A node is oscillatory for the band where every order of it is,
+(l + 1/2) sin(theta) >= max(``_SERIES_MIN_RHO_SIN``, m_hi).  An oscillatory
+node sweeps upward in a band for which upward is the cheaper direction,
+m_hi + ``_SERIES_COST_STEPS`` < l - m_lo: O(36 + m_hi) per node instead
+of O(l - m_lo).  Every other node takes Miller's sweep in a band for
+which its start lies below l - m_lo, M < l - m_lo: M lies past the node's
+turning point by at least as much again plus 40.  The rest sweep
+downward.  Case-"inf" windows (orders [r, 2r)) sweep upward on their WKB
+intervals, which end ~8r/l from the poles, and on a Gauss grid everywhere
+but next to the poles, where they take Miller's sweep, ~4r + 40 steps (246
+of 9600 nodes at l = 2400); case-"2" windows have m_hi near l and sweep
+downward, as does :func:`radial_rows`.  Every sin^2(theta) is formed as
+(1 - x)(1 + x), in unlifted seeds as log1p(-x) + log1p(x): 1 - x*x would
+lose m/2 * 2^-53 / (1 - x^2) of relative accuracy in sin^m next to the poles
 (at l = 400 on the first of 1600 Gauss nodes, seeds of m = 60..137 are
 within 5e-14 of mpmath this way, against up to 1.1e-9 from 1 - x*x).
 Measured against the per-order degree recurrence on n = 4l Gauss nodes
 up to l = 2400, both windows' bands agree to within 7.2e-13 of each row's
 maximum.  Against 50-digit mpmath at l = 975 and 2400, the top and bottom
-rows of both windows are within 3.3e-13 at sampled upward nodes, downward
-nodes allowed and forbidden for the top order, and the nodes either side
-of each switch (of the row's maximum where allowed, pointwise elsewhere).
+rows of both windows are within 3.3e-13 at sampled upward nodes, Miller's
+and downward nodes allowed and forbidden for the top order on both sides
+of the equator, and the nodes either side of each switch (of the row's
+maximum where allowed, pointwise elsewhere); Miller's nodes within
+8.4e-15.  At l = 25600 and 102400, the case-"inf" window's top and bottom
+rows on Miller's nodes are within 4.4e-14 and 6.3e-14 (pointwise where
+forbidden), where the downward sweep was off by 4.5e-12 and 1.1e-11, and
+within 1.1e-13 and 2.6e-13 of the row's maximum on upward nodes.
 On both windows' WKB intervals at l = 400 and 1600 (ends included; case
 "2" swept upward on purpose), upward rows are within 9.7e-14 of each
 row's maximum, against 4.9e-14 by the degree recurrence; the gap is the
@@ -113,12 +129,14 @@ The seed-exponent floor.  The exponent of a lifted seed is a sum of terms
 up to ~(m/2) ln 2 in size, each rounded, so the seed is off by up to
 ~m 2^-53 relative, and a sweep passes that error on unchanged to every
 row it gives on the node.  A downward sweep starts from m = l, so next to
-the poles a band is off by ~l 2^-53 relative: at l = 1e5, on the three
-nodes above, 4.4e-12 to 1.1e-11 against 50-digit mpmath, the same at
-every order.  ``underflow_nodes`` on a band still counts the nodes where
-the seed of the top order m_hi underflows, that is, where a degree
-recurrence of that order would have to lift it; the downward seed g_l^l
-underflows there too, and on more nodes.
+the poles a downward band is off by ~l 2^-53 relative: at l = 1e5, on the
+three nodes above, 4.4e-12 to 1.1e-11 against 50-digit mpmath, the same
+at every order.  Miller's sweep starts from no seed, so it has no such
+floor; it takes the polar nodes of every band for which it is cheaper,
+and downward bands are those with m_hi near l, or with few orders below
+l.  ``underflow_nodes`` on a band still counts the nodes where the seed of
+the top order m_hi underflows, that is, where a degree recurrence of that
+order would have to lift it, whatever route the node takes.
 
 Normalization.  One quantity, the central binomial logarithm
 S_k = log((2k)! / (4^k k!^2)) = sum_{j<=k} log1p(-1/(2j)), is read from
@@ -134,11 +152,11 @@ Quadrature.  Colatitude grids are Gauss-Legendre rules (:func:`_gauss_rule`):
 scipy's up to 1000 nodes, and above that one Newton step in theta from
 asymptotic guesses, O(n) in all.  P_n comes from Stieltjes' interior
 series (:func:`_legendre_interior`), except at the five nodes next to each
-pole where the series cannot reach 2^-53.  Those take Miller's sweep down
-the same relation in order that the bands run (:func:`_legendre_miller`),
-``_MILLER_ORDER`` = 75 steps whatever n, normalized by the addition
-theorem.  So the module has two recurrences: in degree, for fixed-order
-rows, and in order, for bands and the rule's boundary nodes.
+pole where the series cannot reach 2^-53.  Those take rows 0 and 1 of the
+bands' Miller sweep (:func:`_miller_rows`), which start at M = 75 whatever
+n, for g_n^0 and g_n^1, that is P_n and dP_n/dtheta.  So the module has two
+recurrences, in degree, for fixed-order rows, and in order, for bands and
+the rule's boundary nodes, and one Miller routine.
 """
 
 from __future__ import annotations
@@ -155,17 +173,21 @@ from scipy.special import jn_zeros, roots_legendre
 FOUR_PI = 4.0 * math.pi
 _LN2 = math.log(2.0)
 _LOG_TINY = math.log(np.finfo(float).tiny)
-# Lifted rows (see Underflow in the module notes) are checked at the second
-# row of a recurrence and then every _DEGREE_CHECK_STEPS steps in degree and
-# every _ORDER_CHECK_STEPS steps in order; where either of a node's two
-# latest rows has passed 2^_RESCALE_BITS, both are scaled down by that
-# power.  A step multiplies the larger of the two by at most
-# 1.6 sqrt(m + 3) < 2^8 in degree (for l <= 1e4), so rows of the degree
-# recurrence stay below 2^(512 + 32 * 8).  A step in order multiplies it by
-# at most 1 + sqrt(2l) |cot(theta)|, and |cot(theta)| < 2^26.5 at every
-# double inside (-1, 1).  A lifted node's downward sweep starts from a seed
-# just above the smallest normal double, so for l <= 1e6 none of its rows
-# passes 2^(8 log2(1 + sqrt(2e6) 2^26.5) + 512) ~ 2^808 < 2^1023.
+# Lifted rows (see Underflow in the module notes), and every row of Miller's
+# sweep, are checked at the second row of a recurrence and then every
+# _DEGREE_CHECK_STEPS steps in degree and every _ORDER_CHECK_STEPS steps in
+# order; where either of a node's two latest rows has passed
+# 2^_RESCALE_BITS, both are scaled down by that power.  A step multiplies
+# the larger of the two by at most 1.6 sqrt(m + 3) < 2^8 in degree (for
+# l <= 1e4), so rows of the degree recurrence stay below 2^(512 + 32 * 8).
+# A step in order multiplies it by at most 1 + sqrt(2l) |cot(theta)|, and
+# |cot(theta)| < 2^26.5 at every double inside (-1, 1).  A lifted node's
+# downward sweep starts from a seed just above the smallest normal double,
+# and Miller's sweep from g^M = 1; both stay below 2^512 until a check finds
+# them past it, so for l <= 1e6 no row of either passes
+# 2^(8 log2(1 + sqrt(2e6) 2^26.5) + 512) ~ 2^808 < 2^1023.  Miller's running
+# root sum of squares is at most sqrt(M) times the largest row, and is
+# scaled with the rows.
 _RESCALE_BITS = 512
 _DEGREE_CHECK_STEPS = 32
 _ORDER_CHECK_STEPS = 8
@@ -315,25 +337,29 @@ def _degree_rows(m, ell: int, x: np.ndarray, seed: np.ndarray):
         yield cur
 
 
-def _rescaled(rows, lift: np.ndarray, every: int):
+def _rescaled(rows, lift: np.ndarray, every: int, nodes=None, held=None):
     """Yield the rows of a recurrence on lifted seeds, keeping ``lift`` up to date.
 
     ``rows`` is :func:`_degree_rows` or a sweep of :func:`_order_rows` after
     its two first rows, and ``lift`` the power of two its seeds carry, one
     per node.  At rows 1, 1 + every, 1 + 2 every, ..., where either of a
-    lifted node's two latest rows has passed 2^``_RESCALE_BITS``, both are
-    scaled down by that power in place, so that the recurrence goes on from
-    them, and the node's lift drops by as much.  A row times 2**-lift, with
-    the lift as it stands when the row is yielded, is the true row.  Scaling
-    by a power of two is exact, and nodes not lifted at the start hold true
-    values, below sqrt((2l + 1) / (4 pi)); the bound after ``_RESCALE_BITS``
-    shows why the check intervals keep every row finite.
+    node's two latest rows has passed 2^``_RESCALE_BITS``, both are scaled
+    down by that power in place, so that the recurrence goes on from them,
+    and the node's lift drops by as much; so is ``held``, an array kept at
+    the rows' scale (Miller's running norm), if given.  A row times
+    2**-lift, with the lift as it stands when the row is yielded, is the
+    true row.  Scaling by a power of two is exact.  The nodes checked are
+    ``nodes``, by default those lifted at the start: the others hold true
+    values, below sqrt((2l + 1) / (4 pi)).  The bound after
+    ``_RESCALE_BITS`` shows why the check intervals keep every row finite.
     """
-    nodes = np.flatnonzero(lift)
+    nodes = np.flatnonzero(lift) if nodes is None else nodes
     for k, row in enumerate(rows):
         if nodes.size and k % every == 1:
             big = nodes[np.maximum(np.abs(last[nodes]), np.abs(row[nodes])) > 2.0**_RESCALE_BITS]
             last[big], row[big] = last[big] * 2.0**-_RESCALE_BITS, row[big] * 2.0**-_RESCALE_BITS
+            if held is not None:
+                held[big] *= 2.0**-_RESCALE_BITS
             lift[big] -= _RESCALE_BITS
         yield row
         last = row
@@ -419,6 +445,56 @@ def _upward_rows(ell: int, x: np.ndarray, cot: np.ndarray):
     yield from itertools.chain([below, above], _order_rows(ell, 1, 1, below, above, cot))
 
 
+def _miller_order(m_hi: int) -> int:
+    """The order M at which Miller's sweep (:func:`_miller_rows`) starts.
+
+    M = 2 max(``_SERIES_MIN_RHO_SIN``, m_hi) + 40 (rounded down): past the
+    turning point (l + 1/2) sin(theta) of every node that takes the sweep,
+    which lies below max(``_SERIES_MIN_RHO_SIN``, m_hi), by at least as much
+    again plus 40.  75 for the Gauss rule's rows 0 and 1.
+    """
+    return int(2 * max(_SERIES_MIN_RHO_SIN, m_hi)) + 40
+
+
+def _miller_rows(ell: int, m_lo: int, m_hi: int, cot: np.ndarray) -> np.ndarray:
+    """g_ell^m for m = m_lo..m_hi (rows) by Miller's backward sweep in order.
+
+    The relation in order (:func:`_order_rows`) runs down from g^{M+1} = 0,
+    g^M = 1, M = :func:`_miller_order` (m_hi), to m = 0 (Gautschi, SIAM
+    Rev. 9 (1967)): past the turning point the true rows grow downward, so
+    the sweep follows them, and the component of the other solution that
+    the start brings in dies away.  The addition theorem,
+    g^0^2 + 2 sum_{m>=1} g^m^2 = (2l + 1)/(4 pi), fixes the scale.  On
+    x > 0, g^M has no zero past its turning point and the sign (-1)^M
+    (Condon-Shortley).  On x < 0 the sweep runs with cot(theta) < 0, whose
+    rows are (-1)^(M-m) those at |x|, so that sign and the parity
+    (-1)^(l+m) come to one sign, (-1)^l.  Every node is checked for growth
+    (:func:`_rescaled`); the running root of the sum, taken by hypot, is
+    scaled with the rows, and each kept row is scaled to the sweep's final
+    power of two once, together with the normalization.  M steps per node,
+    whatever l; for nodes whose turning point lies below
+    max(``_SERIES_MIN_RHO_SIN``, m_hi), which the caller checks.
+    """
+    big_m = _miller_order(m_hi)
+    top, above = np.ones_like(cot), np.zeros_like(cot)
+    lift = np.zeros(cot.size, dtype=int)
+    norm = np.zeros_like(cot)  # sqrt(sum_{m>=1} g^m^2) so far, at the rows' scale
+    sweep = itertools.chain([above, top], _order_rows(ell, big_m, -1, above, top, cot))
+    rows = _rescaled(sweep, lift, _ORDER_CHECK_STEPS, np.arange(cot.size), norm)
+    next(rows)  # g^{M+1}
+    kept = np.empty((m_hi - m_lo + 1, cot.size))
+    kept_lift = np.empty(kept.shape, dtype=int)
+    for m, row in zip(range(big_m, -1, -1), rows):
+        if m_lo <= m <= m_hi:
+            kept[m - m_lo], kept_lift[m - m_lo] = row, lift
+        if m:
+            np.hypot(norm, row, out=norm)
+    total = np.hypot(row, math.sqrt(2.0) * norm)  # row is g^0
+    sign = np.where(cot < 0, (-1.0) ** ell, (-1.0) ** big_m)
+    fraction, exponent = np.frexp(sign * math.sqrt((2 * ell + 1) / FOUR_PI) / total)
+    return np.ldexp(kept * fraction, lift - kept_lift + exponent)
+
+
 def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g_ell^m for m = m_lo..m_hi (rows) on nodes x, by the relation in order alone.
 
@@ -426,26 +502,31 @@ def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarr
     sectoral seed of m_hi is below the smallest normal double, that is,
     where the degree recurrence of the top order would start from an
     underflowing seed; the band itself runs no degree recurrence.  Each node
-    takes one of two sweeps (see the module notes).  Where every order is
-    oscillatory, (l + 1/2) sin(theta) >= max(``_SERIES_MIN_RHO_SIN``, m_hi),
-    and the band is one that sweeping up from m = 0 makes cheaper,
-    m_hi + ``_SERIES_COST_STEPS`` < l - m_lo, the node sweeps upward
-    (:func:`_upward_rows`).  Every other node sweeps downward from
-    g_l^{l+1} = 0 and the sectoral seed g_l^l; where that seed would
-    underflow, the node's rows carry a power of two that the sweep keeps up
-    to date, and each kept row is scaled back once.  Rows go straight into
-    the one output array.
+    takes one of three sweeps (see the module notes).  A node is oscillatory
+    where (l + 1/2) sin(theta) >= max(``_SERIES_MIN_RHO_SIN``, m_hi).  In a
+    band that sweeping up from m = 0 makes cheaper,
+    m_hi + ``_SERIES_COST_STEPS`` < l - m_lo, an oscillatory node sweeps
+    upward (:func:`_upward_rows`).  In a band where Miller's start lies
+    below l - m_lo, M = :func:`_miller_order` (m_hi) < l - m_lo, every other
+    node takes Miller's sweep down from M (:func:`_miller_rows`).  The
+    remaining nodes sweep downward from g_l^{l+1} = 0 and the sectoral seed
+    g_l^l; where that seed would underflow, the node's rows carry a power of
+    two that the sweep keeps up to date, and each kept row is scaled back
+    once.  Rows go straight into the one output array.
     """
     underflow = _seed_log_magnitude(m_hi, x) < _LOG_TINY
     sin = np.sqrt((1.0 - x) * (1.0 + x))  # the seeds' sin^2 (module notes)
     cot = x / sin
-    up = ((m_hi + _SERIES_COST_STEPS < ell - m_lo)
-          & ((ell + 0.5) * sin >= max(_SERIES_MIN_RHO_SIN, m_hi)))
-    down = ~up
+    oscillatory = (ell + 0.5) * sin >= max(_SERIES_MIN_RHO_SIN, m_hi)
+    up = oscillatory & (m_hi + _SERIES_COST_STEPS < ell - m_lo)
+    miller = ~oscillatory & (_miller_order(m_hi) < ell - m_lo)
+    down = ~(up | miller)
     out = np.empty((m_hi - m_lo + 1, x.size))
     if up.any():
         for dest, row in zip(out, itertools.islice(_upward_rows(ell, x[up], cot[up]), m_lo, None)):
             dest[up] = row
+    if miller.any():
+        out[:, miller] = _miller_rows(ell, m_lo, m_hi, cot[miller])
     if down.any():
         lift = _seed_lift(ell, x[down])
         top = _seed_values(ell, x[down], lift)
@@ -490,11 +571,12 @@ def legendre_band(ell: int, m_lo: int, m_hi: int, thetas) -> RadialTable:
     a pole, and such a node is refused like one at +-pi/2.
     Each node sweeps in order, with no degree recurrence: upward from the
     interior series, O(36 + m_hi), where every order is oscillatory at it
-    and the band is one for which that is cheaper, and otherwise downward
-    from the sectoral seed g_ell^ell, O(ell - m_lo); see the module notes
-    for both routes.  A node whose seed falls below the double range sweeps
-    the same way, its rows carrying a power of two (Underflow in the module
-    notes).  ``underflow_nodes`` counts the nodes where the seed of the top
+    and the band is one for which that is cheaper; elsewhere by Miller's
+    method from M = 2 max(17.7, m_hi) + 40, O(M), in a band for which
+    M < ell - m_lo; and otherwise downward from the sectoral seed
+    g_ell^ell, O(ell - m_lo); see the module notes for the three routes.
+    A downward node whose seed falls below the double range sweeps the same
+    way, its rows carrying a power of two (Underflow in the module notes).  ``underflow_nodes`` counts the nodes where the seed of the top
     order m_hi underflows: a diagnostic of how far the band reaches into
     the poles' forbidden zone, not of a route taken.
     """
@@ -628,40 +710,6 @@ _SERIES_TERMS, _SERIES_MIN_RHO_SIN = _series_truncation()
 _SERIES_COST_STEPS = 70
 
 
-# Miller's sweep (:func:`_legendre_miller`) starts at this order, past the
-# turning point of every node it serves, (n + 1/2) sin(theta) <
-# ``_SERIES_MIN_RHO_SIN``.  Its unnormalized rows grow from g^M = 1 down to
-# the turning point: on the Gauss rule's nodes, (n + 1/2) theta >= j_{0,1},
-# the largest is 1.4e103 (at m = 1 on the first node, n = 1001 to 1e6), so
-# no row needs rescaling.
-_MILLER_ORDER = int(2 * _SERIES_MIN_RHO_SIN) + 40
-
-
-def _legendre_miller(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(cos theta) and dP_n/dtheta by Miller's backward sweep in order.
-
-    The relation in order at degree n (:func:`_order_rows`) runs down from
-    g^{M+1} = 0, g^M = 1, M = ``_MILLER_ORDER``, to m = 0 (Gautschi, SIAM
-    Rev. 9 (1967)): past the turning point the true rows grow downward, so
-    the sweep follows them.  The addition theorem,
-    g_n^0^2 + 2 sum_{m>=1} g_n^m^2 = (2n + 1)/(4 pi), fixes the scale, and
-    g_n^M, which has no zero past its turning point, the sign (-1)^M
-    (Condon-Shortley).  With total the same sum over the swept rows,
-
-        P_n = (-1)^M g^0 / sqrt(total),
-        dP_n/dtheta = (-1)^M g^1 sqrt(n (n + 1) / total).
-
-    M steps per node, whatever n.  The Gauss rule takes it at theta <= pi/2
-    where (n + 1/2) sin(theta) < ``_SERIES_MIN_RHO_SIN``.
-    """
-    top, cot = np.ones_like(theta), np.cos(theta) / np.sin(theta)
-    sweep = _order_rows(n, _MILLER_ORDER, -1, np.zeros_like(top), top, cot)
-    rows = [top, *itertools.islice(sweep, _MILLER_ORDER)]  # g^M .. g^0
-    total = rows[-1] ** 2 + 2.0 * sum(row * row for row in rows[:-1])
-    scale = (-1) ** _MILLER_ORDER / np.sqrt(total)
-    return rows[-1] * scale, rows[-2] * (scale * math.sqrt(n * (n + 1.0)))
-
-
 def _series_constant(n: int) -> float:
     """C_n = (4/pi) prod_{j<=n} j / (j + 1/2), the interior series' prefactor.
 
@@ -721,8 +769,8 @@ def _newton_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     a power of two q for which (n + 1/2) theta is exact.  P_n and dP_n/dtheta
     at the guess come from :func:`_legendre_interior`, except at the nodes
     with (n + 1/2) sin(theta) below ``_SERIES_MIN_RHO_SIN`` (five per half),
-    which take Miller's sweep in order (:func:`_legendre_miller`),
-    ``_MILLER_ORDER`` steps whatever n.  The Legendre equation gives the
+    which take rows 0 and 1 of Miller's sweep in order (:func:`_miller_rows`),
+    75 steps whatever n.  The Legendre equation gives the
     higher derivatives,
 
         P'' = -cot(theta) P' - n (n + 1) P,
@@ -748,11 +796,14 @@ def _newton_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     q = math.ldexp(1.0, math.frexp(2 * n + 1)[1] - 52)
     theta = np.round(theta / q) * q
     sin, cos = np.sin(theta), np.cos(theta)
+    cot = cos / sin
     near_pole = rho * sin < _SERIES_MIN_RHO_SIN
     p, dp = np.empty_like(theta), np.empty_like(theta)
     p[~near_pole], dp[~near_pole] = _legendre_interior(n, theta[~near_pole])
-    p[near_pole], dp[near_pole] = _legendre_miller(n, theta[near_pole])
-    cot = cos / sin
+    # g_n^0 = sqrt((2n + 1) / (4 pi)) P_n, g_n^1 = that / sqrt(n (n + 1)) dP_n/dtheta
+    g = _miller_rows(n, 0, 1, cot[near_pole])
+    scale = math.sqrt((2 * n + 1) / FOUR_PI)
+    p[near_pole], dp[near_pole] = g[0] / scale, g[1] * (math.sqrt(n * (n + 1.0)) / scale)
     lam = n * (n + 1.0)
     d2 = -cot * dp - lam * p
     d3 = dp / sin**2 - cot * d2 - lam * dp

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -9,7 +10,7 @@ from scipy.special import lpmv, gammaln, roots_legendre
 from sclab import sphere_basis as sb
 from sclab.cluster_density import (DensityProfile, concentration_measure, exponents,
                                    heuristic_density, lp_norm)
-from sclab.schatten_lab import kss_bound, make_report
+from sclab.schatten_lab import dual_exponent, kss_bound, make_report
 from sclab.wkb_engine import (action_integral, band_radius, case_interval, case_window,
                               q_potential)
 
@@ -96,9 +97,11 @@ def test_band_rejects_bad_orders_and_nodes():
     (lambda nan: kss_bound(None, None, nan, None, 0), "p"),
     (lambda nan: sb.weyl_count(nan), "lam"),
     (lambda nan: sb.cluster_rank(nan), "lam"),
+    (lambda nan: dual_exponent(nan), "alpha"),
 ], ids=["legendre_row", "legendre_band", "radial_rows", "q_potential", "action_integral",
         "heuristic_density", "lp_norm", "lp_norm_values", "exponents", "density_norm",
-        "make_report", "make_report_lam", "kss_bound", "weyl_count", "cluster_rank"])
+        "make_report", "make_report_lam", "kss_bound", "weyl_count", "cluster_rank",
+        "dual_exponent"])
 def test_range_checks_refuse_nan(call, argument):
     # a check written any(|t| >= bound) or p < 2 lets NaN through
     with pytest.raises(ValueError, match=argument):
@@ -242,57 +245,113 @@ def test_full_band_at_degree_1e5_next_to_the_poles():
         assert g[m, 0] == g[m, 2] * (-1) ** (ell + m)
 
 
-def _upward_nodes(band, x):
-    """``band()``'s result, and which of the nodes x it swept upward in order."""
-    swept = []
-    upward_rows = sb._upward_rows
+def _routes(band, x):
+    """``band()``'s result, and which of the nodes x it swept upward in order
+    and which it swept by Miller's method."""
+    swept, miller = [], []
+    upward_rows, miller_rows = sb._upward_rows, sb._miller_rows
 
-    def recorded(ell, nodes, cot):
+    def upward(ell, nodes, cot):
         swept.append(nodes)
         return upward_rows(ell, nodes, cot)
 
+    def backward(ell, m_lo, m_hi, cot):
+        miller.append(cot)
+        return miller_rows(ell, m_lo, m_hi, cot)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sb, "_upward_rows", recorded)
+        patch.setattr(sb, "_upward_rows", upward)
+        patch.setattr(sb, "_miller_rows", backward)
         result = band()
-    return result, np.isin(x, np.concatenate([np.empty(0), *swept]))
+    cot = x / np.sqrt((1.0 - x) * (1.0 + x))  # as the band forms it
+    return (result, np.isin(x, np.concatenate([np.empty(0), *swept])),
+            np.isin(cot, np.concatenate([np.empty(0), *miller])))
+
+
+def _order_steps(band):
+    """``band()``'s result, and how many steps of the relation in order it took."""
+    steps = 0
+    order_rows = sb._order_rows
+
+    def counted(*args):
+        nonlocal steps
+        for row in order_rows(*args):
+            steps += 1
+            yield row
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sb, "_order_rows", counted)
+        result = band()
+    return result, steps
+
+
+def _unsigned_miller(patch):
+    """Make Miller's sweep drop its sign: (-1)^M on x > 0, (-1)^l on x < 0."""
+    miller_rows = sb._miller_rows
+
+    def unsigned(ell, m_lo, m_hi, cot):
+        sign = np.where(cot < 0, (-1.0) ** ell, (-1.0) ** sb._miller_order(m_hi))
+        return sign * miller_rows(ell, m_lo, m_hi, cot)
+
+    patch.setattr(sb, "_miller_rows", unsigned)
+
+
+def _window_band_errors(ell, case):
+    """A window's band through legendre_band on the 4l-point Gauss grid, against mpmath.
+
+    Returns (x, errors, up, miller): the nodes, the worst error at each
+    sampled node over the top and bottom rows (NaN where not sampled), and
+    the nodes swept upward and by Miller's method.  Sampled: on each side of
+    the equator, upward nodes, other nodes allowed and forbidden for the
+    top order, and the two nodes either side of each switch between the
+    routes (in case "2", of the top order's turning point, where both
+    sides sweep downward).  Where the order is allowed, g has zeros, and the
+    error is measured against the row's maximum; elsewhere pointwise.
+    """
+    thetas = math.pi / 2 - sb.build_grid(4 * ell).theta_nodes
+    x = np.sin(thetas)  # as legendre_band forms it
+    window = case_window(ell, band_radius(ell), case)
+    m_lo, m_hi = int(window[0]), int(window[-1])
+    table, up, miller = _routes(lambda: sb.legendre_band(ell, m_lo, m_hi, thetas), x)
+    allowed = q_potential(ell, m_hi, thetas) < 0
+    normal = np.abs(table.values_g[-1]) >= np.finfo(float).tiny
+    sin = np.sqrt((1.0 - x) * (1.0 + x))
+    oscillatory = (ell + 0.5) * sin >= max(sb._SERIES_MIN_RHO_SIN, m_hi)
+    switch = np.flatnonzero(np.diff(oscillatory))
+    kinds = [np.flatnonzero(kind & side) for kind in (up, ~up & allowed, ~up & ~allowed & normal)
+             for side in (x > 0, x < 0)]
+    sampled = [nodes[np.linspace(0, nodes.size - 1, 3).astype(int)] for nodes in kinds if nodes.size]
+    errors = np.full(x.size, np.nan)
+    for i, m in ((-1, m_hi), (0, m_lo)):
+        row_max = np.abs(table.values_g[i]).max()
+        for j in np.unique(np.concatenate([switch, switch + 1, *(sampled if i == -1 else [])])):
+            exact = float(normalized_legendre_mp(m, ell, x[j]))
+            scale = row_max if q_potential(ell, m, thetas[j]) < 0 else abs(exact)
+            errors[j] = np.fmax(errors[j], abs(table.values_g[i, j] - exact) / scale)
+    return x, errors, up, miller
 
 
 @pytest.mark.parametrize("ell", [975, 2400])
 @pytest.mark.parametrize("case", ["2", "inf"])
 def test_derived_top_row_against_mpmath(ell, case):
-    # both routes of a window's band on the 4l-point Gauss grid: upward nodes,
-    # downward nodes allowed and forbidden for the top order, and the two
-    # nodes either side of each switch between the routes (in case "2", of
-    # the top order's turning point, where both sides sweep downward)
-    theta = sb.build_grid(4 * ell).theta_nodes
-    x = np.cos(theta)
+    x, errors, up, miller = _window_band_errors(ell, case)
     window = case_window(ell, band_radius(ell), case)
-    m_lo, m_hi = int(window[0]), int(window[-1])
-    (values, _), up = _upward_nodes(lambda: sb._order_band(ell, m_lo, m_hi, x), x)
-    oscillatory = (ell + 0.5) * np.sin(theta) >= max(sb._SERIES_MIN_RHO_SIN, m_hi)
-    # case "2" has m_hi near l, where sweeping up from m = 0 costs more
+    sin = np.sqrt((1.0 - x) * (1.0 + x))
+    oscillatory = (ell + 0.5) * sin >= max(sb._SERIES_MIN_RHO_SIN, window[-1])
+    # case "2" has m_hi near l, where sweeping up from m = 0, or down from
+    # Miller's start, costs more than sweeping down from l
     assert np.array_equal(up, oscillatory & (case == "inf"))
-    allowed = q_potential(ell, m_hi, math.pi / 2 - theta) < 0
-    normal = np.abs(values[-1]) >= np.finfo(float).tiny
-    kinds = (up, ~up & allowed, ~up & ~allowed & normal)
-    switch = np.flatnonzero(np.diff(oscillatory))
-    sampled = [np.flatnonzero(kind)[np.linspace(0, kind.sum() - 1, 5).astype(int)]
-               for kind in kinds if kind.any()]
-    for i, m in ((-1, m_hi), (0, m_lo)):
-        row_max = np.abs(values[i]).max()
-        for j in np.concatenate([switch, switch + 1, *(sampled if i == -1 else [])]):
-            exact = float(normalized_legendre_mp(m, ell, x[j]))
-            # g has zeros where allowed: there the error is measured against
-            # the row's maximum, elsewhere pointwise (at most 3.3e-13 here)
-            allowed_j = q_potential(ell, m, math.pi / 2 - theta[j]) < 0
-            scale = row_max if allowed_j else abs(exact)
-            assert abs(values[i, j] - exact) <= 2e-11 * scale, (m, j)
+    assert np.array_equal(miller, ~oscillatory & (case == "inf"))
+    sampled = ~np.isnan(errors)
+    if case == "inf":  # Miller's nodes sampled on both sides of the equator
+        assert np.any(sampled & miller & (x < 0)) and np.any(sampled & miller & (x > 0))
+    assert np.nanmax(errors) <= 2e-11  # at most 3.3e-13 here
 
 
 # g_25600^m on nodes j of the 102400-point Gauss rule (theta < pi/2), for
 # the case-"inf" window's top and bottom orders: {j: (x_j, m = 319, m = 160)},
 # frozen from normalized_legendre_mp(m, 25600, x_j) at 50 digits (about a
-# second a value).  Nodes 50..405 sweep downward, 406.. upward
+# second a value).  Nodes 50..405 take Miller's sweep, 406.. sweep upward
 _DEGREE_25600 = {
     50: (0.9999987878904532, -9.613643170327639e-247, 9.377394347614647e-77),
     100: (0.9999952229867828, -2.4133504225505126e-153, 2.1896118397264393e-32),
@@ -310,29 +369,125 @@ _DEGREE_25600 = {
 }
 
 
-def test_window_band_at_degree_25600_against_mpmath():
-    # polar downward nodes, the two nodes either side of the switch, and
-    # upward nodes, on the 4l-point Gauss grid, top and bottom rows
-    ell = 25600
+# The same at l = 102400 on the 409600-point rule, {j: (x_j, m = 639, m = 320)},
+# about 4 s a value.  Nodes 200..812 take Miller's sweep, 813.. sweep upward
+_DEGREE_102400 = {
+    200: (0.9999988146131952, -7.14274020003404e-308, 1.1112266424946444e-64),
+    300: (0.999997339520024, -4.428354923405796e-201, 2.80803300504298e-20),
+    400: (0.9999952761556186, -3.831811515563268e-129, 3.2981283495268383),
+    500: (0.9999926245211926, -1.2526247646170386e-77, -3.3361178841591057),
+    600: (0.9999893846183063, -2.1323333187136548e-40, 5.435160329770926),
+    700: (0.9999855564488652, -1.0015610185738317e-14, -0.23944769522542178),
+    800: (0.9999811400151216, -1.3742751080640823, 0.5481427703669929),
+    812: (0.999980570511831, -6.158661824125579, -4.282215223914695),
+    813: (0.9999805226708535, -6.711530551129689, -2.9076642584921486),
+    2000: (0.9998822594866923, -0.8892318921316826, 1.2067809391343316),
+    20000: (0.9882567173727576, 0.15488555501473367, -0.8135032197677873),
+    100000: (0.7199991656787172, 0.31771905840376596, 0.3131851900158287),
+    204799: (3.8349472884465625e-06, -0.1218112800437454, 0.29408076519745496),
+}
+
+# Miller's nodes of the frozen samples are within this of mpmath: about 5
+# times the worst measured, 4.4e-14 at l = 25600 and 6.3e-14 at 102400.  The
+# downward sweep from l that they took before was off by up to 4.5e-12 and
+# 1.1e-11 there, the seed-exponent floor.  Upward nodes keep 2e-11
+_MILLER_GATE = 3e-13
+
+
+@functools.lru_cache(maxsize=None)
+def _row_max(ell, m):
+    """Largest |g_l^m| on the half 4l-point Gauss grid."""
+    theta = sb.build_grid(4 * ell).theta_nodes[:2 * ell]
+    return float(np.abs(sb._order_band(ell, m, m, np.cos(theta))[0]).max())
+
+
+def _frozen_window_errors(ell, frozen):
+    """The case-"inf" window's band at degree l on the frozen nodes, against their values.
+
+    Returns (sample, errors, up, miller): the nodes' indices on the 4l-point
+    Gauss grid, the worst error at each over the top and bottom rows, and
+    which nodes sweep upward and which by Miller's method.  Where the order
+    is allowed, the error is measured against the row's maximum on the
+    grid's half, elsewhere pointwise.
+    """
     theta = sb.build_grid(4 * ell).theta_nodes
     window = case_window(ell, band_radius(ell), "inf")
     m_lo, m_hi = int(window[0]), int(window[-1])
-    sample = np.array(list(_DEGREE_25600))
+    sample = np.array(list(frozen))
     x = np.cos(theta[sample])
-    assert np.array_equal(x, [x_j for x_j, _, _ in _DEGREE_25600.values()])
-    (values, _), up = _upward_nodes(lambda: sb._order_band(ell, m_lo, m_hi, x), x)
-    assert np.array_equal(up, sample >= 406)
-    oscillatory = (ell + 0.5) * np.sin(theta[sample]) >= m_hi
-    assert np.array_equal(oscillatory, up)  # 405 and 406 straddle the switch
+    assert np.array_equal(x, [x_j for x_j, _, _ in frozen.values()])
+    (values, _), up, miller = _routes(lambda: sb._order_band(ell, m_lo, m_hi, x), x)
+    assert np.array_equal(up, (ell + 0.5) * np.sin(theta[sample]) >= m_hi)
+    errors = np.zeros(sample.size)
     for i, m, col in ((-1, m_hi, 1), (0, m_lo, 2)):
-        # where allowed, errors are measured against the row's maximum on
-        # the grid's half, elsewhere pointwise.  At most 4.5e-12, on polar
-        # nodes: the seed-exponent floor (module notes), ~l 2^-53
-        row_max = np.abs(sb._order_band(ell, m, m, np.cos(theta[:2 * ell]))[0]).max()
-        for k, (j, frozen) in enumerate(_DEGREE_25600.items()):
+        for k, (j, exact) in enumerate(frozen.items()):
             allowed = q_potential(ell, m, math.pi / 2 - theta[j]) < 0
-            scale = row_max if allowed else abs(frozen[col])
-            assert abs(values[i, k] - frozen[col]) <= 2e-11 * scale, (m, j)
+            scale = _row_max(ell, m) if allowed else abs(exact[col])
+            errors[k] = max(errors[k], abs(values[i, k] - exact[col]) / scale)
+    return sample, errors, up, miller
+
+
+def test_window_band_at_degree_25600_against_mpmath():
+    # Miller's nodes next to the pole, the two nodes either side of the
+    # switch, and upward nodes, on the 4l-point Gauss grid, top and bottom rows
+    sample, errors, up, miller = _frozen_window_errors(25600, _DEGREE_25600)
+    assert np.array_equal(up, sample >= 406) and np.array_equal(miller, ~up)
+    assert errors[miller].max() <= _MILLER_GATE
+    assert errors[up].max() <= 2e-11  # at most 1.1e-13
+
+
+def test_window_band_at_degree_102400_against_mpmath():
+    # as above; here the downward sweep from l and Miller's sweep differed by
+    # 1.1e-11 of the row's maximum, and mpmath sides with Miller
+    sample, errors, up, miller = _frozen_window_errors(102400, _DEGREE_102400)
+    assert np.array_equal(up, sample >= 813) and np.array_equal(miller, ~up)
+    assert errors[miller].max() <= _MILLER_GATE
+    assert errors[up].max() <= 2e-11  # at most 2.6e-13
+
+
+@pytest.mark.parametrize("mutate", ["order", "sign"])
+def test_miller_gates_fail_on_a_broken_sweep(mutate):
+    # The sweep started at M = m_hi, inside the band, misses every gate.
+    # Without its sign, rows on x > 0 stay right wherever M is even, as it is
+    # for every window with m_hi > 17, and rows on x < 0 wherever l is even:
+    # the frozen samples cannot see it, the x < 0 nodes at l = 975 do
+    frozen = {25600: _DEGREE_25600, 102400: _DEGREE_102400}
+    for ell in (975, *frozen):  # rules and row maxima built unbroken, and cached
+        sb.build_grid(4 * ell)
+    for ell in frozen:
+        window = case_window(ell, band_radius(ell), "inf")
+        _row_max(ell, int(window[0])), _row_max(ell, int(window[-1]))
+    with pytest.MonkeyPatch.context() as patch:
+        if mutate == "order":
+            patch.setattr(sb, "_miller_order", lambda m_hi: m_hi)
+            for ell, values in frozen.items():
+                _, errors, _, miller = _frozen_window_errors(ell, values)
+                assert errors[miller].max() > _MILLER_GATE
+        else:
+            _unsigned_miller(patch)
+        x, errors, _, miller = _window_band_errors(975, "inf")
+    assert np.nanmax(errors[miller & (x < 0)]) > 2e-11
+    if mutate == "sign":
+        assert np.nanmax(errors[miller & (x > 0)]) <= 2e-11
+
+
+@pytest.mark.parametrize("ell", [2400, 25600])
+def test_polar_nodes_take_miller_order_steps(ell):
+    # O(r) a node: the polar nodes of a case-"inf" window take M = 2 m_hi + 40
+    # steps of the relation in order, where the downward sweep took l - m_lo
+    x = np.cos(sb.build_grid(4 * ell).theta_nodes[:2 * ell])
+    window = case_window(ell, band_radius(ell), "inf")
+    m_lo, m_hi = int(window[0]), int(window[-1])
+    big_m = sb._miller_order(m_hi)
+    assert big_m == 2 * m_hi + 40 < (ell - m_lo) / 5
+    polar = (ell + 0.5) * np.sqrt((1.0 - x) * (1.0 + x)) < m_hi
+    (values, _), steps = _order_steps(lambda: sb._order_band(ell, m_lo, m_hi, x[polar]))
+    assert steps == big_m
+    # with oscillatory nodes too, their upward sweep adds m_hi - 1 steps
+    nodes = x[:np.count_nonzero(polar) + 10]
+    (both, _), steps = _order_steps(lambda: sb._order_band(ell, m_lo, m_hi, nodes))
+    assert steps == big_m + m_hi - 1
+    assert np.array_equal(both[:, :values.shape[1]], values)
 
 
 def _wkb_nodes(ell, case, n=1001):
@@ -412,13 +567,14 @@ def test_upward_route_is_taken_only_by_oscillatory_bands(ell):
     for case, upward in (("inf", True), ("2", False)):
         window, thetas, x = _wkb_nodes(ell, case)
         for m in (int(window[0]), int(window[-1])):
-            _, up = _upward_nodes(lambda: sb.legendre_band(ell, m, m, thetas), x)
+            _, up, _ = _routes(lambda: sb.legendre_band(ell, m, m, thetas), x)
             assert np.all(up == upward)
     # a case-"inf" window on a Gauss grid: its nodes next to the poles are
-    # in the forbidden zone of every order but 0, and sweep downward
+    # in the forbidden zone of the top order, and take Miller's sweep
     window = case_window(ell, band_radius(ell), "inf")
     x = np.cos(sb.build_grid(4 * ell).theta_nodes)
-    _, up = _upward_nodes(lambda: sb._order_band(ell, int(window[0]), int(window[-1]), x), x)
+    _, up, miller = _routes(lambda: sb._order_band(ell, int(window[0]), int(window[-1]), x), x)
+    assert np.array_equal(miller, ~up)
     assert 0 < np.count_nonzero(~up) <= 0.07 * x.size  # 6.1% at l = 400, 3.1% at 1600
     assert np.all(np.abs(x[~up]) > 0.99)
 
@@ -592,7 +748,7 @@ def test_mpmath_weight_gate_fails_on_a_broken_series(monkeypatch, mutate):
     elif mutate == "switch":  # the series at every node, the poles included
         monkeypatch.setattr(sb, "_SERIES_MIN_RHO_SIN", 0.0)
     else:  # Miller's sweep started next to the switch: 7.4e-3
-        monkeypatch.setattr(sb, "_MILLER_ORDER", 18)
+        monkeypatch.setattr(sb, "_miller_order", lambda m_hi: 18)
     n = 1001
     nodes, weights = sb._newton_rule(n)
     monkeypatch.undo()  # the sample is chosen with the real switch
@@ -635,67 +791,69 @@ def test_series_constant_against_mpmath(n):
 
 
 def _miller_route(n):
-    """The guesses of the n-point Newton rule that take Miller's sweep, and
-    how many steps of the relation in order the rule takes in all."""
-    thetas, steps = [], 0
-    miller, order_rows = sb._legendre_miller, sb._order_rows
+    """The cotangents of the n-point Newton rule's guesses that take Miller's
+    sweep, and how many steps of the relation in order the rule takes in all."""
+    cots = []
+    miller_rows = sb._miller_rows
 
-    def recorded(n, theta):
-        thetas.append(theta)
-        return miller(n, theta)
-
-    def counted(*args):
-        nonlocal steps
-        for row in order_rows(*args):
-            steps += 1
-            yield row
+    def recorded(ell, m_lo, m_hi, cot):
+        cots.append(cot)
+        return miller_rows(ell, m_lo, m_hi, cot)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sb, "_legendre_miller", recorded)
-        patch.setattr(sb, "_order_rows", counted)
-        sb._newton_rule(n)
-    return np.concatenate(thetas), steps
+        patch.setattr(sb, "_miller_rows", recorded)
+        _, steps = _order_steps(lambda: sb._newton_rule(n))
+    return np.concatenate(cots), steps
 
 
 @pytest.mark.parametrize("n", [1001, 4097, 25600, 51200])
 def test_recurrence_runs_on_a_fixed_number_of_nodes(n):
-    theta, _ = _miller_route(n)
-    assert theta.size == 5  # j_{0,5} = 14.9 < 17.7 < j_{0,6} = 18.1
+    cot, _ = _miller_route(n)
+    assert cot.size == 5  # j_{0,5} = 14.9 < 17.7 < j_{0,6} = 18.1
 
 
-def _boundary_errors(n, theta, p, dp):
+def _boundary_values(n, cot):
+    """P_n and dP_n/dtheta from Miller's rows 0 and 1, as the Newton rule takes them."""
+    g = sb._miller_rows(n, 0, 1, cot)
+    scale = math.sqrt((2 * n + 1) / (4 * math.pi))
+    return g[0] / scale, g[1] * (math.sqrt(n * (n + 1.0)) / scale)
+
+
+def _boundary_errors(n, cot, p, dp):
     """Worst |P_n - exact| and |dP_n/dtheta / exact - 1| against 40-digit mpmath."""
     import mpmath as mp
 
     p_err = dp_err = 0.0
     with mp.workdps(40):
-        for t, p_t, dp_t in zip(theta.tolist(), p, dp):
-            x = mp.cos(mp.mpf(t))
+        for c, p_t, dp_t in zip(cot.tolist(), p, dp):
+            t = mp.acot(mp.mpf(c))
+            x = mp.cos(t)
             exact = mp.legendre(n, x)
-            exact_dp = n * (x * exact - mp.legendre(n - 1, x)) / mp.sin(mp.mpf(t))
+            exact_dp = n * (x * exact - mp.legendre(n - 1, x)) / mp.sin(t)
             p_err = max(p_err, float(abs(p_t - exact)))
             dp_err = max(dp_err, float(abs(dp_t / exact_dp - 1)))
     return p_err, dp_err
 
 
 def _miller_sample(n):
-    """The rule's Miller nodes, and the last multiple of its q below the switch."""
-    theta, steps = _miller_route(n)
+    """Cotangents of the rule's Miller nodes and of the last multiple of its
+    q below the switch, and the rule's steps in order."""
+    cot, steps = _miller_route(n)
     rho = n + 0.5
     q = math.ldexp(1.0, math.frexp(2 * n + 1)[1] - 52)
     last = math.floor(math.asin(sb._SERIES_MIN_RHO_SIN / rho) / q) * q
     while rho * math.sin(last) >= sb._SERIES_MIN_RHO_SIN:
         last -= q
-    return np.append(theta, last), steps
+    return np.append(cot, math.cos(last) / math.sin(last)), steps
 
 
 @pytest.mark.parametrize("n", [1001, 20000, 51200, 400000])
 def test_boundary_values_against_mpmath(n):
-    theta, steps = _miller_sample(n)
-    # the rule's one loop in order has M steps at every n: none has n steps
-    assert steps == sb._MILLER_ORDER
-    p, dp = sb._legendre_miller(n, theta)
-    p_err, dp_err = _boundary_errors(n, theta, p, dp)
+    cot, steps = _miller_sample(n)
+    # the rule's one loop in order has M = 75 steps at every n: none has n steps
+    assert steps == sb._miller_order(1) == 75
+    p, dp = _boundary_values(n, cot)
+    p_err, dp_err = _boundary_errors(n, cot, p, dp)
     assert p_err <= 2e-15
     assert dp_err <= 2e-15
 
@@ -705,16 +863,15 @@ def test_boundary_values_fail_without_the_sign():
     # which leaves every Newton step and weight of the rule as it was: the
     # weight gate cannot see the sign, the values against mpmath do
     n = 1001
-    assert sb._MILLER_ORDER % 2 == 1
-    theta, _ = _miller_sample(n)
-    p, dp = sb._legendre_miller(n, theta)
+    assert sb._miller_order(1) % 2 == 1
+    cot, _ = _miller_sample(n)
     nodes, weights = sb._newton_rule(n)
     with pytest.MonkeyPatch.context() as patch:
-        miller = sb._legendre_miller
-        patch.setattr(sb, "_legendre_miller", lambda n, theta: tuple(-v for v in miller(n, theta)))
+        _unsigned_miller(patch)
+        p, dp = _boundary_values(n, cot)
         unsigned = sb._newton_rule(n)
     assert np.array_equal(unsigned[0], nodes) and np.array_equal(unsigned[1], weights)
-    p_err, dp_err = _boundary_errors(n, theta, -p, -dp)
+    p_err, dp_err = _boundary_errors(n, cot, p, dp)
     assert p_err > 1e-11 and dp_err > 1
 
 
