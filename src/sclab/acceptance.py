@@ -91,9 +91,9 @@ def _orthonormality(_memo) -> list:
             vdev = max(vdev, abs(float(np.dot(weights, row * row))
                                  - 1.0 / (2.0 * math.pi)))
     return [
-        bound_check("orthonormality-gram-deviation", dev, 1e-10),
+        bound_check("orthonormality-gram-deviation", dev, 1e-12),
         bound_check("orthonormality-cross-order", cross, 1e-10),
-        bound_check("v-normalization-deviation", vdev, 1e-10),
+        bound_check("v-normalization-deviation", vdev, 1e-12),
     ]
 
 

@@ -148,15 +148,21 @@ column of orders costs one lookup; the closed-form values at the equator
 with a = (l + m)/2, b = a - m; and the interior series' constant
 C_n = 4 / (pi (2n + 1)) e^(-S_n) (:func:`_series_constant`).
 
-Quadrature.  Colatitude grids are Gauss-Legendre rules (:func:`_gauss_rule`):
-scipy's up to 1000 nodes, and above that one Newton step in theta from
-asymptotic guesses, O(n) in all.  P_n comes from Stieltjes' interior
-series (:func:`_legendre_interior`), except at the five nodes next to each
-pole where the series cannot reach 2^-53.  Those take rows 0 and 1 of the
+Quadrature.  Colatitude grids are Gauss-Legendre rules (:func:`_gauss_rule`),
+built with numpy alone, so the module imports no scipy.  From 76 nodes on,
+one Newton step in theta from asymptotic guesses (:func:`_newton_rule`),
+O(n) in all.  P_n comes from Stieltjes' interior series
+(:func:`_legendre_interior`), except at the five nodes next to each pole
+where the series cannot reach 2^-53.  Those take rows 0 and 1 of the
 bands' Miller sweep (:func:`_miller_rows`), which start at M = 75 whatever
-n, for g_n^0 and g_n^1, that is P_n and dP_n/dtheta.  So the module has two
-recurrences, in degree, for fixed-order rows, and in order, for bands and
-the rule's boundary nodes, and one Miller routine.
+n, for g_n^0 and g_n^1, that is P_n and dP_n/dtheta; the sweep needs
+M < n, which sets the switch.  So the module has two recurrences, in
+degree, for fixed-order rows, and in order, for bands and the rule's
+boundary nodes, and one Miller routine.  Up to 75 nodes, scipy's
+``roots_legendre`` replicated in numpy (:func:`_jacobi_rule`): the Jacobi
+matrix's eigenvalues, one Newton step, and scipy's weight formula, so that
+the small Nystrom rules of schatten_lab keep the values recorded from
+scipy's rule.
 """
 
 from __future__ import annotations
@@ -168,7 +174,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import jn_zeros, roots_legendre
 
 FOUR_PI = 4.0 * math.pi
 _LN2 = math.log(2.0)
@@ -675,10 +680,16 @@ class SphereGrid:
                 np.tile(self.phi_nodes, self.n_theta))
 
 
-# Rules up to this size stay scipy's bit for bit; larger ones use Newton.
-_NEWTON_RULE_MIN = 1001
-# Outermost nodes per half that start from Bessel zeros instead of Tricomi.
-_BESSEL_GUESSES = 20
+# The first 20 zeros of J_0 (scipy.special.jn_zeros(0, 20), bit for bit):
+# the Bessel-zero guesses of the Newton rule's outermost nodes per half
+_J0_ZEROS = np.array([
+    2.4048255576957724, 5.520078110286311, 8.653727912911013, 11.791534439014281,
+    14.930917708487787, 18.071063967910924, 21.21163662987926, 24.352471530749302,
+    27.493479132040253, 30.634606468431976, 33.77582021357357, 36.917098353664045,
+    40.05842576462824, 43.19979171317673, 46.341188371661815, 49.482609897397815,
+    52.624051841115, 55.76551075501998, 58.90698392608094, 62.048469190227166,
+])
+_J0_ZEROS.setflags(write=False)
 
 
 def _series_truncation() -> tuple[int, float]:
@@ -760,18 +771,20 @@ def _legendre_interior(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _newton_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule by one Newton step in theta, for large n; O(n).
+    """Gauss-Legendre rule by one Newton step in theta, for n > 75; O(n).
 
     Half the nodes, theta in (0, pi/2], start from asymptotic guesses (Hale
     & Townsend, SIAM J. Sci. Comput. 35 (2013)): Tricomi's expansion in the
-    interior, Olver's Bessel-zero expansion for the outermost nodes.  Both
-    are within ~4e-13 at n > 1000.  Each guess is rounded to a multiple of
-    a power of two q for which (n + 1/2) theta is exact.  P_n and dP_n/dtheta
-    at the guess come from :func:`_legendre_interior`, except at the nodes
-    with (n + 1/2) sin(theta) below ``_SERIES_MIN_RHO_SIN`` (five per half),
+    interior, Olver's Bessel-zero expansion (from ``_J0_ZEROS``) for the 20
+    outermost nodes.  Each guess is rounded to a multiple of a power of two
+    q for which (n + 1/2) theta is exact.  P_n and dP_n/dtheta at the guess
+    come from :func:`_legendre_interior`, except at the nodes with
+    (n + 1/2) sin(theta) below ``_SERIES_MIN_RHO_SIN`` (five per half),
     which take rows 0 and 1 of Miller's sweep in order (:func:`_miller_rows`),
-    75 steps whatever n.  The Legendre equation gives the
-    higher derivatives,
+    M = 75 steps whatever n.  That sweep runs at degree n down from order M,
+    so it needs M < n, which sets the rule's smallest n
+    (``_NEWTON_RULE_MIN``).  The Legendre equation gives the higher
+    derivatives,
 
         P'' = -cot(theta) P' - n (n + 1) P,
         P''' = P' / sin^2(theta) - cot(theta) P'' - n (n + 1) P',
@@ -787,7 +800,7 @@ def _newton_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     phi = (np.arange(1, half + 1) - 0.25) * math.pi / rho
     theta = np.arccos((1.0 - (n - 1.0) / (8.0 * n**3)
                        - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n**4)) * np.cos(phi))
-    psi = jn_zeros(0, min(half, _BESSEL_GUESSES)) / rho
+    psi = _J0_ZEROS[:half] / rho
     theta[:psi.size] = psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * rho**2)
     if n % 2:
         theta = np.append(theta, math.pi / 2)  # the middle node, x = 0
@@ -818,36 +831,109 @@ def _newton_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+# Rules from this size on are Newton rules: the Miller sweep of their
+# boundary nodes starts at order M = 75 of degree n, and needs M < n
+_NEWTON_RULE_MIN = _miller_order(1) + 1
+
+
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_{n-1} and P_n on nodes x, for n >= 1, as scipy's ``eval_legendre`` gives them.
+
+    The recurrence of scipy's integer-degree evaluation, on P_k and
+    d = P_k - P_{k-1}, in its order of operations, so that the values are
+    scipy's bit for bit wherever |x| >= 1e-5 (scipy takes a series below):
+
+        d = ((2k + 1) / (k + 1)) (x - 1) P_k + (k / (k + 1)) d,
+        P_{k+1} = d + P_k.
+
+    O(n) per node; only :func:`_jacobi_rule` runs it.
+    """
+    below, p, d = np.ones_like(x), x.copy(), x - 1.0
+    for k in range(1, n):
+        d = ((2.0 * k + 1.0) / (k + 1.0)) * (x - 1.0) * p + (k / (k + 1.0)) * d
+        below, p = p, d + p
+    return below, p
+
+
+def _jacobi_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule for n below ``_NEWTON_RULE_MIN``, as scipy builds it.
+
+    scipy's ``roots_legendre`` (Golub & Welsch, Math. Comp. 23 (1969)),
+    step for step in numpy: the eigenvalues of the Jacobi matrix, with
+    off-diagonal k sqrt(1 / (4k^2 - 1)), from ``eigvalsh`` (on x86
+    OpenBLAS bit for bit the values of scipy's banded solver at every
+    n <= 1000); one Newton step by :func:`_legendre_pair`; weights
+    1 / (P_{n-1} P'_n), each factor first divided by the geometric middle of
+    its range; nodes and weights symmetrized, and the weights scaled to sum
+    to 2.  The middle node of an odd rule falls in scipy's |x| < 1e-5
+    series branch, which reads P_{n-1}(0) off a beta function; here it is
+    the exactly rounded (-1)^a C(2a, a) / 4^a, a = (n - 1) / 2.  So an even
+    rule is scipy's bit for bit, and an odd one has its nodes, and its
+    weights within 5.0 2^-52 relative.  The accuracy is scipy's: against
+    30-digit mpmath, over every n <= 75, the nodes are within 1.7e-16 and
+    the weights within 5.6e-12 (n = 69).  O(n^2) time and memory.
+    """
+    k = np.arange(1.0, n)
+    off = k * np.sqrt(1.0 / (4.0 * k * k - 1.0))
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    below, p = _legendre_pair(n, x)
+    dp = (-n * x * p + n * below) / (1 - x**2)
+    middle = n // 2
+    if n % 2:  # P_{n-1}(0), and P'_n(0) = n P_{n-1}(0); no Newton step
+        central = (-1) ** (middle % 2) * (math.comb(2 * middle, middle) / 4**middle)
+        p[middle], dp[middle] = 0.0, n * central
+    x -= p / dp
+    below = _legendre_pair(n, x)[0]
+    if n % 2:
+        below[middle] = central
+    log_below, log_dp = np.log(np.abs(below)), np.log(np.abs(dp))
+    below /= np.exp((log_below.max() + log_below.min()) / 2.0)
+    dp /= np.exp((log_dp.max() + log_dp.min()) / 2.0)
+    w = 1.0 / (below * dp)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=128)
 def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
 
-    Up to n = 1000 this is ``scipy.special.roots_legendre``, bit for bit.
-    The Nystrom rules of schatten_lab (12 to ~300 nodes) feed singular
+    Two routes, both numpy alone.  Below ``_NEWTON_RULE_MIN`` = 76,
+    :func:`_jacobi_rule`, scipy's ``roots_legendre`` replicated: bit for bit
+    at even n, and at odd n the nodes bit for bit and the weights within
+    5.0 2^-52 relative.  The Nystrom rules of schatten_lab feed singular
     values at the roundoff floor, which move with a 1-ulp change of a
-    weight, so small rules keep scipy's exact output.  Above n = 1000,
-    :func:`_newton_rule` takes over.  scipy's rule (Golub-Welsch plus a
-    polish) costs O(n^2) flops, the Newton rule O(n): 36 series terms a
+    weight: numpy's more accurate ``leggauss`` in place of the small rules
+    moved the recorded sigma_8 and sigma_9 of the dense rung (~4e-8 and
+    ~9e-9) by 0.25%, so small rules keep scipy's output.  From n = 76 on,
+    :func:`_newton_rule`; the switch is set by its boundary nodes' Miller
+    sweep, which starts at M = :func:`_miller_order` (1) = 75.
+    The Jacobi rule costs O(n^2), the Newton rule O(n): 36 series terms a
     node, plus 75 steps of Miller's sweep on five nodes per half.  On a
-    2-core x86 box it takes 2.8, 4.0, 6.0 and 11 ms at n = 6400, 12800,
-    25600 and 51200, and 0.11 s at 4e5, where two sweeps of the n-step
-    recurrence at every node (the O(n^2) route, kept as a test oracle) take
-    0.16, 0.49, 1.7 and 6.8 s.
-    Against 30-digit mpmath at n = 1001, 4096, 9600, 20000, 25600 and
-    51200 (the five boundary nodes of one half and two of the other, both
-    sides of the series switch, three interior nodes), the nodes are within
-    1.1e-16 absolute and the weights within 1.4e-15 relative.  At the
-    boundary nodes the weights are within 6.7e-16 at n = 1001, 4.4e-16 at
-    4096, 7.8e-16 at 9600, 4.4e-16 at 20000 and 2.2e-16 at 25600 and 51200
-    (by the n-step recurrence there: 4.7e-15, 1.2e-14, 1.3e-14, 3.0e-14,
-    2.1e-14 and 3.2e-14); the series nodes stay within 1.4e-15.  scipy's nodes are
-    as good, but its end weights are off by 4e-9 at n = 1001 and by up to
-    5.9e-6 at n = 9600, from cancellation in 1 - x^2.
+    2-core x86 box a Newton rule takes ~1 ms up to n = 1000, and 2.8, 4.0,
+    6.0 and 11 ms at n = 6400, 12800, 25600 and 51200, and 0.11 s at 4e5,
+    where two sweeps of the n-step recurrence at every node (the O(n^2)
+    route, kept as a test oracle) take 0.16, 0.49, 1.7 and 6.8 s.
+    Every Newton rule from n = 76 to 1000 is monotone and symmetric, with
+    weights summing to 2 within 1e-14.  Against 30-digit mpmath at n = 76,
+    77, 100, 256, 301, 306, 564, 999 and 1000 (the nine nodes sampled as
+    below), its nodes are within 1.1e-16 and its weights within 1.6e-15,
+    where scipy's weights are off by 4.9e-12 at n = 76 and 1.8e-8 at
+    n = 1000.  Against 30-digit mpmath at n = 1001, 4096, 9600, 20000,
+    25600 and 51200 (the five boundary nodes of one half and two of the
+    other, both sides of the series switch, three interior nodes), the
+    nodes are within 1.1e-16 absolute and the weights within 1.4e-15
+    relative.  At the boundary nodes the weights are within 6.7e-16 at
+    n = 1001, 4.4e-16 at 4096, 7.8e-16 at 9600, 4.4e-16 at 20000 and
+    2.2e-16 at 25600 and 51200 (by the n-step recurrence there: 4.7e-15,
+    1.2e-14, 1.3e-14, 3.0e-14, 2.1e-14 and 3.2e-14); the series nodes stay
+    within 1.4e-15.  scipy's end weights are off by 4e-9 at n = 1001 and by
+    up to 5.9e-6 at n = 9600, from cancellation in 1 - x^2.
     """
-    if n < _NEWTON_RULE_MIN:
-        nodes, weights = roots_legendre(n)
-    else:
-        nodes, weights = _newton_rule(n)
+    rule = _jacobi_rule if n < _NEWTON_RULE_MIN else _newton_rule
+    nodes, weights = rule(n)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere_basis import normalized_at_zero
+from .sphere_basis import _gauss_rule, normalized_at_zero
 
 DEFAULT_ETA1 = 8.0
 DEFAULT_ETA2 = 0.5
@@ -99,16 +99,32 @@ def case_interval(ell: int, r: int, case_tag, eta1: float = DEFAULT_ETA1,
 # ---------------------------------------------------------------------------
 
 def _potential(ell: int, m, theta, derivatives: bool = False):
-    """Q, or (Q, Q', Q''), from one cos and one sin of theta; m broadcasts."""
+    """Q, or (Q, Q', Q''), from one cos and one sin of theta; m broadcasts.
+
+    Each term is built in place, by the operations of its closed form in
+    their order, so the values are those of the closed form bit for bit,
+    with at most one full-size temporary at a time: a profile's 16 panel
+    nodes per grid interval make each one 64 kB at 1001 grid nodes.
+    """
     if not np.all(np.abs(theta) < math.pi / 2):
         raise ValueError("Q requires |theta| < pi/2")
     c = np.cos(theta)
+    c2 = c**2
     coef = m * m - 0.25
-    q = coef / c**2 - 0.25 - ell * (ell + 1.0)
+    q = coef / c2
+    q -= 0.25
+    q -= ell * (ell + 1.0)
     if not derivatives:
         return q
     s = np.sin(theta)
-    return q, coef * 2.0 * s / c**3, coef * (2.0 / c**2 + 6.0 * s**2 / c**4)
+    q1 = coef * 2.0 * s
+    q1 /= c**3
+    s **= 2  # then 2 / c^2 + 6 s^2 / c^4, times coef, is Q''
+    s *= 6.0
+    c **= 4
+    s /= c
+    s += 2.0 / c2
+    return q, q1, coef * s
 
 
 def q_potential(ell: int, m: int, theta):
@@ -126,8 +142,20 @@ def q_derivatives(ell: int, m: int, theta):
 
 
 def _error_density(q, q1, q2):
-    """The integrand |Q'' - 5 Q'^2 / (4Q)| / (8 |Q|^{3/2}) of E."""
-    return np.abs(q2 - 1.25 * q1 * q1 / q) / (8.0 * np.abs(q) ** 1.5)
+    """The integrand |Q'' - 5 Q'^2 / (4Q)| / (8 |Q|^{3/2}) of E, on arrays.
+
+    Built in two buffers, in the closed form's order of operations.
+    """
+    density = 1.25 * q1
+    density *= q1
+    density /= q
+    np.subtract(q2, density, out=density)
+    np.abs(density, out=density)
+    scale = np.abs(q)
+    scale **= 1.5
+    scale *= 8.0
+    density /= scale
+    return density
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +167,7 @@ def _error_density(q, q1, q2):
 # [0, |theta|] into 2^k equal panels and doubles k until the whole batch
 # (orders at one angle, or angles at one order) agrees with the previous k.
 
-# numpy's rule, not sphere_basis._gauss_rule: that one is scipy's, whose
-# first call imports scipy.linalg (+6.8 MB resident), and the WKB layer
-# otherwise never loads it.
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_rule(16)
 _MAX_DOUBLINGS = 16
 # Relative change between panel doublings at which S and E are accepted
 ADAPTIVE_RTOL = 1e-10
@@ -276,10 +301,10 @@ def wkb_approximant(ell: int, m: int, case_tag, r: int | None = None,
     # one Gauss panel per grid interval of [0, hi]; S is odd, E even
     nodes, widths = _panel_nodes(thetas[n_theta // 2:])
     qn, q1, q2 = _potential(ell, m, nodes, derivatives=True)
-    sums = _panel_sums(np.stack([np.sqrt(-qn), _error_density(qn, q1, q2)]), widths)
-    s_pos, e_pos = np.concatenate([np.zeros((2, 1)), np.cumsum(sums, axis=1)], axis=1)
-    action = np.concatenate([-s_pos[:0:-1], s_pos])
-    err = np.concatenate([e_pos[:0:-1], e_pos])
+    s_pos = np.cumsum(_panel_sums(np.sqrt(-qn), widths))
+    e_pos = np.cumsum(_panel_sums(_error_density(qn, q1, q2), widths))
+    action = np.concatenate([-s_pos[::-1], [0.0], s_pos])
+    err = np.concatenate([e_pos[::-1], [0.0], e_pos])
 
     amp = np.abs(q) ** -0.25
     parity_even = (ell + m) % 2 == 0

@@ -1,11 +1,14 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import lpmv, gammaln, roots_legendre
+from scipy.special import gammaln, jn_zeros, lpmv, roots_legendre
 
 from sclab import sphere_basis as sb
 from sclab.cluster_density import (DensityProfile, concentration_measure, exponents,
@@ -685,16 +688,65 @@ def test_ode_residual_second_order_convergence():
 # Gauss rule
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [2, 12, 65, 306, 999, 1000])
+@pytest.mark.parametrize("n", range(2, 75, 2))
 def test_small_gauss_rules_are_scipy_bit_for_bit(n):
+    # the even rules of the Jacobi route: scipy's algorithm, its output
     nodes, weights = sb._gauss_rule(n)
     ref_nodes, ref_weights = roots_legendre(n)
     assert np.array_equal(nodes, ref_nodes)
     assert np.array_equal(weights, ref_weights)
 
 
+@pytest.mark.parametrize("n", range(1, 76, 2))
+def test_odd_small_gauss_rules_match_scipy(n):
+    # scipy reads P_{n-1}(0) at the middle node off a beta function, the
+    # Jacobi route takes the exactly rounded central binomial: the nodes
+    # stay scipy's, the weights move by at most 5.0 2^-52 (measured)
+    nodes, weights = sb._gauss_rule(n)
+    ref_nodes, ref_weights = roots_legendre(n)
+    assert np.array_equal(nodes, ref_nodes)
+    assert np.abs(weights / ref_weights - 1).max() <= 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [12, 13, 65, 69, 75])
+def test_small_gauss_rule_against_mpmath(n):
+    # scipy's accuracy, which the Jacobi route keeps: over every n <= 75 the
+    # worst weight is 5.6e-12 off (n = 69), the worst node 1.7e-16
+    nodes, weights = sb._gauss_rule(n)
+    assert sb._NEWTON_RULE_MIN > n
+    for node, weight in zip(nodes, weights):
+        exact_node, exact_weight = gauss_legendre_node_mp(n, node)
+        assert abs(exact_node - node) <= 2e-16
+        assert abs(weight / exact_weight - 1) <= 6e-12
+
+
+def test_bessel_zero_table_is_scipys():
+    assert np.array_equal(sb._J0_ZEROS, jn_zeros(0, 20))
+
+
+def test_sclab_imports_no_scipy():
+    # every module, and rules from both routes, on both sides of the switch
+    code = """
+import pkgutil, importlib, sys
+import sclab
+for module in pkgutil.iter_modules(sclab.__path__):
+    if module.name != "__main__":
+        importlib.import_module("sclab." + module.name)
+from sclab import sphere_basis as sb
+assert sb._NEWTON_RULE_MIN == 76
+for n in (12, 13, 75, 76, 256, 4096):
+    sb._gauss_rule(n)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = os.path.dirname(os.path.dirname(sb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # the large rule's weights are within this of 30-digit mpmath, relative
-# (worst measured on _mpmath_errors' sample: 1.4e-15)
+# (worst measured on _mpmath_errors' sample: 1.6e-15, at n = 76)
 _WEIGHT_GATE = 1e-14
 
 
@@ -722,7 +774,9 @@ def _mpmath_errors(n, nodes, weights):
     return node_err, weight_err
 
 
-@pytest.mark.parametrize("n", [1001, 4096, 9600, 20000])
+# from the switch on: scipy's rule misses the gate at every one of these
+# (its weights are off by 1.8e-8 at n = 1000)
+@pytest.mark.parametrize("n", [76, 77, 256, 306, 564, 999, 1000, 1001, 4096, 9600, 20000])
 def test_large_gauss_rule_against_mpmath(n):
     nodes, weights = sb._gauss_rule(n)
     assert np.all(np.diff(nodes) > 0)
