@@ -20,9 +20,9 @@ engine, with int_{-pi/2}^{pi/2} |v|^2 dtheta = 1/(2 pi).
 Fixed-order rows come from one normalized three-term recurrence upward
 in degree (:func:`_degree_rows`), over one order or a column of orders
 advancing together: a row (:func:`legendre_row`) or a degree table each
-take one call.  Fixed-degree rows all come from one order band
-(:func:`_order_band`, below), which runs no degree recurrence; the rows of
-all orders 0..l (:func:`radial_rows`) are the band 0..l.  Normalized
+take one call.  Fixed-degree rows all come from the sweeps of one order
+band (:func:`_band_sweeps`, below), which runs no degree recurrence; the
+rows of all orders 0..l (:func:`radial_rows`) are the band 0..l.  Normalized
 values stay O(sqrt(l)), so nothing overflows.  The seed g_m^m ~
 sin(theta)^m underflows near the poles at high order; rows, degree tables
 and bands lift it (see Underflow below), since the degree-l value can be
@@ -97,6 +97,17 @@ On both windows' WKB intervals at l = 400 and 1600 (ends included; case
 row's maximum, against 4.9e-14 by the degree recurrence; the gap is the
 series phase (l + 1/2) theta, which is rounded at an arbitrary node,
 ~l 2^-53.
+
+Band memory.  :func:`_band_sweeps` chooses each node's route and hands
+over each sweep's rows as they are finished, one order at a time: upward
+and downward sweeps hold two rows on their nodes, Miller's sweep holds
+its r kept rows on the polar nodes, since it is normalized only at m = 0,
+and hands them over as one block.  Its consumers decide what to keep.
+:func:`_order_band` stores every row in an r x n table (what
+:func:`legendre_band` and :func:`radial_rows` return); a window density
+(:func:`sclab.cluster_density.density`) adds nu_m g_m^2 into rho and
+drops the row, so it holds O(n) values plus Miller's block, never the
+r x n band (0.5 GB at l = 102400, r = 320, on half the 4l-point grid).
 
 Underflow.  Where the seed g_m^m of a recurrence falls below the smallest
 normal double (sin(theta)^m < ~1e-308 next to the poles), that node's rows
@@ -504,43 +515,66 @@ def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarr
     """g_ell^m for m = m_lo..m_hi (rows) on nodes x, by the relation in order alone.
 
     Returns (values, underflow), the latter marking the nodes where the
-    sectoral seed of m_hi is below the smallest normal double, that is,
-    where the degree recurrence of the top order would start from an
-    underflowing seed; the band itself runs no degree recurrence.  Each node
-    takes one of three sweeps (see the module notes).  A node is oscillatory
-    where (l + 1/2) sin(theta) >= max(``_SERIES_MIN_RHO_SIN``, m_hi).  In a
-    band that sweeping up from m = 0 makes cheaper,
-    m_hi + ``_SERIES_COST_STEPS`` < l - m_lo, an oscillatory node sweeps
-    upward (:func:`_upward_rows`).  In a band where Miller's start lies
-    below l - m_lo, M = :func:`_miller_order` (m_hi) < l - m_lo, every other
-    node takes Miller's sweep down from M (:func:`_miller_rows`).  The
-    remaining nodes sweep downward from g_l^{l+1} = 0 and the sectoral seed
-    g_l^l; where that seed would underflow, the node's rows carry a power of
-    two that the sweep keeps up to date, and each kept row is scaled back
-    once.  Rows go straight into the one output array.
+    sectoral seed of m_hi is below the smallest normal double
+    (:func:`_top_seed_underflows`); the band itself runs no degree
+    recurrence.  The table of :func:`_band_sweeps`: each row goes straight
+    into the one output array as its sweep gives it.
     """
-    underflow = _seed_log_magnitude(m_hi, x) < _LOG_TINY
+    out = np.empty((m_hi - m_lo + 1, x.size))
+    for nodes, orders, rows in _band_sweeps(ell, m_lo, m_hi, x):
+        for m, row in zip(orders, rows):
+            out[m - m_lo, nodes] = row
+    return out, _top_seed_underflows(m_hi, x)
+
+
+def _top_seed_underflows(m_hi: int, x: np.ndarray) -> np.ndarray:
+    """Where the sectoral seed of m_hi is below the smallest normal double.
+
+    That is, where the degree recurrence of the top order would start from
+    an underflowing seed, whatever route the band takes at the node.
+    """
+    return _seed_log_magnitude(m_hi, x) < _LOG_TINY
+
+
+def _band_sweeps(ell: int, m_lo: int, m_hi: int, x: np.ndarray):
+    """Yield (nodes, orders, rows) for each sweep of the band m_lo..m_hi on nodes x.
+
+    ``nodes`` masks the nodes of x that take the sweep, and ``rows`` gives
+    g_ell^m on them for each m of ``orders`` in turn, as the sweep finishes
+    it: from m_lo up on upward nodes, from m_hi down on downward nodes.
+    Miller's sweep is normalized only once it reaches m = 0, so its rows
+    come as one block, from m_lo up.  Each node takes one of three sweeps
+    (see the module notes).  A node is oscillatory where (l + 1/2) sin(theta) >=
+    max(``_SERIES_MIN_RHO_SIN``, m_hi).  In a band that sweeping up from
+    m = 0 makes cheaper, m_hi + ``_SERIES_COST_STEPS`` < l - m_lo, an
+    oscillatory node sweeps upward (:func:`_upward_rows`).  In a band where
+    Miller's start lies below l - m_lo, M = :func:`_miller_order` (m_hi) <
+    l - m_lo, every other node takes Miller's sweep down from M
+    (:func:`_miller_rows`).  The remaining nodes sweep downward from
+    g_l^{l+1} = 0 and the sectoral seed g_l^l; where that seed would
+    underflow, the node's rows carry a power of two that the sweep keeps up
+    to date, and each row is scaled back as it comes.  The consumer takes
+    each sweep's rows before asking for the next sweep; only Miller's
+    block, r rows on its nodes, is held whole.
+    """
     sin = np.sqrt((1.0 - x) * (1.0 + x))  # the seeds' sin^2 (module notes)
     cot = x / sin
     oscillatory = (ell + 0.5) * sin >= max(_SERIES_MIN_RHO_SIN, m_hi)
     up = oscillatory & (m_hi + _SERIES_COST_STEPS < ell - m_lo)
     miller = ~oscillatory & (_miller_order(m_hi) < ell - m_lo)
     down = ~(up | miller)
-    out = np.empty((m_hi - m_lo + 1, x.size))
+    ascending = range(m_lo, m_hi + 1)
     if up.any():
-        for dest, row in zip(out, itertools.islice(_upward_rows(ell, x[up], cot[up]), m_lo, None)):
-            dest[up] = row
+        yield up, ascending, itertools.islice(_upward_rows(ell, x[up], cot[up]), m_lo, None)
     if miller.any():
-        out[:, miller] = _miller_rows(ell, m_lo, m_hi, cot[miller])
+        yield miller, ascending, _miller_rows(ell, m_lo, m_hi, cot[miller])
     if down.any():
         lift = _seed_lift(ell, x[down])
         top = _seed_values(ell, x[down], lift)
         above = np.zeros_like(top)  # g_l^{l+1}
         sweep = itertools.chain([above, top], _order_rows(ell, ell, -1, above, top, cot[down]))
         rows = itertools.islice(_rescaled(sweep, lift, _ORDER_CHECK_STEPS), ell + 1 - m_hi, None)
-        for dest, row in zip(out[::-1], _unlifted(rows, lift)):  # from the top order down
-            dest[down] = row
-    return out, underflow
+        yield down, range(m_hi, m_lo - 1, -1), _unlifted(rows, lift)
 
 
 # ---------------------------------------------------------------------------

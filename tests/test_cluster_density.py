@@ -38,6 +38,15 @@ def test_spec_validation():
         cd.ClusterSpec(10, 2, "2", nu=np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [-2.0, math.nan, math.inf])
+def test_spec_refuses_negative_or_nonfinite_nu(bad):
+    # a negative weight gave a density with rho < 0, which norm refused as
+    # "values must be nonnegative"; an infinite one gave norm(6) = nan
+    with pytest.raises(ValueError, match="nu"):
+        cd.ClusterSpec(40, 5, "2", nu=[1.0, bad, 1.0, 1.0, 1.0])
+    cd.ClusterSpec(40, 5, "2", nu=[1.0, 0.0, 1.0, 1.0, 1.0])  # zero is a weight
+
+
 def test_single_harmonic_trace():
     profile = make_profile(2, 1, "inf", n_mult=8)
     total = 2.0 * math.pi * np.dot(profile.theta_weights, profile.rho)
@@ -95,6 +104,84 @@ def test_mirrored_density_on_even_and_odd_grids(case, extra):
         np.abs(top_seed) < np.finfo(float).tiny)
 
 
+def _density_sweeps(spec, x):
+    """Nodes of x the window's band sweeps upward, by Miller's method and downward."""
+    seen = {}
+    upward_rows, miller_rows = sb._upward_rows, sb._miller_rows
+
+    def upward(ell, nodes, cot):
+        seen["up"] = nodes.size
+        return upward_rows(ell, nodes, cot)
+
+    def backward(ell, m_lo, m_hi, cot):
+        seen["miller"] = cot.size
+        return miller_rows(ell, m_lo, m_hi, cot)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sb, "_upward_rows", upward)
+        patch.setattr(sb, "_miller_rows", backward)
+        for _ in sb._band_sweeps(spec.ell, int(spec.window[0]), int(spec.window[-1]), x):
+            pass
+    up, miller = seen.get("up", 0), seen.get("miller", 0)
+    return up, miller, x.size - up - miller
+
+
+@pytest.mark.parametrize("case, extra", [("inf", 0), ("inf", 1), ("2", 0), ("2", 1)])
+def test_weighted_density_matches_per_order_rows(case, extra):
+    # rho = sum_m nu_m g_m^2 pointwise, with nu geometric, so that a weight
+    # paired with the wrong order shows; the trace identity cannot see that.
+    # Case "inf" covers upward and Miller's nodes, case "2" downward ones; on
+    # an odd grid the centre node is among the oracle's nodes
+    ell = 2400
+    r = wkb.band_radius(ell)
+    spec = cd.ClusterSpec(ell, r, case, nu=0.97 ** np.arange(r))
+    grid = sb.build_grid(4 * ell + extra)
+    x = np.cos(grid.theta_nodes[:(grid.n_theta + 1) // 2])  # the nodes density sweeps
+    up, miller, down = _density_sweeps(spec, x)
+    assert (up > 0 and miller > 0 and down == 0) if case == "inf" else (down == x.size)
+    profile = cd.density(spec, grid)
+    exact = sum(w * sb.legendre_row(int(m), ell, x) ** 2 for w, m in zip(spec.nu, spec.window))
+    # nodes where every order's seed is a normal double, so each oracle row
+    # keeps its bits, and rho is not below the double range
+    seeded = np.abs(sb._seed_values(int(spec.window[-1]), x)) >= np.finfo(float).tiny
+    kept = seeded & (exact > 1e-250 * exact.max())
+    if case == "inf":
+        assert np.count_nonzero(kept[:miller]) > miller // 2  # Miller's nodes come first
+    err = np.abs(profile.rho[:x.size] - exact)[kept] / exact[kept]
+    assert err.max() <= 1e-11
+
+
+@pytest.mark.parametrize("case", ["inf", "2"])
+def test_density_holds_no_band(case):
+    # at l = 6400 (r = 80, n = 25600) the band on half the grid is 7.8 MB;
+    # rho is summed as its rows come, with only Miller's rows on the polar
+    # nodes held at once.  Peak measured 2.2 MB (case "inf") and 1.6 MB
+    # (case "2"), where holding the band took 9.8 and 9.2 MB
+    import tracemalloc
+
+    ell = 6400
+    spec = cd.ClusterSpec(ell, wkb.band_radius(ell), case)
+    grid = sb.build_grid(4 * ell)
+    band_bytes = spec.r * ((grid.n_theta + 1) // 2) * 8
+    tracemalloc.start()
+    try:
+        cd.density(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < band_bytes / 2
+
+
+def test_weighted_trace_identity_at_degree_25600():
+    # 2 pi sum_i w_i rho_i = sum_m nu_m, measured within 1.3e-15 relative
+    ell = 25600
+    r = wkb.band_radius(ell)
+    nu = 0.97 ** np.arange(r)
+    profile = cd.density(cd.ClusterSpec(ell, r, "inf", nu=nu), sb.build_grid(4 * ell))
+    total = 2.0 * math.pi * np.dot(profile.theta_weights, profile.rho)
+    assert abs(total - nu.sum()) <= 1e-13 * nu.sum()
+
+
 # ---------------------------------------------------------------------------
 # Norms
 # ---------------------------------------------------------------------------
@@ -111,6 +198,14 @@ def test_mirrored_density_on_even_and_odd_grids(case, extra):
 ])
 def test_lp_norm_kernel(values, p, weights, expected):
     assert cd.lp_norm(values, p, weights) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("values", [[math.inf, 1.0], [1.0, -math.inf], [math.nan, 1.0]])
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_lp_norm_refuses_nonfinite_values(values, p):
+    # [inf, 1] at p = 2 warned "invalid value encountered in divide" and gave nan
+    with pytest.raises(ValueError, match="values"):
+        cd.lp_norm(values, p)
 
 
 def test_lp_norm_p2_is_trace():
