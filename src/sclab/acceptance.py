@@ -25,10 +25,11 @@ from .experiments import (AcceptanceReport, Check, ExperimentConfig, RUNNERS,
 
 RUNTIME_BUDGETS = {  # seconds; criteria without an entry are unbudgeted
     "c01-weyl": 1.0,
-    "c02-orthonormality": 6.0,  # ~15x its 0.40 s median alone in a fresh process
+    "c02-orthonormality": 3.0,  # ~16x its 0.19 s median alone in a fresh process
     "c03-equator-anchors": 1.6,  # ~15x its 0.11 s median in a slow phase (0.047 s typical)
     "c04-wkb-accuracy": 0.8,  # ~18x its 0.045 s median alone in a fresh process
     "c06-kuzmin-landau": 1.0,  # ~16x its 0.064 s median, likewise
+    "c07-phase-sums": 0.65,  # ~15x its 0.043 s median alone in a fresh process
     "c08-optimality-slopes": 3.5,  # ~17x its 0.20 s median alone in a fresh process
     "c10-dual-schatten": 2.0,  # ~18x its 0.11 s median alone in a fresh process
     "c11-oscillatory-scaling": 1.5,  # ~15x its 0.10 s median, likewise
@@ -55,17 +56,12 @@ def _orthonormality(_memo) -> list:
     ell_max = 200
     grid = sb.build_grid(256, 2 * ell_max + 3)
     x = np.cos(grid.theta_nodes)
-    dev = 0.0
-    for m in range(ell_max + 1):
-        table = sb.legendre_degree_table(m, ell_max, x)
-        gram = 2.0 * math.pi * (table * grid.theta_weights) @ table.T
-        gram[np.diag_indices_from(gram)] -= 1.0
-        dev = max(dev, float(np.max(np.abs(gram))))
 
-    # cross-order entries vanish through the azimuthal rule; sample them
+    # cross-order entries vanish through the azimuthal rule; sample them,
+    # drawn first so that their rows come from the degree tables below
     rng = np.random.default_rng(7)
     phis = grid.phi_nodes
-    cross = 0.0
+    pairs = []  # ((m_a, ell_a), (m_b, ell_b), phi_factor)
     for _ in range(50):
         ell_a, ell_b = rng.integers(1, ell_max + 1, 2)
         m_a = int(rng.integers(0, ell_a + 1))
@@ -75,9 +71,22 @@ def _orthonormality(_memo) -> list:
             if m_a == m_b:
                 continue
         phi_factor = np.mean(np.exp(1j * (m_a - m_b) * phis))
-        g_a = sb.legendre_row(m_a, int(ell_a), x)
-        g_b = sb.legendre_row(m_b, int(ell_b), x)
-        entry = 2.0 * math.pi * np.dot(grid.theta_weights, g_a * g_b) * phi_factor
+        pairs.append(((m_a, int(ell_a)), (m_b, int(ell_b)), phi_factor))
+    sampled = {}  # order -> the degrees sampled at it
+    for m, ell in {key for a, b, _ in pairs for key in (a, b)}:
+        sampled.setdefault(m, []).append(ell)
+
+    dev = 0.0
+    rows = {}
+    for m, table in sb._degree_tables(0, ell_max, ell_max, x):
+        gram = 2.0 * math.pi * (table * grid.theta_weights) @ table.T
+        gram[np.diag_indices_from(gram)] -= 1.0
+        dev = max(dev, float(np.max(np.abs(gram))))
+        rows.update({(m, ell): table[ell - m].copy() for ell in sampled.get(m, ())})
+
+    cross = 0.0
+    for a, b, phi_factor in pairs:
+        entry = 2.0 * math.pi * np.dot(grid.theta_weights, rows[a] * rows[b]) * phi_factor
         cross = max(cross, abs(entry))
 
     # equatorial-profile normalization, int |v|^2 dtheta = 1/(2 pi)

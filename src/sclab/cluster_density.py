@@ -78,14 +78,20 @@ def lp_norm(values, p: float, weights=None) -> float:
     """(sum_i w_i v_i^p)^(1/p) of finite nonnegative values; p = inf gives max v.
 
     ``weights`` default to one (an l^p or Schatten norm); quadrature
-    weights make it an L^p norm.  Empty input gives 0.  The top value is
-    factored out, so large p cannot overflow.
+    weights make it an L^p norm.  Both must be finite and nonnegative: a
+    negative weight could cancel a term, and a NaN would pass as the norm.
+    Empty input gives 0.  The top value is factored out, so large p cannot
+    overflow.
     """
     if not p > 0:
         raise ValueError("p must be positive")
     values = np.asarray(values, dtype=float)
     if not np.all((values >= 0) & (values < math.inf)):  # NaN fails both
         raise ValueError("values must be finite and nonnegative")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if not np.all((weights >= 0) & (weights < math.inf)):
+            raise ValueError("weights must be finite and nonnegative")
     if values.size == 0:
         return 0.0
     top = values.max()

@@ -20,9 +20,17 @@ engine, with int_{-pi/2}^{pi/2} |v|^2 dtheta = 1/(2 pi).
 Fixed-order rows come from one normalized three-term recurrence upward
 in degree (:func:`_degree_rows`), over one order or a column of orders
 advancing together: a row (:func:`legendre_row`) or a degree table each
-take one call.  Fixed-degree rows all come from the sweeps of one order
-band (:func:`_band_sweeps`, below), which runs no degree recurrence; the
-rows of all orders 0..l (:func:`radial_rows`) are the band 0..l.  Normalized
+take one call, and the degree tables of many orders
+(:func:`_degree_tables`) one column per block of consecutive orders, bit
+for bit the one-order tables.  A column step costs a few array operations
+on all its orders, a one-order step as many on one row plus the Python
+arithmetic of its coefficients, so blocks pay where tables are many and
+short: the 201 tables of the acceptance suite's orthonormality check
+(l <= 200 on 256 nodes) take 6641 column steps in 49 blocks, 0.06 s on
+a 2-core x86 box, where 20301 one-order steps took 0.09-0.18 s.
+Fixed-degree rows all come from the sweeps of one order band
+(:func:`_band_sweeps`, below), which runs no degree recurrence; the rows
+of all orders 0..l (:func:`radial_rows`) are the band 0..l.  Normalized
 values stay O(sqrt(l)), so nothing overflows.  The seed g_m^m ~
 sin(theta)^m underflows near the poles at high order; rows, degree tables
 and bands lift it (see Underflow below), since the degree-l value can be
@@ -134,7 +142,9 @@ lift of 2^1000 read as 0) are within 6.2e-13 of mpmath; next to the poles
 (x = +-nextafter(1, 0) and the first node of the 4l-point Gauss rule, at
 l = 2400 and 10000) the band's normal values are within 1.4e-12.  A single
 row (:func:`legendre_row`) and a degree table
-(:func:`legendre_degree_table`) lift their seed the same way.
+(:func:`legendre_degree_table`) lift their seed the same way; a block of
+degree tables lifts each of its orders' seeds, so its lifts are per
+(order, node).
 
 The seed-exponent floor.  The exponent of a lifted seed is a sum of terms
 up to ~(m/2) ln 2 in size, each rounded, so the seed is off by up to
@@ -207,6 +217,13 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 _RESCALE_BITS = 512
 _DEGREE_CHECK_STEPS = 32
 _ORDER_CHECK_STEPS = 8
+# Entries of the one buffer that holds a block of degree tables
+# (_degree_tables): 1 MB.  Measured on the acceptance suite's
+# orthonormality check (orders 0..200, 256 nodes; 2-core x86 box): its
+# tables and Grams take 0.11 s with 1 MB blocks, 0.16 s with 0.5 MB and
+# 0.08 s with 2 MB, but 2 MB raised the whole suite's peak RSS in a fresh
+# process by 1.6 MB (43.0 -> 44.6 MB), where 1 MB leaves it flat.
+_DEGREE_BLOCK_ENTRIES = 1 << 17
 
 
 class GridResolutionError(ValueError):
@@ -310,6 +327,36 @@ def legendre_degree_table(m: int, ell_max: int, x) -> np.ndarray:
     return np.array(list(_unlifted(_rescaled(rows, lift, _DEGREE_CHECK_STEPS), lift)))
 
 
+def _degree_tables(m_lo: int, m_hi: int, ell_max: int, x: np.ndarray):
+    """Yield (m, table) for m = m_lo..m_hi: :func:`legendre_degree_table` (m, ell_max, x).
+
+    Consecutive orders run as one column of :func:`_degree_rows`, as many
+    at a time as fill ``_DEGREE_BLOCK_ENTRIES`` with their tables (at
+    least one), each seed lifted per (order, node) as one order's would
+    be; so every table is bit for bit the one-order table.  The rows of a
+    block go into one buffer, reused by every block: a table is a
+    C-contiguous view into it, which the next block overwrites, so the
+    consumer takes each table before asking for the next one.  The
+    higher orders of a block run on past ell_max to its last step; those
+    rows are not handed over.
+    """
+    x = _check_nodes(x)
+    buffer = np.empty(max(_DEGREE_BLOCK_ENTRIES, (ell_max - m_lo + 1) * x.size))
+    m = m_lo
+    while m <= m_hi:
+        steps = ell_max - m + 1  # rows of order m's table, the block's first
+        count = min(m_hi - m + 1, max(1, buffer.size // (steps * x.size)))
+        orders = np.arange(m, m + count)[:, None]
+        lift = _seed_lift(orders, x)
+        rows = _degree_rows(orders, ell_max, x, _seed_values(orders, x, lift))
+        block = buffer[:count * steps * x.size].reshape(count, steps, x.size)
+        for step, row in enumerate(_unlifted(_rescaled(rows, lift, _DEGREE_CHECK_STEPS), lift)):
+            block[:, step] = row
+        for i in range(count):
+            yield m + i, block[i, :steps - i]
+        m += count
+
+
 def legendre_row(m: int, ell: int, x) -> np.ndarray:
     """g-values of a single (ell, m) on nodes x, O(1) memory in degree.
 
@@ -345,12 +392,31 @@ def _degree_rows(m, ell: int, x: np.ndarray, seed: np.ndarray):
         return
     cur = sqrt(2 * m + 3) * x * prev
     yield cur
-    for step in range(2, steps + 1):
-        deg = m + step
-        a = sqrt((4 * deg * deg - 1.0) / (deg * deg - m * m))
-        b = sqrt(((deg - 1.0) ** 2 - m * m) / (4.0 * (deg - 1.0) ** 2 - 1.0))
+    for a, b in _degree_coefficients(m, steps):
         prev, cur = cur, a * (x * cur - b * prev)
         yield cur
+
+
+def _degree_coefficients(m, steps: int):
+    """Yield the coefficients (a, b) of steps 2..steps of :func:`_degree_rows`.
+
+    For one order, Python floats step by step.  For a column of orders,
+    arrays (k, 1) computed ``_DEGREE_CHECK_STEPS`` steps at a time, by the
+    same operations element by element.  Per step, their ten small array
+    operations made a column step of two orders on 256 nodes cost 16.5 us
+    against 2.7 us for one order (5.3 us this way); all steps at once
+    would hold 2 x 8 bytes per order and step, 4 MB for 501 orders.
+    """
+    if np.ndim(m) == 0:
+        for step in range(2, steps + 1):
+            deg = m + step
+            yield (math.sqrt((4 * deg * deg - 1.0) / (deg * deg - m * m)),
+                   math.sqrt(((deg - 1.0) ** 2 - m * m) / (4.0 * (deg - 1.0) ** 2 - 1.0)))
+        return
+    for start in range(2, steps + 1, _DEGREE_CHECK_STEPS):
+        deg = m + np.arange(start, min(start + _DEGREE_CHECK_STEPS, steps + 1))[:, None, None]
+        yield from zip(np.sqrt((4 * deg * deg - 1.0) / (deg * deg - m * m)),
+                       np.sqrt(((deg - 1.0) ** 2 - m * m) / (4.0 * (deg - 1.0) ** 2 - 1.0)))
 
 
 def _rescaled(rows, lift: np.ndarray, every: int, nodes=None, held=None):
@@ -358,25 +424,30 @@ def _rescaled(rows, lift: np.ndarray, every: int, nodes=None, held=None):
 
     ``rows`` is :func:`_degree_rows` or a sweep of :func:`_order_rows` after
     its two first rows, and ``lift`` the power of two its seeds carry, one
-    per node.  At rows 1, 1 + every, 1 + 2 every, ..., where either of a
-    node's two latest rows has passed 2^``_RESCALE_BITS``, both are scaled
-    down by that power in place, so that the recurrence goes on from them,
-    and the node's lift drops by as much; so is ``held``, an array kept at
-    the rows' scale (Miller's running norm), if given.  A row times
-    2**-lift, with the lift as it stands when the row is yielded, is the
-    true row.  Scaling by a power of two is exact.  The nodes checked are
-    ``nodes``, by default those lifted at the start: the others hold true
-    values, below sqrt((2l + 1) / (4 pi)).  The bound after
+    per node, or one per (order, node) for a column of orders.  At rows 1,
+    1 + every, 1 + 2 every, ..., where either of a node's two latest rows
+    has passed 2^``_RESCALE_BITS``, both are scaled down by that power in
+    place, so that the recurrence goes on from them, and the node's lift
+    drops by as much; so is ``held``, an array kept at the rows' scale
+    (Miller's running norm), if given.  A row times 2**-lift, with the lift
+    as it stands when the row is yielded, is the true row.  Scaling by a
+    power of two is exact.  The nodes checked are ``nodes``, flat indices
+    into ``lift``, by default those lifted at the start: the others hold
+    true values, below sqrt((2l + 1) / (4 pi)).  The bound after
     ``_RESCALE_BITS`` shows why the check intervals keep every row finite.
+    Rows are the fresh arrays of a recurrence step, so their flat
+    reshapes are views.
     """
     nodes = np.flatnonzero(lift) if nodes is None else nodes
+    flat_lift = lift.reshape(-1)
     for k, row in enumerate(rows):
         if nodes.size and k % every == 1:
-            big = nodes[np.maximum(np.abs(last[nodes]), np.abs(row[nodes])) > 2.0**_RESCALE_BITS]
-            last[big], row[big] = last[big] * 2.0**-_RESCALE_BITS, row[big] * 2.0**-_RESCALE_BITS
+            before, now = last.reshape(-1), row.reshape(-1)
+            big = nodes[np.maximum(np.abs(before[nodes]), np.abs(now[nodes])) > 2.0**_RESCALE_BITS]
+            before[big], now[big] = before[big] * 2.0**-_RESCALE_BITS, now[big] * 2.0**-_RESCALE_BITS
             if held is not None:
                 held[big] *= 2.0**-_RESCALE_BITS
-            lift[big] -= _RESCALE_BITS
+            flat_lift[big] -= _RESCALE_BITS
         yield row
         last = row
 
@@ -508,7 +579,11 @@ def _miller_rows(ell: int, m_lo: int, m_hi: int, cot: np.ndarray) -> np.ndarray:
     total = np.hypot(row, math.sqrt(2.0) * norm)  # row is g^0
     sign = np.where(cot < 0, (-1.0) ** ell, (-1.0) ** big_m)
     fraction, exponent = np.frexp(sign * math.sqrt((2 * ell + 1) / FOUR_PI) / total)
-    return np.ldexp(kept * fraction, lift - kept_lift + exponent)
+    # kept * fraction * 2^(lift - kept_lift + exponent), formed in place
+    kept *= fraction
+    np.subtract(lift, kept_lift, out=kept_lift)
+    kept_lift += exponent
+    return np.ldexp(kept, kept_lift, out=kept)
 
 
 def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

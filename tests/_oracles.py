@@ -2,12 +2,14 @@
 
 Everything here deliberately avoids the library code path it checks:
 the associated Legendre recurrence runs in 50-digit mpmath arithmetic,
-P_n comes from the n-step degree recurrence (the library's Gauss rule
-takes Stieltjes' series, and Miller's sweep in order next to the poles),
-the all-node Gauss rule runs that recurrence at every node, the action
-integral is a brute-force composite Simpson rule, the profile integrals
-run one Gauss panel at a time in a Python loop, and the projector
-spectrum comes from the dense addition-theorem kernel on the mesh.
+the closed-form action is checked against its plain antiderivative in
+40-digit mpmath, P_n comes from the n-step degree recurrence (the
+library's Gauss rule takes Stieltjes' series, and Miller's sweep in order
+next to the poles), the all-node Gauss rule runs that recurrence at every
+node, the action integral is a brute-force composite Simpson rule, the
+profile integrals run one Gauss panel at a time in a Python loop, and the
+projector spectrum comes from the dense addition-theorem kernel on the
+mesh.
 Frozen literals in the tests were produced by these functions; rerun
 them to re-derive any of the constants.
 
@@ -134,6 +136,33 @@ def action_simpson(ell: int, m: int, theta: float, n: int = 1_000_001) -> float:
     f = np.sqrt(-q)
     h = t[1] - t[0]
     return float(h / 3 * (f[0] + f[-1] + 4 * f[1:-1:2].sum() + 2 * f[2:-1:2].sum()))
+
+
+def action_mp(ell: int, m: int, theta: float, dps: int = 40):
+    """S_{l,m}(theta) = int_0^theta sqrt(-Q) in mpmath arithmetic, as an mpf.
+
+    The antiderivative in its plain form, with a = l + 1/2, b^2 = m^2 - 1/4
+    and kappa = sqrt(a^2 cos^2(theta) - b^2):
+
+        S = a atan2(a sin, kappa) - b atan2(b sin, kappa)      (m >= 1),
+        S = a atan2(a sin, kappa) + artanh(sin / (2 kappa)) / 2     (m = 0).
+
+    Its terms cancel to ~(a - b) / a, which at dps digits still leaves
+    ~dps - log10(l^2) of them.  ``theta`` is taken as the double it is.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a = mp.mpf(ell) + mp.mpf(1) / 2
+        b_sq = mp.mpf(m) ** 2 - mp.mpf(1) / 4
+        t = mp.mpf(theta)
+        sin, cos = mp.sin(t), mp.cos(t)
+        kappa = mp.sqrt(a * a * cos * cos - b_sq)
+        head = a * mp.atan2(a * sin, kappa)
+        if m == 0:
+            return head + mp.atanh(sin / (2 * kappa)) / 2
+        b = mp.sqrt(b_sq)
+        return head - b * mp.atan2(b * sin, kappa)
 
 
 def profile_integrals_loop(ell: int, m: int, positive_thetas):

@@ -10,6 +10,7 @@ that the stated criteria fix.  ``sclab check`` runs the same table.
 
 import collections
 
+import numpy as np
 import pytest
 
 from sclab import acceptance as acc
@@ -123,6 +124,33 @@ def test_orthonormality_fails_on_scipys_rule(monkeypatch):
     monkeypatch.setattr(sb, "_gauss_rule", lambda n: roots_legendre(n) if n == 256 else rule(n))
     checks, _ = acc.run_criterion(dict(acc.CRITERIA)["c02-orthonormality"])
     verdicts = {c.name: c.passed for c in checks}
+    assert verdicts == {"orthonormality-gram-deviation": False,
+                        "orthonormality-cross-order": True,
+                        "v-normalization-deviation": True}
+
+
+def test_orthonormality_fails_on_a_neighbouring_orders_rows(monkeypatch):
+    # each order m is handed g_l^{m+1} at its degrees l = m..200, whose
+    # first row, g_m^{m+1}, is 0; the top order keeps its own table
+    genuine = sb._degree_tables
+
+    def neighbouring(m_lo, m_hi, ell_max, x):
+        tables = genuine(m_lo, m_hi, ell_max, x)
+        m, table = next(tables)
+        for above, upper in tables:
+            shifted = np.zeros_like(table)
+            shifted[1:] = upper
+            yield m, shifted
+            m, table = above, upper.copy()
+        yield m, table
+
+    monkeypatch.setattr(sb, "_degree_tables", neighbouring)
+    checks, _ = acc.run_criterion(dict(acc.CRITERIA)["c02-orthonormality"])
+    verdicts = {c.name: c.passed for c in checks}
+    # the cross-order line cannot fail on normalized rows: every sampled
+    # pair has 0 < |m_a - m_b| <= 200 < 403 azimuthal nodes, so its factor
+    # mean(exp(i (m_a - m_b) phi)) is roundoff, ~1e-17, and every entry is
+    # below 1e-15 whatever the rows (1.1e-15 here)
     assert verdicts == {"orthonormality-gram-deviation": False,
                         "orthonormality-cross-order": True,
                         "v-normalization-deviation": True}

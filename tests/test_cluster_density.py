@@ -208,6 +208,14 @@ def test_lp_norm_refuses_nonfinite_values(values, p):
         cd.lp_norm(values, p)
 
 
+@pytest.mark.parametrize("weights", [[-3.0, 1.0], [math.nan, 1.0], [1.0, math.inf]])
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_lp_norm_refuses_negative_or_nonfinite_weights(weights, p):
+    # at p = 2, [-3, 1] returned 1.0 and [nan, 1] returned nan, with no warning
+    with pytest.raises(ValueError, match="weights"):
+        cd.lp_norm([1.0, 2.0], p, weights)
+
+
 def test_lp_norm_p2_is_trace():
     profile = make_profile(30, 4, "inf")
     assert profile.norm(2.0) == pytest.approx(4.0, abs=1e-10)

@@ -278,6 +278,15 @@ def test_phase_sum_tie_back_can_fail(monkeypatch):
     assert [c.name for c in checks if not c.passed] == ["phase-sum-matches-exp-sum"]
 
 
+def test_phase_sum_tie_back_fails_on_a_scaled_closed_form(monkeypatch):
+    # the cluster sums take S in closed form, the tie-back by quadrature
+    closed = wkb._closed_action
+    monkeypatch.setattr(wkb, "_closed_action",
+                        lambda ell, m, theta: closed(ell, m, theta) * (1.0 + 1e-10))
+    checks, _, _ = ex.run_phase_sums(ex.ExperimentConfig(experiment="phase_sums"))
+    assert [c.name for c in checks if not c.passed] == ["phase-sum-matches-exp-sum"]
+
+
 @pytest.mark.parametrize("p_list", [[2, math.inf], [3.0, 8.0]])
 def test_cluster_lower_refuses_caseinf_exponents_below_six(p_list):
     # one p_list serves both windows; the case-inf slope prediction is the

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -646,6 +647,57 @@ def test_order_column_matches_one_order_recurrences(ell):
     assert step == ell
     assert all(next(gen, None) is None for gen in alone)
     assert np.array_equal(sb.radial_rows(ell, x), _signed_band(ell, x))
+
+
+@pytest.mark.parametrize("m_lo, m_hi", [(0, 200), (151, 157)])
+def test_degree_tables_match_one_order_tables(m_lo, m_hi):
+    # the orthonormality check's grid and degrees; on its 256 nodes the
+    # seeds of orders 152..200 are lifted next to the poles
+    x = np.cos(sb.build_grid(256).theta_nodes)
+    lifted = [m for m in range(201) if sb._seed_lift(m, x).any()]
+    assert lifted == list(range(152, 201))
+    orders = []
+    for m, table in sb._degree_tables(m_lo, m_hi, 200, x):
+        assert table.flags.c_contiguous
+        assert np.array_equal(table, sb.legendre_degree_table(m, 200, x))
+        orders.append(m)
+    assert orders == list(range(m_lo, m_hi + 1))
+
+
+def test_miller_rows_form_their_block_in_place():
+    # the case-"inf" window at l = 25600 on the polar nodes of the 4l-point grid
+    ell, m_lo, m_hi = 25600, 160, 319
+    x = sb._gauss_rule(4 * ell)[0][:2 * ell]
+    sin = np.sqrt((1.0 - x) * (1.0 + x))
+    miller = (ell + 0.5) * sin < m_hi
+    cot = x[miller] / sin[miller]
+    tracemalloc.start()
+    try:
+        rows = sb._miller_rows(ell, m_lo, m_hi, cot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (m_hi - m_lo + 1, 406)
+    assert peak <= 2.5 * rows.nbytes  # 2.2x; 5.2x when the scaling made new arrays
+    # the block as formed out of place: kept rows times fraction, times
+    # 2^(final lift - the lift each row was kept at + exponent)
+    big_m = sb._miller_order(m_hi)
+    top, above = np.ones_like(cot), np.zeros_like(cot)
+    lift, norm = np.zeros(cot.size, dtype=int), np.zeros_like(cot)
+    sweep = itertools.chain([above, top], sb._order_rows(ell, big_m, -1, above, top, cot))
+    kept, kept_lift = {}, {}
+    for m, row in zip(range(big_m + 1, -1, -1),
+                      sb._rescaled(sweep, lift, sb._ORDER_CHECK_STEPS, np.arange(cot.size), norm)):
+        if m_lo <= m <= m_hi:
+            kept[m], kept_lift[m] = row.copy(), lift.copy()
+        if 0 < m <= big_m:
+            np.hypot(norm, row, out=norm)
+    sign = np.where(cot < 0, (-1.0) ** ell, (-1.0) ** big_m)
+    fraction, exponent = np.frexp(sign * math.sqrt((2 * ell + 1) / (4 * math.pi))
+                                  / np.hypot(row, math.sqrt(2.0) * norm))
+    formed = np.array([np.ldexp(kept[m] * fraction, lift - kept_lift[m] + exponent)
+                       for m in range(m_lo, m_hi + 1)])
+    assert np.array_equal(rows, formed)
 
 
 def _signed_band(ell, x):

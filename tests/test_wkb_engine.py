@@ -6,7 +6,7 @@ import pytest
 from sclab import sphere_basis as sb
 from sclab import wkb_engine as wkb
 
-from _oracles import action_simpson, profile_integrals_loop
+from _oracles import action_mp, action_simpson, profile_integrals_loop
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +96,37 @@ def test_action_detects_turning_point():
         wkb.action_values(10, np.array([8, 9]), 1.3)
 
 
+def _turning_point(ell: int, m: int) -> float:
+    """The theta > 0 where Q_(l,m) vanishes, for m >= 1, in 40-digit arithmetic."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        return float(mp.acos(mp.sqrt(mp.mpf(m) ** 2 - 0.25) / (ell + mp.mpf(0.5))))
+
+
+@pytest.mark.parametrize("ell", [10, 100, 1000, 10_000])
+def test_closed_action_matches_mpmath(ell):
+    # m = 0 (the artanh branch, up to 1e-12 short of the pole), m = 1 and
+    # m = l - 1, from next to 0 to within 1e-9 of the turning point;
+    # measured within 2.7e-16 relative at every point
+    for m in (0, 1, ell - 1):
+        top = math.pi / 2 - 1e-12 if m == 0 else _turning_point(ell, m) - 1e-9
+        for theta in [f * top for f in (1e-6, 0.1, 0.5, 0.9, 0.999)] + [top]:
+            value = wkb.action_values(ell, [m], theta)[0]
+            assert value == pytest.approx(float(action_mp(ell, m, theta)), rel=4e-16)
+            assert wkb.action_values(ell, [m], -theta)[0] == -value
+
+
+def test_closed_action_refuses_what_the_potential_refuses():
+    ell, m = 100, 60
+    beyond = _turning_point(ell, m) + 1e-9
+    with pytest.raises(wkb.TurningPointError):
+        wkb.action_values(ell, [0, m], beyond)
+    for theta in (math.pi / 2, 1.6, math.nan):
+        with pytest.raises(ValueError, match="theta"):
+            wkb.action_values(ell, [0], theta)
+
+
 def test_error_functional_values():
     assert wkb.wkb_error_functional(100, 50, 0.0) == 0.0
     val = wkb.wkb_error_functional(100, 50, 0.2)
@@ -121,8 +152,9 @@ def test_adaptive_route_detects_non_convergence():
     near_pole = math.pi / 2 - 1e-12
     with pytest.raises(RuntimeError, match="failed to reach"):
         wkb.action_integral(0, 0, near_pole)
-    with pytest.raises(RuntimeError, match="failed to reach"):
-        wkb.action_values(0, np.array([0]), near_pole)
+    # the closed form of action_values has no panels, and holds there
+    closed = wkb.action_values(0, np.array([0]), near_pole)[0]
+    assert closed == pytest.approx(float(action_mp(0, 0, near_pole)), rel=4e-16)
     with pytest.raises(RuntimeError, match="failed to reach"):
         wkb.wkb_error_functional(0, 0, near_pole)
     with pytest.raises(RuntimeError, match="failed to reach"):  # 0.1 converges
