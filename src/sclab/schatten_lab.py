@@ -47,7 +47,13 @@ matrices, and the dense matrices stay only as test oracles.
   products and of the eigensolve.  Each block is summed over blocks of y
   nodes (at most GRAM_BLOCK_ENTRIES kernel entries each) in real
   arithmetic: Re G = [C S][C S]^T and Im G = X - X^T, X = S C^T, half
-  the flops of the complex product.
+  the flops of the complex product.  A y block holds three arrays, reused
+  from block to block: the distances, gathered from per-axis tables of
+  squared offsets and turned into the ring bump in place; cos|sin, which
+  the butterflies into parities overwrite; and the bump's mask.  That is
+  25 bytes a kernel entry, 3.3 MB at 2^17 entries, and the four Grams
+  accumulate into one complex array; at lam = 16, refine = 2 a call's
+  tracemalloc peak is 8.0 MB for a 4.2 MB Gram.
 
 Every model holds its Gram as a tuple of diagonal blocks (one for the
 paraboloid, four for the distance), and :func:`gram_singular_values`
@@ -210,12 +216,27 @@ def gauss_box(bounds, n_per_axis: int):
 
 def bump(t):
     """C-infinity bump exp(1 - 1/(1 - t^2)) on |t| < 1, zero outside."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    with np.errstate(divide="ignore", over="ignore"):
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
-    return out
+    return _bump_in_place(np.array(t, dtype=float))
+
+
+def _bump_in_place(t: np.ndarray, inside: np.ndarray | None = None) -> np.ndarray:
+    """Overwrite the float array ``t`` with bump(t) and return it.
+
+    ``inside`` is an optional boolean scratch array of t's shape.  The
+    formula runs on the entries with t^2 < 1 only, which are those with
+    |t| < 1 (squaring rounds monotonically and (1 - 2^-53)^2 < 1), so
+    nothing outside can overflow.
+    """
+    if inside is None:
+        inside = np.empty(t.shape, dtype=bool)
+    np.square(t, out=t)
+    np.less(t, 1.0, out=inside)
+    np.subtract(1.0, t, out=t, where=inside)
+    np.divide(1.0, t, out=t, where=inside)
+    np.subtract(1.0, t, out=t, where=inside)
+    np.exp(t, out=t, where=inside)
+    np.copyto(t, 0.0, where=np.logical_not(inside, out=inside))
+    return t
 
 
 def box_bump(nodes: np.ndarray, bounds) -> np.ndarray:
@@ -351,9 +372,13 @@ X_BOX_DISTANCE = ((-0.3, 0.3), (-0.3, 0.3))
 Y_BOX_DISTANCE = ((-0.9, 0.9), (-0.9, 0.9))
 DISTANCE_RING = (0.2, 0.8)
 # y-quadrant nodes per Gram block, as a count of kernel entries over the
-# four reflected images: each block's float arrays stay near 2 MB whatever
-# the resolution.
-GRAM_BLOCK_ENTRIES = 1 << 18
+# four reflected images.  A block holds 25 bytes an entry: the distances
+# (8, turned into the ring bump in place), cos|sin (16) and the bump's
+# mask (1), 3.3 MB at 2^17 whatever the resolution.  At lam = 16,
+# refine = 2 (a 4.2 MB Gram) a call's tracemalloc peak is 8.0 MB at 2^17
+# and 11.3 MB at 2^18; 2^16 peaks at 6.4 MB but takes ~15% longer than
+# 2^17 (smaller products), on a 2-core x86 box.
+GRAM_BLOCK_ENTRIES = 1 << 17
 
 
 def _half_axis(lo: float, hi: float, n: int):
@@ -373,22 +398,59 @@ def _half_axis(lo: float, hi: float, n: int):
     return nodes[:half], (even, odd)
 
 
-def _quadrant(axes):
-    """Tensor nodes of two half axes (ij order) and per-parity factors."""
-    (u1, f1), (u2, f2) = axes
-    nodes = [np.repeat(u1, u2.size), np.tile(u2, u1.size)]
-    factors = [[np.outer(a, b).ravel() for b in f2] for a in f1]
-    return nodes, factors
+def _parity_grams(lam: float, ring: tuple[float, float], x_axes, y_axes) -> np.ndarray:
+    """Re G_s + i Im G_s of distance_model, before the x factors, per parity pair s.
 
-
-def _image_distances(x, y) -> np.ndarray:
-    """|x - (d1 y1, d2 y2)| over the sign pairs d, shape (2, 2, len x, len y).
-
-    Index 0 of an axis is the node itself, index 1 its mirror image.
+    ``ring`` is the (centre, half width) of DISTANCE_RING, and ``x_axes``
+    and ``y_axes`` are :func:`_half_axis` of each axis.  Returns
+    one complex array of shape (2, 2, n, n), n the x-quadrant node count
+    (ij order), summed over blocks of GRAM_BLOCK_ENTRIES // (4 n) y nodes.
+    A block gathers its distances from per-axis tables of the squared image
+    offsets (x_a -/+ y_a)^2, turns them into the ring bump in place after
+    cos|sin is taken, and runs the parity butterflies in place; each of its
+    three arrays is a prefix of one buffer, so the working set stays put.
     """
-    sq = [np.stack((np.subtract.outer(xa, ya), np.add.outer(xa, ya))) ** 2
-          for xa, ya in zip(x, y)]
-    return np.sqrt(sq[0][:, None] + sq[1][None, :])
+    center, halfwidth = ring
+    (x1, _), (x2, _) = x_axes
+    (y1, fy1), (y2, fy2) = y_axes
+    sq1, sq2 = [np.stack((np.subtract.outer(xa, ya), np.add.outer(xa, ya))) ** 2
+                for xa, ya in ((x1, y1), (x2, y2))]
+    half, half_y = x1.size, y1.size
+    n_rows, n_cols = half * half, half_y * half_y
+    step = min(n_cols, max(1, GRAM_BLOCK_ENTRIES // (4 * n_rows)))
+    dist_buf = np.empty(4 * n_rows * step)
+    cs_buf = np.empty(2 * dist_buf.size)
+    mask_buf = np.empty(dist_buf.size, dtype=bool)
+    gram = np.zeros((2, 2, n_rows, n_rows), dtype=complex)
+    for start in range(0, n_cols, step):
+        j1, j2 = np.divmod(np.arange(start, min(start + step, n_cols)), half_y)
+        width = j1.size
+        size = 4 * n_rows * width
+        dist = dist_buf[:size].reshape(2, 2, half, half, width)
+        np.add(sq1[:, None, :, None, j1], sq2[None, :, None, :, j2], out=dist)
+        dist = dist.reshape(2, 2, n_rows, width)  # image (d1, d2), x node, y node
+        np.sqrt(dist, out=dist)
+        cs = cs_buf[:2 * size].reshape(2, 2, n_rows, 2, width)
+        np.multiply(dist, lam, out=cs[..., 1, :])
+        np.cos(cs[..., 1, :], out=cs[..., 0, :])
+        np.sin(cs[..., 1, :], out=cs[..., 1, :])
+        dist -= center
+        dist /= halfwidth
+        cs *= _bump_in_place(dist, mask_buf[:size].reshape(dist.shape))[..., None, :]
+        for axis in (0, 1):  # images (identity, reflected) -> parities (even, odd)
+            ident, refl = np.moveaxis(cs, axis, 0)
+            ident += refl  # a + b
+            refl *= -2.0
+            refl += ident  # (a + b) - 2b
+        for s1, s2 in np.ndindex(2, 2):
+            block = cs[s1, s2]
+            block *= fy1[s1][j1] * fy2[s2][j2]
+            block = block.reshape(n_rows, 2 * width)
+            gram[s1, s2].real += block @ block.T
+            gram[s1, s2].imag += block[:, width:] @ block[:, :width].T
+    for block in gram.reshape(4, n_rows, n_rows):
+        block.imag -= block.imag.T.copy()
+    return gram
 
 
 def distance_model(lam: float, points_per_wavelength: float = 10.0,
@@ -407,8 +469,10 @@ def distance_model(lam: float, points_per_wavelength: float = 10.0,
     four reflections d, with x and y in one quadrant; a centre node (odd
     count) scales it by 1/sqrt(2) and is absent from the odd parity.  The
     kernel is evaluated on the quadrants only and summed over blocks of y
-    nodes, with M_s = C + iS in real arithmetic:
-    Re G_s = [C S][C S]^T and Im G_s = X - X^T with X = S C^T.
+    nodes (:func:`_parity_grams`), with M_s = C + iS in real arithmetic:
+    Re G_s = [C S][C S]^T and Im G_s = X - X^T with X = S C^T.  The four
+    blocks are views of one complex array; on an odd x count the parities
+    without the centre copy out their rows.
     """
     for lo, hi in X_BOX_DISTANCE + Y_BOX_DISTANCE:
         if lo != -hi:
@@ -431,42 +495,19 @@ def distance_model(lam: float, points_per_wavelength: float = 10.0,
         return oscillatory_operator(distance_phase, amplitude, lam,
                                     x_nodes, x_w, y_nodes, y_w)
 
-    x, x_factors = _quadrant([_half_axis(lo, hi, n_x) for lo, hi in X_BOX_DISTANCE])
-    y, y_factors = _quadrant([_half_axis(lo, hi, n_y) for lo, hi in Y_BOX_DISTANCE])
-    n_rows = x[0].size
-    real = np.zeros((2, 2, n_rows, n_rows))
-    cross = np.zeros((2, 2, n_rows, n_rows))
-    step = max(1, GRAM_BLOCK_ENTRIES // (4 * n_rows))
-    for start in range(0, y[0].size, step):
-        cols = slice(start, start + step)
-        dist = _image_distances(x, [ya[cols] for ya in y])
-        amp = bump((dist - center) / halfwidth)
-        dist *= lam
-        width = dist.shape[-1]
-        cs = np.empty((2, 2, n_rows, 2, width))
-        np.cos(dist, out=cs[..., 0, :])
-        np.sin(dist, out=cs[..., 1, :])
-        cs *= amp[..., None, :]
-        for axis in (0, 1):  # images (identity, reflected) -> parities (even, odd)
-            ident, refl = np.moveaxis(cs, axis, 0)
-            diff = ident - refl
-            ident += refl
-            refl[...] = diff
-        for s1, s2 in np.ndindex(2, 2):
-            block = cs[s1, s2]
-            block *= y_factors[s1][s2][cols]
-            block = block.reshape(n_rows, 2 * width)
-            real[s1, s2] += block @ block.T
-            cross[s1, s2] += block[:, width:] @ block[:, :width].T
+    x_axes = [_half_axis(lo, hi, n_x) for lo, hi in X_BOX_DISTANCE]
+    y_axes = [_half_axis(lo, hi, n_y) for lo, hi in Y_BOX_DISTANCE]
+    gram = _parity_grams(lam, (center, halfwidth), x_axes, y_axes)
+    (_, fx1), (_, fx2) = x_axes
     half, n_odd = (n_x + 1) // 2, n_x // 2
     blocks = []
     for s1, s2 in np.ndindex(2, 2):
-        gram = real[s1, s2] + 1j * (cross[s1, s2] - cross[s1, s2].T)
-        factor = x_factors[s1][s2]
-        gram *= np.outer(factor, factor)
+        factor = np.outer(fx1[s1], fx2[s2]).ravel()
+        block = gram[s1, s2]
+        block *= np.outer(factor, factor)
         k1, k2 = (n_odd if s1 else half), (n_odd if s2 else half)
-        gram = gram.reshape(half, half, half, half)[:k1, :k2, :k1, :k2]
-        blocks.append(gram.reshape(k1 * k2, k1 * k2))
+        block = block.reshape(half, half, half, half)[:k1, :k2, :k1, :k2]
+        blocks.append(block.reshape(k1 * k2, k1 * k2))
     return OscillatoryModel(lam, tuple(blocks), n_x, n_y, dense)
 
 

@@ -423,6 +423,24 @@ def test_random_density_pairs_with_the_cluster_gram(lam):
     assert lhs == pytest.approx(rhs.real, rel=1e-12)
 
 
+def test_random_density_holds_one_ring_of_bins():
+    # at lam = 100 with 100 functions on cluster_upper's 112 x 216 grid a
+    # ring of bins is 0.35 MB.  Peak measured 2.6 MB, where bins for blocks
+    # of rings of up to 2 MB peaked at 9.4 MB
+    import tracemalloc
+
+    grid = _cluster_grid(100.0)
+    assert (grid.n_theta, grid.n_phi) == (112, 216)
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        cd.random_cluster_density(100.0, 100, rng, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
 def test_random_density_argument_validation():
     rng = np.random.default_rng(0)
     grid = sb.build_grid(16, 8)

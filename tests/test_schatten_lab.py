@@ -189,6 +189,19 @@ def test_bump_support_and_smooth_peak():
     assert sl.bump(0.0) == pytest.approx(1.0)
 
 
+def test_bump_is_its_formula_bit_for_bit_and_keeps_its_input():
+    t = np.random.default_rng(4).uniform(-1.5, 1.5, 1001)
+    t[::7] = np.nextafter(1.0, 0.0)
+    t[1::7] = -1.0
+    t[2::7] = 1e3
+    kept = t.copy()
+    inside = np.abs(t) < 1.0
+    expected = np.zeros_like(t)
+    expected[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
+    assert sl.bump(t).tobytes() == expected.tobytes()
+    assert np.array_equal(t, kept)
+
+
 def test_paraboloid_scaling_compensated_by_cube_root():
     etas = []
     for lam in (4.0, 8.0, 16.0):
@@ -279,6 +292,21 @@ def test_blocked_distance_gram_matches_dense_oracle(lam, ppw, block, monkeypatch
     sv, oracle = _assert_gram_matches_dense_oracle(sl.distance_model(lam, ppw))
     # the top 20 of these spectra sit above the Gram floor
     assert np.max(np.abs(sv - oracle)) <= 1e-12 * oracle[0]
+
+
+def test_distance_gram_working_set_stays_within_twice_the_gram():
+    # at lam = 16, refine = 2 the four parity Grams take 4.2 MB and a y
+    # block's three arrays 3.3 MB.  Peak measured 8.0 MB, where a block
+    # with its temporaries (2^18 entries) peaked at 21.8 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        model = sl.distance_model(16.0, refine=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sum(block.nbytes for block in model.gram)
 
 
 @pytest.mark.parametrize("box", ["X_BOX_DISTANCE", "Y_BOX_DISTANCE"])
