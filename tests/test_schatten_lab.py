@@ -284,6 +284,10 @@ def test_parity_split_distance_gram_matches_dense_oracle(lam, n_x, n_y, refine):
     (8.0, 10.0, sl.GRAM_BLOCK_ENTRIES),
     (8.0, 25.0, sl.GRAM_BLOCK_ENTRIES),
     (16.0, 10.0, sl.GRAM_BLOCK_ENTRIES),
+    # 2^18, twice the default: half as many y blocks of each Gram
+    (8.0, 10.0, 1 << 18),
+    (8.0, 25.0, 1 << 18),
+    (16.0, 10.0, 1 << 18),
     (16.0, 10.0, 4 * 64 * 97),  # 6 blocks of 97 y-quadrant nodes, the last 44
     (13.0, 10.0, 4 * 49 * 50),  # 8 blocks of 50, the last 11; odd n_x = 13
 ])
