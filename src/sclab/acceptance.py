@@ -5,14 +5,30 @@ memo dict and returns its checks; :func:`run_criterion` runs one and
 returns (checks, elapsed_seconds).  Ten criteria keep checks of an
 experiment runner at its default ranges (:func:`_runner_checks`); the
 other three verify the basis directly (orthonormality, equator anchors,
-randomized cotangent-bound trials).  :func:`acceptance_suite` hands every
-criterion one memo, so paired criteria (c04/c05, c08/c09) share one
-runner call; a criterion run on its own gets a fresh memo.  Both
-``sclab check`` and the pytest acceptance module run this table.
+randomized cotangent-bound trials).
+
+The direct criteria are arranged for cost.  g_l^m has the parity of
+l - m and the 256-point rule's weights are exactly symmetric, so c02
+tables each order on the 128 nodes x > 0 only (plus x = 0, which is not
+in the Gram) and forms its Gram as two same-parity blocks at twice the
+weight: the entries across parities are zero by symmetry.  Its tables'
+values at x = 0 are checked against the closed forms in one call, which
+ties each table to its order; the Gram alone cannot, since one order's
+rows are orthonormal whichever order they belong to.  c03 runs one
+degree recurrence over all 501 orders at x = 0 and compares a block of
+``_DEGREE_CHECK_STEPS`` steps with the closed forms per call: one call
+over all 125 751 pairs would hold ~13 MB of temporaries.  c06 takes
+|sum e^(i phi)| from the sums of cos and sin, in real arithmetic.
+
+:func:`acceptance_suite` hands every criterion one memo, so paired
+criteria (c04/c05, c08/c09) share one runner call; a criterion run on
+its own gets a fresh memo.  Both ``sclab check`` and the pytest
+acceptance module run this table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
@@ -25,10 +41,10 @@ from .experiments import (AcceptanceReport, Check, ExperimentConfig, RUNNERS,
 
 RUNTIME_BUDGETS = {  # seconds; criteria without an entry are unbudgeted
     "c01-weyl": 1.0,
-    "c02-orthonormality": 3.0,  # ~16x its 0.19 s median alone in a fresh process
-    "c03-equator-anchors": 1.6,  # ~15x its 0.11 s median in a slow phase (0.047 s typical)
+    "c02-orthonormality": 1.9,  # ~15x its 0.124 s median alone in a fresh process
+    "c03-equator-anchors": 0.4,  # ~15x its 0.026 s median, likewise
     "c04-wkb-accuracy": 0.8,  # ~18x its 0.045 s median alone in a fresh process
-    "c06-kuzmin-landau": 1.0,  # ~16x its 0.064 s median, likewise
+    "c06-kuzmin-landau": 0.9,  # ~15x its 0.062 s median, likewise
     "c07-phase-sums": 0.65,  # ~15x its 0.043 s median alone in a fresh process
     "c08-optimality-slopes": 3.5,  # ~17x its 0.20 s median alone in a fresh process
     "c10-dual-schatten": 2.0,  # ~18x its 0.11 s median alone in a fresh process
@@ -55,7 +71,13 @@ def _runner_checks(name: str, *prefixes: str):
 def _orthonormality(_memo) -> list:
     ell_max = 200
     grid = sb.build_grid(256, 2 * ell_max + 3)
-    x = np.cos(grid.theta_nodes)
+    # g_l^m has the parity of l - m and the rule is symmetric, so a 256-node
+    # sum of two rows is twice their sum over the 128 nodes x > 0 (theta <
+    # pi/2) where their l - m have one parity, and 0 where they differ;
+    # x = 0 is appended for the equator anchors, outside the Gram
+    half = grid.n_theta // 2
+    x = np.append(np.cos(grid.theta_nodes[:half]), 0.0)
+    scale = np.sqrt(4.0 * math.pi * grid.theta_weights[:half])
 
     # cross-order entries vanish through the azimuthal rule; sample them,
     # drawn first so that their rows come from the degree tables below
@@ -77,17 +99,28 @@ def _orthonormality(_memo) -> list:
         sampled.setdefault(m, []).append(ell)
 
     dev = 0.0
-    rows = {}
+    rows = {}  # (m, ell) -> g_l^m sqrt(4 pi w) on the nodes x > 0
+    at_zero = []  # per order m, g_l^m(0) for l = m, m + 2, ...
     for m, table in sb._degree_tables(0, ell_max, ell_max, x):
-        gram = 2.0 * math.pi * (table * grid.theta_weights) @ table.T
-        gram[np.diag_indices_from(gram)] -= 1.0
-        dev = max(dev, float(np.max(np.abs(gram))))
-        rows.update({(m, ell): table[ell - m].copy() for ell in sampled.get(m, ())})
+        for parity in (0, 1):
+            scaled = table[parity::2, :half] * scale
+            gram = scaled @ scaled.T
+            gram.flat[::len(gram) + 1] -= 1.0
+            dev = max(dev, float(np.abs(gram).max(initial=0.0)))
+        rows.update({(m, ell): table[ell - m, :half] * scale for ell in sampled.get(m, ())})
+        at_zero.append(table[::2, half].copy())
 
     cross = 0.0
     for a, b, phi_factor in pairs:
-        entry = 2.0 * math.pi * np.dot(grid.theta_weights, rows[a] * rows[b]) * phi_factor
+        same_parity = (a[1] - a[0] - b[1] + b[0]) % 2 == 0
+        entry = same_parity * np.dot(rows[a], rows[b]) * phi_factor
         cross = max(cross, abs(entry))
+
+    # the closed forms at the equator tie each table to its order
+    m_of, ell_of = np.indices((ell_max + 1, ell_max + 1))
+    ms, ells = np.nonzero((ell_of >= m_of) & ((ell_of - m_of) % 2 == 0))
+    values, _ = sb.normalized_at_zero(ells, ms)
+    anchor = float(np.max(np.abs(np.concatenate(at_zero) - values) / np.abs(values)))
 
     # equatorial-profile normalization, int |v|^2 dtheta = 1/(2 pi)
     vdev = 0.0
@@ -103,6 +136,7 @@ def _orthonormality(_memo) -> list:
         bound_check("orthonormality-gram-deviation", dev, 1e-12),
         bound_check("orthonormality-cross-order", cross, 1e-10),
         bound_check("v-normalization-deviation", vdev, 1e-12),
+        bound_check("orthonormality-equator-anchor", anchor, 1e-13),
     ]
 
 
@@ -110,25 +144,34 @@ def _equator_anchors(_memo) -> list:
     ell_max = 500
     orders = np.arange(ell_max + 1)
     x0 = np.zeros(1)
+    block = sb._DEGREE_CHECK_STEPS
+    # row 0 holds the column of the step before the block, rows 1.. its steps
+    columns = np.zeros((block + 1, orders.size))
     worst_val, worst_der = 0.0, 0.0
-    below = None
     # one recurrence over all orders: step j holds g_{m+j}^m(0) in row m
-    for step, rows in enumerate(sb._degree_rows(orders[:, None], ell_max, x0,
-                                                sb._seed_values(orders[:, None], x0))):
-        ms = orders[:ell_max + 1 - step]  # the orders still at degree <= ell_max
-        ells = ms + step
+    rows = sb._degree_rows(orders[:, None], ell_max, x0, sb._seed_values(orders[:, None], x0))
+    for start in range(0, ell_max + 1, block):
+        count = min(block, ell_max + 1 - start)
+        for i, row in enumerate(itertools.islice(rows, count)):
+            columns[i + 1] = row[:, 0]
+        steps = np.arange(start, start + count)[:, None]
+        ells = orders + steps
+        kept = ells <= ell_max  # the orders still at degree <= ell_max
+        ells, ms = ells[kept], np.broadcast_to(orders, kept.shape)[kept]
+        here, below = columns[1:count + 1][kept], columns[:count][kept]
         values, derivs = sb.normalized_at_zero(ells, ms)
-        if step % 2 == 0:  # l + m even: v(0) is the row itself
-            rel = np.abs(rows[ms, 0] - values) / np.abs(values)
-            worst_val = max(worst_val, float(rel.max()))
-        else:
-            # (g_l^m)'(0) = sqrt((2l+1)(l-m)(l+m)/(2l-1)) g_{l-1}^m(0)
-            ell_o = ells.astype(float)
-            factor = np.sqrt((2 * ell_o + 1) * (ell_o - ms) * (ell_o + ms)
-                             / (2 * ell_o - 1))
-            rel = np.abs(factor * below[ms, 0] - derivs) / np.abs(derivs)
-            worst_der = max(worst_der, float(rel.max()))
-        below = rows
+        even = np.broadcast_to(steps % 2 == 0, kept.shape)[kept]
+        # l + m even: v(0) is the row itself
+        rel = np.abs(here[even] - values[even]) / np.abs(values[even])
+        worst_val = max(worst_val, float(rel.max(initial=0.0)))
+        # (g_l^m)'(0) = sqrt((2l+1)(l-m)(l+m)/(2l-1)) g_{l-1}^m(0)
+        odd = ~even
+        ell_o, m_o = ells[odd].astype(float), ms[odd]
+        factor = np.sqrt((2 * ell_o + 1) * (ell_o - m_o) * (ell_o + m_o)
+                         / (2 * ell_o - 1))
+        rel = np.abs(factor * below[odd] - derivs[odd]) / np.abs(derivs[odd])
+        worst_der = max(worst_der, float(rel.max(initial=0.0)))
+        columns[0] = columns[count]
     return [
         bound_check("equator-value-agreement", worst_val, 1e-13),
         bound_check("equator-derivative-agreement", worst_der, 1e-13),
@@ -149,7 +192,7 @@ def _kuzmin_landau(_memo) -> list:
             incs = incs[:, ::-1]
         phases = np.cumsum(np.concatenate(
             [rng.uniform(0, 2 * math.pi, (batch, 1)), incs], axis=1), axis=1)
-        sums = np.abs(np.exp(1j * phases).sum(axis=1))
+        sums = np.hypot(np.cos(phases).sum(axis=1), np.sin(phases).sum(axis=1))
         bound = es.kuzmin_landau_bound(eps)
         violations += int(np.sum(sums > bound))
         worst_margin = min(worst_margin, float(np.min(bound - sums)))

@@ -7,9 +7,10 @@ the closed-form action is checked against its plain antiderivative in
 library's Gauss rule takes Stieltjes' series, and Miller's sweep in order
 next to the poles), the all-node Gauss rule runs that recurrence at every
 node, the action integral is a brute-force composite Simpson rule, the
-profile integrals run one Gauss panel at a time in a Python loop, and the
-projector spectrum comes from the dense addition-theorem kernel on the
-mesh.
+profile integrals run one Gauss panel at a time in a Python loop, the
+equator anchors of the degree recurrence are checked one step at a time,
+and the projector spectrum comes from the dense addition-theorem kernel on
+the mesh.
 Frozen literals in the tests were produced by these functions; rerun
 them to re-derive any of the constants.
 
@@ -259,3 +260,37 @@ def singular_values(matrix) -> np.ndarray:
     else:
         gram = matrix.conj().T @ matrix
     return np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))[::-1]
+
+
+def equator_anchors_per_step(ell_max: int):
+    """Worst relative errors of the degree recurrence at x = 0, step by step.
+
+    Runs the library's degree recurrence over all orders 0..ell_max at the
+    one node x = 0 and compares each step's rows with the closed forms of
+    ``sphere_basis.normalized_at_zero``, one call per step: values where
+    l - m is even, derivatives through g_{l-1}^m(0) where it is odd.  The
+    per-step reference for the acceptance criterion c03, which gathers 32
+    steps per call.  Returns (worst value error, worst derivative error).
+    """
+    from sclab import sphere_basis as sb
+
+    orders = np.arange(ell_max + 1)
+    x0 = np.zeros(1)
+    worst_val, worst_der = 0.0, 0.0
+    below = None
+    for step, rows in enumerate(sb._degree_rows(orders[:, None], ell_max, x0,
+                                                sb._seed_values(orders[:, None], x0))):
+        ms = orders[:ell_max + 1 - step]
+        ells = ms + step
+        values, derivs = sb.normalized_at_zero(ells, ms)
+        if step % 2 == 0:
+            rel = np.abs(rows[ms, 0] - values) / np.abs(values)
+            worst_val = max(worst_val, float(rel.max()))
+        else:
+            ell_o = ells.astype(float)
+            factor = np.sqrt((2 * ell_o + 1) * (ell_o - ms) * (ell_o + ms)
+                             / (2 * ell_o - 1))
+            rel = np.abs(factor * below[ms, 0] - derivs) / np.abs(derivs)
+            worst_der = max(worst_der, float(rel.max()))
+        below = rows
+    return worst_val, worst_der

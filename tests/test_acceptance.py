@@ -9,12 +9,16 @@ that the stated criteria fix.  ``sclab check`` runs the same table.
 """
 
 import collections
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from _oracles import equator_anchors_per_step
 from sclab import acceptance as acc
 from sclab import experiments as ex
+from sclab import expsum as es
 from sclab import sphere_basis as sb
 from sclab.experiments import Check
 
@@ -33,7 +37,7 @@ PINS = {
         {"weyl-count-slope": 0.02, "weyl-leading-coefficient": 0.05})),
     "c02-orthonormality": ("test_c02_orthonormality", _tols(
         {"orthonormality-gram-deviation": 1e-12, "orthonormality-cross-order": 1e-10,
-         "v-normalization-deviation": 1e-12})),
+         "v-normalization-deviation": 1e-12, "orthonormality-equator-anchor": 1e-13})),
     "c03-equator-anchors": ("test_c03_equator_anchors", _all_tol(1e-13)),
     "c04-wkb-accuracy": ("test_c04_wkb_accuracy", _tols(
         {"wkb-metric-variation-case2": 3.0, "wkb-metric-variation-caseinf": 3.0})),
@@ -126,7 +130,8 @@ def test_orthonormality_fails_on_scipys_rule(monkeypatch):
     verdicts = {c.name: c.passed for c in checks}
     assert verdicts == {"orthonormality-gram-deviation": False,
                         "orthonormality-cross-order": True,
-                        "v-normalization-deviation": True}
+                        "v-normalization-deviation": True,
+                        "orthonormality-equator-anchor": True}
 
 
 def test_orthonormality_fails_on_a_neighbouring_orders_rows(monkeypatch):
@@ -150,10 +155,83 @@ def test_orthonormality_fails_on_a_neighbouring_orders_rows(monkeypatch):
     # the cross-order line cannot fail on normalized rows: every sampled
     # pair has 0 < |m_a - m_b| <= 200 < 403 azimuthal nodes, so its factor
     # mean(exp(i (m_a - m_b) phi)) is roundoff, ~1e-17, and every entry is
-    # below 1e-15 whatever the rows (1.1e-15 here)
+    # below 1e-15 whatever the rows (1.1e-15 here); g_l^{m+1}(0) = 0 where
+    # l - m is even, so the equator anchor reads 1
     assert verdicts == {"orthonormality-gram-deviation": False,
                         "orthonormality-cross-order": True,
-                        "v-normalization-deviation": True}
+                        "v-normalization-deviation": True,
+                        "orthonormality-equator-anchor": False}
+
+
+def test_orthonormality_anchor_fails_on_the_order_below(monkeypatch):
+    # each order m >= 1 is handed g_l^{m-1} at its degrees l = m..200: one
+    # order's rows are orthonormal whichever order they belong to, so only
+    # the equator anchor, g_l^{m-1}(0) = 0 where l - m is even, can tell
+    genuine = sb._degree_tables
+
+    def order_below(m_lo, m_hi, ell_max, x):
+        lower = None
+        for m, table in genuine(m_lo, m_hi, ell_max, x):
+            yield m, (table if lower is None else lower[1:])
+            lower = table.copy()
+
+    monkeypatch.setattr(sb, "_degree_tables", order_below)
+    checks, _ = acc.run_criterion(dict(acc.CRITERIA)["c02-orthonormality"])
+    verdicts = {c.name: c.passed for c in checks}
+    assert verdicts == {"orthonormality-gram-deviation": True,
+                        "orthonormality-cross-order": True,
+                        "v-normalization-deviation": True,
+                        "orthonormality-equator-anchor": False}
+
+
+@pytest.mark.parametrize("m", [0, 1, 100, 152, 200])  # 152 and up: lifted seeds
+def test_half_grid_gram_matches_the_full_grid(m):
+    # the 256-node Gram of one order against c02's two same-parity blocks on
+    # the nodes x > 0, at twice the weight.  The full grid mirrors those
+    # nodes: cos(theta) of the rule's theta nodes is antisymmetric only to
+    # ~2e-16, which alone moves the full Gram's cross-parity entries to
+    # ~5e-15; mirrored, they are roundoff (measured <= 1.7e-16) and the
+    # blocks agree to a few ulps of the unit diagonal (measured 1.2e-15)
+    ell_max = 200
+    grid = sb.build_grid(256, 2 * ell_max + 3)
+    x, w = np.cos(grid.theta_nodes[:128]), grid.theta_weights
+    assert np.array_equal(w[:128], w[::-1][:128])
+    full = sb.legendre_degree_table(m, ell_max, np.concatenate([x, -x[::-1]]))
+    gram = 2.0 * math.pi * (full * w) @ full.T
+    half = sb.legendre_degree_table(m, ell_max, x)
+    for parity in (0, 1):
+        rows = half[parity::2] * np.sqrt(4.0 * math.pi * w[:128])
+        np.testing.assert_allclose(gram[parity::2, parity::2], rows @ rows.T,
+                                   rtol=0, atol=2e-15)
+    assert np.abs(gram[0::2, 1::2]).max(initial=0.0) <= 1e-15
+
+
+def test_equator_anchors_match_the_per_step_loop():
+    checks, _ = acc.run_criterion(dict(acc.CRITERIA)["c03-equator-anchors"])
+    measured = tuple(c.measured for c in checks)
+    assert measured == equator_anchors_per_step(500)
+
+
+def test_equator_anchors_hold_one_block_of_steps():
+    # one call of normalized_at_zero over every pair peaked at 13.3 MB
+    criterion = dict(acc.CRITERIA)["c03-equator-anchors"]
+    acc.run_criterion(criterion)  # the closed forms' table is cached
+    tracemalloc.start()
+    try:
+        acc.run_criterion(criterion)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+def test_kuzmin_landau_fails_on_a_smaller_bound(monkeypatch):
+    # cot(eps/2) in place of cot(eps/4); 0.9 times the bound still passes
+    # and 0.8 times fails, so c06 resolves the bound to ~15%
+    monkeypatch.setattr(es, "kuzmin_landau_bound", lambda eps: 1.0 / math.tan(eps / 2.0))
+    checks, _ = acc.run_criterion(dict(acc.CRITERIA)["c06-kuzmin-landau"])
+    assert {c.name: c.passed for c in checks} == {
+        "kuzmin-landau-violations": False, "kuzmin-landau-margin-nonnegative": False}
 
 
 def test_suite_aggregate_report(monkeypatch):
