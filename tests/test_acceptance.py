@@ -190,7 +190,7 @@ def test_half_grid_gram_matches_the_full_grid(m):
     # the nodes x > 0, at twice the weight.  The full grid mirrors those
     # nodes: cos(theta) of the rule's theta nodes is antisymmetric only to
     # ~2e-16, which alone moves the full Gram's cross-parity entries to
-    # ~5e-15; mirrored, they are roundoff (measured <= 1.7e-16) and the
+    # ~5e-15; mirrored, they are roundoff (measured <= 8.8e-17) and the
     # blocks agree to a few ulps of the unit diagonal (measured 1.2e-15)
     ell_max = 200
     grid = sb.build_grid(256, 2 * ell_max + 3)
@@ -227,7 +227,7 @@ def test_equator_anchors_hold_one_block_of_steps():
 
 def test_kuzmin_landau_fails_on_a_smaller_bound(monkeypatch):
     # cot(eps/2) in place of cot(eps/4); 0.9 times the bound still passes
-    # and 0.8 times fails, so c06 resolves the bound to ~15%
+    # and 0.85 times fails, so c06 resolves the bound to ~15%
     monkeypatch.setattr(es, "kuzmin_landau_bound", lambda eps: 1.0 / math.tan(eps / 2.0))
     checks, _ = acc.run_criterion(dict(acc.CRITERIA)["c06-kuzmin-landau"])
     assert {c.name: c.passed for c in checks} == {
