@@ -5,7 +5,8 @@ memo dict and returns its checks; :func:`run_criterion` runs one and
 returns (checks, elapsed_seconds).  Ten criteria keep checks of an
 experiment runner at its default ranges (:func:`_runner_checks`); the
 other three verify the basis directly (orthonormality, equator anchors,
-randomized cotangent-bound trials).
+and the cotangent bound on random trials and on its near-extremal
+up-then-down family, where a bound 0.9x or 2x the true one fails).
 
 The direct criteria are arranged for cost.  g_l^m has the parity of
 l - m and the 256-point rule's weights are exactly symmetric, so c02
@@ -18,7 +19,8 @@ rows are orthonormal whichever order they belong to.  c03 runs one
 degree recurrence over all 501 orders at x = 0 and compares a block of
 ``_DEGREE_CHECK_STEPS`` steps with the closed forms per call: one call
 over all 125 751 pairs would hold ~13 MB of temporaries.  c06 takes
-|sum e^(i phi)| from the sums of cos and sin, in real arithmetic.
+|sum e^(i phi)| from the sums of cos and sin, in real arithmetic, and
+sums the family in closed form from tables of sin and cos.
 
 :func:`acceptance_suite` hands every criterion one memo, so paired
 criteria (c04/c05, c08/c09) share one runner call; a criterion run on
@@ -43,12 +45,12 @@ RUNTIME_BUDGETS = {  # seconds; criteria without an entry are unbudgeted
     "c01-weyl": 1.0,
     "c02-orthonormality": 1.9,  # ~15x its 0.124 s median alone in a fresh process
     "c03-equator-anchors": 0.4,  # ~15x its 0.026 s median, likewise
-    "c04-wkb-accuracy": 0.8,  # ~18x its 0.045 s median alone in a fresh process
+    "c04-wkb-accuracy": 0.42,  # ~15x its 0.028 s median alone in a fresh process
     "c06-kuzmin-landau": 0.9,  # ~15x its 0.062 s median, likewise
     "c07-phase-sums": 0.65,  # ~15x its 0.043 s median alone in a fresh process
-    "c08-optimality-slopes": 3.5,  # ~17x its 0.20 s median alone in a fresh process
-    "c10-dual-schatten": 2.0,  # ~18x its 0.11 s median alone in a fresh process
-    "c11-oscillatory-scaling": 1.5,  # ~15x its 0.10 s median, likewise
+    "c08-optimality-slopes": 0.55,  # ~15x its 0.036 s median, likewise
+    "c10-dual-schatten": 0.35,  # ~15x its 0.023 s median, likewise
+    "c11-oscillatory-scaling": 0.27,  # ~15x its 0.018 s median, likewise
 }
 
 
@@ -178,6 +180,34 @@ def _equator_anchors(_memo) -> list:
     ]
 
 
+def _up_then_down(eps: float) -> np.ndarray:
+    """Largest |sum e^(i phi)| of the up-then-down family at ``eps``, per K.
+
+    The family takes N increments eps, then K - N increments 2 pi - eps:
+    monotone, eps-separated increments whose sums come within 1% of
+    cot(eps/4) at small eps.  Entry K, for K = 0..8 pi / eps, is the
+    largest sum over 0 <= N <= K.  Mod 2 pi the terms are e^(i n eps) for
+    n = 0..N and for n = 2N - K..N - 1, two runs of N + 1 and K - N terms
+    whose centres lie (2N - K - 1) eps/2 apart, so |sum| = |A + B e^(i d)|
+    with A and B the runs' Dirichlet kernels, read from tables of sin and
+    cos at multiples of eps/2.  The (K, N) grid is taken 32 rows of K at a
+    time, which keeps its arrays to ~0.1 MB each.
+    """
+    k_max = int(8.0 * math.pi / eps)
+    half = np.arange(2 * k_max + 2) * (0.5 * eps)
+    sin_t, cos_t = np.sin(half), np.cos(half)
+    dirichlet = sin_t / sin_t[1]
+    n = np.arange(k_max + 1)
+    best = np.empty(k_max + 1)
+    for start in range(0, k_max + 1, 32):
+        k = n[start:start + 32, None]
+        run_b = dirichlet[np.abs(k - n)]
+        delta = np.abs(2 * n - k - 1)
+        sums = np.hypot(dirichlet[n + 1] + run_b * cos_t[delta], run_b * sin_t[delta])
+        best[start:start + 32] = np.max(sums, axis=1, where=n <= k, initial=0.0)
+    return best
+
+
 def _kuzmin_landau(_memo) -> list:
     rng = np.random.default_rng(20240801)
     violations = 0
@@ -196,10 +226,22 @@ def _kuzmin_landau(_memo) -> list:
         bound = es.kuzmin_landau_bound(eps)
         violations += int(np.sum(sums > bound))
         worst_margin = min(worst_margin, float(np.min(bound - sums)))
+    family_worst, sharpness = 0.0, math.inf
+    for eps in (0.05, 0.2, 0.5, 1.0, 2.0, math.pi):
+        sums = _up_then_down(eps)
+        bound = es.kuzmin_landau_bound(eps)
+        # eps = pi, K = 2 attains the bound: allow a sum's (K + 1) ulps
+        allowance = 1.0 + np.arange(1, sums.size + 1) * 2.0**-52
+        family_worst = max(family_worst, float(np.max(sums / (bound * allowance))))
+        if eps <= 1.0:  # the family is near-extremal as eps -> 0 only
+            sharpness = min(sharpness, float(sums.max()) / bound)
     return [
         Check("kuzmin-landau-violations", 0.0, float(violations), 0.0,
               violations == 0),
         flag_check("kuzmin-landau-margin-nonnegative", worst_margin >= 0.0),
+        bound_check("kuzmin-landau-family-bound-holds", family_worst, 1.0),
+        Check("kuzmin-landau-family-sharpness", 1.0, sharpness, 0.01,
+              sharpness >= 0.99),
     ]
 
 

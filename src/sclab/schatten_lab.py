@@ -29,49 +29,50 @@ matrices, and the dense matrices stay only as test oracles.
 
 - Cluster Gram (:func:`weighted_cluster_gram`, shared by
   :func:`projector_gram` and :func:`kss_bound`): an FFT of |W|^2 along
-  each azimuthal ring, then one theta sum per pair of basis functions,
-  O(n_theta dim^2) instead of O(n_theta n_phi dim^2).  Same quadrature,
-  so the entries agree with the mesh product to roundoff.  The kernel
-  itself refuses a grid too coarse for that quadrature to be exact
-  enough, so both callers share the one resolution check.
+  each azimuthal ring, then one theta sum per pair of basis functions in
+  the lower triangle, mirrored into the upper one: O(n_theta dim^2 / 2)
+  instead of O(n_theta n_phi dim^2).  Same quadrature, so the entries
+  agree with the mesh product to roundoff, and eigvalsh reads the lower
+  triangle only.  The kernel itself refuses a grid too coarse for that
+  quadrature to be exact enough, so both callers share the one check.
 - Paraboloid (:func:`paraboloid_model`): phase and amplitude separate over
   x_1 and x_2, so M^H M is the entrywise product of two n_y x n_y Grams,
-  O(n_x n_y^2) with no n_x^2 x n_y matrix.
-- Distance (:func:`distance_model`): |x - y| does not separate, but the
-  boxes are centred on 0, the ring depends on |x - y| only and the Gauss
-  nodes are symmetric, so each axis reflection of the square commutes
-  with M.  In the per-axis even/odd basis M M^H splits into four
-  Hermitian blocks, one per parity pair, each built from the kernel on
-  one quadrant of x nodes against the four reflected images of one
-  quadrant of y nodes: a quarter of the cos/sin work and ~1/16 of the
-  products and of the eigensolve.  Each block is summed over blocks of y
-  nodes (at most GRAM_BLOCK_ENTRIES kernel entries each) in real
-  arithmetic: Re G = [C S][C S]^T and Im G = X - X^T, X = S C^T, half
-  the flops of the complex product.  A y block holds three arrays, reused
-  from block to block: the distances, gathered from per-axis tables of
-  squared offsets and turned into the ring bump in place; cos|sin, which
-  the butterflies into parities overwrite; and the bump's mask.  That is
-  25 bytes a kernel entry, 3.3 MB at 2^17 entries, and the four Grams
-  accumulate into one complex array; at lam = 16, refine = 2 a call's
-  tracemalloc peak is 8.0 MB for a 4.2 MB Gram.
+  O(n_x n_y^2) with no n_x^2 x n_y matrix.  Symmetric x rules and even
+  amplitudes make it real, solved in a third of the complex time.
+- Distance (:func:`distance_model`): |x - y| does not separate, but both
+  boxes are squares centred on 0, the ring depends on |x - y| only and
+  the Gauss nodes are symmetric, so the square's group D4 (the axis
+  reflections and the axis swap) commutes with M.  Its adapted basis
+  splits M M^H into five distinct Hermitian blocks, built from the kernel
+  on the octant i <= j of x-quadrant pairs against the four reflected
+  images of the y-quadrant nodes: ~1/8 of the full grid's cos/sin work,
+  and 38% of the products and eigensolves of the four parity blocks.  They
+  are summed over blocks of unordered y pairs in real arithmetic,
+  Re G = C C^T + S S^T and Im G = X - X^T with X = S C^T, half the flops
+  of the complex product, in three arrays reused from block to block (see
+  GRAM_BLOCK_ENTRIES): the distances, turned into the ring bump in place;
+  cos|sin, which the parity and swap butterflies overwrite; the mask.
 
 Every model holds its Gram as a tuple of diagonal blocks (one for the
-paraboloid, four for the distance), and :func:`gram_singular_values`
-merges their spectra.
+paraboloid, six for the distance, one object listed twice), and
+:func:`gram_singular_values` merges their spectra.
 
 Precision.  A Gram squares the singular values, so its eigenvalues carry
 an absolute error ~eps sigma_max^2 and a singular value below
 ~sqrt(eps) sigma_max (~1.5e-8 sigma_max) is roundoff, whatever the route.
-Two routes agree on those only as squares.  The parity split adds an
-error of the same order: the Gauss nodes and weights are symmetric only
-to roundoff, and the split takes each reflected node as the exact mirror
-image, so it is tested against the dense oracle (top singular values
-within ~4e-15 sigma_max).  The benchmark's references pin two values of
-the lam ~ 8 paraboloid below that floor (sigma_8 ~ 4e-8 and
-sigma_9 ~ 9e-9, at the 12-node floor of both axes) to 1e-6 relative plus
-1e-11, and the separable Gram moves sigma_9 by 1-5% relative at
-lam = 7.9-8.1.  So matrices of at most DENSE_RUNG_ENTRIES entries
-(144 x 12) keep the dense product M^H M, bit for bit the oracle's.
+Two routes agree on those only as squares.  The D4 split adds an error
+of the same order: the Gauss nodes and weights are symmetric only to
+roundoff, and the split takes each reflected or swapped node as its
+exact image, so it is tested against the dense oracle (top singular
+values within ~4e-15 sigma_max).  Dropping the paraboloid Gram's
+imaginary part (~2e-17 sigma_max^2) moves only singular values near the
+floor: at lam ~ 16, sigma_9 ~ 3e-6 sigma_max by 5e-7 relative.  The
+benchmark's references pin two values of the lam ~ 8 paraboloid below
+the floor (sigma_8 ~ 4e-8 and sigma_9 ~ 9e-9, at the 12-node floor of
+both axes) to 1e-6 relative plus 1e-11, and the separable Gram moves
+sigma_9 by 1-5% relative at lam = 7.9-8.1.  So matrices of at most
+DENSE_RUNG_ENTRIES entries (144 x 12) keep the dense product M^H M, bit
+for bit the oracle's.
 """
 
 from __future__ import annotations
@@ -141,6 +142,7 @@ def weighted_cluster_gram(ells, w_samples, grid: SphereGrid) -> np.ndarray:
     c_k(theta) = (2 pi / n_phi) sum_j |W|^2 e^{-i k phi_j}, and G_ab = sum_theta w_theta g_a g_b c_{m_a - m_b}(theta),
     one diagonal m_a - m_b at a time.  That costs O(n_theta dim^2) plus the
     FFT, against O(n_theta n_phi dim^2) for the product of the mesh matrices.
+    Only the lower triangle is summed; the upper one is its conjugate.
 
     ``w_samples(theta, phi)`` must be real and bounded.  The grid has to
     integrate products of two cluster harmonics against |W|^2 exactly
@@ -163,14 +165,17 @@ def weighted_cluster_gram(ells, w_samples, grid: SphereGrid) -> np.ndarray:
     gram = np.empty((offsets[-1], offsets[-1]), dtype=complex)
     for ia, rows_a in enumerate(tables):
         weighted = rows_a * grid.theta_weights
-        for ib, rows_b in enumerate(tables):
+        for ib, rows_b in enumerate(tables[:ia + 1]):
             block = gram[offsets[ia]:offsets[ia + 1], offsets[ib]:offsets[ib + 1]]
             n_a, n_b = rows_a.shape[0], rows_b.shape[0]
             shift = (n_a - n_b) // 2  # l_a - l_b
-            for s in range(1 - n_b, n_a):  # s = a - b; m_a - m_b = s - shift
+            # s = a - b; m_a - m_b = s - shift; the lower triangle only
+            for s in range(0 if ia == ib else 1 - n_b, n_a):
                 a = np.arange(max(0, s), min(n_a, n_b + s))
                 block[a, a - s] = ((weighted[a] * rows_b[a - s])
                                    @ coef[:, (s - shift) % grid.n_phi])
+    upper = np.triu_indices(offsets[-1], 1)
+    gram[upper] = gram.T[upper].conj()
     return gram
 
 
@@ -268,9 +273,12 @@ def gram_singular_values(blocks) -> np.ndarray:
     """Descending singular values of M, given its Gram M^H M or M M^H.
 
     ``blocks`` are the Gram's diagonal blocks (Hermitian; a sequence, even
-    for a single block); their spectra are merged.
+    for a single block); their spectra are merged.  A block listed more
+    than once, as one object, is solved once and its spectrum repeated.
     """
-    eigs = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[::-1]
+    distinct = {id(block): block for block in blocks}
+    spectra = {key: np.linalg.eigvalsh(block) for key, block in distinct.items()}
+    eigs = np.sort(np.concatenate([spectra[id(block)] for block in blocks]))[::-1]
     return np.sqrt(np.clip(eigs, 0.0, None))
 
 
@@ -340,7 +348,9 @@ def paraboloid_model(lam: float, points_per_wavelength: float = 10.0,
     the per-axis node counts at >= points_per_wavelength per oscillation.
     The Gram is M^H M on the y side.  Phase and amplitude separate over
     x_1 and x_2, M[(i1, i2), j] = A1[i1, j] A2[i2, j] D_j, so
-    M^H M = D [(A1^H A1) o (A2^H A2)] D in O(n_x n_y^2), without M.
+    M^H M = D [(A1^H A1) o (A2^H A2)] D in O(n_x n_y^2), without M.  It
+    is real (the x rules are symmetric and the bumps even), so the model
+    keeps the real part of that product; the dense rung stays complex.
     """
     n_x = _axis_count(lam, 1.0, 0.52, points_per_wavelength) * refine
     n_y = _axis_count(lam, 1.0, 0.75, points_per_wavelength) * refine
@@ -363,21 +373,20 @@ def paraboloid_model(lam: float, points_per_wavelength: float = 10.0,
     a1 = _bump_factor(*X_BOX_PARABOLOID[0], n_x, lam, y)
     a2 = _bump_factor(*X_BOX_PARABOLOID[1], n_x, lam, 0.5 * y * y)
     d = np.sqrt(y_w) * box_bump(y[:, None], Y_BOX_PARABOLOID)
-    gram = (a1.conj().T @ a1) * (a2.conj().T @ a2)
-    gram *= np.outer(d, d)
+    gram = ((a1.conj().T @ a1) * (a2.conj().T @ a2)).real * np.outer(d, d)
     return OscillatoryModel(lam, (gram,), n_x, n_y, dense)
 
 
 X_BOX_DISTANCE = ((-0.3, 0.3), (-0.3, 0.3))
 Y_BOX_DISTANCE = ((-0.9, 0.9), (-0.9, 0.9))
 DISTANCE_RING = (0.2, 0.8)
-# y-quadrant nodes per Gram block, as a count of kernel entries over the
-# four reflected images.  A block holds 25 bytes an entry: the distances
-# (8, turned into the ring bump in place), cos|sin (16) and the bump's
-# mask (1), 3.3 MB at 2^17 whatever the resolution.  At lam = 16,
-# refine = 2 (a 4.2 MB Gram) a call's tracemalloc peak is 8.0 MB at 2^17
-# and 11.3 MB at 2^18; 2^16 peaks at 6.4 MB but takes ~15% longer than
-# 2^17 (smaller products), on a 2-core x86 box.
+# Unordered y-quadrant pairs per Gram block, as a count of kernel entries
+# (four images, octant rows, both orders of a pair).  A block holds 25
+# bytes an entry: the distances (8, turned into the ring bump in place),
+# cos|sin (16) and the bump's mask (1), 3.3 MB at 2^17 whatever the
+# resolution.  At lam = 16, refine = 2 (2.1 MB of Grams) a call peaks at
+# 5.7 MB at 2^17 and 9.1 MB at 2^18; 2^16 peaks at 4.2 MB but runs ~10%
+# longer (smaller products), on a 2-core x86 box.
 GRAM_BLOCK_ENTRIES = 1 << 17
 
 
@@ -398,39 +407,65 @@ def _half_axis(lo: float, hi: float, n: int):
     return nodes[:half], (even, odd)
 
 
-def _parity_grams(lam: float, ring: tuple[float, float], x_axes, y_axes) -> np.ndarray:
-    """Re G_s + i Im G_s of distance_model, before the x factors, per parity pair s.
+def _add_gram(out: np.ndarray, a: np.ndarray, b: np.ndarray | None = None) -> None:
+    """out += a b^H for a = C + iS held as (rows, cos|sin, y nodes).
 
-    ``ring`` is the (centre, half width) of DISTANCE_RING, and ``x_axes``
-    and ``y_axes`` are :func:`_half_axis` of each axis.  Returns
-    one complex array of shape (2, 2, n, n), n the x-quadrant node count
-    (ij order), summed over blocks of GRAM_BLOCK_ENTRIES // (4 n) y nodes.
-    A block gathers its distances from per-axis tables of the squared image
-    offsets (x_a -/+ y_a)^2, turns them into the ring bump in place after
-    cos|sin is taken, and runs the parity butterflies in place; each of its
-    three arrays is a prefix of one buffer, so the working set stays put.
+    Without ``b``, a a^H with X = S C^T as its imaginary part, which the
+    caller turns into X - X^T once the last y block is in.
+    """
+    (ca, sa), (cb, sb) = a.swapaxes(0, 1), (a if b is None else b).swapaxes(0, 1)
+    out.real += ca @ cb.T
+    out.real += sa @ sb.T
+    out.imag += sa @ cb.T
+    if b is not None:
+        out.imag -= ca @ sb.T
+
+
+def _d4_grams(lam: float, ring: tuple[float, float], x_axis, y_axis) -> tuple:
+    """The blocks (ee even, ee odd, eo, eo, oo even, oo odd) of distance_model.
+
+    ``ring`` is DISTANCE_RING's (centre, half width); ``x_axis`` and
+    ``y_axis`` are :func:`_half_axis` of one axis of each box.  Rows are
+    the octant pairs (i, j), i <= j, as [i < j | i = j]; (e, o) appends
+    the rows i > j, the (o, e) rows (j, i) read at swapped y.  A y block
+    of at most GRAM_BLOCK_ENTRIES // (8 n) unordered pairs {k, l}, n
+    octant rows, takes the columns [k = l | k < l | (l, k)], so it is
+    closed under the swap and every product reads views.
     """
     center, halfwidth = ring
-    (x1, _), (x2, _) = x_axes
-    (y1, fy1), (y2, fy2) = y_axes
-    sq1, sq2 = [np.stack((np.subtract.outer(xa, ya), np.add.outer(xa, ya))) ** 2
-                for xa, ya in ((x1, y1), (x2, y2))]
-    half, half_y = x1.size, y1.size
-    n_rows, n_cols = half * half, half_y * half_y
-    step = min(n_cols, max(1, GRAM_BLOCK_ENTRIES // (4 * n_rows)))
-    dist_buf = np.empty(4 * n_rows * step)
+    (x, (fe, fo)), (y, fy) = x_axis, y_axis
+    sq = np.stack((np.subtract.outer(x, y), np.add.outer(x, y))) ** 2
+    i, j = np.triu_indices(x.size, 1)
+    i, j = np.append(i, np.arange(x.size)), np.append(j, np.arange(x.size))
+    n_oct, n_lt = i.size, i.size - x.size
+    sq_i, sq_j = sq[:, i], sq[:, j]  # (image, octant row, y node)
+    # x factors by parity pair; swap-even rows i = j at 1/sqrt 2 (k = l at sqrt 2)
+    half_diag = np.where(i == j, math.sqrt(0.5), 1.0)
+    fx = [[f1[i] * f2[j] * (half_diag if s1 == s2 else 1.0)
+           for s2, f2 in enumerate((fe, fo))] for s1, f1 in enumerate((fe, fo))]
+    pair_k, pair_l = np.triu_indices(y.size)
+    per_block = max(1, GRAM_BLOCK_ENTRIES // (8 * n_oct))
+    dist_buf = np.empty(8 * n_oct * min(per_block, pair_k.size))
     cs_buf = np.empty(2 * dist_buf.size)
     mask_buf = np.empty(dist_buf.size, dtype=bool)
-    gram = np.zeros((2, 2, n_rows, n_rows), dtype=complex)
-    for start in range(0, n_cols, step):
-        j1, j2 = np.divmod(np.arange(start, min(start + step, n_cols)), half_y)
-        width = j1.size
-        size = 4 * n_rows * width
-        dist = dist_buf[:size].reshape(2, 2, half, half, width)
-        np.add(sq1[:, None, :, None, j1], sq2[None, :, None, :, j2], out=dist)
-        dist = dist.reshape(2, 2, n_rows, width)  # image (d1, d2), x node, y node
+    same = [[np.zeros((n, n), dtype=complex) for n in (n_oct, n_lt)] for _ in range(2)]
+    eo = np.zeros((n_oct + n_lt, n_oct + n_lt), dtype=complex)
+    for start in range(0, pair_k.size, per_block):
+        k, l = pair_k[start:start + per_block], pair_l[start:start + per_block]
+        on_diag = k == l
+        n_d = int(on_diag.sum())
+        diag, up, swapped = slice(0, n_d), slice(n_d, k.size), slice(k.size, None)
+        cols_k = np.concatenate((k[on_diag], k[~on_diag], l[~on_diag]))
+        cols_l = np.concatenate((k[on_diag], l[~on_diag], k[~on_diag]))
+        width = cols_k.size
+        size = 4 * n_oct * width
+        dist = dist_buf[:size].reshape(2, 2, n_oct, width)  # image (d1, d2)
+        gathered = cs_buf[:size].reshape(2, 2, n_oct, width)  # (sq_i, sq_j), image
+        np.take(sq_i, cols_k, axis=2, out=gathered[0], mode="clip")
+        np.take(sq_j, cols_l, axis=2, out=gathered[1], mode="clip")
+        np.add(gathered[0, :, None], gathered[1, None, :], out=dist)
         np.sqrt(dist, out=dist)
-        cs = cs_buf[:2 * size].reshape(2, 2, n_rows, 2, width)
+        cs = cs_buf[:2 * size].reshape(2, 2, n_oct, 2, width)
         np.multiply(dist, lam, out=cs[..., 1, :])
         np.cos(cs[..., 1, :], out=cs[..., 0, :])
         np.sin(cs[..., 1, :], out=cs[..., 1, :])
@@ -443,14 +478,32 @@ def _parity_grams(lam: float, ring: tuple[float, float], x_axes, y_axes) -> np.n
             refl *= -2.0
             refl += ident  # (a + b) - 2b
         for s1, s2 in np.ndindex(2, 2):
-            block = cs[s1, s2]
-            block *= fy1[s1][j1] * fy2[s2][j2]
-            block = block.reshape(n_rows, 2 * width)
-            gram[s1, s2].real += block @ block.T
-            gram[s1, s2].imag += block[:, width:] @ block[:, :width].T
-    for block in gram.reshape(4, n_rows, n_rows):
+            factor = fy[s1][cols_k] * fy[s2][cols_l]
+            if s1 == s2:
+                factor[diag] *= math.sqrt(2.0)
+            cs[s1, s2] *= np.multiply.outer(fx[s1][s2], factor)[:, None, :]
+        for s, (even, odd) in enumerate(same):
+            block = cs[s, s]
+            block[..., up] += block[..., swapped]  # -> swap-even (k, l) + (l, k)
+            block[..., swapped] *= -2.0
+            block[..., swapped] += block[..., up]  # -> swap-odd (k, l) - (l, k)
+            _add_gram(even, block[..., :k.size])
+            _add_gram(odd, block[:n_lt, :, swapped])
+        a, b = cs[0, 1], cs[1, 0, :n_lt]
+        _add_gram(eo[:n_oct, :n_oct], a)
+        _add_gram(eo[n_oct:, n_oct:], b)
+        for cols_b, cols_a in ((diag, diag), (swapped, up), (up, swapped)):
+            _add_gram(eo[n_oct:, :n_oct], b[..., cols_b], a[..., cols_a])
+    for block in (eo[:n_oct, :n_oct], eo[n_oct:, n_oct:], *same[0], *same[1]):
         block.imag -= block.imag.T.copy()
-    return gram
+    eo[:n_oct, n_oct:] = eo[n_oct:, :n_oct].conj().T
+
+    def kept(block, factor):  # the odd parity holds no centre row
+        return block if factor.all() else block[np.ix_(factor != 0.0, factor != 0.0)]
+
+    eo = kept(eo, np.append(fx[0][1], fx[1][0][:n_lt]))
+    return (kept(same[0][0], fx[0][0]), kept(same[0][1], fx[0][0][:n_lt]), eo, eo,
+            kept(same[1][0], fx[1][1]), kept(same[1][1], fx[1][1][:n_lt]))
 
 
 def distance_model(lam: float, points_per_wavelength: float = 10.0,
@@ -462,22 +515,20 @@ def distance_model(lam: float, points_per_wavelength: float = 10.0,
     both sides fixes the resolution rule.  The x box is the smaller one,
     so the Gram is M M^H on the x side.
 
-    Both boxes are centred on 0 and the ring depends on |x - y| only, so
-    M(R x, R y) = M(x, y) for the reflection R of either axis, and M M^H
-    is block diagonal in the per-axis even/odd basis: one block per parity
-    pair (s1, s2).  Block s has M_s(x, y) = sum_d s^d M(x, d y) over the
-    four reflections d, with x and y in one quadrant; a centre node (odd
-    count) scales it by 1/sqrt(2) and is absent from the odd parity.  The
-    kernel is evaluated on the quadrants only and summed over blocks of y
-    nodes (:func:`_parity_grams`), with M_s = C + iS in real arithmetic:
-    Re G_s = [C S][C S]^T and Im G_s = X - X^T with X = S C^T.  The four
-    blocks are views of one complex array; on an odd x count the parities
-    without the centre copy out their rows.
+    Both boxes are squares centred on 0 and the ring depends on |x - y|
+    only, so M(g x, g y) = M(x, y) for g in the square's group D4 (the
+    axis reflections and the swap), and M M^H splits in D4's adapted basis
+    (:func:`_d4_grams`).  Per parity pair (s1, s2), M_s(x, y) =
+    sum_d s^d M(x, d y) over the four reflections d, x and y in one
+    quadrant; a centre node (odd count) gets 1/sqrt(2) in the even parity
+    and is absent from the odd one.  The swap maps (e, o) onto (o, e),
+    D4's 2-dimensional irrep, so one Gram is listed twice, and splits
+    (e, e) and (o, o) each into a swap-even half over x-quadrant pairs
+    i <= j and a swap-odd half over i < j.
     """
-    for lo, hi in X_BOX_DISTANCE + Y_BOX_DISTANCE:
-        if lo != -hi:
-            raise ValueError(f"the parity split needs boxes centred on 0, "
-                             f"got the interval ({lo}, {hi})")
+    for name, box in (("X_BOX_DISTANCE", X_BOX_DISTANCE), ("Y_BOX_DISTANCE", Y_BOX_DISTANCE)):
+        if box[0] != box[1] or box[0][0] != -box[0][1]:
+            raise ValueError(f"the D4 split needs square boxes centred on 0, got {name} = {box}")
     n_x = _axis_count(lam, 0.6, 1.0, points_per_wavelength) * refine
     n_y = _axis_count(lam, 1.8, 1.0, points_per_wavelength) * refine
     ring_lo, ring_hi = DISTANCE_RING
@@ -495,20 +546,9 @@ def distance_model(lam: float, points_per_wavelength: float = 10.0,
         return oscillatory_operator(distance_phase, amplitude, lam,
                                     x_nodes, x_w, y_nodes, y_w)
 
-    x_axes = [_half_axis(lo, hi, n_x) for lo, hi in X_BOX_DISTANCE]
-    y_axes = [_half_axis(lo, hi, n_y) for lo, hi in Y_BOX_DISTANCE]
-    gram = _parity_grams(lam, (center, halfwidth), x_axes, y_axes)
-    (_, fx1), (_, fx2) = x_axes
-    half, n_odd = (n_x + 1) // 2, n_x // 2
-    blocks = []
-    for s1, s2 in np.ndindex(2, 2):
-        factor = np.outer(fx1[s1], fx2[s2]).ravel()
-        block = gram[s1, s2]
-        block *= np.outer(factor, factor)
-        k1, k2 = (n_odd if s1 else half), (n_odd if s2 else half)
-        block = block.reshape(half, half, half, half)[:k1, :k2, :k1, :k2]
-        blocks.append(block.reshape(k1 * k2, k1 * k2))
-    return OscillatoryModel(lam, tuple(blocks), n_x, n_y, dense)
+    blocks = _d4_grams(lam, (center, halfwidth), _half_axis(*X_BOX_DISTANCE[0], n_x),
+                       _half_axis(*Y_BOX_DISTANCE[0], n_y))
+    return OscillatoryModel(lam, blocks, n_x, n_y, dense)
 
 
 # validate_resolution compares this many top singular values at this tolerance

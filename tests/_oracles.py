@@ -294,3 +294,33 @@ def equator_anchors_per_step(ell_max: int):
             worst_der = max(worst_der, float(rel.max()))
         below = rows
     return worst_val, worst_der
+
+
+def cluster_gram_per_diagonal(ells, w_samples, grid):
+    """The cluster Gram of ``weighted_cluster_gram``, every diagonal computed.
+
+    The loop runs over all blocks and every diagonal of each, upper
+    triangle included; the library computes the lower triangle this same
+    way and mirrors it.
+    """
+    from sclab.sphere_basis import radial_rows
+
+    thetas, phis = grid.mesh()
+    w_sq = np.asarray(w_samples(thetas, phis), dtype=float) ** 2
+    coef = np.fft.fft(w_sq.reshape(grid.n_theta, grid.n_phi), axis=1)
+    coef *= grid.phi_weight
+    x = np.cos(grid.theta_nodes)
+    tables = [radial_rows(ell, x) for ell in ells]
+    offsets = np.cumsum([0] + [t.shape[0] for t in tables])
+    gram = np.empty((offsets[-1], offsets[-1]), dtype=complex)
+    for ia, rows_a in enumerate(tables):
+        weighted = rows_a * grid.theta_weights
+        for ib, rows_b in enumerate(tables):
+            block = gram[offsets[ia]:offsets[ia + 1], offsets[ib]:offsets[ib + 1]]
+            n_a, n_b = rows_a.shape[0], rows_b.shape[0]
+            shift = (n_a - n_b) // 2  # l_a - l_b
+            for s in range(1 - n_b, n_a):  # s = a - b; m_a - m_b = s - shift
+                a = np.arange(max(0, s), min(n_a, n_b + s))
+                block[a, a - s] = ((weighted[a] * rows_b[a - s])
+                                   @ coef[:, (s - shift) % grid.n_phi])
+    return gram

@@ -19,6 +19,7 @@ from _oracles import equator_anchors_per_step
 from sclab import acceptance as acc
 from sclab import experiments as ex
 from sclab import expsum as es
+from sclab import schatten_lab as sl
 from sclab import sphere_basis as sb
 from sclab.experiments import Check
 
@@ -43,9 +44,11 @@ PINS = {
         {"wkb-metric-variation-case2": 3.0, "wkb-metric-variation-caseinf": 3.0})),
     "c05-normalization-constants": ("test_c05_normalization_constants", lambda c: (
         set(c) == {"normalization-constant-spread"})),
-    # an exact inequality, no tolerance
-    "c06-kuzmin-landau": ("test_c06_kuzmin_landau",
-                          lambda c: c["kuzmin-landau-violations"].measured == 0.0),
+    # an exact inequality, no tolerance; the family within 1% of the bound
+    "c06-kuzmin-landau": ("test_c06_kuzmin_landau", lambda c: (
+        c["kuzmin-landau-violations"].measured == 0.0
+        and c["kuzmin-landau-family-bound-holds"].tol == 1.0
+        and c["kuzmin-landau-family-sharpness"].tol == 0.01)),
     "c07-phase-sums": ("test_c07_phase_sums", _tols(
         {"phase-sum-variation-case2": 2.0, "phase-sum-variation-caseinf": 2.0})),
     "c08-optimality-slopes": ("test_c08_optimality_slopes", lambda c: [
@@ -226,12 +229,53 @@ def test_equator_anchors_hold_one_block_of_steps():
 
 
 def test_kuzmin_landau_fails_on_a_smaller_bound(monkeypatch):
-    # cot(eps/2) in place of cot(eps/4); 0.9 times the bound still passes
-    # and 0.85 times fails, so c06 resolves the bound to ~15%
+    # cot(eps/2) in place of cot(eps/4): the random draws exceed it too
     monkeypatch.setattr(es, "kuzmin_landau_bound", lambda eps: 1.0 / math.tan(eps / 2.0))
     checks, _ = acc.run_criterion(dict(acc.CRITERIA)["c06-kuzmin-landau"])
     assert {c.name: c.passed for c in checks} == {
-        "kuzmin-landau-violations": False, "kuzmin-landau-margin-nonnegative": False}
+        "kuzmin-landau-violations": False, "kuzmin-landau-margin-nonnegative": False,
+        "kuzmin-landau-family-bound-holds": False, "kuzmin-landau-family-sharpness": True}
+
+
+@pytest.mark.parametrize("factor", [0.9, 2.0])
+def test_kuzmin_landau_resolves_the_bound_both_ways(monkeypatch, factor):
+    # the random draws pass 0.9 times the bound and any larger one; the
+    # up-then-down family comes within 0.1% of it, so 0.9x breaks the bound
+    # on the family and 2x breaks its sharpness
+    exact = es.kuzmin_landau_bound
+    monkeypatch.setattr(es, "kuzmin_landau_bound", lambda eps: factor * exact(eps))
+    checks, _ = acc.run_criterion(dict(acc.CRITERIA)["c06-kuzmin-landau"])
+    assert {c.name: c.passed for c in checks} == {
+        "kuzmin-landau-violations": True, "kuzmin-landau-margin-nonnegative": True,
+        "kuzmin-landau-family-bound-holds": factor > 1.0,
+        "kuzmin-landau-family-sharpness": factor < 1.0}
+
+
+def test_up_then_down_family_matches_its_float_sums():
+    # the closed form against the float sum of every member at eps = 1 and
+    # at the equality case eps = pi, where K = 2 attains the bound 1
+    for eps in (1.0, math.pi):
+        for k, closed in enumerate(acc._up_then_down(eps)):
+            sums = [abs(np.exp(1j * np.cumsum([0.0] + [eps] * n
+                                              + [2.0 * math.pi - eps] * (k - n))).sum())
+                    for n in range(k + 1)]
+            assert closed == pytest.approx(max(sums), rel=0, abs=1e-12)
+    assert acc._up_then_down(math.pi)[2] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_kss_bounds_hold_fails_on_a_larger_lhs(monkeypatch):
+    # lhs / rhs reads 0.79-0.81 at p = 6, so 1.3 times lhs exceeds the rhs;
+    # with constants fitted to the measurements the flag would still hold
+    exact = sl.kss_bound
+
+    def inflated(*args):
+        lhs, rhs = exact(*args)
+        return 1.3 * lhs, rhs
+
+    monkeypatch.setattr(sl, "kss_bound", inflated)
+    checks, _ = acc.run_criterion(dict(acc.CRITERIA)["c12-kss-compare"])
+    assert {c.name: c.passed for c in checks} == {
+        "kss-ratio-slope": True, "kss-bounds-hold": False}
 
 
 def test_suite_aggregate_report(monkeypatch):

@@ -9,7 +9,8 @@ from sclab import schatten_lab as sl
 from sclab import sphere_basis as sb
 from sclab.experiments import _cluster_grid, fit_slope, reference_weight
 
-from _oracles import projector_kernel_eigs, singular_values, ylm_matrix
+from _oracles import (cluster_gram_per_diagonal, projector_kernel_eigs,
+                      singular_values, ylm_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +127,21 @@ def test_fft_cluster_gram_matches_mesh_product(lam):
     assert np.max(np.abs(sl.projector_gram(lam, reference_weight, grid) - eigs)) <= 1e-13
 
 
+@pytest.mark.parametrize("lam", [5.0, 12.0, 30.0, 100.0, None])  # None: l = 8, 9
+def test_cluster_gram_lower_triangle_is_the_per_diagonal_loop(lam):
+    # eigvalsh reads the lower triangle only, so the spectra stay bit for bit
+    # those of the loop over every diagonal; the upper triangle mirrors it
+    if lam is None:
+        ells, weight, grid = [8, 9], rippled_weight, sb.build_grid(36, 52)
+    else:
+        ells, weight, grid = sb.cluster_rank(lam)[0], reference_weight, _cluster_grid(lam)
+    gram = sl.weighted_cluster_gram(ells, weight, grid)
+    oracle = cluster_gram_per_diagonal(ells, weight, grid)
+    assert np.tril(gram).tobytes() == np.tril(oracle).tobytes()
+    assert np.array_equal(np.triu(gram, 1), np.triu(gram.conj().T, 1))
+    assert np.array_equal(np.linalg.eigvalsh(gram), np.linalg.eigvalsh(oracle))
+
+
 def test_fft_cluster_gram_across_degrees():
     # two degrees of different size and a weight with higher azimuthal modes
     grid = sb.build_grid(36, 52)
@@ -210,6 +226,19 @@ def test_paraboloid_scaling_compensated_by_cube_root():
     assert max(etas) / min(etas) < 2.0
 
 
+@pytest.mark.parametrize("lam, refine", [(16.0, 1), (32.0, 2), (128.0, 1)])
+def test_paraboloid_gram_drops_only_a_roundoff_imaginary_part(lam, refine):
+    # symmetric x rules and even amplitudes make M^H M real: its imaginary
+    # part cancels in pairs, so the model keeps the real part alone
+    model = sl.paraboloid_model(lam, refine=refine)
+    dense = model.matrix.conj().T @ model.matrix
+    top = singular_values(model.matrix)[0]
+    (gram,) = model.gram
+    assert gram.dtype == np.float64
+    assert np.max(np.abs(dense.imag)) <= 1e-15 * top**2
+    assert np.max(np.abs(gram - dense.real)) <= 1e-15 * top**2
+
+
 def test_paraboloid_resolution_validates():
     ok, drift = sl.validate_resolution(sl.paraboloid_model, 16.0)
     assert ok and drift < 1e-4
@@ -276,20 +305,61 @@ def test_dense_rung_is_the_oracle_bit_for_bit(lam):
 def test_parity_split_distance_gram_matches_dense_oracle(lam, n_x, n_y, refine):
     model = sl.distance_model(lam, refine=refine)
     assert (model.n_x_axis, model.n_y_axis) == (n_x * refine, n_y * refine)
-    assert len(model.gram) == 4
+    # D4 layout: (e, e) even and odd halves, (e, o) = (o, e) as one object
+    # listed twice, (o, o) even and odd halves
+    assert len(model.gram) == 6 and model.gram[2] is model.gram[3]
+    assert len({id(block) for block in model.gram}) == 5
     _assert_gram_matches_dense_oracle(model)
 
 
+def _axis_parity_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal even and odd vectors of the mirror i -> n - 1 - i, as columns."""
+    eye = np.eye(n)
+    flip = eye[::-1]
+    half, n_odd = (n + 1) // 2, n // 2
+    even = (eye + flip)[:, :half] / math.sqrt(2.0)
+    if n % 2:
+        even[:, -1] = eye[:, half - 1]  # the centre
+    return even, ((eye - flip)[:, :n_odd] / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("lam", [12.0, 13.0])  # even and odd n_x
+def test_swap_pairs_the_mixed_parities_of_the_dense_oracle(lam):
+    # the axis swap maps the (e, o) restriction of M M^H onto the (o, e) one,
+    # so they share one spectrum: the Gram that the model lists twice
+    model = sl.distance_model(lam)
+    gram = model.matrix @ model.matrix.conj().T
+    even, odd = _axis_parity_basis(model.n_x_axis)
+    eo, oe = (np.kron(a, b) for a, b in ((even, odd), (odd, even)))
+    spectra = [np.linalg.eigvalsh(basis.T @ gram @ basis) for basis in (eo, oe)]
+    top = singular_values(model.matrix)[0]
+    assert np.max(np.abs(spectra[0] - spectra[1])) <= 1e-14 * top**2
+    assert np.max(np.abs(np.linalg.eigvalsh(model.gram[2]) - spectra[0])) <= 1e-14 * top**2
+
+
+def test_repeated_gram_block_is_solved_once(monkeypatch):
+    model = sl.distance_model(12.0)
+    expected = sl.gram_singular_values([np.array(block) for block in model.gram])
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    sv = sl.gram_singular_values(model.gram)
+    assert len(calls) == 5 and sum(block is model.gram[2] for block in calls) == 1
+    assert np.array_equal(sv, expected)
+
+
+# A block holds GRAM_BLOCK_ENTRIES // (8 n) unordered y-quadrant pairs
+# {k, l}, n the octant rows i <= j of the x-quadrant nodes
 @pytest.mark.parametrize("lam, ppw, block", [
-    (8.0, 10.0, sl.GRAM_BLOCK_ENTRIES),
-    (8.0, 25.0, sl.GRAM_BLOCK_ENTRIES),
-    (16.0, 10.0, sl.GRAM_BLOCK_ENTRIES),
-    # 2^18, twice the default: half as many y blocks of each Gram
+    (8.0, 10.0, sl.GRAM_BLOCK_ENTRIES),  # n = 21: one block of 78 pairs
+    (8.0, 25.0, sl.GRAM_BLOCK_ENTRIES),  # n = 55: 435 pairs, in 297 and 138
+    (16.0, 10.0, sl.GRAM_BLOCK_ENTRIES),  # n = 36: one block of 276 pairs
+    # 2^18, twice the default: at most half as many y blocks
     (8.0, 10.0, 1 << 18),
-    (8.0, 25.0, 1 << 18),
+    (8.0, 25.0, 1 << 18),  # one block of 435 pairs
     (16.0, 10.0, 1 << 18),
-    (16.0, 10.0, 4 * 64 * 97),  # 6 blocks of 97 y-quadrant nodes, the last 44
-    (13.0, 10.0, 4 * 49 * 50),  # 8 blocks of 50, the last 11; odd n_x = 13
+    (16.0, 10.0, 4 * 64 * 97),  # 4 blocks of 86 pairs, the last 18
+    (13.0, 10.0, 4 * 49 * 50),  # 5 blocks of 43, the last 18; odd n_x = 13
 ])
 def test_blocked_distance_gram_matches_dense_oracle(lam, ppw, block, monkeypatch):
     monkeypatch.setattr(sl, "GRAM_BLOCK_ENTRIES", block)
@@ -299,9 +369,10 @@ def test_blocked_distance_gram_matches_dense_oracle(lam, ppw, block, monkeypatch
 
 
 def test_distance_gram_working_set_stays_within_twice_the_gram():
-    # at lam = 16, refine = 2 the four parity Grams take 4.2 MB and a y
-    # block's three arrays 3.3 MB.  Peak measured 8.0 MB, where a block
-    # with its temporaries (2^18 entries) peaked at 21.8 MB
+    # at lam = 16, refine = 2 the five D4 Grams take 2.1 MB (3.1 MB as
+    # listed, (e, o) twice) and a y block's three arrays 3.3 MB.  Peak
+    # measured 5.7 MB; the four parity Grams peaked at 8.0 MB, and a block
+    # with its temporaries (2^18 entries) at 21.8 MB
     import tracemalloc
 
     tracemalloc.start()
@@ -317,6 +388,13 @@ def test_distance_gram_working_set_stays_within_twice_the_gram():
 def test_distance_model_needs_boxes_centred_on_zero(box, monkeypatch):
     monkeypatch.setattr(sl, box, ((-0.3, 0.3), (-0.2, 0.4)))
     with pytest.raises(ValueError, match="centred on 0"):
+        sl.distance_model(8.0)
+
+
+@pytest.mark.parametrize("box", ["X_BOX_DISTANCE", "Y_BOX_DISTANCE"])
+def test_distance_model_needs_square_boxes(box, monkeypatch):
+    monkeypatch.setattr(sl, box, ((-0.3, 0.3), (-0.4, 0.4)))
+    with pytest.raises(ValueError, match=box):
         sl.distance_model(8.0)
 
 
