@@ -17,7 +17,7 @@ values at x = 0 are checked against the closed forms in one call, which
 ties each table to its order; the Gram alone cannot, since one order's
 rows are orthonormal whichever order they belong to.  c03 runs one
 degree recurrence over all 501 orders at x = 0 and compares a block of
-``_DEGREE_CHECK_STEPS`` steps with the closed forms per call: one call
+``_ANCHOR_BLOCK_STEPS`` steps with the closed forms per call: one call
 over all 125 751 pairs would hold ~13 MB of temporaries.  c06 takes
 |sum e^(i phi)| from the sums of cos and sin, in real arithmetic, and
 sums the family in closed form from tables of sin and cos.
@@ -52,6 +52,9 @@ RUNTIME_BUDGETS = {  # seconds; criteria without an entry are unbudgeted
     "c10-dual-schatten": 0.35,  # ~15x its 0.023 s median, likewise
     "c11-oscillatory-scaling": 0.27,  # ~15x its 0.018 s median, likewise
 }
+# Degree steps that c03 compares with the closed forms per call: its
+# temporaries scale with the block, ~0.1 MB each at 32 steps
+_ANCHOR_BLOCK_STEPS = 32
 
 
 def _runner_checks(name: str, *prefixes: str):
@@ -146,12 +149,12 @@ def _equator_anchors(_memo) -> list:
     ell_max = 500
     orders = np.arange(ell_max + 1)
     x0 = np.zeros(1)
-    block = sb._DEGREE_CHECK_STEPS
+    block = _ANCHOR_BLOCK_STEPS
     # row 0 holds the column of the step before the block, rows 1.. its steps
     columns = np.zeros((block + 1, orders.size))
     worst_val, worst_der = 0.0, 0.0
     # one recurrence over all orders: step j holds g_{m+j}^m(0) in row m
-    rows = sb._degree_rows(orders[:, None], ell_max, x0, sb._seed_values(orders[:, None], x0))
+    rows = sb._degree_column(orders[:, None], ell_max, x0)
     for start in range(0, ell_max + 1, block):
         count = min(block, ell_max + 1 - start)
         for i, row in enumerate(itertools.islice(rows, count)):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sphere_basis import (GridResolutionError, SphereGrid, _band_sweeps, _top_seed_underflows,
-                           build_grid, cluster_rank, radial_rows)
+                           cluster_rank, radial_rows)
 from .wkb_engine import case_window, normalize_case
 
 SPHERE_AREA = 4.0 * math.pi
@@ -134,8 +134,7 @@ class DensityProfile:
         return lp_norm(self.rho, p / 2.0, 2.0 * math.pi * self.theta_weights)
 
 
-def density(spec: ClusterSpec, grid: SphereGrid, check_convergence: bool = False,
-            allow_coarse: bool = False) -> DensityProfile:
+def density(spec: ClusterSpec, grid: SphereGrid) -> DensityProfile:
     """Window density on the grid's colatitude nodes.
 
     Since g_l^m(-x) = (-1)^(l+m) g_l^m(x), rho is symmetric under
@@ -154,32 +153,11 @@ def density(spec: ClusterSpec, grid: SphereGrid, check_convergence: bool = False
     0.10-0.19 s and 1.2-1.5 s, and 107 and 585 MB.
 
     Resolving the fastest oscillation takes n_theta >= 4 l; coarser grids
-    raise GridResolutionError unless ``allow_coarse`` (used to demonstrate
-    the convergence flag).  With ``check_convergence`` the p = 2 and p = 6
-    quadrature norms are recomputed on a doubled grid and a drift above
-    1e-6 relative raises GridResolutionError.  The sup norm is not part of
-    the drift check: a node maximum is sampling-limited and moves at O(h^2)
-    even on fully resolved grids.
+    raise GridResolutionError.
     """
-    if grid.n_theta < 4 * spec.ell and not allow_coarse:
-        raise GridResolutionError(
-            f"n_theta={grid.n_theta} < 4*ell={4 * spec.ell}; "
-            "pass allow_coarse=True to override"
-        )
-    profile = _density_on(spec, grid)
-    if check_convergence:
-        fine = _density_on(spec, build_grid(2 * grid.n_theta, grid.n_phi))
-        for p in (2.0, 6.0):
-            a, b = profile.norm(p), fine.norm(p)
-            if abs(a - b) > 1e-6 * abs(b):
-                raise GridResolutionError(
-                    f"L^{p/2} norm drifts by {abs(a - b) / abs(b):.2e} under doubling"
-                )
-    return profile
-
-
-def _density_on(spec: ClusterSpec, grid: SphereGrid) -> DensityProfile:
-    # node i pairs with node n - 1 - i (see density); an odd centre is alone
+    if grid.n_theta < 4 * spec.ell:
+        raise GridResolutionError(f"n_theta={grid.n_theta} < 4*ell={4 * spec.ell}")
+    # node i pairs with node n - 1 - i; an odd centre is alone
     n_pairs = grid.n_theta // 2
     x = np.cos(grid.theta_nodes[:grid.n_theta - n_pairs])
     m_lo, m_hi = int(spec.window[0]), int(spec.window[-1])

@@ -64,12 +64,6 @@ class ExperimentConfig:
         return self
 
 
-_INT_FIELDS = {"seed"}
-_FLOAT_FIELDS = {"zeta", "eta1", "eta2"}
-_LIST_FIELDS = {"ell_range", "lambda_range", "p_list"}
-_STR_FIELDS = {"experiment", "output"}
-
-
 def _parse_number(token: str):
     """An int where the token is written as one, else a float; nan is refused."""
     value = float(token)
@@ -78,9 +72,18 @@ def _parse_number(token: str):
     return value if math.isinf(value) or "e" in token.lower() or "." in token else int(value)
 
 
+def _parse_list(value: str) -> list:
+    return [_parse_number(tok) for tok in value.split(",") if tok.strip()]
+
+
+# the parser of each field annotation of ExperimentConfig
+_PARSERS = {"str": str, "str | None": str, "int": int, "float": float,
+            "list | None": _parse_list}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat key-value config text; unknown or repeated keys fail with line numbers."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    parsers = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
     data, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -90,20 +93,13 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in known:
+        if key not in parsers:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
         seen[key] = lineno
         try:
-            if key in _STR_FIELDS:
-                data[key] = value
-            elif key in _INT_FIELDS:
-                data[key] = int(value)
-            elif key in _FLOAT_FIELDS:
-                data[key] = float(value)
-            elif key in _LIST_FIELDS:
-                data[key] = [_parse_number(tok) for tok in value.split(",") if tok.strip()]
+            data[key] = parsers[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: field {key!r}: {exc}") from None
     if "experiment" not in data:
@@ -156,7 +152,6 @@ class AcceptanceReport:
     experiment: str
     seed: int
     checks: list = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
 
     @property
     def passed(self) -> bool:
@@ -164,7 +159,7 @@ class AcceptanceReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "experiment": self.experiment,
             "seed": self.seed,
             "checks": [
@@ -331,9 +326,11 @@ def _lower_slope_prediction(case: str, p: float, zeta: float) -> float:
 
 def run_weyl(cfg: ExperimentConfig):
     bounds = cfg.lambda_range or [10.0, 300.0]
-    if len(bounds) != 2 or not 0 < bounds[0] < bounds[1] < math.inf:
-        raise ConfigError("field 'lambda_range': weyl sweeps between two finite "
-                          f"values 0 < lo < hi, got {bounds}")
+    squares = [float(v) * v for v in bounds]  # the count / lambda^2 column divides by them
+    if len(bounds) != 2 or not (0 < bounds[0] < bounds[1] and
+                                np.finfo(float).tiny <= squares[0] <= squares[1] < math.inf):
+        raise ConfigError("field 'lambda_range': weyl sweeps between two values "
+                          f"0 < lo < hi whose squares are normal doubles, got {bounds}")
     lo, hi = bounds
     lams = np.geomspace(lo, hi, 25)
     counts = [sb.weyl_count(lam) for lam in lams]
@@ -400,9 +397,13 @@ def run_cluster_lower(cfg: ExperimentConfig):
         r = wkb.band_radius(ell, zeta)
         prof2 = profiles[(ell, "2")]
         sel2 = np.abs(math.pi / 2 - prof2.thetas) <= cfg.eta2 * math.sqrt(r / ell)
-        c2s.append(float(np.min(prof2.rho[sel2]) / math.sqrt(ell * r)))
         profi = profiles[(ell, "inf")]
         seli = (profi.thetas >= cfg.eta1 * r / ell) & (profi.thetas <= math.pi / 2)
+        for name, sel in (("eta2", sel2), ("eta1", seli)):
+            if not sel.any():
+                raise ConfigError(f"field '{name}': the window-constant selection holds no "
+                                  f"node of the {sel.size}-node grid at l = {ell}, r = {r}")
+        c2s.append(float(np.min(prof2.rho[sel2]) / math.sqrt(ell * r)))
         cinfs.append(float(np.min(profi.rho[seli] * np.sin(profi.thetas[seli])) / r))
     checks.append(flag_check("window-constants-positive",
                              min(c2s) > 0 and min(cinfs) > 0))
@@ -638,9 +639,11 @@ def run_kss_compare(cfg: ExperimentConfig):
         # advance: c_main and c_kss are fitted to the measurements
         flag_check("kss-bounds-hold", all(m <= r for m, r in zip(measured, rhss))),
     ]
-    for lam, m, b, k, rr in zip(lams, measured, mains, ksss, ratios):
-        rows.append((lam, m, c_main * b, c_kss * k, rr))
-    return checks, rows, ("lambda", "measured", "main_bound", "kss_bound", "ratio")
+    # kss_bound is the fitted c_kss (1 + lambda)^(1/q) ||W||_q; kss_rhs is
+    # kss_bound's own right-hand side, which kss-bounds-hold compares with
+    for lam, m, b, k, rr, rhs in zip(lams, measured, mains, ksss, ratios, rhss):
+        rows.append((lam, m, c_main * b, c_kss * k, rr, rhs))
+    return checks, rows, ("lambda", "measured", "main_bound", "kss_bound", "ratio", "kss_rhs")
 
 
 def run_heuristic_compare(cfg: ExperimentConfig):

@@ -121,8 +121,7 @@ def make_report(lam: float, p: float, singular_values: np.ndarray) -> SchattenRe
     sv = np.sort(np.asarray(singular_values, dtype=float))[::-1]
     norm = lp_norm(sv, ap)
     predicted = lam ** (2.0 * s)
-    return SchattenReport(lam, p, ap, sv, norm, predicted,
-                          norm / predicted if predicted else math.inf)
+    return SchattenReport(lam, p, ap, sv, norm, predicted, norm / predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +315,19 @@ class OscillatoryModel:
         return self.dense()
 
 
+_AXIS_FLOOR = 12  # nodes per axis at the least
+
+
 def _axis_count(lam: float, extent: float, grad_bound: float,
-                points_per_wavelength: float, floor: int = 12) -> int:
+                points_per_wavelength: float) -> int:
     cycles = lam * grad_bound * extent / (2.0 * math.pi)
-    return max(floor, int(math.ceil(points_per_wavelength * cycles)))
+    return max(_AXIS_FLOOR, int(math.ceil(points_per_wavelength * cycles)))
 
 
 X_BOX_PARABOLOID = ((-0.5, 0.5), (-0.5, 0.5))
 Y_BOX_PARABOLOID = ((-0.5, 0.5),)
 # Paraboloid matrices of at most this many entries (144 x 12: both axes at
-# the 12-node floor of _axis_count) keep the dense Gram product.  Their
+# the 12-node _AXIS_FLOOR) keep the dense Gram product.  Their
 # smallest singular values sit at the Gram-squaring floor, where the
 # separable product rounds differently (see the module notes).
 DENSE_RUNG_ENTRIES = 144 * 12

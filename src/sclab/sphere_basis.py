@@ -18,16 +18,14 @@ satisfies the normal-form equation -v'' + Q v = 0 consumed by the WKB
 engine, with int_{-pi/2}^{pi/2} |v|^2 dtheta = 1/(2 pi).
 
 Fixed-order rows come from one normalized three-term recurrence upward
-in degree (:func:`_degree_rows`), over one order or a column of orders
-advancing together: a row (:func:`legendre_row`) or a degree table each
-take one call, and the degree tables of many orders
-(:func:`_degree_tables`) one column per block of consecutive orders, bit
-for bit the one-order tables.  A column step costs a few array operations
-on all its orders, a one-order step as many on one row plus the Python
-arithmetic of its coefficients, so blocks pay where tables are many and
-short: the 201 tables of the acceptance suite's orthonormality check
-(l <= 200 on 256 nodes) take 6641 column steps in 49 blocks, 0.06 s on
-a 2-core x86 box, where 20301 one-order steps took 0.09-0.18 s.
+in degree (:func:`_degree_rows`), run on a column of orders advancing
+together through one pipeline (:func:`_degree_column`) that lifts, keeps
+and scales back the seeds' powers of two (see Underflow below).  A row
+(:func:`legendre_row`) is a column of one order; the degree tables of many
+orders (:func:`_degree_tables`) take one column per block of consecutive
+orders, and each order's rows are those it would have alone: the 201
+tables of the acceptance suite's orthonormality check (l <= 200 on 256
+nodes) take 6641 column steps in 49 blocks.
 Fixed-degree rows all come from the sweeps of one order band
 (:func:`_band_sweeps`, below), which runs no degree recurrence; the rows
 of all orders 0..l (:func:`radial_rows`) are the band 0..l.  Normalized
@@ -140,11 +138,9 @@ sin(theta) = 0.06, orders 499, 549 and 600 (values -0.94, -1.49 and 2.12,
 seeds below 1e-600, which a band restarting at the highest order within a
 lift of 2^1000 read as 0) are within 6.2e-13 of mpmath; next to the poles
 (x = +-nextafter(1, 0) and the first node of the 4l-point Gauss rule, at
-l = 2400 and 10000) the band's normal values are within 1.4e-12.  A single
-row (:func:`legendre_row`) and a degree table
-(:func:`legendre_degree_table`) lift their seed the same way; a block of
-degree tables lifts each of its orders' seeds, so its lifts are per
-(order, node).
+l = 2400 and 10000) the band's normal values are within 1.4e-12.  A column
+of the degree recurrence (:func:`_degree_column`) lifts each of its
+orders' seeds the same way, so its lifts are per (order, node).
 
 The seed-exponent floor.  The exponent of a lifted seed is a sum of terms
 up to ~(m/2) ln 2 in size, each rounded, so the seed is off by up to
@@ -306,35 +302,30 @@ def _check_nodes(x) -> np.ndarray:
     return x
 
 
-def legendre_degree_table(m: int, ell_max: int, x) -> np.ndarray:
-    """g-values for all degrees m..ell_max at fixed order m.
+def _degree_column(orders: np.ndarray, ell_max: int, x: np.ndarray):
+    """Yield the true rows of degree m + j, j = 0..ell_max - min(m), for a column of orders.
 
-    Parameters
-    ----------
-    m : order, >= 0
-    ell_max : largest degree, >= m
-    x : nodes in the open interval (-1, 1); typically cos(theta)
-
-    Returns array of shape (ell_max - m + 1, len(x)); row k holds degree
-    m + k, bit for bit the :func:`legendre_row` of that degree: a seed
-    that would underflow is lifted the same way, and each row scaled back.
+    The one pipeline of the degree recurrence: each order's seed is lifted
+    per node where it would underflow (:func:`_seed_lift`), the rows of
+    :func:`_degree_rows` keep their lift up to date as they grow
+    (:func:`_rescaled`), and each row comes scaled back (:func:`_unlifted`).
+    ``orders`` has shape (k, 1), and yielded row j holds degree m + j of
+    each order m, one line per order; orders past ell_max run on to the
+    last step.
     """
-    if m < 0 or ell_max < m:
-        raise ValueError(f"need 0 <= m <= ell_max, got m={m}, ell_max={ell_max}")
-    x = _check_nodes(x)
-    lift = _seed_lift(m, x)
-    rows = _degree_rows(m, ell_max, x, _seed_values(m, x, lift))
-    return np.array(list(_unlifted(_rescaled(rows, lift, _DEGREE_CHECK_STEPS), lift)))
+    lift = _seed_lift(orders, x)
+    rows = _degree_rows(orders, ell_max, x, _seed_values(orders, x, lift))
+    return _unlifted(_rescaled(rows, lift, _DEGREE_CHECK_STEPS), lift)
 
 
 def _degree_tables(m_lo: int, m_hi: int, ell_max: int, x: np.ndarray):
-    """Yield (m, table) for m = m_lo..m_hi: :func:`legendre_degree_table` (m, ell_max, x).
+    """Yield (m, table) for m = m_lo..m_hi: g-values of degrees m..ell_max at order m.
 
-    Consecutive orders run as one column of :func:`_degree_rows`, as many
-    at a time as fill ``_DEGREE_BLOCK_ENTRIES`` with their tables (at
-    least one), each seed lifted per (order, node) as one order's would
-    be; so every table is bit for bit the one-order table.  The rows of a
-    block go into one buffer, reused by every block: a table is a
+    Row k of a table holds degree m + k, bit for bit the
+    :func:`legendre_row` of that degree.  Consecutive orders run as one
+    :func:`_degree_column`, as many at a time as fill
+    ``_DEGREE_BLOCK_ENTRIES`` with their tables (at least one).  The rows
+    of a block go into one buffer, reused by every block: a table is a
     C-contiguous view into it, which the next block overwrites, so the
     consumer takes each table before asking for the next one.  The
     higher orders of a block run on past ell_max to its last step; those
@@ -346,11 +337,8 @@ def _degree_tables(m_lo: int, m_hi: int, ell_max: int, x: np.ndarray):
     while m <= m_hi:
         steps = ell_max - m + 1  # rows of order m's table, the block's first
         count = min(m_hi - m + 1, max(1, buffer.size // (steps * x.size)))
-        orders = np.arange(m, m + count)[:, None]
-        lift = _seed_lift(orders, x)
-        rows = _degree_rows(orders, ell_max, x, _seed_values(orders, x, lift))
         block = buffer[:count * steps * x.size].reshape(count, steps, x.size)
-        for step, row in enumerate(_unlifted(_rescaled(rows, lift, _DEGREE_CHECK_STEPS), lift)):
+        for step, row in enumerate(_degree_column(np.arange(m, m + count)[:, None], ell_max, x)):
             block[:, step] = row
         for i in range(count):
             yield m + i, block[i, :steps - i]
@@ -360,59 +348,46 @@ def _degree_tables(m_lo: int, m_hi: int, ell_max: int, x: np.ndarray):
 def legendre_row(m: int, ell: int, x) -> np.ndarray:
     """g-values of a single (ell, m) on nodes x, O(1) memory in degree.
 
-    The degree recurrence at order m alone, which no order band runs, so
+    The degree recurrence at order m alone, a :func:`_degree_column` of one
+    order of which only the last row is kept; no order band runs it, so
     the tests check bands against it.  Seeds that would underflow are
     lifted as in an order band (see Underflow in the module notes), with
-    no largest lift, and the row is scaled back; where the seed is a
-    normal double, the row is the plain degree recurrence bit for bit.
+    no largest lift, and the row is scaled back.
     """
     if not 0 <= m <= ell:
         raise ValueError(f"need 0 <= m <= ell, got m={m}, ell={ell}")
-    x = _check_nodes(x)
-    lift = _seed_lift(m, x)
-    rows = _degree_rows(m, ell, x, _seed_values(m, x, lift))
-    return np.ldexp(deque(_rescaled(rows, lift, _DEGREE_CHECK_STEPS), maxlen=1)[0], -lift)
+    return deque(_degree_column(np.array([[m]]), ell, _check_nodes(x)), maxlen=1)[0][0]
 
 
-def _degree_rows(m, ell: int, x: np.ndarray, seed: np.ndarray):
+def _degree_rows(m: np.ndarray, ell: int, x: np.ndarray, seed: np.ndarray):
     """Yield the rows of degree m + j, j = 0..ell - min(m), from degree-m seeds.
 
-    The one upward recurrence in degree; linear in the seed.  ``m`` is one
-    order (one seed row, Python-float coefficients) or a column of orders
-    (shape (k, 1), k seed rows) advancing together; order m reaches ell at
-    step ell - m, and higher orders run on past it.  Each element takes
-    the operations of its order alone, so a column gives its one-order
-    rows bit for bit.  A generator: O(1) rows are held.
+    The one upward recurrence in degree; linear in the seed.  ``m`` is a
+    column of orders (shape (k, 1), k seed rows) advancing together;
+    order m reaches ell at step ell - m, and higher orders run on past it.
+    Each element takes the operations of its order alone, so an order's
+    rows do not depend on the other orders of its column.  A generator:
+    O(1) rows are held.
     """
-    sqrt = math.sqrt if np.ndim(m) == 0 else np.sqrt
     prev = seed
     yield prev
-    steps = ell - int(np.min(m))
+    steps = ell - int(m.min())
     if steps == 0:
         return
-    cur = sqrt(2 * m + 3) * x * prev
+    cur = np.sqrt(2 * m + 3) * x * prev
     yield cur
     for a, b in _degree_coefficients(m, steps):
         prev, cur = cur, a * (x * cur - b * prev)
         yield cur
 
 
-def _degree_coefficients(m, steps: int):
+def _degree_coefficients(m: np.ndarray, steps: int):
     """Yield the coefficients (a, b) of steps 2..steps of :func:`_degree_rows`.
 
-    For one order, Python floats step by step.  For a column of orders,
-    arrays (k, 1) computed ``_DEGREE_CHECK_STEPS`` steps at a time, by the
-    same operations element by element.  Per step, their ten small array
-    operations made a column step of two orders on 256 nodes cost 16.5 us
-    against 2.7 us for one order (5.3 us this way); all steps at once
-    would hold 2 x 8 bytes per order and step, 4 MB for 501 orders.
+    Arrays (k, 1) for a column of orders, computed ``_DEGREE_CHECK_STEPS``
+    steps at a time by the same operations element by element; all steps
+    at once would hold 2 x 8 bytes per order and step, 4 MB for 501 orders.
     """
-    if np.ndim(m) == 0:
-        for step in range(2, steps + 1):
-            deg = m + step
-            yield (math.sqrt((4 * deg * deg - 1.0) / (deg * deg - m * m)),
-                   math.sqrt(((deg - 1.0) ** 2 - m * m) / (4.0 * (deg - 1.0) ** 2 - 1.0)))
-        return
     for start in range(2, steps + 1, _DEGREE_CHECK_STEPS):
         deg = m + np.arange(start, min(start + _DEGREE_CHECK_STEPS, steps + 1))[:, None, None]
         yield from zip(np.sqrt((4 * deg * deg - 1.0) / (deg * deg - m * m)),
@@ -714,7 +689,8 @@ def legendre_band(ell: int, m_lo: int, m_hi: int, thetas) -> RadialTable:
 def normalized_at_zero(ell, m) -> tuple[np.ndarray, np.ndarray]:
     """v_ell^m(0) and (v_ell^m)'(0), bounded for all desk-scale (ell, m).
 
-    Vectorized over (ell, m).  With a = floor((l + m) / 2) and b = a - m,
+    Vectorized over (ell, m), which broadcast to arrays of at least one
+    dimension, scalars included.  With a = floor((l + m) / 2) and b = a - m,
     the closed forms from S_k (:func:`_central_binomial_table`) are
 
         g_l^m(0) = (-1)^a sqrt((2l + 1) / (4 pi) exp(S_a + S_b))       (l + m even),
@@ -738,8 +714,6 @@ def normalized_at_zero(ell, m) -> tuple[np.ndarray, np.ndarray]:
     signed = np.where(a % 2, -magnitude, magnitude)
     value = np.where(odd, 0.0, signed)
     deriv = np.where(odd, signed, 0.0)
-    if np.isscalar(ell) and np.isscalar(m):
-        return float(value.reshape(-1)[0]), float(deriv.reshape(-1)[0])
     return value, deriv
 
 
@@ -1072,16 +1046,18 @@ def weyl_count(lam: float) -> int:
     """Number of spherical-harmonic eigenvalues l(l+1) strictly below lam^2.
 
     Equals (L+1)^2 with L the largest admissible degree; grows like lam^2
-    with unit leading coefficient.
+    with unit leading coefficient.  The test l(l+1) < lam^2 runs exactly,
+    in integers, as l(l+1) den^2 < num^2 with lam = num / den.  In floats,
+    lam * lam underflows to 0 below lam ~ 1.5e-162, where degree 0 still
+    counts, and can round onto l(l+1) where lam lies just above
+    sqrt(l(l+1)).
     """
     if not 0 <= lam < math.inf:
         raise ValueError("lam must be finite and >= 0")
-    lam2 = lam * lam
-    L = int(math.floor((-1.0 + math.sqrt(1.0 + 4.0 * lam2)) / 2.0))
-    while L >= 0 and L * (L + 1) >= lam2:
+    num, den = float(lam).as_integer_ratio()
+    L = int(lam)  # (L + 1)(L + 2) > lam^2 from here on
+    while L >= 0 and L * (L + 1) * den * den >= num * num:
         L -= 1
-    while (L + 1) * (L + 2) < lam2:
-        L += 1
     return (L + 1) ** 2
 
 

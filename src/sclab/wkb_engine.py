@@ -129,16 +129,7 @@ def _potential(ell: int, m, theta, derivatives: bool = False):
 
 def q_potential(ell: int, m: int, theta):
     """(m^2 - 1/4)/cos^2(theta) - 1/4 - l(l+1); requires |theta| < pi/2."""
-    out = _potential(ell, m, np.asarray(theta, dtype=float))
-    return float(out) if np.isscalar(theta) else out
-
-
-def q_derivatives(ell: int, m: int, theta):
-    """Closed-form Q' and Q'' (the l-term drops out)."""
-    _, q1, q2 = _potential(ell, m, np.asarray(theta, dtype=float), derivatives=True)
-    if np.isscalar(theta):
-        return float(q1), float(q2)
-    return q1, q2
+    return _potential(ell, m, np.asarray(theta, dtype=float))
 
 
 def _error_density(q, q1, q2):
@@ -167,9 +158,9 @@ def _error_density(q, q1, q2):
 # 16-point Gauss on panels: a profile takes its grid intervals as panels
 # and accumulates the panel sums; the adaptive route splits [0, |theta|]
 # into 2^k equal panels and doubles k until the whole batch (angles at one
-# order) agrees with the previous k.  S by that
-# route (action_integral, and wkb_defect without an action) is the
-# quadrature oracle that the closed form is checked against.
+# order) agrees with the previous k.  S by that route (action_integral) is
+# the quadrature oracle that the closed form is checked against, and E by
+# it the tests' oracle for the profiles' panel sums.
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_rule(16)
 _MAX_DOUBLINGS = 16
@@ -294,14 +285,6 @@ def action_values(ell: int, ms, theta: float) -> np.ndarray:
     return math.copysign(1.0, theta) * _closed_action(ell, ms, abs(theta))
 
 
-def wkb_error_functional(ell: int, m: int, theta: float) -> float:
-    """Fedoryuk-form error integral E(theta); even, nonnegative, E(0) = 0."""
-    theta = float(theta)
-    if theta == 0.0:
-        return 0.0
-    return float(_from_zero(ell, m, np.array([theta]), error=True)[0])
-
-
 # ---------------------------------------------------------------------------
 # Profiles
 # ---------------------------------------------------------------------------
@@ -329,7 +312,7 @@ class WkbProfile:
         return (self.ell + self.m) % 2 == 0
 
 
-def wkb_approximant(ell: int, m: int, case_tag, r: int | None = None,
+def wkb_approximant(ell: int, m: int, case_tag, r: int,
                     eta1: float = DEFAULT_ETA1, eta2: float = DEFAULT_ETA2,
                     n_theta: int = 201) -> WkbProfile:
     """Sample Q, S, y, E on the case interval and match c at theta = 0.
@@ -343,8 +326,6 @@ def wkb_approximant(ell: int, m: int, case_tag, r: int | None = None,
     if n_theta < 2:
         raise ValueError(f"n_theta must be >= 2, got {n_theta}")
     case = normalize_case(case_tag)
-    if r is None:
-        r = band_radius(ell)
     interval = case_interval(ell, r, case, eta1, eta2)
     if n_theta % 2 == 0:
         n_theta += 1
@@ -397,38 +378,22 @@ def envelope(profile: WkbProfile) -> np.ndarray:
     return 2.0 * np.expm1(2.0 * profile.err) * abs(profile.c) * np.abs(profile.q) ** -0.25
 
 
-def wkb_defect(ell: int, m: int, theta, action=None) -> np.ndarray:
-    """Closed-form residual -y'' + Q y of the approximant.
-
-    Equals -A'' cos(S) (even parity) or -A'' sin(S) with A = |Q|^{-1/4};
-    the S'-terms cancel identically, which is the construction.  ``action``
-    may be supplied to reuse precomputed phases; otherwise one adaptive
-    doubling loop computes S at every theta at once.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    q, q1, q2 = _potential(ell, m, theta, derivatives=True)
-    if np.any(q >= 0):
-        raise TurningPointError("defect requested outside the oscillatory regime")
-    absq = -q
-    # with |Q|' = -Q' and |Q|'' = -Q'', A = |Q|^(-1/4) has
-    a2 = (5.0 / 16.0) * absq**-2.25 * q1**2 + 0.25 * absq**-1.25 * q2
-    if action is None:
-        action = _from_zero(ell, m, theta)
-    osc = np.cos(action) if (ell + m) % 2 == 0 else np.sin(action)
-    return -a2 * osc
+_Q_BOUND_NODES = 129
 
 
 def window_q_bounds(ell: int, r: int, case_tag, eta1: float = DEFAULT_ETA1,
-                    eta2: float = DEFAULT_ETA2, n_theta: int = 129):
+                    eta2: float = DEFAULT_ETA2):
     """Fitted constants (c1, c2) with -c1 <= Q/scale <= -c2 over the window.
 
-    scale is l*r in case "2" and l^2 in case "inf".  Both constants are
-    positive once l is past the sign threshold; the WKB runners require
-    c2 > 0, that Q < 0 for every order on the whole interval.
+    Q is sampled at ``_Q_BOUND_NODES`` equispaced angles of the case
+    interval.  scale is l*r in case "2" and l^2 in case "inf".  Both
+    constants are positive once l is past the sign threshold; the WKB
+    runners require c2 > 0, that Q < 0 for every order on the whole
+    interval.
     """
     case = normalize_case(case_tag)
     lo, hi = case_interval(ell, r, case, eta1, eta2)
-    thetas = np.linspace(lo, hi, n_theta)
+    thetas = np.linspace(lo, hi, _Q_BOUND_NODES)
     scale = ell * r if case == "2" else ell * ell
     ratios = []
     for m in case_window(ell, r, case):

@@ -14,6 +14,11 @@ the mesh.
 Frozen literals in the tests were produced by these functions; rerun
 them to re-derive any of the constants.
 
+Three WKB routes have no caller in the library: the closed-form Q' and
+Q'', the error functional E by the library's adaptive panel route (the
+reference for the profiles' per-interval panel sums), and the closed-form
+defect -y'' + Q y of the approximant.
+
 Two dense routes are the references for the library's structured ones.
 ``ylm_matrix`` expands every Y_l^m on the mesh from the library's
 ``radial_rows`` (themselves tested against mpmath): the reference for the
@@ -262,6 +267,13 @@ def singular_values(matrix) -> np.ndarray:
     return np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))[::-1]
 
 
+def degree_table(m: int, ell_max: int, x) -> np.ndarray:
+    """g-values of degrees m..ell_max at order m: ``_degree_tables``' one table, copied."""
+    from sclab import sphere_basis as sb
+
+    return next(sb._degree_tables(m, m, ell_max, x))[1].copy()
+
+
 def equator_anchors_per_step(ell_max: int):
     """Worst relative errors of the degree recurrence at x = 0, step by step.
 
@@ -324,3 +336,50 @@ def cluster_gram_per_diagonal(ells, w_samples, grid):
                 block[a, a - s] = ((weighted[a] * rows_b[a - s])
                                    @ coef[:, (s - shift) % grid.n_phi])
     return gram
+
+
+def q_derivatives(ell: int, m: int, theta):
+    """Closed-form Q' and Q'' of the WKB potential (the l-term drops out)."""
+    from sclab import wkb_engine as wkb
+
+    _, q1, q2 = wkb._potential(ell, m, np.asarray(theta, dtype=float), derivatives=True)
+    if np.isscalar(theta):
+        return float(q1), float(q2)
+    return q1, q2
+
+
+def wkb_error_functional(ell: int, m: int, theta: float) -> float:
+    """Fedoryuk-form error integral E(theta) by the adaptive panel route.
+
+    Even, nonnegative, E(0) = 0: the reference for the profiles' per-interval
+    panel sums of ``wkb_approximant``.
+    """
+    from sclab import wkb_engine as wkb
+
+    theta = float(theta)
+    if theta == 0.0:
+        return 0.0
+    return float(wkb._from_zero(ell, m, np.array([theta]), error=True)[0])
+
+
+def wkb_defect(ell: int, m: int, theta, action=None) -> np.ndarray:
+    """Closed-form residual -y'' + Q y of the WKB approximant.
+
+    Equals -A'' cos(S) (even parity) or -A'' sin(S) with A = |Q|^{-1/4};
+    the S'-terms cancel identically, which is the construction.  ``action``
+    may be supplied to reuse precomputed phases; otherwise one adaptive
+    doubling loop computes S at every theta at once.
+    """
+    from sclab import wkb_engine as wkb
+
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    q, q1, q2 = wkb._potential(ell, m, theta, derivatives=True)
+    if np.any(q >= 0):
+        raise wkb.TurningPointError("defect requested outside the oscillatory regime")
+    absq = -q
+    # with |Q|' = -Q' and |Q|'' = -Q'', A = |Q|^(-1/4) has
+    a2 = (5.0 / 16.0) * absq**-2.25 * q1**2 + 0.25 * absq**-1.25 * q2
+    if action is None:
+        action = wkb._from_zero(ell, m, theta)
+    osc = np.cos(action) if (ell + m) % 2 == 0 else np.sin(action)
+    return -a2 * osc

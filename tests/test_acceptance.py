@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import equator_anchors_per_step
+from _oracles import degree_table, equator_anchors_per_step
 from sclab import acceptance as acc
 from sclab import experiments as ex
 from sclab import expsum as es
@@ -199,9 +199,9 @@ def test_half_grid_gram_matches_the_full_grid(m):
     grid = sb.build_grid(256, 2 * ell_max + 3)
     x, w = np.cos(grid.theta_nodes[:128]), grid.theta_weights
     assert np.array_equal(w[:128], w[::-1][:128])
-    full = sb.legendre_degree_table(m, ell_max, np.concatenate([x, -x[::-1]]))
+    full = degree_table(m, ell_max, np.concatenate([x, -x[::-1]]))
     gram = 2.0 * math.pi * (full * w) @ full.T
-    half = sb.legendre_degree_table(m, ell_max, x)
+    half = degree_table(m, ell_max, x)
     for parity in (0, 1):
         rows = half[parity::2] * np.sqrt(4.0 * math.pi * w[:128])
         np.testing.assert_allclose(gram[parity::2, parity::2], rows @ rows.T,

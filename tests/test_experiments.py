@@ -340,6 +340,19 @@ def test_cli_run_reports_runner_config_error(tmp_path, capsys):
     assert "config error: field 'lambda_range'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, field_name", [
+    # eta2 sqrt(r/l) is narrower than the 4l grid's spacing at the equator
+    ("experiment = cluster_lower\nell_range = 100, 200, 400, 800\neta2 = 0.0001\n", "eta2"),
+    # lambda^2 underflows, so weyl_count read 0 and count / lambda^2 divided by it
+    ("experiment = weyl\nlambda_range = 1e-200, 1e-100\n", "lambda_range"),
+])
+def test_cli_run_refuses_a_config_that_ended_in_a_traceback(tmp_path, capsys, text, field_name):
+    cfg_path = tmp_path / "user.cfg"
+    cfg_path.write_text(text)
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert f"config error: field '{field_name}'" in capsys.readouterr().err
+
+
 def test_cli_run_prints_elapsed_time(tmp_path, capsys, monkeypatch):
     clock = iter([100.0, 102.5])
     monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))

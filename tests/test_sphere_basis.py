@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sclab.schatten_lab import dual_exponent, kss_bound, make_report
 from sclab.wkb_engine import (action_integral, band_radius, case_interval, case_window,
                               q_potential)
 
-from _oracles import (double_factorial, gauss_legendre_node_mp,
+from _oracles import (degree_table, double_factorial, gauss_legendre_node_mp,
                       gauss_legendre_recurrence_rule, legendre_theta_recurrence,
                       normalized_legendre_mp, ylm_matrix)
 
@@ -201,7 +202,7 @@ def test_orders_above_every_old_lift_read_their_true_values():
         exact = float(normalized_legendre_mp(m, ell, x[0]))
         assert abs(exact) > 0.9
         for value in (rows[m], sb.legendre_row(m, ell, x)[0],
-                      sb.legendre_degree_table(m, ell, x)[-1, 0]):
+                      degree_table(m, ell, x)[-1, 0]):
             assert abs(value - exact) <= 1e-12 * scale, m
 
 
@@ -622,7 +623,7 @@ def test_seed_constant_against_mpmath(m):
 
 def test_degree_table_lifts_an_underflowing_seed():
     m, ell, x = 533, 1600, np.array([-0.970])
-    table = sb.legendre_degree_table(m, ell, x)
+    table = degree_table(m, ell, x)
     assert np.array_equal(table[-1], sb.legendre_row(m, ell, x))
     exact = float(normalized_legendre_mp(m, ell, x[0]))  # 7.23e-38
     assert abs(table[-1, 0] / exact - 1) <= 1e-12
@@ -630,20 +631,38 @@ def test_degree_table_lifts_an_underflowing_seed():
 
 def test_degree_table_matches_single_rows():
     x = np.linspace(-0.9, 0.9, 5)
-    table = sb.legendre_degree_table(4, 40, x)
+    table = degree_table(4, 40, x)
     for ell in (4, 17, 40):
         assert np.array_equal(table[ell - 4], sb.legendre_row(4, ell, x))
+
+
+@pytest.mark.parametrize("m", [0, 3333, 9990])
+def test_single_row_holds_a_few_rows_in_degree(m):
+    # a row is a column of one order of which only the last row is kept;
+    # the table of l = 10000 on 4096 nodes would be 328 MB.  Measured: <= 11
+    # rows (m = 9990 lifts its seed next to the poles).  The seeds' cached
+    # normalization table is built first, on one node
+    x = np.cos(sb.build_grid(4096).theta_nodes)
+    sb.legendre_row(m, m, x[:1])
+    tracemalloc.start()
+    try:
+        sb.legendre_row(m, 10_000, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * x.nbytes
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2, 5, 40, 127])
 def test_order_column_matches_one_order_recurrences(ell):
     x = np.cos(sb.build_grid(256).theta_nodes)
     orders = np.arange(ell + 1)[:, None]
-    alone = [sb._degree_rows(m, ell, x, sb._seed_values(m, x)) for m in range(ell + 1)]
+    alone = [sb._degree_rows(orders[m:m + 1], ell, x, sb._seed_values(orders[m:m + 1], x))
+             for m in range(ell + 1)]
     column = sb._degree_rows(orders, ell, x, sb._seed_values(orders, x))
     for step, rows in enumerate(column):
         for m in range(ell + 1 - step):  # orders not yet past degree ell
-            assert np.array_equal(rows[m], next(alone[m]))
+            assert np.array_equal(rows[m], next(alone[m])[0])
     assert step == ell
     assert all(next(gen, None) is None for gen in alone)
     assert np.array_equal(sb.radial_rows(ell, x), _signed_band(ell, x))
@@ -659,7 +678,7 @@ def test_degree_tables_match_one_order_tables(m_lo, m_hi):
     orders = []
     for m, table in sb._degree_tables(m_lo, m_hi, 200, x):
         assert table.flags.c_contiguous
-        assert np.array_equal(table, sb.legendre_degree_table(m, 200, x))
+        assert np.array_equal(table, degree_table(m, 200, x))
         orders.append(m)
     assert orders == list(range(m_lo, m_hi + 1))
 
@@ -1019,7 +1038,7 @@ def test_small_scale_gram_identity():
     grid = sb.build_grid(64)
     x = np.cos(grid.theta_nodes)
     for m in range(0, 31, 5):
-        table = sb.legendre_degree_table(m, 30, x)
+        table = degree_table(m, 30, x)
         gram = 2.0 * math.pi * (table * grid.theta_weights) @ table.T
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-11
 
@@ -1053,19 +1072,25 @@ def _norm_constant(ell, m):
                      * math.exp(math.lgamma(ell - m + 1) - math.lgamma(ell + m + 1)))
 
 
+def _at_zero(ell, m):
+    """v_l^m(0) and (v_l^m)'(0) of one pair, as floats."""
+    value, deriv = sb.normalized_at_zero(ell, m)
+    return float(value[0]), float(deriv[0])
+
+
 def test_normalized_at_zero_examples():
     # P_1^1(0) = -1 and (P_1^0)'(0) = 1, times the normalization
-    value, deriv = sb.normalized_at_zero(1, 1)
+    value, deriv = _at_zero(1, 1)
     assert value == pytest.approx(-_norm_constant(1, 1), rel=1e-13)
     assert deriv == 0.0
-    value, deriv = sb.normalized_at_zero(1, 0)
+    value, deriv = _at_zero(1, 0)
     assert value == 0.0
     assert deriv == pytest.approx(_norm_constant(1, 0), rel=1e-13)
 
 
 def test_normalized_at_zero_top_order_matches_double_factorial():
     # P_40^40(0) = 79!!
-    value, deriv = sb.normalized_at_zero(40, 40)
+    value, deriv = _at_zero(40, 40)
     assert deriv == 0.0
     assert value == pytest.approx(float(double_factorial(79)) * _norm_constant(40, 40),
                                   rel=1e-12)
@@ -1074,7 +1099,7 @@ def test_normalized_at_zero_top_order_matches_double_factorial():
 @given(st.integers(0, 200), st.integers(0, 200))
 def test_normalized_at_zero_parity_structure(ell, m):
     ell, m = max(ell, m), min(ell, m)
-    value, deriv = sb.normalized_at_zero(ell, m)
+    value, deriv = _at_zero(ell, m)
     if (ell + m) % 2 == 0:
         assert deriv == 0.0 and value != 0.0
     else:
@@ -1084,7 +1109,7 @@ def test_normalized_at_zero_parity_structure(ell, m):
 def test_normalized_at_zero_matches_recurrence():
     x0 = np.array([0.0])
     for m in range(0, 81, 8):
-        table = sb.legendre_degree_table(m, 80, x0)[:, 0]
+        table = degree_table(m, 80, x0)[:, 0]
         ells = np.arange(m, 81)
         values, _ = sb.normalized_at_zero(ells, np.full(ells.size, m))
         even = (ells + m) % 2 == 0
@@ -1100,11 +1125,11 @@ def test_normalized_at_zero_against_mpmath(ell, m):
     with mp.workdps(40):
         norm = mp.sqrt((2 * ell + 1) / (4 * mp.pi) * mp.factorial(ell - m) / mp.factorial(ell + m))
         if (ell + m) % 2 == 0:  # P_l^m(0) = (-1)^a (l + m - 1)!! / (l - m)!!
-            got = sb.normalized_at_zero(ell, m)[0]
+            got = _at_zero(ell, m)[0]
             exact = ((-1) ** ((ell + m) // 2) * mp.mpf(double_factorial(ell + m - 1))
                      / double_factorial(ell - m))
         else:  # (P_l^m)'(0) = (l + m) P_{l-1}^m(0)
-            got = sb.normalized_at_zero(ell, m)[1]
+            got = _at_zero(ell, m)[1]
             exact = ((-1) ** ((ell + m - 1) // 2) * (ell + m)
                      * mp.mpf(double_factorial(ell + m - 2)) / double_factorial(ell - m - 1))
         # through log-gamma these were off by up to 1.6e-11
@@ -1112,7 +1137,7 @@ def test_normalized_at_zero_against_mpmath(ell, m):
 
 
 def test_normalized_at_zero_bounded_at_extreme_orders():
-    value, deriv = sb.normalized_at_zero(500, 500)
+    value, deriv = _at_zero(500, 500)
     assert np.isfinite(value) and deriv == 0.0
 
 
@@ -1121,7 +1146,7 @@ def test_no_overflow_at_degree_ten_thousand():
     for m in (0, 123, 5000, 9999):
         row = sb.legendre_row(m, 10_000, x)
         assert np.all(np.isfinite(row))
-    value, deriv = sb.normalized_at_zero(10_000, 5000)
+    value, deriv = _at_zero(10_000, 5000)
     assert np.isfinite(value) and np.isfinite(deriv)
 
 
@@ -1172,6 +1197,11 @@ def test_grid_metadata():
 def test_weyl_examples():
     assert sb.weyl_count(0.5) == 1
     assert sb.weyl_count(10.0) == 100
+    # eigenvalue 0 lies below every lam > 0, though lam * lam underflows here
+    assert sb.weyl_count(1e-200) == sb.weyl_count(5e-324) == 1
+    assert sb.weyl_count(0.0) == 0
+    # float(sqrt(30)) squared rounds to 30 but exceeds it
+    assert sb.weyl_count(math.sqrt(30.0)) == 36
     with pytest.raises(ValueError):
         sb.weyl_count(-1.0)
 
@@ -1184,10 +1214,12 @@ def test_weyl_leading_coefficient_sweep():
 
 @given(st.floats(0.0, 500.0))
 def test_weyl_count_by_enumeration(lam):
+    # lam^2 exactly: lam * lam underflows to 0 below ~1.5e-162
     count = sb.weyl_count(lam)
     brute = sum(2 * ell + 1 for ell in range(0, int(lam) + 2)
-                if ell * (ell + 1) < lam * lam)
+                if ell * (ell + 1) < Fraction(lam) ** 2)
     assert count == brute
+
 
 
 def test_cluster_rank_examples():

@@ -6,7 +6,8 @@ import pytest
 from sclab import sphere_basis as sb
 from sclab import wkb_engine as wkb
 
-from _oracles import action_mp, action_simpson, profile_integrals_loop
+from _oracles import (action_mp, action_simpson, profile_integrals_loop, q_derivatives,
+                      wkb_defect, wkb_error_functional)
 
 
 # ---------------------------------------------------------------------------
@@ -22,14 +23,14 @@ def test_q_rejects_the_poles():
     with pytest.raises(ValueError):
         wkb.q_potential(10, 2, math.pi / 2)
     with pytest.raises(ValueError):
-        wkb.q_derivatives(10, 2, np.array([0.1, 1.8]))
+        q_derivatives(10, 2, np.array([0.1, 1.8]))
 
 
 def test_q_derivatives_match_finite_differences():
     ell, m = 80, 30
     thetas = np.linspace(-1.2, 1.2, 11)
     h = 1e-5
-    q1, q2 = wkb.q_derivatives(ell, m, thetas)
+    q1, q2 = q_derivatives(ell, m, thetas)
     fd1 = (wkb.q_potential(ell, m, thetas + h)
            - wkb.q_potential(ell, m, thetas - h)) / (2 * h)
     fd2 = (wkb.q_potential(ell, m, thetas + h) - 2 * wkb.q_potential(ell, m, thetas)
@@ -128,10 +129,10 @@ def test_closed_action_refuses_what_the_potential_refuses():
 
 
 def test_error_functional_values():
-    assert wkb.wkb_error_functional(100, 50, 0.0) == 0.0
-    val = wkb.wkb_error_functional(100, 50, 0.2)
+    assert wkb_error_functional(100, 50, 0.0) == 0.0
+    val = wkb_error_functional(100, 50, 0.2)
     assert val == pytest.approx(2.0269243315787684e-4, rel=1e-10)
-    assert wkb.wkb_error_functional(100, 50, -0.2) == pytest.approx(val, rel=1e-12)
+    assert wkb_error_functional(100, 50, -0.2) == pytest.approx(val, rel=1e-12)
 
 
 @pytest.mark.parametrize("case", ["2", "inf"])
@@ -142,7 +143,7 @@ def test_error_functional_window_scaling(case):
         r = wkb.band_radius(ell)
         m = int(wkb.case_window(ell, r, case)[r // 2])
         _, hi = wkb.case_interval(ell, r, case)
-        scaled.append(wkb.wkb_error_functional(ell, m, hi) * r)
+        scaled.append(wkb_error_functional(ell, m, hi) * r)
     assert max(scaled) / min(scaled) < 3.0
 
 
@@ -156,18 +157,18 @@ def test_adaptive_route_detects_non_convergence():
     closed = wkb.action_values(0, np.array([0]), near_pole)[0]
     assert closed == pytest.approx(float(action_mp(0, 0, near_pole)), rel=4e-16)
     with pytest.raises(RuntimeError, match="failed to reach"):
-        wkb.wkb_error_functional(0, 0, near_pole)
+        wkb_error_functional(0, 0, near_pole)
     with pytest.raises(RuntimeError, match="failed to reach"):  # 0.1 converges
-        wkb.wkb_defect(0, 0, np.array([0.1, near_pole]))
+        wkb_defect(0, 0, np.array([0.1, near_pole]))
 
 
 def test_batched_adaptive_route_detects_turning_points():
     with pytest.raises(wkb.TurningPointError):
-        wkb.wkb_error_functional(10, 8, 1.3)
+        wkb_error_functional(10, 8, 1.3)
     # Q_(10,8)(0) < 0 at every requested angle, but the last integral
     # crosses the turning point
     with pytest.raises(wkb.TurningPointError):
-        wkb.wkb_defect(10, 8, np.array([0.1, -0.2, 1.3]))
+        wkb_defect(10, 8, np.array([0.1, -0.2, 1.3]))
     with pytest.raises(ValueError):
         wkb.action_integral(10, 2, 1.6)  # past the pole
 
@@ -200,12 +201,12 @@ def test_profile_integrals_match_the_adaptive_route(case):
         assert prof.action[i] == pytest.approx(
             wkb.action_integral(ell, m, theta), rel=1e-9, abs=1e-300)
         assert prof.err[i] == pytest.approx(
-            wkb.wkb_error_functional(ell, m, theta), rel=1e-9, abs=1e-300)
+            wkb_error_functional(ell, m, theta), rel=1e-9, abs=1e-300)
 
 
 
 def test_approximant_matching_point_values():
-    prof = wkb.wkb_approximant(100, 80, "2")
+    prof = wkb.wkb_approximant(100, 80, "2", wkb.band_radius(100))
     mid = prof.thetas.size // 2
     assert prof.thetas[mid] == 0.0
     q0 = abs(wkb.q_potential(100, 80, 0.0))
@@ -216,7 +217,7 @@ def test_approximant_matching_point_values():
 
 
 def test_profile_action_and_error_monotonicity():
-    prof = wkb.wkb_approximant(100, 80, "2")
+    prof = wkb.wkb_approximant(100, 80, "2", wkb.band_radius(100))
     mid = prof.thetas.size // 2
     assert np.all(np.diff(prof.action) > 0.0)  # S strictly increasing
     assert np.allclose(prof.action[:mid], -prof.action[:mid:-1])  # odd
@@ -241,8 +242,8 @@ def test_envelope_bounds_true_error(ell, case):
 
 def test_wrong_parity_matching_breaks_the_fit():
     ell, m = 100, 80  # l + m even; the odd-parity rule gives c = 0
-    prof = wkb.wkb_approximant(ell, m, "2")
-    _, dv0 = sb.normalized_at_zero(ell, m)
+    prof = wkb.wkb_approximant(ell, m, "2", wkb.band_radius(ell))
+    dv0 = sb.normalized_at_zero(ell, m)[1][0]
     c_wrong = dv0 / abs(wkb.q_potential(ell, m, 0.0)) ** 0.25
     assert c_wrong == 0.0
     v = sb.legendre_band(ell, m, m, prof.thetas).values_v[0]
@@ -257,7 +258,7 @@ def test_normalization_constants_scale_linearly():
         r = wkb.band_radius(ell)
         for case in ("2", "inf"):
             for m in wkb.case_window(ell, r, case):
-                v0, dv0 = sb.normalized_at_zero(ell, int(m))
+                v0, dv0 = (v[0] for v in sb.normalized_at_zero(ell, int(m)))
                 q0 = abs(wkb.q_potential(ell, int(m), 0.0))
                 c = v0 * q0**0.25 if (ell + m) % 2 == 0 else dv0 / q0**0.25
                 values.append(abs(c) ** 2 / ell)
@@ -272,7 +273,7 @@ def test_constant_matches_stirling_asymptotics():
         m = int(wkb.case_window(ell, r, case)[0])
         if (ell + m) % 2:
             m += 1
-        v0, _ = sb.normalized_at_zero(ell, m)
+        v0 = sb.normalized_at_zero(ell, m)[0][0]
         q0 = abs(wkb.q_potential(ell, m, 0.0))
         c = abs(v0 * q0**0.25)
         asym = (q0**0.25 * math.sqrt((2 * ell + 1) / (2 * math.pi**2))
@@ -290,7 +291,7 @@ def test_approximant_refuses_a_grid_without_two_nodes(n_theta):
     # one node would be theta = lo, not the centre that S and E start from:
     # at (100, 90) case 2 it gave S = 0 and a zero envelope at theta = -0.158
     with pytest.raises(ValueError, match="n_theta"):
-        wkb.wkb_approximant(100, 90, "2", n_theta=n_theta)
+        wkb.wkb_approximant(100, 90, "2", 10, n_theta=n_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +307,7 @@ def test_defect_matches_second_differences_where_conditioned():
     h = prof.thetas[1] - prof.thetas[0]
     d2 = (prof.y[2:] - 2 * prof.y[1:-1] + prof.y[:-2]) / h**2
     fd = -d2 + prof.q[1:-1] * prof.y[1:-1]
-    cf = wkb.wkb_defect(ell, m, prof.thetas[1:-1], action=prof.action[1:-1])
+    cf = wkb_defect(ell, m, prof.thetas[1:-1], action=prof.action[1:-1])
     assert np.max(np.abs(fd - cf)) < 0.05 * np.max(np.abs(cf))
 
 
@@ -316,8 +317,8 @@ def test_defect_computes_the_same_action_itself(case):
     r = wkb.band_radius(ell)
     m = int(wkb.case_window(ell, r, case)[-1])
     prof = wkb.wkb_approximant(ell, m, case, r, n_theta=401)
-    own = wkb.wkb_defect(ell, m, prof.thetas)
-    given = wkb.wkb_defect(ell, m, prof.thetas, action=prof.action)
+    own = wkb_defect(ell, m, prof.thetas)
+    given = wkb_defect(ell, m, prof.thetas, action=prof.action)
     assert np.max(np.abs(own - given)) <= 1e-9 * np.max(np.abs(given))
 
 
@@ -327,6 +328,6 @@ def test_defect_relative_size_decays_with_band_radius():
         r = wkb.band_radius(ell)
         m = int(wkb.case_window(ell, r, "2")[r // 2])
         prof = wkb.wkb_approximant(ell, m, "2", r)
-        cf = wkb.wkb_defect(ell, m, prof.thetas, action=prof.action)
+        cf = wkb_defect(ell, m, prof.thetas, action=prof.action)
         sups[ell] = np.max(np.abs(cf) / np.abs(prof.q) ** 0.75)
     assert sups[400] < sups[100] / 2.0
