@@ -81,7 +81,7 @@ def _orthonormality(_memo) -> list:
     # pi/2) where their l - m have one parity, and 0 where they differ;
     # x = 0 is appended for the equator anchors, outside the Gram
     half = grid.n_theta // 2
-    x = np.append(np.cos(grid.theta_nodes[:half]), 0.0)
+    x = np.append(grid.nodes[:half], 0.0)
     scale = np.sqrt(4.0 * math.pi * grid.theta_weights[:half])
 
     # cross-order entries vanish through the azimuthal rule; sample them,

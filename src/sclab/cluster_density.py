@@ -120,7 +120,6 @@ class DensityProfile:
     thetas: np.ndarray
     theta_weights: np.ndarray
     rho: np.ndarray
-    trace: float
     underflow_nodes: int = 0
 
     def norm(self, p: float) -> float:
@@ -159,7 +158,7 @@ def density(spec: ClusterSpec, grid: SphereGrid) -> DensityProfile:
         raise GridResolutionError(f"n_theta={grid.n_theta} < 4*ell={4 * spec.ell}")
     # node i pairs with node n - 1 - i; an odd centre is alone
     n_pairs = grid.n_theta // 2
-    x = np.cos(grid.theta_nodes[:grid.n_theta - n_pairs])
+    x = grid.nodes[:grid.n_theta - n_pairs]
     m_lo, m_hi = int(spec.window[0]), int(spec.window[-1])
     nu = spec.weights
     rho = np.empty(x.size)
@@ -171,8 +170,7 @@ def density(spec: ClusterSpec, grid: SphereGrid) -> DensityProfile:
     rho = np.concatenate([rho, rho[:n_pairs][::-1]])
     underflow = _top_seed_underflows(m_hi, x)
     n_under = 2 * np.count_nonzero(underflow[:n_pairs]) + np.count_nonzero(underflow[n_pairs:])
-    return DensityProfile(grid.theta_nodes, grid.theta_weights, rho,
-                          float(np.sum(nu)), underflow_nodes=int(n_under))
+    return DensityProfile(grid.theta_nodes, grid.theta_weights, rho, underflow_nodes=int(n_under))
 
 
 def exponents(p: float, n_dim: int = 2) -> tuple[float, float]:
@@ -277,12 +275,11 @@ def random_cluster_density(lam: float, n_funcs: int, rng: np.random.Generator,
     gauss = rng.standard_normal((dim, n_funcs)) + 1j * rng.standard_normal((dim, n_funcs))
     q, _ = np.linalg.qr(gauss)
     nu = rng.uniform(0.0, 1.0, n_funcs)
-    x = np.cos(grid.theta_nodes)
     n_phi = grid.n_phi
     degrees, start = [], 0  # (rows, coefficients, bins) of each degree's orders
     for ell in ells:
         orders = np.arange(-ell, ell + 1)
-        degrees.append((radial_rows(ell, x), q[start:start + orders.size], orders % n_phi))
+        degrees.append((radial_rows(ell, grid.nodes), q[start:start + orders.size], orders % n_phi))
         start += orders.size
     rho = np.empty((grid.n_theta, n_phi))
     bins = np.empty((n_phi, n_funcs), dtype=complex)

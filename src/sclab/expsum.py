@@ -27,7 +27,7 @@ import numpy as np
 from .wkb_engine import (DEFAULT_ETA1, DEFAULT_ETA2, action_values,
                          case_interval, case_window, normalize_case)
 
-# slack for monotonicity of increments computed through quadrature
+# slack for monotonicity of the increments, closed-form action differences
 _MONOTONE_TOL = 1e-9
 
 

@@ -158,8 +158,7 @@ def weighted_cluster_gram(ells, w_samples, grid: SphereGrid) -> np.ndarray:
     w_sq = np.asarray(w_samples(thetas, phis), dtype=float) ** 2
     coef = np.fft.fft(w_sq.reshape(grid.n_theta, grid.n_phi), axis=1)
     coef *= grid.phi_weight
-    x = np.cos(grid.theta_nodes)
-    tables = [radial_rows(ell, x) for ell in ells]
+    tables = [radial_rows(ell, grid.nodes) for ell in ells]
     offsets = np.cumsum([0] + [t.shape[0] for t in tables])
     gram = np.empty((offsets[-1], offsets[-1]), dtype=complex)
     for ia, rows_a in enumerate(tables):

@@ -83,10 +83,11 @@ intervals, which end ~8r/l from the poles, and on a Gauss grid everywhere
 but next to the poles, where they take Miller's sweep, ~4r + 40 steps (246
 of 9600 nodes at l = 2400); case-"2" windows have m_hi near l and sweep
 downward, as does :func:`radial_rows`.  Every sin^2(theta) is formed as
-(1 - x)(1 + x), in unlifted seeds as log1p(-x) + log1p(x): 1 - x*x would
-lose m/2 * 2^-53 / (1 - x^2) of relative accuracy in sin^m next to the poles
-(at l = 400 on the first of 1600 Gauss nodes, seeds of m = 60..137 are
-within 5e-14 of mpmath this way, against up to 1.1e-9 from 1 - x*x).
+(1 - x)(1 + x): 1 - x*x would lose m/2 * 2^-53 / (1 - x^2) of relative
+accuracy in sin^m next to the poles (at l = 400 on the first of 1600
+Gauss nodes, seeds of m = 60..137 are within 1.2e-13 of 50-digit mpmath
+this way, the rounding of their exponents, against up to 1.1e-9 from
+1 - x*x).
 Measured against the per-order degree recurrence on n = 4l Gauss nodes
 up to l = 2400, both windows' bands agree to within 7.2e-13 of each row's
 maximum.  Against 50-digit mpmath at l = 975 and 2400, the top and bottom
@@ -118,20 +119,22 @@ r x n band (0.5 GB at l = 102400, r = 320, on half the 4l-point grid).
 Underflow.  Where the seed g_m^m of a recurrence falls below the smallest
 normal double (sin(theta)^m < ~1e-308 next to the poles), that node's rows
 carry a power of two: the seed is lifted by the least 2^lift that brings
-it into the normal range.  A lifted seed goes through exp as
-(m/2) log(f) + (lift + m k) ln 2, with sin^2(theta) = f 4^k and f in
-[1/2, 2), not as the log of sin^m itself, whose rounding (~1e5 2^-53 at
-m = 1e4) left seeds 1.7e-11 off next to a pole at l = 10000 (1.4e-12 this
-way).  Both recurrences are linear, so lifted rows are the true rows
-times 2^lift.  As the rows grow, the recurrences keep that power up to
-date (:func:`_rescaled`): every ``_DEGREE_CHECK_STEPS`` steps in degree
-and every ``_ORDER_CHECK_STEPS`` in order, a node whose two latest rows
-have passed 2^512 is scaled down by that power, and its lift drops by as
-much.  The checks are often enough (the bounds are stated beside
-``_RESCALE_BITS``): no row of an order sweep passes 2^808 for l <= 1e6,
-and no row of a degree recurrence 2^768 for l <= 1e4.  Each kept row is
-scaled back once, by 2^-lift, which rounds only where a value is itself
-subnormal or below the double range.  There is no largest lift and
+it into the normal range.  Every seed, lifted or not, goes through exp
+as (m/2) log(f) + (lift + m k) ln 2 plus the log of its value at the
+equator, with sin^2(theta) = f 4^k and f in [1/2, 2)
+(:func:`_seed_log_magnitude`), not as the log of sin^m itself, whose
+rounding (~1e5 2^-53 at m = 1e4) left seeds 1.7e-11 off next to a pole
+at l = 10000 (1.4e-12 this way).  Both recurrences are linear, so lifted
+rows are the true rows times 2^lift.  As the rows grow, the recurrences
+keep that power up to date (:func:`_rescaled`): every
+``_DEGREE_CHECK_STEPS`` steps in degree and every ``_ORDER_CHECK_STEPS``
+in order, a node whose two latest rows have passed 2^512 is scaled down
+by that power, and its lift drops by as much.  The checks are often
+enough (the bounds are stated beside ``_RESCALE_BITS``): no row of an
+order sweep passes 2^808 for l <= 1e6, and no row of a degree recurrence
+2^768 for l <= 1e4.  Each kept row is scaled back once, by 2^-lift,
+which rounds only where a value is itself subnormal or below the double
+range.  There is no largest lift and
 nothing restarts: an order whose value is representable reads it however
 far below the double range its seed lies.  At l = 10000 and
 sin(theta) = 0.06, orders 499, 549 and 600 (values -0.94, -1.49 and 2.12,
@@ -142,7 +145,7 @@ l = 2400 and 10000) the band's normal values are within 1.4e-12.  A column
 of the degree recurrence (:func:`_degree_column`) lifts each of its
 orders' seeds the same way, so its lifts are per (order, node).
 
-The seed-exponent floor.  The exponent of a lifted seed is a sum of terms
+The seed-exponent floor.  The exponent of a seed is a sum of terms
 up to ~(m/2) ln 2 in size, each rounded, so the seed is off by up to
 ~m 2^-53 relative, and a sweep passes that error on unchanged to every
 row it gives on the node.  A downward sweep starts from m = l, so next to
@@ -260,16 +263,23 @@ def _log_central_binomial(k):
     return _central_binomial_table(1 << max(10, int(k.max(initial=0)).bit_length()))[k]
 
 
-def _seed_log_magnitude(m, x: np.ndarray) -> np.ndarray:
-    """log |g_m^m| on nodes x for one order or a column of orders (k, 1).
+def _seed_log_magnitude(m, x: np.ndarray, lift=0) -> np.ndarray:
+    """log |2**lift g_m^m| on nodes x for one order or a column of orders (k, 1).
 
-    log |g_m^m(0)| = (log((2m + 1) / (4 pi)) + S_m) / 2; within 5.1e-16
-    of 40-digit mpmath at m = 376, 1000, 2346 and 6400.  For |x| < 1,
-    which every entry point of this module checks.
+    (m/2) log(f) + (lift + m k) ln 2 plus log |g_m^m(0)|, with
+    sin^2(theta) = (1 - x)(1 + x) = f 4^k and f in [1/2, 2): no term
+    reaches the size of log(sin^m), whose rounding would cost
+    |log(sin^m)| 2^-53 of relative accuracy (see Underflow in the module
+    notes).  log |g_m^m(0)| = (log((2m + 1) / (4 pi)) + S_m) / 2; within
+    5.1e-16 of 40-digit mpmath at m = 376, 1000, 2346 and 6400.  ``lift``
+    is one integer or one per node.  For |x| < 1, which every entry point
+    of this module checks.
     """
     m = np.asarray(m)
     equator = 0.5 * (np.log(2.0 * m + 1.0) - math.log(FOUR_PI) + _log_central_binomial(m))
-    return equator + 0.5 * m * (np.log1p(-x) + np.log1p(x))
+    fraction, exponent = np.frexp((1.0 - x) * (1.0 + x))
+    return (equator + 0.5 * m * np.log(np.ldexp(fraction, exponent % 2))
+            + (lift + m * (exponent // 2)) * _LN2)
 
 
 def _seed_values(m, x: np.ndarray, lift=0) -> np.ndarray:
@@ -277,19 +287,10 @@ def _seed_values(m, x: np.ndarray, lift=0) -> np.ndarray:
 
     ``lift`` (one integer, or one per node) lifts seeds that would
     underflow into the normal range; the default gives the plain seed.
-    A lifted seed is exp of (m/2) log(fraction) + (lift + m k) ln 2 and
-    the log of its value at the equator, with sin^2(theta) = fraction 4^k:
-    no term reaches the size of log(sin^m), whose rounding would cost
-    |log(sin^m)| 2^-53 of relative accuracy (see Underflow in the module
-    notes).  Order 0 is 1/sqrt(4 pi) times 2**lift exactly.
+    Order 0 is 1/sqrt(4 pi) times 2**lift exactly.
     """
-    log_mag = _seed_log_magnitude(m, x)
-    if np.any(lift):  # sin^2 = fraction * 4^(exponent // 2), fraction in [1/2, 2)
-        fraction, exponent = np.frexp((1.0 - x) * (1.0 + x))
-        log_mag = np.where(lift > 0, _seed_log_magnitude(m, 0.0) + 0.5 * m * np.log(
-            np.ldexp(fraction, exponent % 2)) + (lift + m * (exponent // 2)) * _LN2, log_mag)
     with np.errstate(under="ignore"):
-        values = np.where(m % 2, -1.0, 1.0) * np.exp(log_mag)
+        values = np.where(m % 2, -1.0, 1.0) * np.exp(_seed_log_magnitude(m, x, lift))
     # a lift meant for another order must not reach ldexp: it may overflow
     return np.where(m == 0, np.ldexp(1.0 / math.sqrt(FOUR_PI), np.where(m == 0, lift, 0)), values)
 
@@ -725,13 +726,17 @@ def normalized_at_zero(ell, m) -> tuple[np.ndarray, np.ndarray]:
 class SphereGrid:
     """Gauss colatitude rule plus equispaced azimuth.
 
-    ``theta_weights`` absorb the sin(theta) area factor: sum_i w_i f(theta_i)
-    approximates int_0^pi f sin(theta) dtheta, exactly so whenever f is a
-    polynomial of degree <= ``degree`` in u = cos(theta).  The azimuthal
+    ``nodes`` are the rule's own nodes x = cos(theta), descending as
+    ``theta_nodes`` ascend, and exactly antisymmetric, which cos of the
+    ``theta_nodes`` is only to ~3e-16.  ``theta_weights`` absorb the
+    sin(theta) area factor: sum_i w_i f(theta_i) approximates
+    int_0^pi f sin(theta) dtheta, exactly so whenever f is a polynomial of
+    degree <= ``degree`` in u = cos(theta).  The azimuthal
     trapezoid rule is exact on modes e^{ik phi} with |k| < n_phi.
     """
 
     theta_nodes: np.ndarray
+    nodes: np.ndarray
     theta_weights: np.ndarray
     n_phi: int
     degree: int
@@ -1033,9 +1038,8 @@ def build_grid(n_theta: int, n_phi: int = 1) -> SphereGrid:
     if n_phi < 1:
         raise ValueError("n_phi must be >= 1")
     u, w = _gauss_rule(n_theta)
-    theta = np.arccos(u)[::-1].copy()
-    weights = w[::-1].copy()
-    return SphereGrid(theta, weights, n_phi, 2 * n_theta - 1)
+    nodes = u[::-1].copy()
+    return SphereGrid(np.arccos(nodes), nodes, w[::-1].copy(), n_phi, 2 * n_theta - 1)
 
 
 # ---------------------------------------------------------------------------

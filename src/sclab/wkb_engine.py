@@ -99,32 +99,16 @@ def case_interval(ell: int, r: int, case_tag, eta1: float = DEFAULT_ETA1,
 # ---------------------------------------------------------------------------
 
 def _potential(ell: int, m, theta, derivatives: bool = False):
-    """Q, or (Q, Q', Q''), from one cos and one sin of theta; m broadcasts.
-
-    Each term is built in place, by the operations of its closed form in
-    their order, so the values are those of the closed form bit for bit,
-    with at most one full-size temporary at a time: a profile's 16 panel
-    nodes per grid interval make each one 64 kB at 1001 grid nodes.
-    """
+    """Q, or (Q, Q', Q''), in closed form from one cos and one sin of theta; m broadcasts."""
     if not np.all(np.abs(theta) < math.pi / 2):
         raise ValueError("Q requires |theta| < pi/2")
     c = np.cos(theta)
-    c2 = c**2
     coef = m * m - 0.25
-    q = coef / c2
-    q -= 0.25
-    q -= ell * (ell + 1.0)
+    q = coef / c**2 - 0.25 - ell * (ell + 1.0)
     if not derivatives:
         return q
     s = np.sin(theta)
-    q1 = coef * 2.0 * s
-    q1 /= c**3
-    s **= 2  # then 2 / c^2 + 6 s^2 / c^4, times coef, is Q''
-    s *= 6.0
-    c **= 4
-    s /= c
-    s += 2.0 / c2
-    return q, q1, coef * s
+    return q, coef * 2.0 * s / c**3, coef * (2.0 / c**2 + 6.0 * s**2 / c**4)
 
 
 def q_potential(ell: int, m: int, theta):
@@ -133,20 +117,8 @@ def q_potential(ell: int, m: int, theta):
 
 
 def _error_density(q, q1, q2):
-    """The integrand |Q'' - 5 Q'^2 / (4Q)| / (8 |Q|^{3/2}) of E, on arrays.
-
-    Built in two buffers, in the closed form's order of operations.
-    """
-    density = 1.25 * q1
-    density *= q1
-    density /= q
-    np.subtract(q2, density, out=density)
-    np.abs(density, out=density)
-    scale = np.abs(q)
-    scale **= 1.5
-    scale *= 8.0
-    density /= scale
-    return density
+    """The integrand |Q'' - 5 Q'^2 / (4Q)| / (8 |Q|^{3/2}) of E, on arrays."""
+    return np.abs(q2 - 1.25 * q1 * q1 / q) / (8.0 * np.abs(q) ** 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +128,16 @@ def _error_density(q, q1, q2):
 # S is elementary: action_values and the profiles take it in closed form
 # (_closed_action).  E is not, and takes the one quadrature kernel,
 # 16-point Gauss on panels: a profile takes its grid intervals as panels
-# and accumulates the panel sums; the adaptive route splits [0, |theta|]
-# into 2^k equal panels and doubles k until the whole batch (angles at one
-# order) agrees with the previous k.  S by that route (action_integral) is
-# the quadrature oracle that the closed form is checked against, and E by
-# it the tests' oracle for the profiles' panel sums.
+# and accumulates the panel sums.  The adaptive route integrates S only: it
+# splits [0, |theta|] into 2^k equal panels and doubles k until the whole
+# batch (angles at one order) agrees with the previous k.  S by that route
+# (action_integral) is the quadrature oracle that the closed form is
+# checked against; E's oracle, for the profiles' panel sums, lives in the
+# tests.
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_rule(16)
 _MAX_DOUBLINGS = 16
-# Relative change between panel doublings at which S and E are accepted
+# Relative change between panel doublings at which S is accepted
 ADAPTIVE_RTOL = 1e-10
 
 
@@ -180,32 +153,27 @@ def _panel_sums(values, half):
     return half * (values @ _GAUSS_WEIGHTS)
 
 
-def _from_zero(ell: int, m: int, theta: np.ndarray, error: bool = False) -> np.ndarray:
-    """S (odd in theta) or E (even) from 0 to every theta, panels doubling.
+def _from_zero(ell: int, m: int, theta: np.ndarray) -> np.ndarray:
+    """S (odd in theta) from 0 to every theta, panels doubling.
 
     The batch runs along ``theta`` at one order; all its entries share the
     panel count.  Panels double until no entry changes by more than
     ``ADAPTIVE_RTOL`` relative.
     """
     upper = np.abs(theta)
-
-    def integrand(nodes):
-        terms = _potential(ell, m, nodes, derivatives=error)
-        q = terms[0] if error else terms
-        if np.any(q >= 0):
-            raise TurningPointError(f"Q_(l={ell}) is nonnegative inside "
-                                    f"[0, {float(upper.max())}]")
-        return _error_density(*terms) if error else np.sqrt(-q)
-
     prev = None
     n_panels = 1
     for _ in range(_MAX_DOUBLINGS):
         nodes, half = _panel_nodes(np.linspace(0.0, upper, n_panels + 1, axis=-1))
-        vals = _panel_sums(integrand(nodes), half).sum(axis=-1)
+        q = _potential(ell, m, nodes)
+        if np.any(q >= 0):
+            raise TurningPointError(f"Q_(l={ell}) is nonnegative inside "
+                                    f"[0, {float(upper.max())}]")
+        vals = _panel_sums(np.sqrt(-q), half).sum(axis=-1)
         if prev is not None and np.all(
             np.abs(vals - prev) <= ADAPTIVE_RTOL * np.maximum(np.abs(vals), 1e-300)
         ):
-            return vals if error else np.sign(theta) * vals
+            return np.sign(theta) * vals
         prev = vals
         n_panels *= 2
     raise RuntimeError(f"adaptive quadrature failed to reach rtol={ADAPTIVE_RTOL}")
@@ -296,20 +264,12 @@ class WkbProfile:
     ell: int
     m: int
     case_tag: str
-    r: int
-    eta1: float
-    eta2: float
-    interval: tuple[float, float]
     thetas: np.ndarray
     q: np.ndarray
     action: np.ndarray
     y: np.ndarray
     c: float
     err: np.ndarray
-
-    @property
-    def parity_even(self) -> bool:
-        return (self.ell + self.m) % 2 == 0
 
 
 def wkb_approximant(ell: int, m: int, case_tag, r: int,
@@ -349,12 +309,10 @@ def wkb_approximant(ell: int, m: int, case_tag, r: int,
     err = np.concatenate([e_pos[::-1], [0.0], e_pos])
 
     amp = np.abs(q) ** -0.25
-    parity_even = (ell + m) % 2 == 0
-    y = amp * (np.cos(action) if parity_even else np.sin(action))
+    y = amp * (np.cos(action) if (ell + m) % 2 == 0 else np.sin(action))
 
     c = matching_constants(ell, np.array([m]))[0]
-    return WkbProfile(ell, m, case, r, eta1, eta2, interval,
-                      thetas, q, action, y, float(c), err)
+    return WkbProfile(ell, m, case, thetas, q, action, y, float(c), err)
 
 
 def matching_constants(ell: int, ms: np.ndarray) -> np.ndarray:
@@ -366,9 +324,7 @@ def matching_constants(ell: int, ms: np.ndarray) -> np.ndarray:
     ms = np.asarray(ms, dtype=int)
     q0 = -_potential(ell, ms, 0.0)
     assert np.all(q0 > 0.0), "matching point left the oscillatory regime"
-    # Python's pow per element, the rounding that recorded values of c carry:
-    # numpy's vectorized pow differs from it in the last bit for some orders
-    quarter = np.array([q ** 0.25 for q in q0.tolist()])
+    quarter = q0 ** 0.25
     values, derivs = normalized_at_zero(np.full(ms.size, ell), ms)
     return np.where((ell + ms) % 2 == 0, values * quarter, derivs / quarter)
 
@@ -378,25 +334,20 @@ def envelope(profile: WkbProfile) -> np.ndarray:
     return 2.0 * np.expm1(2.0 * profile.err) * abs(profile.c) * np.abs(profile.q) ** -0.25
 
 
-_Q_BOUND_NODES = 129
-
-
 def window_q_bounds(ell: int, r: int, case_tag, eta1: float = DEFAULT_ETA1,
                     eta2: float = DEFAULT_ETA2):
-    """Fitted constants (c1, c2) with -c1 <= Q/scale <= -c2 over the window.
+    """Constants (c1, c2) with -c1 <= Q/scale <= -c2 over the window.
 
-    Q is sampled at ``_Q_BOUND_NODES`` equispaced angles of the case
-    interval.  scale is l*r in case "2" and l^2 in case "inf".  Both
-    constants are positive once l is past the sign threshold; the WKB
-    runners require c2 > 0, that Q < 0 for every order on the whole
-    interval.
+    Every window order has m >= 1, where Q grows with m and with |theta|,
+    so Q is least at the lowest order and theta = 0, and greatest at the
+    highest order and the ends of the case interval.  scale is l*r in case
+    "2" and l^2 in case "inf".  Both constants are positive once l is past
+    the sign threshold; the WKB runners require c2 > 0, that Q < 0 for
+    every order on the whole interval.
     """
     case = normalize_case(case_tag)
-    lo, hi = case_interval(ell, r, case, eta1, eta2)
-    thetas = np.linspace(lo, hi, _Q_BOUND_NODES)
+    _, hi = case_interval(ell, r, case, eta1, eta2)
+    window = case_window(ell, r, case)
     scale = ell * r if case == "2" else ell * ell
-    ratios = []
-    for m in case_window(ell, r, case):
-        ratios.append(q_potential(ell, int(m), thetas) / scale)
-    ratios = np.concatenate(ratios)
-    return float(-ratios.min()), float(-ratios.max())
+    return (float(-q_potential(ell, int(window[0]), 0.0) / scale),
+            float(-q_potential(ell, int(window[-1]), hi) / scale))

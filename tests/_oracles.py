@@ -15,9 +15,11 @@ Frozen literals in the tests were produced by these functions; rerun
 them to re-derive any of the constants.
 
 Three WKB routes have no caller in the library: the closed-form Q' and
-Q'', the error functional E by the library's adaptive panel route (the
-reference for the profiles' per-interval panel sums), and the closed-form
-defect -y'' + Q y of the approximant.
+Q'', the error functional E by scipy's adaptive ``quad`` (the reference
+for the profiles' per-interval Gauss panel sums), and the closed-form
+defect -y'' + Q y of the approximant.  The window's Q bounds, read at the
+window's corners by the library, are checked against Q sampled over every
+order and 129 angles of the case interval.
 
 Two dense routes are the references for the library's structured ones.
 ``ylm_matrix`` expands every Y_l^m on the mesh from the library's
@@ -321,8 +323,7 @@ def cluster_gram_per_diagonal(ells, w_samples, grid):
     w_sq = np.asarray(w_samples(thetas, phis), dtype=float) ** 2
     coef = np.fft.fft(w_sq.reshape(grid.n_theta, grid.n_phi), axis=1)
     coef *= grid.phi_weight
-    x = np.cos(grid.theta_nodes)
-    tables = [radial_rows(ell, x) for ell in ells]
+    tables = [radial_rows(ell, grid.nodes) for ell in ells]
     offsets = np.cumsum([0] + [t.shape[0] for t in tables])
     gram = np.empty((offsets[-1], offsets[-1]), dtype=complex)
     for ia, rows_a in enumerate(tables):
@@ -349,17 +350,41 @@ def q_derivatives(ell: int, m: int, theta):
 
 
 def wkb_error_functional(ell: int, m: int, theta: float) -> float:
-    """Fedoryuk-form error integral E(theta) by the adaptive panel route.
+    """Fedoryuk-form error integral E(theta) by scipy's adaptive ``quad``.
 
     Even, nonnegative, E(0) = 0: the reference for the profiles' per-interval
-    panel sums of ``wkb_approximant``.
+    Gauss panel sums of ``wkb_approximant``, over the library's integrand.
+    Q grows with |theta| for m >= 1 and is negative for m = 0, so Q < 0 on
+    the range wherever it is at |theta|; otherwise TurningPointError.
+    """
+    from scipy.integrate import quad
+
+    from sclab import wkb_engine as wkb
+
+    upper = abs(float(theta))
+    if wkb.q_potential(ell, m, upper) >= 0:
+        raise wkb.TurningPointError(f"Q_(l={ell}) is nonnegative inside [0, {upper}]")
+
+    def density(t):
+        return float(wkb._error_density(*wkb._potential(ell, m, t, derivatives=True)))
+
+    return quad(density, 0.0, upper, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def window_q_bounds_sampled(ell: int, r: int, case_tag, eta1: float, eta2: float):
+    """(c1, c2) of ``window_q_bounds`` from Q at every window order and 129 angles.
+
+    The angles are equispaced over the case interval, its ends and centre
+    among them.
     """
     from sclab import wkb_engine as wkb
 
-    theta = float(theta)
-    if theta == 0.0:
-        return 0.0
-    return float(wkb._from_zero(ell, m, np.array([theta]), error=True)[0])
+    lo, hi = wkb.case_interval(ell, r, case_tag, eta1, eta2)
+    thetas = np.linspace(lo, hi, 129)
+    scale = ell * r if wkb.normalize_case(case_tag) == "2" else ell * ell
+    ratios = np.concatenate([wkb.q_potential(ell, int(m), thetas) / scale
+                             for m in wkb.case_window(ell, r, case_tag)])
+    return float(-ratios.min()), float(-ratios.max())
 
 
 def wkb_defect(ell: int, m: int, theta, action=None) -> np.ndarray:

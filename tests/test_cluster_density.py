@@ -283,8 +283,7 @@ def test_exponent_branches_meet_at_breakpoint(n_dim):
 
 def test_concentration_constant_density():
     grid = sb.build_grid(32)
-    profile = cd.DensityProfile(grid.theta_nodes, grid.theta_weights,
-                                np.ones(32), 2.0)
+    profile = cd.DensityProfile(grid.theta_nodes, grid.theta_weights, np.ones(32))
     lower, measured = cd.concentration_measure(profile, 6.0)
     assert measured == pytest.approx(4.0 * math.pi, rel=1e-12)
     assert lower <= measured
@@ -294,8 +293,7 @@ def test_concentration_returns_shortfall():
     # weights that integrate to 100 times the sphere break the measure
     # estimate; the pair comes back for the caller to judge
     grid = sb.build_grid(32)
-    profile = cd.DensityProfile(grid.theta_nodes, 100.0 * grid.theta_weights,
-                                np.ones(32), 2.0)
+    profile = cd.DensityProfile(grid.theta_nodes, 100.0 * grid.theta_weights, np.ones(32))
     lower, measured = cd.concentration_measure(profile, 6.0)
     assert measured == 0.0 < lower
 

@@ -1,0 +1,154 @@
+"""Mutation probes: acceptance criteria run on deliberately wrong inputs.
+
+``MUTANTS`` pairs each probe with the criterion it runs and the exact
+pass/fail verdict of every check the criterion then gives.  A probe
+patches one library function for one run; the checks that see its fault
+read False, and the others keep passing, which records what each line
+of the criterion cannot see.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from sclab import acceptance as acc
+from sclab import expsum as es
+from sclab import schatten_lab as sl
+from sclab import sphere_basis as sb
+from sclab import wkb_engine as wkb
+
+
+def _scaled(module, name, factor, item=None):
+    """Patch: ``module.name`` times ``factor``, or only its result[item]."""
+    def patch(monkeypatch):
+        exact = getattr(module, name)
+
+        def scaled(*args):
+            result = exact(*args)
+            if item is None:
+                return result * factor
+            result = list(result)
+            result[item] = result[item] * factor
+            return tuple(result)
+
+        monkeypatch.setattr(module, name, scaled)
+    return patch
+
+
+def _scipy_rule(monkeypatch):
+    # scipy's 256-point rule has its end weights off by ~1e-10: the Gram
+    # deviation reads 2.2e-12 on it, against 1.5e-14 on the Newton rule
+    from scipy.special import roots_legendre
+
+    rule = sb._gauss_rule
+    monkeypatch.setattr(sb, "_gauss_rule", lambda n: roots_legendre(n) if n == 256 else rule(n))
+
+
+def _neighbouring_orders_rows(monkeypatch):
+    # each order m is handed g_l^{m+1} at its degrees l = m..200, whose
+    # first row, g_m^{m+1}, is 0; the top order keeps its own table.  The
+    # cross-order line cannot fail on normalized rows: every sampled pair
+    # has 0 < |m_a - m_b| <= 200 < 403 azimuthal nodes, so its factor
+    # mean(exp(i (m_a - m_b) phi)) is roundoff, ~1e-17, and every entry is
+    # below 1e-15 whatever the rows (1.1e-15 here); g_l^{m+1}(0) = 0 where
+    # l - m is even, so the equator anchor reads 1
+    genuine = sb._degree_tables
+
+    def neighbouring(m_lo, m_hi, ell_max, x):
+        tables = genuine(m_lo, m_hi, ell_max, x)
+        m, table = next(tables)
+        for above, upper in tables:
+            shifted = np.zeros_like(table)
+            shifted[1:] = upper
+            yield m, shifted
+            m, table = above, upper.copy()
+        yield m, table
+
+    monkeypatch.setattr(sb, "_degree_tables", neighbouring)
+
+
+def _order_below(monkeypatch):
+    # each order m >= 1 is handed g_l^{m-1} at its degrees l = m..200: one
+    # order's rows are orthonormal whichever order they belong to, so only
+    # the equator anchor, g_l^{m-1}(0) = 0 where l - m is even, can tell
+    genuine = sb._degree_tables
+
+    def order_below(m_lo, m_hi, ell_max, x):
+        lower = None
+        for m, table in genuine(m_lo, m_hi, ell_max, x):
+            yield m, (table if lower is None else lower[1:])
+            lower = table.copy()
+
+    monkeypatch.setattr(sb, "_degree_tables", order_below)
+
+
+def _cot_half(monkeypatch):
+    # cot(eps/2) in place of cot(eps/4): the random draws exceed it too
+    monkeypatch.setattr(es, "kuzmin_landau_bound", lambda eps: 1.0 / math.tan(eps / 2.0))
+
+
+C02 = ("orthonormality-gram-deviation", "orthonormality-cross-order",
+       "v-normalization-deviation", "orthonormality-equator-anchor")
+C03 = ("equator-value-agreement", "equator-derivative-agreement")
+C06 = ("kuzmin-landau-violations", "kuzmin-landau-margin-nonnegative",
+       "kuzmin-landau-family-bound-holds", "kuzmin-landau-family-sharpness")
+C07 = ("phase-sum-variation-case2", "phase-sum-flags-case2",
+       "phase-sum-variation-caseinf", "phase-sum-flags-caseinf",
+       "phase-sum-matches-exp-sum")
+C12 = ("kss-ratio-slope", "kss-bounds-hold")
+
+
+def _failing(names, *failed):
+    """The verdict dict in which exactly the ``failed`` checks of ``names`` fail."""
+    assert set(failed) <= set(names)
+    return {name: name not in failed for name in names}
+
+
+# probe -> (criterion, patch, verdict of every check of the criterion)
+MUTANTS = {
+    "c02-scipy-rule": ("c02-orthonormality", _scipy_rule,
+                       _failing(C02, "orthonormality-gram-deviation")),
+    "c02-neighbouring-orders-rows": ("c02-orthonormality", _neighbouring_orders_rows,
+                                     _failing(C02, "orthonormality-gram-deviation",
+                                              "orthonormality-equator-anchor")),
+    "c02-order-below": ("c02-orthonormality", _order_below,
+                        _failing(C02, "orthonormality-equator-anchor")),
+    "c03-values-scaled": ("c03-equator-anchors",
+                          _scaled(sb, "normalized_at_zero", 1.0 + 1e-12, item=0),
+                          _failing(C03, "equator-value-agreement")),
+    "c03-derivatives-scaled": ("c03-equator-anchors",
+                               _scaled(sb, "normalized_at_zero", 1.0 + 1e-12, item=1),
+                               _failing(C03, "equator-derivative-agreement")),
+    "c06-cot-half": ("c06-kuzmin-landau", _cot_half,
+                     _failing(C06, "kuzmin-landau-violations",
+                              "kuzmin-landau-margin-nonnegative",
+                              "kuzmin-landau-family-bound-holds")),
+    # the random draws pass 0.9 times the bound and any larger one; the
+    # up-then-down family comes within 0.1% of it, so 0.9x breaks the bound
+    # on the family and 2x breaks its sharpness
+    "c06-bound-0.9x": ("c06-kuzmin-landau", _scaled(es, "kuzmin_landau_bound", 0.9),
+                       _failing(C06, "kuzmin-landau-family-bound-holds")),
+    "c06-bound-2x": ("c06-kuzmin-landau", _scaled(es, "kuzmin_landau_bound", 2.0),
+                     _failing(C06, "kuzmin-landau-family-sharpness")),
+    # the per-order action integrals are the tie-back's independent route;
+    # the cluster sums take S in closed form
+    "c07-action-integral-scaled": ("c07-phase-sums",
+                                   _scaled(wkb, "action_integral", 1.0 + 1e-9),
+                                   _failing(C07, "phase-sum-matches-exp-sum")),
+    "c07-closed-action-scaled": ("c07-phase-sums",
+                                 _scaled(wkb, "_closed_action", 1.0 + 1e-10),
+                                 _failing(C07, "phase-sum-matches-exp-sum")),
+    # lhs / rhs reads 0.79-0.81 at p = 6, so 1.3 times lhs exceeds the rhs;
+    # with constants fitted to the measurements the flag would still hold
+    "c12-lhs-1.3x": ("c12-kss-compare", _scaled(sl, "kss_bound", 1.3, item=0),
+                     _failing(C12, "kss-bounds-hold")),
+}
+
+
+@pytest.mark.parametrize("probe", list(MUTANTS))
+def test_mutant_verdicts(monkeypatch, probe):
+    label, patch, verdicts = MUTANTS[probe]
+    patch(monkeypatch)
+    checks, _ = acc.run_criterion(dict(acc.CRITERIA)[label])
+    assert {c.name: c.passed for c in checks} == verdicts

@@ -96,7 +96,7 @@ def test_band_rejects_bad_orders_and_nodes():
     (lambda nan: lp_norm([1.0, 2.0], nan), "p"),
     (lambda nan: lp_norm([1.0, nan], 2.0), "values"),
     (lambda nan: exponents(nan), "p"),
-    (lambda nan: DensityProfile(*np.ones((3, 1)), 1.0).norm(nan), "p"),
+    (lambda nan: DensityProfile(*np.ones((3, 1))).norm(nan), "p"),
     (lambda nan: make_report(10.0, nan, np.ones(3)), "p"),
     (lambda nan: make_report(nan, 6.0, np.ones(3)), "lam"),
     (lambda nan: kss_bound(None, None, nan, None, 0), "p"),
@@ -117,7 +117,7 @@ def test_range_checks_refuse_nan(call, argument):
     (sb.weyl_count, "lam"),
     (sb.cluster_rank, "lam"),
     (lambda inf: make_report(inf, 6.0, np.ones(3)), "lam"),
-    (lambda inf: concentration_measure(DensityProfile(*np.ones((3, 1)), 1.0), inf), "p"),
+    (lambda inf: concentration_measure(DensityProfile(*np.ones((3, 1))), inf), "p"),
 ], ids=["weyl_count", "cluster_rank", "make_report", "concentration_measure"])
 def test_range_checks_refuse_infinity(call, argument):
     # weyl_count and cluster_rank overflowed, make_report gave a ratio of 0
@@ -1159,7 +1159,7 @@ def test_grid_total_measure_and_exactness():
         grid = sb.build_grid(n)
         assert abs(np.sum(grid.theta_weights) - 2.0) < 2e-13
     grid = sb.build_grid(64)
-    u = np.cos(grid.theta_nodes)
+    u = grid.nodes
     for k in range(21):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
         assert abs(np.dot(grid.theta_weights, u**k) - exact) < 1e-14
@@ -1168,8 +1168,13 @@ def test_grid_total_measure_and_exactness():
 @pytest.mark.parametrize("n", [2, 17, 64, 999, 1000, 1001, 1600, 4097, 9600])
 def test_grid_nodes_mirror_about_the_equator(n):
     # the density kernel evaluates one half of the nodes and mirrors it
-    theta = sb.build_grid(n).theta_nodes
+    grid = sb.build_grid(n)
+    theta = grid.theta_nodes
     assert np.all(np.abs(theta + theta[::-1] - math.pi) <= 2 * np.spacing(math.pi))
+    # x are the rule's own nodes, exactly antisymmetric; cos(theta) is not
+    assert np.array_equal(grid.nodes, sb._gauss_rule(n)[0][::-1])
+    assert np.array_equal(grid.nodes, -grid.nodes[::-1])
+    assert np.all(np.abs(np.cos(theta) - grid.nodes) <= 4e-16)
 
 
 def test_grid_rejects_degenerate_requests():

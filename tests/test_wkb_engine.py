@@ -7,7 +7,7 @@ from sclab import sphere_basis as sb
 from sclab import wkb_engine as wkb
 
 from _oracles import (action_mp, action_simpson, profile_integrals_loop, q_derivatives,
-                      wkb_defect, wkb_error_functional)
+                      window_q_bounds_sampled, wkb_defect, wkb_error_functional)
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +45,29 @@ def test_window_q_bands():
     assert 1.0 < c2 < c1 < 5.0
     c1, c2 = wkb.window_q_bounds(400, 20, "inf")
     assert 0.5 < c2 <= c1 < 1.5
+
+
+def test_window_q_bounds_match_the_sampled_table():
+    # Q read at the window's corners against Q over every order and 129
+    # angles of the interval, for every window and interval that exists
+    cases = 0
+    for ell in np.unique(np.geomspace(8, 10_000, 40).astype(int)):
+        for zeta in (0.3, 0.5, 0.7):
+            r = wkb.band_radius(int(ell), zeta)
+            if r > ell // 2:
+                continue
+            for eta1, eta2 in ((8.0, 0.5), (2.5, 1.4), (4.0, 1.0), (3.0, 0.75), (20.0, 0.1)):
+                for case in ("2", "inf"):
+                    args = (int(ell), r, case, eta1, eta2)
+                    try:
+                        expected = window_q_bounds_sampled(*args)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            wkb.window_q_bounds(*args)
+                        continue
+                    assert wkb.window_q_bounds(*args) == expected, args
+                    cases += 1
+    assert cases > 1000
 
 
 def test_windows_and_intervals():
@@ -156,8 +179,6 @@ def test_adaptive_route_detects_non_convergence():
     # the closed form of action_values has no panels, and holds there
     closed = wkb.action_values(0, np.array([0]), near_pole)[0]
     assert closed == pytest.approx(float(action_mp(0, 0, near_pole)), rel=4e-16)
-    with pytest.raises(RuntimeError, match="failed to reach"):
-        wkb_error_functional(0, 0, near_pole)
     with pytest.raises(RuntimeError, match="failed to reach"):  # 0.1 converges
         wkb_defect(0, 0, np.array([0.1, near_pole]))
 
