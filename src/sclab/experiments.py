@@ -513,7 +513,7 @@ def run_phase_sums(cfg: ExperimentConfig):
                 all_flags &= res.monotone and res.separated and res.bound_holds
                 rows.append((ell, case, float(theta), abs(res.total),
                              int(res.monotone), int(res.separated),
-                             int(res.bound_holds)))
+                             int(res.bound_holds), res.bound_ratio))
             amplitudes.append(best)
         checks.append(bound_check(f"phase-sum-variation-case{case}",
                                   max(amplitudes) / min(amplitudes), 2.0))
@@ -530,7 +530,7 @@ def run_phase_sums(cfg: ExperimentConfig):
     checks.append(flag_check("phase-sum-matches-exp-sum",
                              agree and res.bound_holds))
     header = ("ell", "case", "theta", "abs_sum", "monotone", "separated",
-              "bound_holds")
+              "bound_holds", "bound_ratio")
     return checks, rows, header
 
 

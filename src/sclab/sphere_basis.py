@@ -63,8 +63,12 @@ dominant one down, and the sweep needs no seed: M steps a node.
 
 Upward, by the relation solved for g^{m+1}, from g_l^0 and g_l^1
 (:func:`_upward_rows`).  Stieltjes' interior series
-(:func:`_legendre_interior`) gives P_l and dP_l/dtheta in O(36) per node,
-and so both seeds, wherever (l + 1/2) sin(theta) >= ``_SERIES_MIN_RHO_SIN``.
+(:func:`_legendre_interior`) gives P_l and dP_l/dtheta, and so both seeds,
+wherever (l + 1/2) sin(theta) >= ``_SERIES_MIN_RHO_SIN``.  It costs what its
+nodes need, not a fixed count: the fewest terms that reach 2^-53 at the
+call's smallest (l + 1/2) sin(theta), 36 at that floor, 30 at the Gauss
+rule's nodes (whose least is the sixth zero of J_0) and 8 or fewer on a
+case-"inf" window's WKB interval, where it is at least ~8r.
 Upward is the stable direction only up to the turning point: inside the
 oscillatory zone rounding errors grow at most algebraically, but past it
 the wanted solution is the one that decays with m, and the other one
@@ -74,10 +78,11 @@ turning point, the sweep is off by 1.5e-9 where the value is 7.4e-6).
 A node is oscillatory for the band where every order of it is,
 (l + 1/2) sin(theta) >= max(``_SERIES_MIN_RHO_SIN``, m_hi).  An oscillatory
 node sweeps upward in a band for which upward is the cheaper direction,
-m_hi + ``_SERIES_COST_STEPS`` < l - m_lo: O(36 + m_hi) per node instead
-of O(l - m_lo).  Every other node takes Miller's sweep in a band for
-which its start lies below l - m_lo, M < l - m_lo: M lies past the node's
-turning point by at least as much again plus 40.  The rest sweep
+m_hi + ``_SERIES_COST_STEPS`` < l - m_lo: O(terms + m_hi) per node
+instead of O(l - m_lo), with at most 36 series terms.  Every other node
+takes Miller's sweep in a band for which its start lies below l - m_lo,
+M < l - m_lo: M lies past the node's turning point by at least as much
+again plus 40.  The rest sweep
 downward.  Case-"inf" windows (orders [r, 2r)) sweep upward on their WKB
 intervals, which end ~8r/l from the poles, and on a Gauss grid everywhere
 but next to the poles, where they take Miller's sweep, ~4r + 40 steps (246
@@ -263,36 +268,47 @@ def _log_central_binomial(k):
     return _central_binomial_table(1 << max(10, int(k.max(initial=0)).bit_length()))[k]
 
 
-def _seed_log_magnitude(m, x: np.ndarray, lift=0) -> np.ndarray:
-    """log |2**lift g_m^m| on nodes x for one order or a column of orders (k, 1).
+def _seed_exponent(m, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(base, power) with log |g_m^m| = base + power ln 2 on nodes x, for m or a column (k, 1).
 
-    (m/2) log(f) + (lift + m k) ln 2 plus log |g_m^m(0)|, with
+    base = log |g_m^m(0)| + (m/2) log(f) and power = m k, an integer, with
     sin^2(theta) = (1 - x)(1 + x) = f 4^k and f in [1/2, 2): no term
     reaches the size of log(sin^m), whose rounding would cost
     |log(sin^m)| 2^-53 of relative accuracy (see Underflow in the module
     notes).  log |g_m^m(0)| = (log((2m + 1) / (4 pi)) + S_m) / 2; within
-    5.1e-16 of 40-digit mpmath at m = 376, 1000, 2346 and 6400.  ``lift``
-    is one integer or one per node.  For |x| < 1, which every entry point
-    of this module checks.
+    5.1e-16 of 40-digit mpmath at m = 376, 1000, 2346 and 6400.  For
+    |x| < 1, which every entry point of this module checks.
     """
     m = np.asarray(m)
     equator = 0.5 * (np.log(2.0 * m + 1.0) - math.log(FOUR_PI) + _log_central_binomial(m))
     fraction, exponent = np.frexp((1.0 - x) * (1.0 + x))
-    return (equator + 0.5 * m * np.log(np.ldexp(fraction, exponent % 2))
-            + (lift + m * (exponent // 2)) * _LN2)
+    return equator + 0.5 * m * np.log(np.ldexp(fraction, exponent % 2)), m * (exponent // 2)
 
 
-def _seed_values(m, x: np.ndarray, lift=0) -> np.ndarray:
-    """g-values of degree m at order m (or a column of orders), times 2**lift.
+def _seed_log_magnitude(m, x: np.ndarray) -> np.ndarray:
+    """log |g_m^m| on nodes x, for m or a column (k, 1) (:func:`_seed_exponent`)."""
+    base, power = _seed_exponent(m, x)
+    return base + power * _LN2
 
-    ``lift`` (one integer, or one per node) lifts seeds that would
-    underflow into the normal range; the default gives the plain seed.
-    Order 0 is 1/sqrt(4 pi) times 2**lift exactly.
+
+def _lifted_seeds(m, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(seeds, lift): g_m^m times 2**lift on nodes x, for one order or a column (k, 1).
+
+    lift is the least k >= 0 per node (per order and node for a column)
+    that brings 2^k g_m^m into the normal range: zero where the seed is a
+    normal double already.  There is no largest lift: the recurrences
+    scale lifted rows back down as they grow (see Underflow in the module
+    notes).  The seed's exponent (:func:`_seed_exponent`) is formed once,
+    and the seed taken as exp(base + (lift + power) ln 2).  Order 0 is
+    1/sqrt(4 pi) exactly.
     """
+    base, power = _seed_exponent(m, x)
+    lift = np.maximum(np.ceil((_LOG_TINY - (base + power * _LN2)) / _LN2), 0).astype(int)
     with np.errstate(under="ignore"):
-        values = np.where(m % 2, -1.0, 1.0) * np.exp(_seed_log_magnitude(m, x, lift))
+        values = np.where(m % 2, -1.0, 1.0) * np.exp(base + (lift + power) * _LN2)
     # a lift meant for another order must not reach ldexp: it may overflow
-    return np.where(m == 0, np.ldexp(1.0 / math.sqrt(FOUR_PI), np.where(m == 0, lift, 0)), values)
+    values = np.where(m == 0, np.ldexp(1.0 / math.sqrt(FOUR_PI), np.where(m == 0, lift, 0)), values)
+    return values, lift
 
 
 def _check_nodes(x) -> np.ndarray:
@@ -307,16 +323,25 @@ def _degree_column(orders: np.ndarray, ell_max: int, x: np.ndarray):
     """Yield the true rows of degree m + j, j = 0..ell_max - min(m), for a column of orders.
 
     The one pipeline of the degree recurrence: each order's seed is lifted
-    per node where it would underflow (:func:`_seed_lift`), the rows of
+    per node where it would underflow (:func:`_lifted_seeds`), the rows of
     :func:`_degree_rows` keep their lift up to date as they grow
-    (:func:`_rescaled`), and each row comes scaled back (:func:`_unlifted`).
+    (:func:`_rescaled`; both in :func:`_lifted_column`), and each row comes
+    scaled back (:func:`_unlifted`).
     ``orders`` has shape (k, 1), and yielded row j holds degree m + j of
     each order m, one line per order; orders past ell_max run on to the
     last step.
     """
-    lift = _seed_lift(orders, x)
-    rows = _degree_rows(orders, ell_max, x, _seed_values(orders, x, lift))
-    return _unlifted(_rescaled(rows, lift, _DEGREE_CHECK_STEPS), lift)
+    return _unlifted(*_lifted_column(orders, ell_max, x))
+
+
+def _lifted_column(orders: np.ndarray, ell_max: int, x: np.ndarray):
+    """(rows, lift): the rows of :func:`_degree_column` before they are scaled back.
+
+    A row times 2**-lift, with the lift as it stands when the row comes, is
+    the true row (:func:`_rescaled`).
+    """
+    seeds, lift = _lifted_seeds(orders, x)
+    return _rescaled(_degree_rows(orders, ell_max, x, seeds), lift, _DEGREE_CHECK_STEPS), lift
 
 
 def _degree_tables(m_lo: int, m_hi: int, ell_max: int, x: np.ndarray):
@@ -349,15 +374,16 @@ def _degree_tables(m_lo: int, m_hi: int, ell_max: int, x: np.ndarray):
 def legendre_row(m: int, ell: int, x) -> np.ndarray:
     """g-values of a single (ell, m) on nodes x, O(1) memory in degree.
 
-    The degree recurrence at order m alone, a :func:`_degree_column` of one
-    order of which only the last row is kept; no order band runs it, so
-    the tests check bands against it.  Seeds that would underflow are
-    lifted as in an order band (see Underflow in the module notes), with
-    no largest lift, and the row is scaled back.
+    The degree recurrence at order m alone, a column of one order
+    (:func:`_lifted_column`) of which only the last row is kept; no order
+    band runs it, so the tests check bands against it.  Seeds that would
+    underflow are lifted as in an order band (see Underflow in the module
+    notes), with no largest lift, and only the last row is scaled back.
     """
     if not 0 <= m <= ell:
         raise ValueError(f"need 0 <= m <= ell, got m={m}, ell={ell}")
-    return deque(_degree_column(np.array([[m]]), ell, _check_nodes(x)), maxlen=1)[0][0]
+    rows, lift = _lifted_column(np.array([[m]]), ell, _check_nodes(x))
+    return next(_unlifted(deque(rows, maxlen=1), lift))[0]
 
 
 def _degree_rows(m: np.ndarray, ell: int, x: np.ndarray, seed: np.ndarray):
@@ -455,16 +481,6 @@ def radial_rows(ell: int, x) -> np.ndarray:
     return np.concatenate([sign * g[:0:-1], g])
 
 
-def _seed_lift(m: int, x: np.ndarray) -> np.ndarray:
-    """Per node, the least k >= 0 that brings 2^k g_m^m into the normal range.
-
-    Zero where the seed is a normal double already.  There is no largest
-    lift: the recurrences scale lifted rows back down as they grow (see
-    Underflow in the module notes).
-    """
-    return np.maximum(np.ceil((_LOG_TINY - _seed_log_magnitude(m, x)) / _LN2), 0).astype(int)
-
-
 def _order_rows(ell: int, m: int, step: int, far: np.ndarray, near: np.ndarray,
                 cot: np.ndarray):
     """Yield g^{m + step}, g^{m + 2 step}, ... from far = g^{m - step} and near = g^m.
@@ -474,13 +490,16 @@ def _order_rows(ell: int, m: int, step: int, far: np.ndarray, near: np.ndarray,
         sqrt((l - m)(l + m + 1)) g^{m+1} + 2m cot(theta) g^m
             + sqrt((l + m)(l - m + 1)) g^{m-1} = 0,
 
-    solved for g^{m+1} (step = 1, upward) or g^{m-1} (step = -1, downward).
-    Endless; the caller takes as many rows as it needs.
+    solved for g^{m+1} (step = 1, upward) or g^{m-1} (step = -1, downward),
+    as -(2m / a) cot g^m - (b / a) g^{m - step} with a and b the square
+    roots on the new and the far row: four ufunc calls and two fresh arrays
+    a step.  Endless; the caller takes as many rows as it needs.
     """
     while True:
-        row = math.sqrt((ell + step * m) * (ell - step * m + 1.0)) * far
-        row += (2.0 * m) * cot * near
-        row *= -1.0 / math.sqrt((ell - step * m) * (ell + step * m + 1.0))
+        scale = -1.0 / math.sqrt((ell - step * m) * (ell + step * m + 1.0))
+        row = np.multiply(cot, near)
+        row *= (2.0 * m) * scale
+        row += far * (scale * math.sqrt((ell + step * m) * (ell - step * m + 1.0)))
         yield row
         far, near, m = near, row, m + step
 
@@ -620,8 +639,7 @@ def _band_sweeps(ell: int, m_lo: int, m_hi: int, x: np.ndarray):
     if miller.any():
         yield miller, ascending, _miller_rows(ell, m_lo, m_hi, cot[miller])
     if down.any():
-        lift = _seed_lift(ell, x[down])
-        top = _seed_values(ell, x[down], lift)
+        top, lift = _lifted_seeds(ell, x[down])
         above = np.zeros_like(top)  # g_l^{l+1}
         sweep = itertools.chain([above, top], _order_rows(ell, ell, -1, above, top, cot[down]))
         rows = itertools.islice(_rescaled(sweep, lift, _ORDER_CHECK_STEPS), ell + 1 - m_hi, None)
@@ -660,8 +678,8 @@ def legendre_band(ell: int, m_lo: int, m_hi: int, thetas) -> RadialTable:
     So must their sines: within ~1e-8 of +-pi/2, sin(theta) rounds to +-1,
     a pole, and such a node is refused like one at +-pi/2.
     Each node sweeps in order, with no degree recurrence: upward from the
-    interior series, O(36 + m_hi), where every order is oscillatory at it
-    and the band is one for which that is cheaper; elsewhere by Miller's
+    interior series, O(36 + m_hi) at most, where every order is oscillatory
+    at it and the band is one for which that is cheaper; elsewhere by Miller's
     method from M = 2 max(17.7, m_hi) + 40, O(M), in a band for which
     M < ell - m_lo; and otherwise downward from the sectoral seed
     g_ell^ell, O(ell - m_lo); see the module notes for the three routes.
@@ -780,33 +798,52 @@ _J0_ZEROS = np.array([
 _J0_ZEROS.setflags(write=False)
 
 
-def _series_truncation() -> tuple[int, float]:
-    """Terms M of the interior series, and the least rho sin(theta) it serves.
+def _series_reach() -> np.ndarray:
+    """Entry M - 1: the least rho sin(theta) at which M terms of the interior series reach 2^-53.
 
     The remainder after M terms of :func:`_legendre_interior` is below
     twice the first omitted term taken at full size (Szegő's bound, as used
     by Hale & Townsend).  Relative to the leading term that is
     2 prod_{j<=M} (j - 1/2)^2 / (2 j (n + j + 1/2) sin theta), at most
     B_M(x) = 2 prod_{j<=M} (j - 1/2)^2 / (2 j x) with x = rho sin(theta),
-    rho = n + 1/2, for every n.  M is the count that reaches B_M(x) = 2^-53
-    at the smallest x: 36 terms from x = 17.7, past the fifth zero of J_0.
+    rho = n + 1/2, for every n; entry M - 1 is the x with B_M(x) = 2^-53,
+    for M = 1..99.  It falls with M to 17.7 at M = 36, past the fifth zero
+    of J_0, and rises after.
     """
     log_b = math.log(2.0)
-    reach = []  # (x with B_m(x) = 2^-53, m)
+    reach = []
     for m in range(1, 100):
         log_b += math.log((m - 0.5) ** 2 / (2.0 * m))
-        reach.append((math.exp((log_b + 53.0 * _LN2) / m), m))
-    x, m = min(reach)
-    return m, x
+        reach.append(math.exp((log_b + 53.0 * _LN2) / m))
+    return np.array(reach)
 
 
-_SERIES_TERMS, _SERIES_MIN_RHO_SIN = _series_truncation()
+_SERIES_REACH = _series_reach()
+_SERIES_REACH.setflags(write=False)
+# The most terms the interior series takes, and the least rho sin(theta) it
+# serves: 36 and 17.7
+_SERIES_TERMS = int(np.argmin(_SERIES_REACH)) + 1
+_SERIES_MIN_RHO_SIN = float(_SERIES_REACH.min())
 # What the interior series costs at one degree, with both seeds of an
 # upward band, in steps of the degree recurrence on the same nodes: measured
-# 57 to 73 at l = 400, 1600 and 10000 on 1001 nodes (flat in l: C_n is a
-# table lookup); a step of the downward order sweep, which the upward
-# route saves, costs about as much
+# 57 to 73 at l = 400, 1600 and 10000 on 1001 nodes with all 36 terms
+# summed forward (flat in l: C_n is a table lookup); a step of the downward
+# order sweep, which the upward route saves, costs about as much.  Sized and
+# by Horner it costs 44 to 46 steps down to the floor and 19 to 22 on a
+# case-"inf" WKB interval (6 to 8 terms); the constant is kept, and with it
+# every band's routes
 _SERIES_COST_STEPS = 70
+
+
+def _series_terms(rho_sin: float) -> int:
+    """Fewest terms of the interior series that reach 2^-53 where rho sin(theta) >= rho_sin.
+
+    At most ``_SERIES_TERMS``, which nodes at the series' floor
+    ``_SERIES_MIN_RHO_SIN`` take: 8 terms from rho sin(theta) = 135, 7 from
+    227, and 6 from 467.
+    """
+    reached = np.flatnonzero(_SERIES_REACH[:_SERIES_TERMS] <= rho_sin)
+    return int(reached[0]) + 1 if reached.size else _SERIES_TERMS
 
 
 def _series_constant(n: int) -> float:
@@ -827,12 +864,17 @@ def _legendre_interior(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
         alpha_m = (n + m + 1/2) theta - (m + 1/2) pi/2,
         h_0 = 1,   h_m = h_{m-1} (m - 1/2)^2 / (m (n + m + 1/2)),
 
-    with C_n from :func:`_series_constant` and M = ``_SERIES_TERMS``
-    (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013), section 3).  Good to
-    2^-53 of the leading term where (n + 1/2) sin(theta) is at least
-    ``_SERIES_MIN_RHO_SIN``; O(M) per node.  Term m is the real part of
-    z_m = h_m e^{i alpha_0} w^m / sqrt(2 sin theta), w = (1 - i cot theta)/2,
-    so dP_n/dtheta = -C_n sum_m ((rho + m) Im z_m + (m + 1/2) cot theta Re z_m).
+    with C_n from :func:`_series_constant` (Hale & Townsend, SIAM J. Sci.
+    Comput. 35 (2013), section 3).  M is the fewest terms that reach 2^-53
+    of the leading term at the call's smallest (n + 1/2) sin(theta)
+    (:func:`_series_terms`), which must be at least ``_SERIES_MIN_RHO_SIN``:
+    36 there, and 8 or fewer from 135 on, such as on the WKB intervals of a
+    case-"inf" window, which end ~8r/l from the poles.  Term m is the real
+    part of z_m = h_m z_0 w^m, z_0 = e^{i alpha_0} / sqrt(2 sin theta),
+    w = (1 - i cot theta)/2, so with T = sum_m h_m w^m and
+    W = sum_m m h_m w^m, both by Horner in w in place,
+    P_n = C_n Re(z_0 T) and
+    dP_n/dtheta = -C_n (rho Im(z_0 T) + Im(z_0 W) + cot theta Re(z_0 (W + T/2))).
     The phase rho theta, rho = n + 1/2, enters as one product.  The Gauss
     rule keeps it exact, since its rounding would move a node by 2^-53
     theta.  At an arbitrary node, such as an order band's upward route
@@ -842,16 +884,23 @@ def _legendre_interior(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
     rho = n + 0.5
     sin = np.sin(theta)
     cot = np.cos(theta) / sin
+    terms = _series_terms(rho * float(sin.min(initial=math.inf)))
+    h = [1.0]
+    for m in range(1, terms):
+        h.append(h[-1] * ((m - 0.5) ** 2 / (m * (n + m + 0.5))))
     w = 0.5 - 0.5j * cot
+    total = np.full(theta.shape, complex(h[-1]))  # T, by Horner
+    weighted = np.full(theta.shape, complex((terms - 1) * h[-1]))  # W / w, likewise
+    for m in range(terms - 2, -1, -1):
+        total *= w
+        total += h[m]
+        if m:
+            weighted *= w
+            weighted += m * h[m]
+    weighted *= w
     z = np.exp(1j * (rho * theta)) * (complex(1.0, -1.0) / np.sqrt(4.0 * sin))
-    total = z.copy()  # sum of z_m
-    weighted = np.zeros_like(z)  # sum of m z_m
-    h = 1.0
-    for m in range(1, _SERIES_TERMS):
-        h *= (m - 0.5) ** 2 / (m * (n + m + 0.5))
-        z *= w
-        total += h * z
-        weighted += (m * h) * z
+    total *= z
+    weighted *= z
     c_n = _series_constant(n)
     p = c_n * total.real
     dp = -c_n * (rho * total.imag + weighted.imag + cot * (weighted.real + 0.5 * total.real))
@@ -998,12 +1047,15 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     ~9e-9) by 0.25%, so small rules keep scipy's output.  From n = 76 on,
     :func:`_newton_rule`; the switch is set by its boundary nodes' Miller
     sweep, which starts at M = :func:`_miller_order` (1) = 75.
-    The Jacobi rule costs O(n^2), the Newton rule O(n): 36 series terms a
-    node, plus 75 steps of Miller's sweep on five nodes per half.  On a
-    2-core x86 box a Newton rule takes ~1 ms up to n = 1000, and 2.8, 4.0,
-    6.0 and 11 ms at n = 6400, 12800, 25600 and 51200, and 0.11 s at 4e5,
-    where two sweeps of the n-step recurrence at every node (the O(n^2)
-    route, kept as a test oracle) take 0.16, 0.49, 1.7 and 6.8 s.
+    The Jacobi rule costs O(n^2), the Newton rule O(n): 30 series terms a
+    node (its least (n + 1/2) sin(theta) is the sixth zero of J_0, 18.07),
+    plus 75 steps of Miller's sweep on five nodes per half.  On a
+    2-core x86 box a Newton rule takes ~0.5 ms at n = 1000, and 0.9, 1.4,
+    2.4 and 4.5 ms at n = 6400, 12800, 25600 and 51200, and 0.05 s at 4e5
+    (best of 20, and of 3 at 4e5; 1.2, 1.7, 2.9, 5.6 ms and 0.08 s with all
+    36 terms summed forward), where two sweeps of the n-step recurrence at
+    every node (the O(n^2) route, kept as a test oracle) take 0.16, 0.49,
+    1.7 and 6.8 s.
     Every Newton rule from n = 76 to 1000 is monotone and symmetric, with
     weights summing to 2 within 1e-14.  Against 30-digit mpmath at n = 76,
     77, 100, 256, 301, 306, 564, 999 and 1000 (the nine nodes sampled as

@@ -26,12 +26,24 @@ Two window geometries are used, selected by ``case_tag``:
 with band radius r (default ceil(sqrt(l))) and window parameters eta2 < sqrt2,
 eta1 > 2.  The defaults eta2 = 0.5, eta1 = 8 pass all desk-scale sign and
 monotonicity checks; both are configurable everywhere.
+
+One geometry per window.  Q depends on m only through m^2 - 1/4 times
+sec^2(theta), and Q', Q'' are m^2 - 1/4 times 2 sin sec^3 and
+2 sec^2 + 6 sin^2 sec^4 (:func:`_potential_factors`).  Every order of a
+window samples the same grid, so the grid, E's Gauss panels on it and the
+three factors on the panels' nodes are formed once per window and held
+read-only (:func:`_window_geometry`, keyed by the interval's half-width
+and the node count); a profile scales them by its m^2 - 1/4.  At 1001
+nodes the factors replace a cos, a sin and four powers on 8000 nodes per
+order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,17 +110,36 @@ def case_interval(ell: int, r: int, case_tag, eta1: float = DEFAULT_ETA1,
 # Potential and derivatives
 # ---------------------------------------------------------------------------
 
+def _potential_factors(theta, derivatives: bool = False):
+    """F0 = sec^2(theta), or (F0, F1, F2), the m-independent parts of Q, Q', Q''.
+
+    With F1 = 2 sin sec^3 and F2 = 2 sec^2 + 6 sin^2 sec^4, formed as
+    2 tan F0 and F0 (2 + 6 tan^2) from one cos, one sin and no general
+    power: Q = (m^2 - 1/4) F0 - 1/4 - l(l+1), Q' = (m^2 - 1/4) F1 and
+    Q'' = (m^2 - 1/4) F2, so a window's orders share one set of factors.
+    """
+    sec = 1.0 / np.cos(theta)
+    f0 = sec * sec
+    if not derivatives:
+        return f0
+    tan = np.sin(theta) * sec
+    return f0, 2.0 * tan * f0, f0 * (2.0 + 6.0 * tan * tan)
+
+
+def _scaled_potential(ell: int, m, f0):
+    """Q from its factor F0 = sec^2 (:func:`_potential_factors`); m broadcasts."""
+    return (m * m - 0.25) * f0 - (0.25 + ell * (ell + 1.0))
+
+
 def _potential(ell: int, m, theta, derivatives: bool = False):
-    """Q, or (Q, Q', Q''), in closed form from one cos and one sin of theta; m broadcasts."""
+    """Q, or (Q, Q', Q''), scaled from :func:`_potential_factors`; m broadcasts."""
     if not np.all(np.abs(theta) < math.pi / 2):
         raise ValueError("Q requires |theta| < pi/2")
-    c = np.cos(theta)
-    coef = m * m - 0.25
-    q = coef / c**2 - 0.25 - ell * (ell + 1.0)
     if not derivatives:
-        return q
-    s = np.sin(theta)
-    return q, coef * 2.0 * s / c**3, coef * (2.0 / c**2 + 6.0 * s**2 / c**4)
+        return _scaled_potential(ell, m, _potential_factors(theta))
+    f0, f1, f2 = _potential_factors(theta, derivatives=True)
+    coef = m * m - 0.25
+    return _scaled_potential(ell, m, f0), coef * f1, coef * f2
 
 
 def q_potential(ell: int, m: int, theta):
@@ -118,7 +149,8 @@ def q_potential(ell: int, m: int, theta):
 
 def _error_density(q, q1, q2):
     """The integrand |Q'' - 5 Q'^2 / (4Q)| / (8 |Q|^{3/2}) of E, on arrays."""
-    return np.abs(q2 - 1.25 * q1 * q1 / q) / (8.0 * np.abs(q) ** 1.5)
+    size = np.abs(q)
+    return np.abs(q2 - 1.25 * q1 * q1 / q) / (8.0 * size * np.sqrt(size))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +304,35 @@ class WkbProfile:
     err: np.ndarray
 
 
+class _WindowGeometry(NamedTuple):
+    """The m-independent arrays of a window's profiles (:func:`_window_geometry`)."""
+
+    thetas: np.ndarray  # the profile grid, symmetric about its centre node 0
+    sec_sq: np.ndarray  # F0 on the grid
+    widths: np.ndarray  # half-widths of the Gauss panels, one per interval of [0, hi]
+    f0: np.ndarray  # F0, F1, F2 on the panels' nodes (panels, 16)
+    f1: np.ndarray
+    f2: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _window_geometry(half: float, n_theta: int) -> _WindowGeometry:
+    """The grid of ``n_theta`` (odd) angles on [-half, half], its panels and factors, read-only.
+
+    Every order of a window samples the same grid, so its cos, sin and
+    factors (:func:`_potential_factors`) are formed once per window, not
+    once per order: each order only scales them by m^2 - 1/4.  The callers
+    run a window's orders one after another, so a few windows are kept.
+    """
+    thetas = np.linspace(-half, half, n_theta)
+    nodes, widths = _panel_nodes(thetas[n_theta // 2:])
+    geometry = _WindowGeometry(thetas, _potential_factors(thetas), widths,
+                               *_potential_factors(nodes, derivatives=True))
+    for array in geometry:
+        array.setflags(write=False)
+    return geometry
+
+
 def wkb_approximant(ell: int, m: int, case_tag, r: int,
                     eta1: float = DEFAULT_ETA1, eta2: float = DEFAULT_ETA2,
                     n_theta: int = 201) -> WkbProfile:
@@ -282,29 +343,31 @@ def wkb_approximant(ell: int, m: int, case_tag, r: int,
     (:func:`_closed_action`) and E summed outward, one Gauss panel per grid
     interval, both from the grid's centre node theta = 0, so ``n_theta``
     must be at least 2 (an even count is raised by one to keep that node).
+    The grid and its factors are the window's (:func:`_window_geometry`);
+    the profile's ``thetas`` is that read-only array.
     """
     if n_theta < 2:
         raise ValueError(f"n_theta must be >= 2, got {n_theta}")
     case = normalize_case(case_tag)
-    interval = case_interval(ell, r, case, eta1, eta2)
-    if n_theta % 2 == 0:
-        n_theta += 1
-    thetas = np.linspace(interval[0], interval[1], n_theta)
-    q = q_potential(ell, m, thetas)
+    _, half = case_interval(ell, r, case, eta1, eta2)
+    geometry = _window_geometry(half, n_theta + 1 - n_theta % 2)
+    thetas = geometry.thetas
+    q = _scaled_potential(ell, m, geometry.sec_sq)
     if np.any(q >= 0):
         raise TurningPointError(
             f"Q_(l={ell}, m={m}) not negative on the case-{case} interval"
         )
     # S in closed form, E by one Gauss panel per grid interval of [0, hi];
     # S is odd, E even.  S is formed while the panels' Q, Q', Q'' (64 kB
-    # each at 1001 nodes) are held: in a fresh process, S formed before
-    # them let glibc trim the heap after every profile, and a wkb_reach
-    # pass took 9.3k minor page faults instead of 2.5k.
-    mid = n_theta // 2
-    nodes, widths = _panel_nodes(thetas[mid:])
-    qn, q1, q2 = _potential(ell, m, nodes, derivatives=True)
+    # each at 1001 nodes) are held: in a process set up as perfbench's
+    # worker, S formed before them let glibc trim the heap after more
+    # profiles, and a wkb_reach pass's profiles took 14.6k minor page
+    # faults instead of 7.7k.
+    mid = thetas.size // 2
+    coef = m * m - 0.25
+    qn, q1, q2 = _scaled_potential(ell, m, geometry.f0), coef * geometry.f1, coef * geometry.f2
     s_pos = _closed_action(ell, m, thetas[mid + 1:])
-    e_pos = np.cumsum(_panel_sums(_error_density(qn, q1, q2), widths))
+    e_pos = np.cumsum(_panel_sums(_error_density(qn, q1, q2), geometry.widths))
     action = np.concatenate([-s_pos[::-1], [0.0], s_pos])
     err = np.concatenate([e_pos[::-1], [0.0], e_pos])
 

@@ -6,7 +6,8 @@ the closed-form action is checked against its plain antiderivative in
 40-digit mpmath, P_n comes from the n-step degree recurrence (the
 library's Gauss rule takes Stieltjes' series, and Miller's sweep in order
 next to the poles), the all-node Gauss rule runs that recurrence at every
-node, the action integral is a brute-force composite Simpson rule, the
+node, the interior series is summed forward over all its 36 terms, the
+action integral is a brute-force composite Simpson rule, the
 profile integrals run one Gauss panel at a time in a Python loop, the
 equator anchors of the degree recurrence are checked one step at a time,
 and the projector spectrum comes from the dense addition-theorem kernel on
@@ -101,6 +102,34 @@ def legendre_theta_recurrence(n: int, theta):
         e = e - (2 * k + 1) * (d * p)
         p = p + e / (k + 1)
     return p, (e - n * d * p) / np.sin(theta)
+
+
+def legendre_interior_forward(n: int, theta):
+    """P_n(cos theta) and dP_n/dtheta from all 36 terms of Stieltjes' series, summed forward.
+
+    The terms z_m = h_m z_0 w^m are formed one from the next and added in
+    increasing m, whatever the nodes: the reference for the library's
+    series, which takes only the terms its nodes need, by Horner in w.
+    """
+    from sclab import sphere_basis as sb
+
+    rho = n + 0.5
+    sin = np.sin(theta)
+    cot = np.cos(theta) / sin
+    w = 0.5 - 0.5j * cot
+    z = np.exp(1j * (rho * theta)) * (complex(1.0, -1.0) / np.sqrt(4.0 * sin))
+    total = z.copy()  # sum of z_m
+    weighted = np.zeros_like(z)  # sum of m z_m
+    h = 1.0
+    for m in range(1, 36):
+        h *= (m - 0.5) ** 2 / (m * (n + m + 0.5))
+        z = z * w
+        total = total + h * z
+        weighted = weighted + (m * h) * z
+    c_n = sb._series_constant(n)
+    p = c_n * total.real
+    dp = -c_n * (rho * total.imag + weighted.imag + cot * (weighted.real + 0.5 * total.real))
+    return p, dp
 
 
 def gauss_legendre_recurrence_rule(n: int):
@@ -293,7 +322,7 @@ def equator_anchors_per_step(ell_max: int):
     worst_val, worst_der = 0.0, 0.0
     below = None
     for step, rows in enumerate(sb._degree_rows(orders[:, None], ell_max, x0,
-                                                sb._seed_values(orders[:, None], x0))):
+                                                sb._lifted_seeds(orders[:, None], x0)[0])):
         ms = orders[:ell_max + 1 - step]
         ells = ms + step
         values, derivs = sb.normalized_at_zero(ells, ms)

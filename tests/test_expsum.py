@@ -81,6 +81,22 @@ def test_cluster_sum_at_zero_angle():
     assert res.monotone and res.separated and res.bound_holds
 
 
+@pytest.mark.parametrize("case", ["2", "inf"])
+def test_cluster_sum_equality_case_holds_by_the_float_allowance(case):
+    # at theta = 0 with odd r the sum is 1 = cot(pi/4); the margin rounds
+    # just below pi, so the ratio reads 1 - ~1e-14, inside the allowance
+    # 1 + (K + 1) 2^-52 however it rounds
+    ell, r = 200, 15
+    res = es.cluster_phase_sum(ell, case, r, theta=0.0)
+    assert abs(abs(res.total) - 1.0) <= 1e-12
+    assert abs(res.bound_ratio - 1.0) <= 1e-13
+    assert res.bound_holds
+    exact = es.kuzmin_landau_bound
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(es, "kuzmin_landau_bound", lambda eps: exact(eps) * (1.0 - 1e-12))
+        assert not es.cluster_phase_sum(ell, case, r, theta=0.0).bound_holds
+
+
 def test_cluster_sum_rejects_theta_outside_interval():
     with pytest.raises(ValueError):
         es.cluster_phase_sum(100, "2", 10, theta=1.0)

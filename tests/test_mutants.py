@@ -4,7 +4,8 @@
 pass/fail verdict of every check the criterion then gives.  A probe
 patches one library function for one run; the checks that see its fault
 read False, and the others keep passing, which records what each line
-of the criterion cannot see.
+of the criterion cannot see.  ``KNOWN_GAPS`` names every check of the
+suite that no probe fails; the census test keeps the two in step.
 """
 
 import math
@@ -131,6 +132,11 @@ MUTANTS = {
                        _failing(C06, "kuzmin-landau-family-bound-holds")),
     "c06-bound-2x": ("c06-kuzmin-landau", _scaled(es, "kuzmin_landau_bound", 2.0),
                      _failing(C06, "kuzmin-landau-family-sharpness")),
+    # |sum| / bound reads up to 0.83-0.94 at c07's degrees with even r, and
+    # 1 - ~1e-13 at theta = 0 with odd r (l = 200 and 700), the equality
+    # case, so both flag lines fail at 0.9x; the tie-back's angle reads < 0.9
+    "c07-bound-0.9x": ("c07-phase-sums", _scaled(es, "kuzmin_landau_bound", 0.9),
+                       _failing(C07, "phase-sum-flags-case2", "phase-sum-flags-caseinf")),
     # the per-order action integrals are the tie-back's independent route;
     # the cluster sums take S in closed form
     "c07-action-integral-scaled": ("c07-phase-sums",
@@ -144,6 +150,59 @@ MUTANTS = {
     "c12-lhs-1.3x": ("c12-kss-compare", _scaled(sl, "kss_bound", 1.3, item=0),
                      _failing(C12, "kss-bounds-hold")),
 }
+
+
+# Non-runtime checks of the suite that no entry of MUTANTS fails.  An entry
+# leaves only when a mutant that fails its check joins the table, and
+# nothing joins it: a new check comes with its mutant.
+KNOWN_GAPS = (
+    "c01-weyl:weyl-count-slope",
+    "c01-weyl:weyl-leading-coefficient",
+    "c02-orthonormality:orthonormality-cross-order",
+    "c02-orthonormality:v-normalization-deviation",
+    "c04-wkb-accuracy:wkb-metric-variation-case2",
+    "c04-wkb-accuracy:wkb-error-functional-variation-case2",
+    "c04-wkb-accuracy:wkb-metric-variation-caseinf",
+    "c04-wkb-accuracy:wkb-error-functional-variation-caseinf",
+    "c04-wkb-accuracy:normalization-constant-spread",
+    "c05-normalization-constants:normalization-constant-spread",
+    "c07-phase-sums:phase-sum-variation-case2",
+    "c07-phase-sums:phase-sum-variation-caseinf",
+    "c08-optimality-slopes:lower-slope-case2-p2.0",
+    "c08-optimality-slopes:lower-slope-case2-p4.0",
+    "c08-optimality-slopes:lower-slope-case2-p6.0",
+    "c08-optimality-slopes:lower-slope-caseinf-p6.0",
+    "c08-optimality-slopes:lower-slope-caseinf-p8.0",
+    "c08-optimality-slopes:lower-slope-caseinf-pinf",
+    "c08-optimality-slopes:triangle-gap-slope",
+    "c09-pointwise-windows:window-constants-positive",
+    "c09-pointwise-windows:window-constant-variation-case2",
+    "c09-pointwise-windows:window-constant-variation-caseinf",
+    "c09-pointwise-windows:concentration-case2-p6.0",
+    "c09-pointwise-windows:concentration-caseinf-p8.0",
+    "c10-dual-schatten:dual-ratio-tail-p4.0",
+    "c10-dual-schatten:dual-ratio-tail-p6.0",
+    "c10-dual-schatten:dual-ratio-tail-p10.0",
+    "c11-oscillatory-scaling:oscillatory-paraboloid-variation",
+    "c11-oscillatory-scaling:oscillatory-resolution-validated",
+    "c12-kss-compare:kss-ratio-slope",
+    "c13-heuristic-compare:heuristic-ratio-inf-ell200",
+    "c13-heuristic-compare:heuristic-ratio-2-ell200",
+    "c13-heuristic-compare:heuristic-ratio-inf-ell400",
+    "c13-heuristic-compare:heuristic-ratio-2-ell400",
+)
+
+
+def test_every_check_fails_under_a_mutant_or_is_a_known_gap():
+    # a check is named "criterion:check", as acceptance_suite reports it
+    report = acc.acceptance_suite(echo=None)
+    checks = [c.name for c in report.checks if not c.name.endswith("-runtime-seconds")]
+    failed = {f"{label}:{name}" for label, _, verdicts in MUTANTS.values()
+              for name, passed in verdicts.items() if not passed}
+    assert len(set(KNOWN_GAPS)) == len(KNOWN_GAPS)
+    assert not failed & set(KNOWN_GAPS), "a gap a mutant fails: take it off KNOWN_GAPS"
+    assert set(KNOWN_GAPS) <= set(checks), "a gap the suite no longer emits"
+    assert set(checks) - failed == set(KNOWN_GAPS)
 
 
 @pytest.mark.parametrize("probe", list(MUTANTS))

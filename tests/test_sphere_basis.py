@@ -20,8 +20,8 @@ from sclab.wkb_engine import (action_integral, band_radius, case_interval, case_
                               q_potential)
 
 from _oracles import (degree_table, double_factorial, gauss_legendre_node_mp,
-                      gauss_legendre_recurrence_rule, legendre_theta_recurrence,
-                      normalized_legendre_mp, ylm_matrix)
+                      gauss_legendre_recurrence_rule, legendre_interior_forward,
+                      legendre_theta_recurrence, normalized_legendre_mp, ylm_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_range_checks_refuse_infinity(call, argument):
 
 def _normal_seed(m, x):
     """Where the per-order recurrence starts from a normal double."""
-    return np.abs(sb._seed_values(m, x)) >= np.finfo(float).tiny
+    return np.exp(sb._seed_log_magnitude(m, x)) >= np.finfo(float).tiny
 
 
 @pytest.mark.parametrize("ell", [100, 405, 975, 2400])
@@ -596,7 +596,7 @@ def test_upward_band_rows_are_its_one_order_rows(ell):
 
 def test_single_row_lifts_an_underflowing_seed():
     ell, m, x = 1600, 533, np.array([-0.970])
-    assert sb._seed_values(m, x)[0] == 0.0  # sin(theta)^533 ~ 1e-327
+    assert np.exp(sb._seed_log_magnitude(m, x))[0] == 0.0  # sin(theta)^533 ~ 1e-327
     exact = float(normalized_legendre_mp(m, ell, x[0]))  # 7.23e-38
     # the row by the degree recurrence; the band by the downward sweep from
     # g_l^l ~ 1e-984
@@ -657,9 +657,9 @@ def test_single_row_holds_a_few_rows_in_degree(m):
 def test_order_column_matches_one_order_recurrences(ell):
     x = np.cos(sb.build_grid(256).theta_nodes)
     orders = np.arange(ell + 1)[:, None]
-    alone = [sb._degree_rows(orders[m:m + 1], ell, x, sb._seed_values(orders[m:m + 1], x))
+    alone = [sb._degree_rows(orders[m:m + 1], ell, x, sb._lifted_seeds(orders[m:m + 1], x)[0])
              for m in range(ell + 1)]
-    column = sb._degree_rows(orders, ell, x, sb._seed_values(orders, x))
+    column = sb._degree_rows(orders, ell, x, sb._lifted_seeds(orders, x)[0])
     for step, rows in enumerate(column):
         for m in range(ell + 1 - step):  # orders not yet past degree ell
             assert np.array_equal(rows[m], next(alone[m])[0])
@@ -673,7 +673,7 @@ def test_degree_tables_match_one_order_tables(m_lo, m_hi):
     # the orthonormality check's grid and degrees; on its 256 nodes the
     # seeds of orders 152..200 are lifted next to the poles
     x = np.cos(sb.build_grid(256).theta_nodes)
-    lifted = [m for m in range(201) if sb._seed_lift(m, x).any()]
+    lifted = [m for m in range(201) if sb._lifted_seeds(m, x)[1].any()]
     assert lifted == list(range(152, 201))
     orders = []
     for m, table in sb._degree_tables(m_lo, m_hi, 200, x):
@@ -904,6 +904,62 @@ def test_interior_series_matches_recurrence(n):
     tol = 4.0 * 2.0**-53 * rho * theta * sb._series_constant(n) / np.sqrt(2.0 * np.sin(theta))
     assert np.all(np.abs(p - ref_p) <= tol)
     assert np.all(np.abs(dp - ref_dp) <= rho * tol)
+
+
+def test_series_terms_are_what_the_nodes_need():
+    # 36 terms at the floor, where the Szegő bound first reaches 2^-53, and
+    # no more below it; 8 or fewer once (n + 1/2) sin(theta) >= 160, as on
+    # the WKB intervals of a case-"inf" window (~8r), fewer as it grows
+    floor = sb._SERIES_MIN_RHO_SIN
+    assert sb._SERIES_TERMS == sb._series_terms(floor) == 36
+    assert sb._series_terms(0.5 * floor) == sb._series_terms(0.0) == 36
+    assert sb._series_terms(160.0) == 8 and sb._series_terms(318.0) == 7
+    counts = [sb._series_terms(x) for x in np.geomspace(floor, 1e6, 200)]
+    assert counts == sorted(counts, reverse=True) and counts[-1] <= 4
+    # the count reaches 2^-53 and one term fewer does not
+    for x in (floor, 160.0, 318.0, 1e4):
+        m = sb._series_terms(x)
+        assert sb._SERIES_REACH[m - 1] <= x < sb._SERIES_REACH[m - 2]
+
+
+def _series_deviation(n, theta):
+    """Largest |sized series - 36-term forward sum|, in 2^-52 of the row's amplitude.
+
+    The amplitude is the leading term's modulus C_n / sqrt(2 sin theta)
+    for P_n, times rho for dP_n/dtheta: the row's maximum about each node.
+    At the rule's nodes P_n itself is roundoff, so it cannot be the scale.
+    """
+    p, dp = sb._legendre_interior(n, theta)
+    ref_p, ref_dp = legendre_interior_forward(n, theta)
+    amplitude = sb._series_constant(n) / np.sqrt(2.0 * np.sin(theta)) * 2.0**-52
+    return (np.max(np.abs(p - ref_p) / amplitude),
+            np.max(np.abs(dp - ref_dp) / ((n + 0.5) * amplitude)))
+
+
+@pytest.mark.parametrize("ell", [400, 800, 1600, 3200, 10000])
+def test_sized_series_matches_the_forward_sum_on_wkb_intervals(ell):
+    # the upward route's colatitudes pi/2 - |theta| of a 1001-node profile
+    # on a case-"inf" WKB interval: 8 terms or fewer (measured: within 2.5)
+    r = band_radius(ell)
+    _, hi = case_interval(ell, r, "inf")
+    theta = math.pi / 2 - np.linspace(0.0, hi, 501)
+    assert sb._series_terms((ell + 0.5) * np.sin(theta).min()) <= 8
+    assert max(_series_deviation(ell, theta)) <= 5.0
+
+
+@pytest.mark.parametrize("n", [1001, 4096, 25600])
+def test_sized_series_matches_the_forward_sum_on_newton_rule_nodes(n):
+    # every node of the rule's upper half that takes the series: the least
+    # (n + 1/2) sin(theta) is ~18.07, the sixth zero of J_0, which takes 30
+    # terms; with the floor's angle added, all 36 (measured: within 3.6)
+    rho = n + 0.5
+    theta = np.arccos(sb._gauss_rule(n)[0][n // 2:])
+    theta = theta[rho * np.sin(theta) >= sb._SERIES_MIN_RHO_SIN]
+    assert sb._series_terms(rho * np.sin(theta).min()) == 30
+    assert max(_series_deviation(n, theta)) <= 5.0
+    theta = np.append(theta, math.asin(sb._SERIES_MIN_RHO_SIN / rho))
+    assert sb._series_terms(rho * np.sin(theta).min()) == 36
+    assert max(_series_deviation(n, theta)) <= 5.0
 
 
 @pytest.mark.parametrize("n", [1001, 9600, 51200])

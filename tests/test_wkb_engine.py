@@ -226,6 +226,51 @@ def test_profile_integrals_match_the_adaptive_route(case):
 
 
 
+def _profile_arrays(prof):
+    return (prof.thetas, prof.q, prof.action, prof.y, prof.err)
+
+
+def test_window_geometry_is_read_only():
+    ell = 400
+    r = wkb.band_radius(ell)
+    prof = wkb.wkb_approximant(ell, r, "inf", r, n_theta=1000)  # raised to 1001
+    _, half = wkb.case_interval(ell, r, "inf")
+    geometry = wkb._window_geometry(half, 1001)
+    assert prof.thetas is geometry.thetas and prof.thetas.size == 1001
+    assert geometry.f0.shape == geometry.f1.shape == geometry.f2.shape == (500, 16)
+    for array in geometry:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # Q, Q' and Q'' are the factors times m^2 - 1/4, less the constant of Q
+    f0, f1, f2 = wkb._potential_factors(geometry.thetas, derivatives=True)
+    assert np.array_equal(f0, geometry.sec_sq)
+    q, q1, q2 = wkb._potential(ell, r, geometry.thetas, derivatives=True)
+    coef = r * r - 0.25
+    assert np.array_equal(q, coef * f0 - (0.25 + ell * (ell + 1.0)))
+    assert np.array_equal(q1, coef * f1) and np.array_equal(q2, coef * f2)
+
+
+def test_profiles_do_not_depend_on_the_window_cache():
+    # each profile computed alone after cache_clear(), against the same
+    # profiles with every window's orders interleaved through the cache
+    orders = []
+    for ell in (100, 400):
+        r = wkb.band_radius(ell)
+        for case in ("2", "inf"):
+            window = wkb.case_window(ell, r, case)
+            orders += [(ell, int(m), case, r) for m in (window[0], window[-1])]
+    alone = {}
+    for key in orders:
+        wkb._window_geometry.cache_clear()
+        alone[key] = _profile_arrays(wkb.wkb_approximant(*key, n_theta=401))
+    wkb._window_geometry.cache_clear()
+    for key in orders[::2] + orders[1::2]:  # the windows alternate
+        for a, b in zip(_profile_arrays(wkb.wkb_approximant(*key, n_theta=401)), alone[key]):
+            assert np.array_equal(a, b)
+    assert wkb._window_geometry.cache_info().hits > 0
+
+
 def test_approximant_matching_point_values():
     prof = wkb.wkb_approximant(100, 80, "2", wkb.band_radius(100))
     mid = prof.thetas.size // 2
