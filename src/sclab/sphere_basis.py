@@ -17,23 +17,21 @@ so that int |Y_l^m|^2 domega = 1 and int_0^pi |g_l^m|^2 sin(theta) dtheta
 satisfies the normal-form equation -v'' + Q v = 0 consumed by the WKB
 engine, with int_{-pi/2}^{pi/2} |v|^2 dtheta = 1/(2 pi).
 
-Fixed-order rows come from one normalized three-term recurrence upward
-in degree (:func:`_degree_rows`), run on a column of orders advancing
-together through one pipeline (:func:`_degree_column`) that lifts, keeps
-and scales back the seeds' powers of two (see Underflow below).  A row
-(:func:`legendre_row`) is a column of one order; the degree tables of many
-orders (:func:`_degree_tables`) take one column per block of consecutive
-orders, and each order's rows are those it would have alone: the 201
-tables of the acceptance suite's orthonormality check (l <= 200 on 256
-nodes) take 6641 column steps in 49 blocks.
-Fixed-degree rows all come from the sweeps of one order band
-(:func:`_band_sweeps`, below), which runs no degree recurrence; the rows
-of all orders 0..l (:func:`radial_rows`) are the band 0..l.  Normalized
-values stay O(sqrt(l)), so nothing overflows.  The seed g_m^m ~
-sin(theta)^m underflows near the poles at high order; rows, degree tables
-and bands lift it (see Underflow below), since the degree-l value can be
-representable even so: g_1600^533(-0.97) = 7.23e-38 has a seed of
-~1e-327.
+Every g-value of the module comes from one normalized three-term
+recurrence, in order (below), swept by the order bands
+(:func:`_band_sweeps`); the rows of all orders 0..l (:func:`radial_rows`)
+are the band 0..l.  The acceptance suite's direct checks of the basis
+read the same relation on a column of consecutive degrees
+(:func:`_order_column`): each degree l enters at its top order and steps
+down with the degrees above it, so the column's line l is bit for bit
+the downward band 0..l, and the tables of all orders at l <= 200 on 129
+nodes take 200 column steps.  The one other recurrence, scipy's in
+degree for P_n (:func:`_legendre_pair`), serves only the small Jacobi
+rules.  Normalized values stay O(sqrt(l)), so nothing overflows.  The
+seed g_m^m ~ sin(theta)^m underflows near the poles at high order; bands
+and the column lift it (see Underflow below), since the degree-l value
+can be representable even so: g_1600^533(-0.97) = 7.23e-38 has a seed
+of ~1e-327.
 
 Order bands.  A band of orders m_lo..m_hi at one degree
 (:func:`legendre_band`) comes from one three-term relation in order
@@ -93,9 +91,9 @@ accuracy in sin^m next to the poles (at l = 400 on the first of 1600
 Gauss nodes, seeds of m = 60..137 are within 1.2e-13 of 50-digit mpmath
 this way, the rounding of their exponents, against up to 1.1e-9 from
 1 - x*x).
-Measured against the per-order degree recurrence on n = 4l Gauss nodes
-up to l = 2400, both windows' bands agree to within 7.2e-13 of each row's
-maximum.  Against 50-digit mpmath at l = 975 and 2400, the top and bottom
+Measured against the per-order recurrence in degree (the tests' oracle)
+on n = 4l Gauss nodes up to l = 2400, both windows' bands agree to within
+7.2e-13 of each row's maximum.  Against 50-digit mpmath at l = 975 and 2400, the top and bottom
 rows of both windows are within 3.3e-13 at sampled upward nodes, Miller's
 and downward nodes allowed and forbidden for the top order on both sides
 of the equator, and the nodes either side of each switch (of the row's
@@ -129,15 +127,13 @@ as (m/2) log(f) + (lift + m k) ln 2 plus the log of its value at the
 equator, with sin^2(theta) = f 4^k and f in [1/2, 2)
 (:func:`_seed_log_magnitude`), not as the log of sin^m itself, whose
 rounding (~1e5 2^-53 at m = 1e4) left seeds 1.7e-11 off next to a pole
-at l = 10000 (1.4e-12 this way).  Both recurrences are linear, so lifted
-rows are the true rows times 2^lift.  As the rows grow, the recurrences
-keep that power up to date (:func:`_rescaled`): every
-``_DEGREE_CHECK_STEPS`` steps in degree and every ``_ORDER_CHECK_STEPS``
-in order, a node whose two latest rows have passed 2^512 is scaled down
-by that power, and its lift drops by as much.  The checks are often
-enough (the bounds are stated beside ``_RESCALE_BITS``): no row of an
-order sweep passes 2^808 for l <= 1e6, and no row of a degree recurrence
-2^768 for l <= 1e4.  Each kept row is scaled back once, by 2^-lift,
+at l = 10000 (1.4e-12 this way).  The relation is linear, so lifted rows
+are the true rows times 2^lift.  As the rows grow, the sweeps keep
+that power up to date (:func:`_rescaled`): every ``_ORDER_CHECK_STEPS``
+steps, a node whose two latest rows have passed 2^512 is scaled down by
+that power, and its lift drops by as much.  The checks are often enough
+(the bound is stated beside ``_RESCALE_BITS``): no row of an order sweep
+passes 2^808 for l <= 1e6.  Each kept row is scaled back once, by 2^-lift,
 which rounds only where a value is itself subnormal or below the double
 range.  There is no largest lift and
 nothing restarts: an order whose value is representable reads it however
@@ -146,9 +142,9 @@ sin(theta) = 0.06, orders 499, 549 and 600 (values -0.94, -1.49 and 2.12,
 seeds below 1e-600, which a band restarting at the highest order within a
 lift of 2^1000 read as 0) are within 6.2e-13 of mpmath; next to the poles
 (x = +-nextafter(1, 0) and the first node of the 4l-point Gauss rule, at
-l = 2400 and 10000) the band's normal values are within 1.4e-12.  A column
-of the degree recurrence (:func:`_degree_column`) lifts each of its
-orders' seeds the same way, so its lifts are per (order, node).
+l = 2400 and 10000) the band's normal values are within 1.4e-12.  The
+column of degrees (:func:`_order_column`) lifts each of its degrees'
+seeds the same way, so its lifts are per (degree, node).
 
 The seed-exponent floor.  The exponent of a seed is a sum of terms
 up to ~(m/2) ln 2 in size, each rounded, so the seed is off by up to
@@ -160,15 +156,15 @@ at every order.  Miller's sweep starts from no seed, so it has no such
 floor; it takes the polar nodes of every band for which it is cheaper,
 and downward bands are those with m_hi near l, or with few orders below
 l.  ``underflow_nodes`` on a band still counts the nodes where the seed of
-the top order m_hi underflows, that is, where a degree recurrence of that
-order would have to lift it, whatever route the node takes.
+the top order m_hi underflows, that is, where a sweep from that seed
+would have to lift it, whatever route the node takes.
 
 Normalization.  One quantity, the central binomial logarithm
 S_k = log((2k)! / (4^k k!^2)) = sum_{j<=k} log1p(-1/(2j)), is read from
 one cached table of exactly rounded prefix sums
 (:func:`_central_binomial_table`) wherever a normalization is needed: the
-seeds' constant log |g_m^m(0)| = (log((2m + 1)/(4 pi)) + S_m) / 2, so a
-column of orders costs one lookup; the closed-form values at the equator
+seeds' constant log |g_m^m(0)| = (log((2m + 1)/(4 pi)) + S_m) / 2, so the
+seeds of a column of degrees cost one lookup; the closed-form values at the equator
 (:func:`normalized_at_zero`), g_l^m(0)^2 = (2l + 1)/(4 pi) e^(S_a + S_b)
 with a = (l + m)/2, b = a - m; and the interior series' constant
 C_n = 4 / (pi (2n + 1)) e^(-S_n) (:func:`_series_constant`).
@@ -181,9 +177,10 @@ O(n) in all.  P_n comes from Stieltjes' interior series
 where the series cannot reach 2^-53.  Those take rows 0 and 1 of the
 bands' Miller sweep (:func:`_miller_rows`), which start at M = 75 whatever
 n, for g_n^0 and g_n^1, that is P_n and dP_n/dtheta; the sweep needs
-M < n, which sets the switch.  So the module has two recurrences, in
-degree, for fixed-order rows, and in order, for bands and the rule's
-boundary nodes, and one Miller routine.  Up to 75 nodes, scipy's
+M < n, which sets the switch.  So the module has one recurrence for
+g-values, in order, for bands, the column and the rule's boundary nodes,
+one Miller routine, and scipy's recurrence in degree for the small
+rules.  Up to 75 nodes, scipy's
 ``roots_legendre`` replicated in numpy (:func:`_jacobi_rule`): the Jacobi
 matrix's eigenvalues, one Newton step, and scipy's weight formula, so that
 the small Nystrom rules of schatten_lab keep the values recorded from
@@ -194,7 +191,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -204,30 +200,20 @@ FOUR_PI = 4.0 * math.pi
 _LN2 = math.log(2.0)
 _LOG_TINY = math.log(np.finfo(float).tiny)
 # Lifted rows (see Underflow in the module notes), and every row of Miller's
-# sweep, are checked at the second row of a recurrence and then every
-# _DEGREE_CHECK_STEPS steps in degree and every _ORDER_CHECK_STEPS steps in
-# order; where either of a node's two latest rows has passed
-# 2^_RESCALE_BITS, both are scaled down by that power.  A step multiplies
-# the larger of the two by at most 1.6 sqrt(m + 3) < 2^8 in degree (for
-# l <= 1e4), so rows of the degree recurrence stay below 2^(512 + 32 * 8).
-# A step in order multiplies it by at most 1 + sqrt(2l) |cot(theta)|, and
-# |cot(theta)| < 2^26.5 at every double inside (-1, 1).  A lifted node's
+# sweep, are checked at the second row of a sweep and then every
+# _ORDER_CHECK_STEPS steps; where either of a node's two latest rows has
+# passed 2^_RESCALE_BITS, both are scaled down by that power.  A step in
+# order multiplies the larger of the two by at most 1 + sqrt(2l) |cot(theta)|,
+# and |cot(theta)| < 2^26.5 at every double inside (-1, 1).  A lifted node's
 # downward sweep starts from a seed just above the smallest normal double,
 # and Miller's sweep from g^M = 1; both stay below 2^512 until a check finds
 # them past it, so for l <= 1e6 no row of either passes
-# 2^(8 log2(1 + sqrt(2e6) 2^26.5) + 512) ~ 2^808 < 2^1023.  Miller's running
-# root sum of squares is at most sqrt(M) times the largest row, and is
-# scaled with the rows.
+# 2^(8 log2(1 + sqrt(2e6) 2^26.5) + 512) ~ 2^808 < 2^1023.  A degree of the
+# column of degrees enters at its own step, so its first check may come
+# sooner, never later.  Miller's running root sum of squares is at most
+# sqrt(M) times the largest row, and is scaled with the rows.
 _RESCALE_BITS = 512
-_DEGREE_CHECK_STEPS = 32
 _ORDER_CHECK_STEPS = 8
-# Entries of the one buffer that holds a block of degree tables
-# (_degree_tables): 1 MB.  Measured on the acceptance suite's
-# orthonormality check (orders 0..200, 256 nodes; 2-core x86 box): its
-# tables and Grams take 0.11 s with 1 MB blocks, 0.16 s with 0.5 MB and
-# 0.08 s with 2 MB, but 2 MB raised the whole suite's peak RSS in a fresh
-# process by 1.6 MB (43.0 -> 44.6 MB), where 1 MB leaves it flat.
-_DEGREE_BLOCK_ENTRIES = 1 << 17
 
 
 class GridResolutionError(ValueError):
@@ -235,7 +221,7 @@ class GridResolutionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Fully normalized associated Legendre recurrences
+# The fully normalized associated Legendre relation in order
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -296,8 +282,8 @@ def _lifted_seeds(m, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     lift is the least k >= 0 per node (per order and node for a column)
     that brings 2^k g_m^m into the normal range: zero where the seed is a
-    normal double already.  There is no largest lift: the recurrences
-    scale lifted rows back down as they grow (see Underflow in the module
+    normal double already.  There is no largest lift: the sweeps scale
+    lifted rows back down as they grow (see Underflow in the module
     notes).  The seed's exponent (:func:`_seed_exponent`) is formed once,
     and the seed taken as exp(base + (lift + power) ln 2).  Order 0 is
     1/sqrt(4 pi) exactly.
@@ -319,131 +305,29 @@ def _check_nodes(x) -> np.ndarray:
     return x
 
 
-def _degree_column(orders: np.ndarray, ell_max: int, x: np.ndarray):
-    """Yield the true rows of degree m + j, j = 0..ell_max - min(m), for a column of orders.
+def _rescaled(rows, lift: np.ndarray, nodes=None, held=None):
+    """Yield the rows of a sweep in order on lifted seeds, keeping ``lift`` up to date.
 
-    The one pipeline of the degree recurrence: each order's seed is lifted
-    per node where it would underflow (:func:`_lifted_seeds`), the rows of
-    :func:`_degree_rows` keep their lift up to date as they grow
-    (:func:`_rescaled`; both in :func:`_lifted_column`), and each row comes
-    scaled back (:func:`_unlifted`).
-    ``orders`` has shape (k, 1), and yielded row j holds degree m + j of
-    each order m, one line per order; orders past ell_max run on to the
-    last step.
-    """
-    return _unlifted(*_lifted_column(orders, ell_max, x))
-
-
-def _lifted_column(orders: np.ndarray, ell_max: int, x: np.ndarray):
-    """(rows, lift): the rows of :func:`_degree_column` before they are scaled back.
-
-    A row times 2**-lift, with the lift as it stands when the row comes, is
-    the true row (:func:`_rescaled`).
-    """
-    seeds, lift = _lifted_seeds(orders, x)
-    return _rescaled(_degree_rows(orders, ell_max, x, seeds), lift, _DEGREE_CHECK_STEPS), lift
-
-
-def _degree_tables(m_lo: int, m_hi: int, ell_max: int, x: np.ndarray):
-    """Yield (m, table) for m = m_lo..m_hi: g-values of degrees m..ell_max at order m.
-
-    Row k of a table holds degree m + k, bit for bit the
-    :func:`legendre_row` of that degree.  Consecutive orders run as one
-    :func:`_degree_column`, as many at a time as fill
-    ``_DEGREE_BLOCK_ENTRIES`` with their tables (at least one).  The rows
-    of a block go into one buffer, reused by every block: a table is a
-    C-contiguous view into it, which the next block overwrites, so the
-    consumer takes each table before asking for the next one.  The
-    higher orders of a block run on past ell_max to its last step; those
-    rows are not handed over.
-    """
-    x = _check_nodes(x)
-    buffer = np.empty(max(_DEGREE_BLOCK_ENTRIES, (ell_max - m_lo + 1) * x.size))
-    m = m_lo
-    while m <= m_hi:
-        steps = ell_max - m + 1  # rows of order m's table, the block's first
-        count = min(m_hi - m + 1, max(1, buffer.size // (steps * x.size)))
-        block = buffer[:count * steps * x.size].reshape(count, steps, x.size)
-        for step, row in enumerate(_degree_column(np.arange(m, m + count)[:, None], ell_max, x)):
-            block[:, step] = row
-        for i in range(count):
-            yield m + i, block[i, :steps - i]
-        m += count
-
-
-def legendre_row(m: int, ell: int, x) -> np.ndarray:
-    """g-values of a single (ell, m) on nodes x, O(1) memory in degree.
-
-    The degree recurrence at order m alone, a column of one order
-    (:func:`_lifted_column`) of which only the last row is kept; no order
-    band runs it, so the tests check bands against it.  Seeds that would
-    underflow are lifted as in an order band (see Underflow in the module
-    notes), with no largest lift, and only the last row is scaled back.
-    """
-    if not 0 <= m <= ell:
-        raise ValueError(f"need 0 <= m <= ell, got m={m}, ell={ell}")
-    rows, lift = _lifted_column(np.array([[m]]), ell, _check_nodes(x))
-    return next(_unlifted(deque(rows, maxlen=1), lift))[0]
-
-
-def _degree_rows(m: np.ndarray, ell: int, x: np.ndarray, seed: np.ndarray):
-    """Yield the rows of degree m + j, j = 0..ell - min(m), from degree-m seeds.
-
-    The one upward recurrence in degree; linear in the seed.  ``m`` is a
-    column of orders (shape (k, 1), k seed rows) advancing together;
-    order m reaches ell at step ell - m, and higher orders run on past it.
-    Each element takes the operations of its order alone, so an order's
-    rows do not depend on the other orders of its column.  A generator:
-    O(1) rows are held.
-    """
-    prev = seed
-    yield prev
-    steps = ell - int(m.min())
-    if steps == 0:
-        return
-    cur = np.sqrt(2 * m + 3) * x * prev
-    yield cur
-    for a, b in _degree_coefficients(m, steps):
-        prev, cur = cur, a * (x * cur - b * prev)
-        yield cur
-
-
-def _degree_coefficients(m: np.ndarray, steps: int):
-    """Yield the coefficients (a, b) of steps 2..steps of :func:`_degree_rows`.
-
-    Arrays (k, 1) for a column of orders, computed ``_DEGREE_CHECK_STEPS``
-    steps at a time by the same operations element by element; all steps
-    at once would hold 2 x 8 bytes per order and step, 4 MB for 501 orders.
-    """
-    for start in range(2, steps + 1, _DEGREE_CHECK_STEPS):
-        deg = m + np.arange(start, min(start + _DEGREE_CHECK_STEPS, steps + 1))[:, None, None]
-        yield from zip(np.sqrt((4 * deg * deg - 1.0) / (deg * deg - m * m)),
-                       np.sqrt(((deg - 1.0) ** 2 - m * m) / (4.0 * (deg - 1.0) ** 2 - 1.0)))
-
-
-def _rescaled(rows, lift: np.ndarray, every: int, nodes=None, held=None):
-    """Yield the rows of a recurrence on lifted seeds, keeping ``lift`` up to date.
-
-    ``rows`` is :func:`_degree_rows` or a sweep of :func:`_order_rows` after
-    its two first rows, and ``lift`` the power of two its seeds carry, one
-    per node, or one per (order, node) for a column of orders.  At rows 1,
-    1 + every, 1 + 2 every, ..., where either of a node's two latest rows
-    has passed 2^``_RESCALE_BITS``, both are scaled down by that power in
-    place, so that the recurrence goes on from them, and the node's lift
-    drops by as much; so is ``held``, an array kept at the rows' scale
-    (Miller's running norm), if given.  A row times 2**-lift, with the lift
-    as it stands when the row is yielded, is the true row.  Scaling by a
-    power of two is exact.  The nodes checked are ``nodes``, flat indices
-    into ``lift``, by default those lifted at the start: the others hold
-    true values, below sqrt((2l + 1) / (4 pi)).  The bound after
-    ``_RESCALE_BITS`` shows why the check intervals keep every row finite.
-    Rows are the fresh arrays of a recurrence step, so their flat
-    reshapes are views.
+    ``rows`` is a sweep of :func:`_order_rows` after its two first rows, or
+    those of the column of degrees (:func:`_column_sweep`), and ``lift``
+    the power of two its seeds carry, one per node, or one per (degree,
+    node) for the column.  At rows 1, 1 + ``_ORDER_CHECK_STEPS``, ...,
+    where either of a node's two latest rows has passed
+    2^``_RESCALE_BITS``, both are scaled down by that power in place, so
+    that the sweep goes on from them, and the node's lift drops by as much;
+    so is ``held``, an array kept at the rows' scale (Miller's running
+    norm), if given.  A row times 2**-lift, with the lift as it stands when
+    the row is yielded, is the true row.  Scaling by a power of two is
+    exact.  The nodes checked are ``nodes``, flat indices into ``lift``, by
+    default those lifted at the start: the others hold true values, below
+    sqrt((2l + 1) / (4 pi)).  The bound after ``_RESCALE_BITS`` shows why
+    the check interval keeps every row finite.  Rows are C-contiguous, so
+    their flat reshapes are views.
     """
     nodes = np.flatnonzero(lift) if nodes is None else nodes
     flat_lift = lift.reshape(-1)
     for k, row in enumerate(rows):
-        if nodes.size and k % every == 1:
+        if nodes.size and k % _ORDER_CHECK_STEPS == 1:
             before, now = last.reshape(-1), row.reshape(-1)
             big = nodes[np.maximum(np.abs(before[nodes]), np.abs(now[nodes])) > 2.0**_RESCALE_BITS]
             before[big], now[big] = before[big] * 2.0**-_RESCALE_BITS, now[big] * 2.0**-_RESCALE_BITS
@@ -562,7 +446,7 @@ def _miller_rows(ell: int, m_lo: int, m_hi: int, cot: np.ndarray) -> np.ndarray:
     lift = np.zeros(cot.size, dtype=int)
     norm = np.zeros_like(cot)  # sqrt(sum_{m>=1} g^m^2) so far, at the rows' scale
     sweep = itertools.chain([above, top], _order_rows(ell, big_m, -1, above, top, cot))
-    rows = _rescaled(sweep, lift, _ORDER_CHECK_STEPS, np.arange(cot.size), norm)
+    rows = _rescaled(sweep, lift, np.arange(cot.size), norm)
     next(rows)  # g^{M+1}
     kept = np.empty((m_hi - m_lo + 1, cot.size))
     kept_lift = np.empty(kept.shape, dtype=int)
@@ -586,9 +470,9 @@ def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarr
 
     Returns (values, underflow), the latter marking the nodes where the
     sectoral seed of m_hi is below the smallest normal double
-    (:func:`_top_seed_underflows`); the band itself runs no degree
-    recurrence.  The table of :func:`_band_sweeps`: each row goes straight
-    into the one output array as its sweep gives it.
+    (:func:`_top_seed_underflows`).  The table of :func:`_band_sweeps`:
+    each row goes straight into the one output array as its sweep gives
+    it.
     """
     out = np.empty((m_hi - m_lo + 1, x.size))
     for nodes, orders, rows in _band_sweeps(ell, m_lo, m_hi, x):
@@ -600,8 +484,8 @@ def _order_band(ell: int, m_lo: int, m_hi: int, x: np.ndarray) -> tuple[np.ndarr
 def _top_seed_underflows(m_hi: int, x: np.ndarray) -> np.ndarray:
     """Where the sectoral seed of m_hi is below the smallest normal double.
 
-    That is, where the degree recurrence of the top order would start from
-    an underflowing seed, whatever route the band takes at the node.
+    A diagnostic of how far the band reaches into the poles' forbidden
+    zone, whatever route the band takes at the node.
     """
     return _seed_log_magnitude(m_hi, x) < _LOG_TINY
 
@@ -642,8 +526,57 @@ def _band_sweeps(ell: int, m_lo: int, m_hi: int, x: np.ndarray):
         top, lift = _lifted_seeds(ell, x[down])
         above = np.zeros_like(top)  # g_l^{l+1}
         sweep = itertools.chain([above, top], _order_rows(ell, ell, -1, above, top, cot[down]))
-        rows = itertools.islice(_rescaled(sweep, lift, _ORDER_CHECK_STEPS), ell + 1 - m_hi, None)
+        rows = itertools.islice(_rescaled(sweep, lift), ell + 1 - m_hi, None)
         yield down, range(m_hi, m_lo - 1, -1), _unlifted(rows, lift)
+
+
+def _order_column(ell_max: int, x: np.ndarray):
+    """Yield (m, table) for m = ell_max..0: g_l^m for l = m..ell_max on nodes x.
+
+    The downward relation in order on the column of degrees 0..ell_max
+    (:func:`_column_sweep`), lifted where a seed would underflow
+    (:func:`_lifted_seeds`), kept up to date as the lines grow
+    (:func:`_rescaled`) and scaled back (:func:`_unlifted`), as in a
+    downward band: line l of the tables is the band
+    :func:`_order_band` (l, 0, l, x) bit for bit.  Row k of a table holds
+    degree m + k.  A table is a view that later steps overwrite, so the
+    consumer takes each table before asking for the next one.
+    """
+    x = _check_nodes(x)
+    seeds, lift = _lifted_seeds(np.arange(ell_max + 1)[:, None], x)
+    rows = _unlifted(_rescaled(_column_sweep(seeds, x), lift), lift)
+    for m, row in zip(range(ell_max, -1, -1), rows):
+        yield m, row[m:]
+
+
+def _column_sweep(seeds: np.ndarray, x: np.ndarray):
+    """Yield the lifted column of degrees at orders ell_max..0, one (ell_max + 1, n) array each.
+
+    Degree l enters at its top order, from its seed (row l of ``seeds``)
+    and g_l^{l+1} = 0, whose coefficient vanishes at m = l, so no other
+    row is needed; from there it steps down with the degrees above it.  A
+    step is that of :func:`_order_rows`, element by element on a column
+    of coefficients: line l at order m - 1 is
+    -(2m / a) cot g^m - (b / a) g^{m+1}, with a and b the square roots on
+    the new and the far row at degree l.  Lines below the order hold 0.
+    The sweep runs on two buffers, the yielded one and the one it goes on
+    from, and overwrites each two steps later.
+    """
+    top = seeds.shape[0] - 1
+    cot = x / np.sqrt((1.0 - x) * (1.0 + x))  # the seeds' sin^2 (module notes)
+    far, near = np.zeros_like(seeds), np.zeros_like(seeds)
+    near[top] = seeds[top]
+    yield near
+    for m in range(top, 0, -1):
+        ell = np.arange(m, top + 1)[:, None]
+        scale = -1.0 / np.sqrt((ell + m) * (ell - m + 1.0))
+        row = np.multiply(cot, near[m:])
+        row *= (2.0 * m) * scale
+        far[m:] *= scale * np.sqrt((ell - m) * (ell + m + 1.0))
+        far[m:] += row
+        far, near = near, far
+        near[m - 1] = seeds[m - 1]  # far[m - 1] is g_{m-1}^m = 0
+        yield near
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +610,7 @@ def legendre_band(ell: int, m_lo: int, m_hi: int, thetas) -> RadialTable:
     potential singular downstream, and the sqrt(cos) factor degenerate.
     So must their sines: within ~1e-8 of +-pi/2, sin(theta) rounds to +-1,
     a pole, and such a node is refused like one at +-pi/2.
-    Each node sweeps in order, with no degree recurrence: upward from the
+    Each node sweeps in order: upward from the
     interior series, O(36 + m_hi) at most, where every order is oscillatory
     at it and the band is one for which that is cheaper; elsewhere by Miller's
     method from M = 2 max(17.7, m_hi) + 40, O(M), in a band for which
@@ -825,7 +758,8 @@ _SERIES_REACH.setflags(write=False)
 _SERIES_TERMS = int(np.argmin(_SERIES_REACH)) + 1
 _SERIES_MIN_RHO_SIN = float(_SERIES_REACH.min())
 # What the interior series costs at one degree, with both seeds of an
-# upward band, in steps of the degree recurrence on the same nodes: measured
+# upward band, in steps of a one-order recurrence in degree (the tests'
+# oracle) on the same nodes: measured
 # 57 to 73 at l = 400, 1600 and 10000 on 1001 nodes with all 36 terms
 # summed forward (flat in l: C_n is a table lookup); a step of the downward
 # order sweep, which the upward route saves, costs about as much.  Sized and

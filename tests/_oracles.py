@@ -6,12 +6,13 @@ the closed-form action is checked against its plain antiderivative in
 40-digit mpmath, P_n comes from the n-step degree recurrence (the
 library's Gauss rule takes Stieltjes' series, and Miller's sweep in order
 next to the poles), the all-node Gauss rule runs that recurrence at every
-node, the interior series is summed forward over all its 36 terms, the
-action integral is a brute-force composite Simpson rule, the
-profile integrals run one Gauss panel at a time in a Python loop, the
-equator anchors of the degree recurrence are checked one step at a time,
-and the projector spectrum comes from the dense addition-theorem kernel on
-the mesh.
+node, the associated Legendre rows of one order run the recurrence in
+degree (the library sweeps in order only), the interior series is summed
+forward over all its 36 terms, the action integral is a brute-force
+composite Simpson rule, the profile integrals run one Gauss panel at a
+time in a Python loop, the equator anchors of the column of degrees are
+checked one order at a time, and the projector spectrum comes from the
+dense addition-theorem kernel on the mesh.
 Frozen literals in the tests were produced by these functions; rerun
 them to re-derive any of the constants.
 
@@ -31,6 +32,7 @@ smaller Gram: the reference for the Gram blocks of the oscillatory
 models.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -298,44 +300,86 @@ def singular_values(matrix) -> np.ndarray:
     return np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))[::-1]
 
 
-def degree_table(m: int, ell_max: int, x) -> np.ndarray:
-    """g-values of degrees m..ell_max at order m: ``_degree_tables``' one table, copied."""
-    from sclab import sphere_basis as sb
+def _degree_recurrence(m: int, ell: int, x):
+    """Yield (row, lift) for l = m..ell: g_l^m on nodes x is row * 2**-lift.
 
-    return next(sb._degree_tables(m, m, ell_max, x))[1].copy()
+    The three-term recurrence in degree at the one order m,
 
+        g_{m+1}^m = sqrt(2m + 3) x g_m^m,
+        g_l^m = a (x g_{l-1}^m - b g_{l-2}^m),
+        a = sqrt((4l^2 - 1) / (l^2 - m^2)),
+        b = sqrt(((l - 1)^2 - m^2) / (4 (l - 1)^2 - 1)),
 
-def equator_anchors_per_step(ell_max: int):
-    """Worst relative errors of the degree recurrence at x = 0, step by step.
-
-    Runs the library's degree recurrence over all orders 0..ell_max at the
-    one node x = 0 and compares each step's rows with the closed forms of
-    ``sphere_basis.normalized_at_zero``, one call per step: values where
-    l - m is even, derivatives through g_{l-1}^m(0) where it is odd.  The
-    per-step reference for the acceptance criterion c03, which gathers 32
-    steps per call.  Returns (worst value error, worst derivative error).
+    from the library's sectoral seed, lifted where it would underflow
+    (``sphere_basis._lifted_seeds``).  Lifted nodes are checked every 32
+    steps: where either of the two latest rows has passed 2^512, both are
+    scaled down by that power and the lift drops by as much (a step
+    multiplies a row by at most 1.6 sqrt(m + 3) < 2^8 for l <= 1e4).  The
+    library sweeps in order only; this is the per-order reference that
+    its bands and its column of degrees are checked against.  O(1) rows
+    are held, and ``lift`` is updated in place.
     """
     from sclab import sphere_basis as sb
 
-    orders = np.arange(ell_max + 1)
-    x0 = np.zeros(1)
-    worst_val, worst_der = 0.0, 0.0
+    if not 0 <= m <= ell:
+        raise ValueError(f"need 0 <= m <= ell, got m={m}, ell={ell}")
+    x = sb._check_nodes(x)
+    row, lift = sb._lifted_seeds(m, x)
+    lifted = np.flatnonzero(lift)
     below = None
-    for step, rows in enumerate(sb._degree_rows(orders[:, None], ell_max, x0,
-                                                sb._lifted_seeds(orders[:, None], x0)[0])):
-        ms = orders[:ell_max + 1 - step]
-        ells = ms + step
-        values, derivs = sb.normalized_at_zero(ells, ms)
-        if step % 2 == 0:
-            rel = np.abs(rows[ms, 0] - values) / np.abs(values)
-            worst_val = max(worst_val, float(rel.max()))
-        else:
-            ell_o = ells.astype(float)
-            factor = np.sqrt((2 * ell_o + 1) * (ell_o - ms) * (ell_o + ms)
-                             / (2 * ell_o - 1))
-            rel = np.abs(factor * below[ms, 0] - derivs) / np.abs(derivs)
-            worst_der = max(worst_der, float(rel.max()))
-        below = rows
+    for degree in range(m, ell + 1):
+        if degree == m + 1:
+            below, row = row, math.sqrt(2 * m + 3) * x * row
+        elif degree > m + 1:
+            a = math.sqrt((4 * degree * degree - 1.0) / (degree * degree - m * m))
+            b = math.sqrt(((degree - 1.0) ** 2 - m * m) / (4.0 * (degree - 1.0) ** 2 - 1.0))
+            new = x * row
+            new -= b * below
+            new *= a
+            below, row = row, new
+        if lifted.size and (degree - m) % 32 == 1:
+            big = lifted[np.maximum(np.abs(below[lifted]), np.abs(row[lifted])) > 2.0**512]
+            below[big] *= 2.0**-512
+            row[big] *= 2.0**-512
+            lift[big] -= 512
+        yield row, lift
+
+
+def legendre_row(m: int, ell: int, x) -> np.ndarray:
+    """g_ell^m on nodes x by the recurrence in degree (:func:`_degree_recurrence`)."""
+    row, lift = collections.deque(_degree_recurrence(m, ell, x), maxlen=1)[0]
+    return np.ldexp(row, -lift)
+
+
+def degree_table(m: int, ell_max: int, x) -> np.ndarray:
+    """g-values of degrees m..ell_max (rows) at order m, by :func:`_degree_recurrence`."""
+    return np.array([np.ldexp(row, -lift) for row, lift in _degree_recurrence(m, ell_max, x)])
+
+
+def equator_anchors_per_step(ell_max: int):
+    """Worst relative errors of the library's column of degrees at x = 0, order by order.
+
+    Runs ``sphere_basis._order_column`` over all degrees 0..ell_max at the
+    one node x = 0 and compares each order's table with the closed forms
+    of ``sphere_basis.normalized_at_zero``, one call per order: values
+    where l - m is even, derivatives through g_{l-1}^m(0) where it is odd.
+    The per-order reference for the acceptance criterion c03, which
+    gathers 32 orders per call.  Returns (worst value error, worst
+    derivative error).
+    """
+    from sclab import sphere_basis as sb
+
+    worst_val, worst_der = 0.0, 0.0
+    for m, table in sb._order_column(ell_max, np.zeros(1)):
+        g = table[:, 0]
+        ells = np.arange(m, ell_max + 1)
+        values, derivs = sb.normalized_at_zero(ells, m)
+        rel = np.abs(g[::2] - values[::2]) / np.abs(values[::2])
+        worst_val = max(worst_val, float(rel.max()))
+        ell_o = ells[1::2].astype(float)
+        factor = np.sqrt((2 * ell_o + 1) * (ell_o - m) * (ell_o + m) / (2 * ell_o - 1))
+        rel = np.abs(factor * g[:-1:2] - derivs[1::2]) / np.abs(derivs[1::2])
+        worst_der = max(worst_der, float(rel.max(initial=0.0)))
     return worst_val, worst_der
 
 

@@ -11,8 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "sclab"
-# The per-order oracle of the band tests: the degree recurrence at one order
-ALLOWED = {("sphere_basis", "legendre_row")}
+ALLOWED = set()
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

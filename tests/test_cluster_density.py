@@ -10,7 +10,7 @@ from sclab import sphere_basis as sb
 from sclab import wkb_engine as wkb
 from sclab.experiments import _cluster_grid, reference_weight
 
-from _oracles import ylm_matrix
+from _oracles import legendre_row, ylm_matrix
 
 
 def make_profile(ell, r, case, n_mult=4, nu=None):
@@ -78,7 +78,7 @@ def test_density_matches_per_order_sum_and_reports_underflow():
     grid = sb.build_grid(4 * ell)
     profile = cd.density(spec, grid)
     x = np.cos(grid.theta_nodes)
-    exact = sum(sb.legendre_row(int(m), ell, x) ** 2 for m in spec.window)
+    exact = sum(legendre_row(int(m), ell, x) ** 2 for m in spec.window)
     kept = exact > 1e-250 * exact.max()
     assert np.all(np.abs(profile.rho - exact)[kept] <= 1e-11 * exact[kept])
     top_seed = np.exp(sb._seed_log_magnitude(int(spec.window[-1]), x))
@@ -96,7 +96,7 @@ def test_mirrored_density_on_even_and_odd_grids(case, extra):
     grid = sb.build_grid(4 * ell + extra)
     profile = cd.density(spec, grid)
     x = np.cos(grid.theta_nodes)
-    exact = sum(sb.legendre_row(int(m), ell, x) ** 2 for m in spec.window)
+    exact = sum(legendre_row(int(m), ell, x) ** 2 for m in spec.window)
     kept = exact > 1e-250 * exact.max()
     assert profile.rho.shape == x.shape
     assert np.all(np.abs(profile.rho - exact)[kept] <= 1e-11 * exact[kept])
@@ -141,7 +141,7 @@ def test_weighted_density_matches_per_order_rows(case, extra):
     up, miller, down = _density_sweeps(spec, x)
     assert (up > 0 and miller > 0 and down == 0) if case == "inf" else (down == x.size)
     profile = cd.density(spec, grid)
-    exact = sum(w * sb.legendre_row(int(m), ell, x) ** 2 for w, m in zip(spec.nu, spec.window))
+    exact = sum(w * legendre_row(int(m), ell, x) ** 2 for w, m in zip(spec.nu, spec.window))
     # nodes where every order's seed is a normal double, so each oracle row
     # keeps its bits, and rho is not below the double range
     seeded = np.exp(sb._seed_log_magnitude(int(spec.window[-1]), x)) >= np.finfo(float).tiny
@@ -236,7 +236,7 @@ def test_basis_remix_leaves_density_invariant():
     x = np.cos(grid.theta_nodes)
     cols = []
     for m in spec.window:
-        g = sb.legendre_row(int(m), ell, x)
+        g = legendre_row(int(m), ell, x)
         cols.append(np.outer(g, np.exp(1j * m * grid.phi_nodes)).ravel())
     basis = np.stack(cols, axis=1)
     rho_direct = (np.abs(basis) ** 2).sum(axis=1)
@@ -336,7 +336,7 @@ def test_heuristic_matches_exact_inf_window():
     theta = 2.0 * 8.0 * r / ell
     exact = 0.0
     for m in range(r, 2 * r):
-        exact += sb.legendre_row(m, ell, np.array([math.cos(theta)]))[0] ** 2
+        exact += legendre_row(m, ell, np.array([math.cos(theta)]))[0] ** 2
     heur = cd.heuristic_density(ell, r, 2 * r - 1, theta)
     assert 0.5 <= heur / exact <= 2.0
 
@@ -349,7 +349,7 @@ def test_heuristic_matches_exact_equatorial_window_after_averaging():
                          math.pi / 2 + wavelength / 2, 65)
     exact = np.zeros_like(thetas)
     for m in range(a, b + 1):
-        exact += sb.legendre_row(m, ell, np.cos(thetas)) ** 2
+        exact += legendre_row(m, ell, np.cos(thetas)) ** 2
     heur = cd.heuristic_density(ell, a, b, thetas)
     ratio = float(heur.mean() / exact.mean())
     assert 0.5 <= ratio <= 2.0

@@ -21,7 +21,8 @@ from sclab.wkb_engine import (action_integral, band_radius, case_interval, case_
 
 from _oracles import (degree_table, double_factorial, gauss_legendre_node_mp,
                       gauss_legendre_recurrence_rule, legendre_interior_forward,
-                      legendre_theta_recurrence, normalized_legendre_mp, ylm_matrix)
+                      legendre_row, legendre_theta_recurrence, normalized_legendre_mp,
+                      ylm_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +50,7 @@ def test_band_matches_extended_precision_recurrence():
 
 def test_g_value_against_oracle_at_colatitude():
     # g_50^30(0.3) = normalized value at cos(0.3); frozen from the oracle
-    row = sb.legendre_row(30, 50, np.array([math.cos(0.3)]))
+    row = sb.radial_rows(50, np.array([math.cos(0.3)]))[50 + 30]
     assert row[0] == pytest.approx(6.627371146843186e-08, rel=1e-11)
 
 
@@ -83,11 +84,11 @@ def test_band_rejects_bad_orders_and_nodes():
     with pytest.raises(ValueError):  # sin(theta) rounds to 1: a pole
         sb.legendre_band(3, 0, 1, np.array([np.nextafter(math.pi / 2, 0.0)]))
     with pytest.raises(ValueError):
-        sb.legendre_row(2, 5, np.array([1.0]))
+        next(sb._order_column(5, np.array([1.0])))
 
 
 @pytest.mark.parametrize("call, argument", [
-    (lambda nan: sb.legendre_row(2, 5, [nan]), "nodes"),
+    (lambda nan: legendre_row(2, 5, [nan]), "nodes"),
     (lambda nan: sb.legendre_band(5, 0, 2, [0.1, nan]), "nodes"),
     (lambda nan: sb.radial_rows(5, [nan]), "nodes"),
     (lambda nan: q_potential(100, 5, nan), "theta"),
@@ -138,7 +139,7 @@ def test_order_band_matches_per_order_recurrence(ell, case):
     window = case_window(ell, band_radius(ell), case)
     table = sb.legendre_band(ell, int(window[0]), int(window[-1]), thetas)
     x = np.sin(thetas)
-    oracle = np.stack([sb.legendre_row(int(m), ell, x) for m in window])
+    oracle = np.stack([legendre_row(int(m), ell, x) for m in window])
     # g has zeros only where its order is classically allowed (Q < 0); there
     # the error is measured against the row's maximum, elsewhere pointwise
     allowed = np.stack([q_potential(ell, int(m), thetas) < 0 for m in window])
@@ -172,10 +173,10 @@ def test_full_band_near_pole_reads_true_values_to_the_double_range():
     ell = 400
     theta = math.pi / 2 - sb.build_grid(4 * ell).theta_nodes[:1]
     x = np.sin(theta)
-    assert sb.legendre_row(ell, ell, x)[0] == 0.0  # the top seed underflows
+    assert legendre_row(ell, ell, x)[0] == 0.0  # the top seed underflows
     table = sb.legendre_band(ell, 0, ell, theta)
     g = table.values_g[:, 0]
-    oracle = np.array([sb.legendre_row(m, ell, x)[0] for m in range(ell + 1)])
+    oracle = np.array([legendre_row(m, ell, x)[0] for m in range(ell + 1)])
     seeded = np.array([_normal_seed(m, x)[0] for m in range(ell + 1)])
     assert table.underflow_nodes == 1
     assert seeded.sum() > 50
@@ -201,7 +202,7 @@ def test_orders_above_every_old_lift_read_their_true_values():
     for m in (499, 549, 600):
         exact = float(normalized_legendre_mp(m, ell, x[0]))
         assert abs(exact) > 0.9
-        for value in (rows[m], sb.legendre_row(m, ell, x)[0],
+        for value in (rows[m], legendre_row(m, ell, x)[0],
                       degree_table(m, ell, x)[-1, 0]):
             assert abs(value - exact) <= 1e-12 * scale, m
 
@@ -514,7 +515,7 @@ def _upward_error(ell, m, x, row, sample):
     The maximum is that of the degree recurrence's row on all of x.
     """
     exact = np.array([float(normalized_legendre_mp(m, ell, x[j])) for j in sample])
-    return np.abs(row[sample] - exact).max() / np.abs(sb.legendre_row(m, ell, x)).max()
+    return np.abs(row[sample] - exact).max() / np.abs(legendre_row(m, ell, x)).max()
 
 
 @pytest.mark.parametrize("ell", [400, 1600])
@@ -544,29 +545,6 @@ def test_upward_gate_fails_past_the_turning_point(past, passes):
     assert _upward_error(ell, m, x, sb._order_band(ell, m, m, x)[0][0], sample) <= 1e-12
 
 
-def _without_degree_recurrence(band):
-    """``band()``, with the degree recurrence made to raise should it run."""
-    def refused(*args):
-        raise AssertionError("a degree recurrence ran")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sb, "_degree_rows", refused)
-        return band()
-
-
-@pytest.mark.parametrize("ell", [400, 1600])
-def test_no_band_runs_a_degree_recurrence(ell):
-    grid = np.cos(sb.build_grid(4 * ell).theta_nodes)
-    for case in ("2", "inf"):
-        window, thetas, x = _wkb_nodes(ell, case)
-        m_lo, m_hi = int(window[0]), int(window[-1])
-        for m in (m_lo, m_hi):  # single rows
-            _without_degree_recurrence(lambda: sb.legendre_band(ell, m, m, thetas))
-        _without_degree_recurrence(lambda: sb.legendre_band(ell, m_lo, m_hi, thetas))
-        _without_degree_recurrence(lambda: sb._order_band(ell, m_lo, m_hi, grid))
-    _without_degree_recurrence(lambda: sb.radial_rows(ell, x))
-
-
 @pytest.mark.parametrize("ell", [400, 1600])
 def test_upward_route_is_taken_only_by_oscillatory_bands(ell):
     for case, upward in (("inf", True), ("2", False)):
@@ -587,8 +565,7 @@ def test_upward_route_is_taken_only_by_oscillatory_bands(ell):
 @pytest.mark.parametrize("ell", [400, 1600])
 def test_upward_band_rows_are_its_one_order_rows(ell):
     window, thetas, _ = _wkb_nodes(ell, "inf")
-    table = _without_degree_recurrence(
-        lambda: sb.legendre_band(ell, int(window[0]), int(window[-1]), thetas))
+    table = sb.legendre_band(ell, int(window[0]), int(window[-1]), thetas)
     for i, m in enumerate(window.tolist()):
         alone = sb.legendre_band(ell, m, m, thetas).values_g[0]
         assert np.array_equal(table.values_g[i], alone)
@@ -600,7 +577,7 @@ def test_single_row_lifts_an_underflowing_seed():
     exact = float(normalized_legendre_mp(m, ell, x[0]))  # 7.23e-38
     # the row by the degree recurrence; the band by the downward sweep from
     # g_l^l ~ 1e-984
-    for value in (sb.legendre_row(m, ell, x)[0], sb._order_band(ell, m, m, x)[0][0, 0]):
+    for value in (legendre_row(m, ell, x)[0], sb._order_band(ell, m, m, x)[0][0, 0]):
         assert abs(value / exact - 1) <= 1e-12
 
 
@@ -621,66 +598,78 @@ def test_seed_constant_against_mpmath(m):
         assert abs(float(sb._seed_log_magnitude(m, np.zeros(1))[0] - exact)) <= 1e-15
 
 
+def _column_table(m, ell_max, x):
+    """Order m's table of the column of degrees 0..ell_max, copied."""
+    return next(table.copy() for order, table in sb._order_column(ell_max, x) if order == m)
+
+
 def test_degree_table_lifts_an_underflowing_seed():
+    # the column's line 1600 at x = -0.97 enters from g_1600^1600 ~ 1e-984
     m, ell, x = 533, 1600, np.array([-0.970])
-    table = degree_table(m, ell, x)
-    assert np.array_equal(table[-1], sb.legendre_row(m, ell, x))
+    table = _column_table(m, ell, x)
     exact = float(normalized_legendre_mp(m, ell, x[0]))  # 7.23e-38
     assert abs(table[-1, 0] / exact - 1) <= 1e-12
+    assert abs(legendre_row(m, ell, x)[0] / exact - 1) <= 1e-12
 
 
 def test_degree_table_matches_single_rows():
+    # each line of the column is the downward band of its degree, which
+    # radial_rows returns
     x = np.linspace(-0.9, 0.9, 5)
-    table = degree_table(4, 40, x)
+    table = _column_table(4, 40, x)
     for ell in (4, 17, 40):
-        assert np.array_equal(table[ell - 4], sb.legendre_row(4, ell, x))
+        assert np.array_equal(table[ell - 4], sb.radial_rows(ell, x)[ell + 4])
 
 
-@pytest.mark.parametrize("m", [0, 3333, 9990])
-def test_single_row_holds_a_few_rows_in_degree(m):
-    # a row is a column of one order of which only the last row is kept;
-    # the table of l = 10000 on 4096 nodes would be 328 MB.  Measured: <= 11
-    # rows (m = 9990 lifts its seed next to the poles).  The seeds' cached
-    # normalization table is built first, on one node
-    x = np.cos(sb.build_grid(4096).theta_nodes)
-    sb.legendre_row(m, m, x[:1])
-    tracemalloc.start()
-    try:
-        sb.legendre_row(m, 10_000, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * x.nbytes
+def _c02_nodes():
+    """The orthonormality check's nodes: the 128 of its 256-point rule with x > 0, and x = 0."""
+    return np.append(sb.build_grid(256).nodes[:128], 0.0)
+
+
+def _assert_column_is_the_bands(ell_max, x):
+    """Line l of the column of degrees 0..ell_max is the band 0..l, bit for bit."""
+    tables = {m: table.copy() for m, table in sb._order_column(ell_max, x)}
+    assert list(tables) == list(range(ell_max, -1, -1))
+    for ell in range(ell_max + 1):
+        column = np.array([tables[m][ell - m] for m in range(ell + 1)])
+        assert np.array_equal(column, sb._order_band(ell, 0, ell, x)[0]), ell
+
+
+@pytest.mark.parametrize("x, ell_max", [(_c02_nodes(), 200), (np.zeros(1), 500)],
+                         ids=["c02-nodes", "equator"])
+def test_order_column_is_the_downward_band_of_each_degree(x, ell_max):
+    # c02 and c03 read the column, every density reads the bands: the same
+    # rows, lifted nodes included (orders 152..200 next to the poles on
+    # c02's nodes)
+    _assert_column_is_the_bands(ell_max, x)
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2, 5, 40, 127])
 def test_order_column_matches_one_order_recurrences(ell):
+    # the smallest columns, and columns on the full 256-point rule, whose
+    # nodes x < 0 have cot(theta) < 0; radial_rows signs the band 0..ell
     x = np.cos(sb.build_grid(256).theta_nodes)
-    orders = np.arange(ell + 1)[:, None]
-    alone = [sb._degree_rows(orders[m:m + 1], ell, x, sb._lifted_seeds(orders[m:m + 1], x)[0])
-             for m in range(ell + 1)]
-    column = sb._degree_rows(orders, ell, x, sb._lifted_seeds(orders, x)[0])
-    for step, rows in enumerate(column):
-        for m in range(ell + 1 - step):  # orders not yet past degree ell
-            assert np.array_equal(rows[m], next(alone[m])[0])
-    assert step == ell
-    assert all(next(gen, None) is None for gen in alone)
+    _assert_column_is_the_bands(ell, x)
     assert np.array_equal(sb.radial_rows(ell, x), _signed_band(ell, x))
 
 
 @pytest.mark.parametrize("m_lo, m_hi", [(0, 200), (151, 157)])
 def test_degree_tables_match_one_order_tables(m_lo, m_hi):
-    # the orthonormality check's grid and degrees; on its 256 nodes the
-    # seeds of orders 152..200 are lifted next to the poles
+    # the column's tables against the recurrence in degree at each order
+    # alone, on the orthonormality check's grid and degrees; on its 256
+    # nodes the seeds of orders 152..200 are lifted next to the poles.
+    # Measured within 2.5e-13 of each degree's largest value
     x = np.cos(sb.build_grid(256).theta_nodes)
     lifted = [m for m in range(201) if sb._lifted_seeds(m, x)[1].any()]
     assert lifted == list(range(152, 201))
     orders = []
-    for m, table in sb._degree_tables(m_lo, m_hi, 200, x):
-        assert table.flags.c_contiguous
-        assert np.array_equal(table, degree_table(m, 200, x))
-        orders.append(m)
-    assert orders == list(range(m_lo, m_hi + 1))
+    for m, table in sb._order_column(200, x):
+        if m_lo <= m <= m_hi:
+            oracle = degree_table(m, 200, x)
+            scale = np.abs(oracle).max(axis=1, keepdims=True)
+            assert (np.abs(table - oracle) / scale).max() <= 1e-12, m
+            orders.append(m)
+    assert orders == list(range(m_hi, m_lo - 1, -1))
 
 
 def test_miller_rows_form_their_block_in_place():
@@ -706,7 +695,7 @@ def test_miller_rows_form_their_block_in_place():
     sweep = itertools.chain([above, top], sb._order_rows(ell, big_m, -1, above, top, cot))
     kept, kept_lift = {}, {}
     for m, row in zip(range(big_m + 1, -1, -1),
-                      sb._rescaled(sweep, lift, sb._ORDER_CHECK_STEPS, np.arange(cot.size), norm)):
+                      sb._rescaled(sweep, lift, np.arange(cot.size), norm)):
         if m_lo <= m <= m_hi:
             kept[m], kept_lift[m] = row.copy(), lift.copy()
         if 0 < m <= big_m:
@@ -1063,7 +1052,7 @@ def test_boundary_values_fail_without_the_sign():
 @pytest.mark.parametrize("ell,m", [(5, 2), (50, 20), (137, 136), (200, 0)])
 def test_g_normalization(ell, m):
     grid = sb.build_grid(max(ell + 8, 32))
-    row = sb.legendre_row(m, ell, np.cos(grid.theta_nodes))
+    row = sb.radial_rows(ell, grid.nodes)[ell + m]
     integral = 2.0 * math.pi * np.dot(grid.theta_weights, row * row)
     assert integral == pytest.approx(1.0, abs=1e-10)
 
@@ -1199,8 +1188,9 @@ def test_normalized_at_zero_bounded_at_extreme_orders():
 
 def test_no_overflow_at_degree_ten_thousand():
     x = np.array([0.3, -0.85])
-    for m in (0, 123, 5000, 9999):
-        row = sb.legendre_row(m, 10_000, x)
+    assert np.all(np.isfinite(sb.radial_rows(10_000, x)))
+    for m in (0, 123, 5000, 9999):  # the oracle's growth bound holds to l = 1e4
+        row = legendre_row(m, 10_000, x)
         assert np.all(np.isfinite(row))
     value, deriv = _at_zero(10_000, 5000)
     assert np.isfinite(value) and np.isfinite(deriv)
